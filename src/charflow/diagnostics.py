@@ -288,7 +288,7 @@ class CostEstimate:
         return self.term1 + self.term2 + self.term3
 
 
-def costestimate_bound(field, snapshots, cutoff, cost, alpha):
+def costestimate_bound(field, snapshots, cutoff, cost, alpha, j_value):
     """Evaluate the three-term estimate along difference snapshots.
 
     * term1: modulus term, beta * C * integral of total variation;
@@ -297,8 +297,10 @@ def costestimate_bound(field, snapshots, cutoff, cost, alpha):
     * term3: mollification error, C * omega(alpha) * (beta/delta +
       beta * J / G(k)) * integral of total variation;
 
-    J is the saturating integral of the reciprocal modified modulus.  Time
-    integrals use the trapezoid rule on the given snapshot grid.
+    J is the saturating integral of the reciprocal modified modulus at
+    ``cost.delta``; the caller passes it as ``j_value`` (the schedule has
+    already computed it).  Time integrals use the trapezoid rule on the
+    given snapshot grid.
     """
     snapshots = list(snapshots)
     if len(snapshots) < 2:
@@ -322,7 +324,7 @@ def costestimate_bound(field, snapshots, cutoff, cost, alpha):
 
     const = field.modulus_constant_for(cutoff.r_zero + 1.0)
     beta, delta = cost.beta, cost.delta
-    j_val = saturation_integral(field.modulus, delta)
+    j_val = float(j_value)
     g_at_k = float(field.growth(cutoff.k))
     omega_alpha = float(field.modulus(alpha))
 
@@ -336,7 +338,8 @@ def costestimate_bound(field, snapshots, cutoff, cost, alpha):
 @dataclass(frozen=True)
 class Schedule:
     """Per-level parameters: cost shape (beta, delta), mollifier radius
-    alpha, and the intermediate quantities that justify them."""
+    alpha, and the intermediate quantities that justify them.  ``j_value``
+    is J(delta) at the chosen delta, which the three-term bound reuses."""
 
     k: float
     variation_integral: float
@@ -345,6 +348,7 @@ class Schedule:
     delta: float
     alpha: float
     j_target: float
+    j_value: float
 
 
 def parameter_schedule(k, variation_integral, variation_floor,
@@ -412,7 +416,7 @@ def parameter_schedule(k, variation_integral, variation_floor,
             "mollifier radius underflowed before meeting the bound")
     return Schedule(k=float(k), variation_integral=ivar,
                     variation_floor=floor, beta=beta, delta=delta,
-                    alpha=alpha, j_target=j_target)
+                    alpha=alpha, j_target=j_target, j_value=j_val)
 
 
 def mass_balance(measure):

@@ -507,11 +507,12 @@ def _level_job(field, config, level, times, diffs):
         scheduled = True
     else:
         given = config.parameters
+        j_value = saturation_integral(field.modulus, given["delta"])
         schedule = Schedule(
             k=level, variation_integral=var_integral,
             variation_floor=var_floor, beta=given["beta"],
-            delta=given["delta"], alpha=given["alpha"],
-            j_target=saturation_integral(field.modulus, given["delta"]))
+            delta=given["delta"], alpha=given["alpha"], j_target=j_value,
+            j_value=j_value)
         scheduled = False
 
     # the bound only improves for smaller alpha; keep the lattice workable
@@ -531,7 +532,8 @@ def _level_job(field, config, level, times, diffs):
             estimate = CostEstimate(0.0, 0.0, 0.0)
         else:
             estimate = costestimate_bound(field, snapshots[:i + 1], cutoff,
-                                          cost, alpha_used)
+                                          cost, alpha_used,
+                                          j_value=schedule.j_value)
         w_ref = reference_W(balance_with_reservoir(
             *jordan_decompose(diffs[i])))
         rows.append((t, value, estimate.term1, estimate.term2,
@@ -551,8 +553,8 @@ def _level_job(field, config, level, times, diffs):
         invariants["d_le_three"] = bool(
             final_value <= 3.0 * (1.0 + _BOUND_SLACK))
     chain_ok = True
+    lhs = reference_W(final_pair)
     for eps in (0.1, 0.01):
-        lhs = reference_W(final_pair)
         rhs = comparison_bound(cost, final_value, eps,
                                final_pair.total_mass())
         chain_ok = chain_ok and lhs <= rhs * (1.0 + 1e-9) + 1e-12

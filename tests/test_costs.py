@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charflow import (ConcaveCost, CostRangeError, FieldError, Modulus,
-                      modulus_linear, modulus_log, modulus_loglog_squared,
-                      reference_cost, saturation_integral, tail_modify)
+                      modulus_linear, modulus_log, modulus_loglog,
+                      modulus_loglog_squared, reference_cost,
+                      saturation_integral, tail_modify)
 
 
 def linear_closed_form(r, delta, beta):
@@ -82,13 +83,16 @@ def test_cost_is_monotone_subadditive_lipschitz(cost_quarter):
 @pytest.mark.parametrize("delta", [1.0, 1e-3, 5e-13])
 def test_vectorized_cost_tracks_the_scalar_path(delta):
     """The knot table must resolve the integrand knee near delta; a coarse
-    table once made cost_many disagree with cost() by 1e-3 at tiny delta."""
-    c = ConcaveCost(modulus_log(), delta, 0.7)
+    table once made cost_many disagree with cost() by 1e-3 at tiny delta.
+    The documented bound, 3e-11 relative, holds on every canned modulus."""
     radii = np.concatenate([[0.0], np.geomspace(1e-30, 1e3, 120), [np.inf]])
-    vec = c.cost_many(radii)
-    for r, v in zip(radii, vec):
-        s = c.cost(r)
-        assert v == pytest.approx(s, rel=1e-9, abs=1e-300), f"r={r!r}"
+    for modulus in (modulus_linear(), modulus_log(), modulus_loglog(),
+                    modulus_loglog_squared()):
+        c = ConcaveCost(modulus, delta, 0.7)
+        vec = c.cost_many(radii)
+        for r, v in zip(radii, vec):
+            s = c.cost(r)
+            assert v == pytest.approx(s, rel=3e-11, abs=1e-300), f"r={r!r}"
 
 
 def test_cost_many_shapes(cost_quarter):

@@ -12,7 +12,7 @@ from charflow import (ConcaveCost, CutoffError, MollifierError, MollifierSpec,
                       mass_balance, measure_from_arrays, modulus_linear,
                       modulus_log, modulus_loglog_squared, mollify,
                       parameter_schedule, rotation_field,
-                      weak_solution_residual)
+                      saturation_integral, weak_solution_residual)
 from charflow.diagnostics import DiagnosticsReport, build_cutoff as _bc  # noqa: F401
 from charflow.diagnostics import trapezoid_rule
 
@@ -151,9 +151,9 @@ def test_costestimate_closed_form():
     cut = build_cutoff(growth_affine(), 2.0)
     cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     m = make_measure(2, [((0.1, 0.0), 0.3)])
-    est = costestimate_bound(field, [(0.0, m), (1.0, m)], cut, cost,
-                             alpha=0.125)
     j = saturation_linear(0.25)
+    est = costestimate_bound(field, [(0.0, m), (1.0, m)], cut, cost,
+                             alpha=0.125, j_value=j)
     assert est.term1 == pytest.approx(2.0 * 1.0 * 0.3, rel=1e-9)
     assert est.term2 == 0.0  # the atom sits inside radius k - 1
     rate = 2.0 / 0.25 + 2.0 * j / 3.0  # beta/delta + beta*J/G(2)
@@ -166,9 +166,9 @@ def test_costestimate_sees_tail_mass():
     cut = build_cutoff(growth_affine(), 2.0)
     cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     far = make_measure(2, [((1.5, 0.0), 0.2)])  # beyond k - 1 = 1
-    est = costestimate_bound(field, [(0.0, far), (1.0, far)], cut, cost,
-                             alpha=0.125)
     j = saturation_linear(0.25)
+    est = costestimate_bound(field, [(0.0, far), (1.0, far)], cut, cost,
+                             alpha=0.125, j_value=j)
     assert est.term2 == pytest.approx(2.0 * 2.0 * 1.0 * j * 0.2, rel=1e-9)
 
 
@@ -178,10 +178,11 @@ def test_costestimate_needs_a_time_grid():
     cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     m = make_measure(2, [((0.1, 0.0), 0.3)])
     with pytest.raises(ScheduleError):
-        costestimate_bound(field, [(0.0, m)], cut, cost, alpha=0.125)
+        costestimate_bound(field, [(0.0, m)], cut, cost, alpha=0.125,
+                           j_value=1.0)
     with pytest.raises(ScheduleError):
         costestimate_bound(field, [(1.0, m), (0.0, m)], cut, cost,
-                           alpha=0.125)
+                           alpha=0.125, j_value=1.0)
 
 
 # -- the parameter schedule ----------------------------------------------------
@@ -195,6 +196,8 @@ def test_schedule_formulas_for_the_linear_modulus():
     assert sched.j_target == 2.75 / (2.0 * 2.0 * 0.5)
     assert saturation_linear(sched.delta) == pytest.approx(sched.j_target,
                                                            rel=1e-8)
+    assert sched.j_value == saturation_integral(modulus_linear(),
+                                                sched.delta)
     # alpha is the largest dyadic meeting the third-term cap
     j = saturation_linear(sched.delta)
     rate = (sched.beta / sched.delta + sched.beta * j / 3.0) * 2.75

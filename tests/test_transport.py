@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ import pytest
 from charflow import (ComparisonBoundError, ConcaveCost, TransportError,
                       balance_with_reservoir, brute_force_ot,
                       c_transform_extend, comparison_bound, firstterm_estimate,
-                      make_measure, measure_from_arrays, modulus_linear,
+                      CostRangeError, make_measure, measure_from_arrays,
+                      modulus_linear,
                       reference_W, rotation_field, solve_ot,
                       transport_to_json, weak_lsc_check)
-from charflow.transport import DIAMOND, REFERENCE_COST
+from charflow.transport import DIAMOND, REFERENCE_COST, _check_slackness
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,75 @@ def test_agreement_under_the_reference_cost():
     value, _ = brute_force_ot(pair, REFERENCE_COST)
     assert plan.primal_value == pytest.approx(value, rel=1e-9)
     assert reference_W(pair) == plan.primal_value
+
+
+def test_reference_cost_guards_both_evaluators():
+    assert REFERENCE_COST.cost(0.25) == 0.25
+    np.testing.assert_array_equal(
+        REFERENCE_COST.cost_many(np.array([[0.5, 3.0]])), [[0.5, 1.0]])
+    for bad in (-0.1, math.nan):
+        with pytest.raises(CostRangeError):
+            REFERENCE_COST.cost(bad)
+        with pytest.raises(CostRangeError):
+            REFERENCE_COST.cost_many(np.array([0.2, bad]))
+
+
+# -- the support-slackness audit ----------------------------------------------
+
+def _nudged(potential, side, index, amount=1e-3):
+    values = getattr(potential, side).copy()
+    values[index] += amount
+    return replace(potential, **{side: values})
+
+
+def test_slackness_audit_names_a_broken_real_entry(cost):
+    mu = make_measure(2, [((0.0, 0.0), 0.25), ((0.6, 0.1), 0.25),
+                          ((-0.4, 0.5), 0.5)])
+    nu = make_measure(2, [((0.1, 0.0), 0.5), ((0.5, 0.3), 0.25),
+                          ((-0.3, 0.2), 0.25)])
+    plan, potential = solve_ot(balance_with_reservoir(mu, nu), cost)
+    assert all(DIAMOND not in entry[:2] for entry in plan.entries)
+    _check_slackness(plan, potential, cost)
+    i, j, _ = plan.entries[-1]
+    # the nudge breaks every entry of row i; the audit names the first
+    first = next(entry for entry in plan.entries if entry[0] == i)
+    with pytest.raises(TransportError,
+                       match=rf"entry \({first[0]}, {first[1]}\): potential "
+                             r"drop .* vs cost "):
+        _check_slackness(plan, _nudged(potential, "mu_values", i), cost)
+    first = next(entry for entry in plan.entries if entry[1] == j)
+    with pytest.raises(TransportError,
+                       match=rf"entry \({first[0]}, {first[1]}\)"):
+        _check_slackness(plan, _nudged(potential, "nu_values", j), cost)
+
+
+@pytest.mark.parametrize("excess_on_mu", [True, False])
+def test_slackness_audit_names_a_broken_absorbing_entry(cost, excess_on_mu):
+    near = make_measure(1, [((0.0,), 0.25)])
+    far = make_measure(1, [((0.1,), 0.25), ((5.0,), 0.125)])
+    mu, nu = (far, near) if excess_on_mu else (near, far)
+    plan, potential = solve_ot(balance_with_reservoir(mu, nu), cost)
+    absorbed = (1, DIAMOND, 0.125) if excess_on_mu else (DIAMOND, 1, 0.125)
+    assert absorbed in plan.entries
+    _check_slackness(plan, potential, cost)
+    side = "mu_values" if excess_on_mu else "nu_values"
+    with pytest.raises(TransportError, match=rf"entry \({absorbed[0]}, "
+                                             rf"{absorbed[1]}\)"):
+        _check_slackness(plan, _nudged(potential, side, 1), cost)
+
+
+def test_slackness_audit_passes_a_plan_with_dyadic_dust(cost):
+    """A 2^-40 mass sits far below every tolerance of the solver; its entry
+    must still be audited and pass."""
+    dust = 2.0 ** -40
+    mu = make_measure(1, [((0.0,), 0.5), ((1.0,), dust)])
+    nu = make_measure(1, [((0.1,), 0.5 - dust), ((0.9,), 2.0 * dust)])
+    plan, potential = solve_ot(balance_with_reservoir(mu, nu), cost)
+    assert min(q for _, _, q in plan.entries) == dust
+    _check_slackness(plan, potential, cost)
+    assert (1, 1, dust) in plan.entries
+    with pytest.raises(TransportError, match=r"entry \(1, 1\)"):
+        _check_slackness(plan, _nudged(potential, "mu_values", 1), cost)
 
 
 def test_tied_costs_exercise_the_anticycling_path(cost):
