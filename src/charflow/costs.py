@@ -13,12 +13,14 @@ cost act as a metric on measures with mass parked at the absorbing point.
 Evaluation strategy: a geometric knot table carries exact-cumulative values
 (compensated summation); point queries integrate the short residual from the
 nearest knot with adaptive quadrature, so table density never limits
-accuracy.
+accuracy.  The vectorized path takes the residual with the 32-node rule of
+:class:`KnotTable`, which also tabulates the cutoff window in diagnostics.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
@@ -29,6 +31,46 @@ from .fields import Modulus
 _TABLE_SIZE = 6144
 _TABLE_FLOOR = 1e-9
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def gauss_legendre(density, lo, hi):
+    """32-node Gauss-Legendre integrals of ``density`` over each [lo, hi].
+
+    ``lo`` and ``hi`` are arrays that broadcast together; ``density`` is
+    called once on every node of every interval and must accept a flat
+    array.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[..., None] + half[..., None] * _GL_NODES
+    vals = np.asarray(density(nodes.ravel()),
+                      dtype=float).reshape(nodes.shape)
+    return (vals * _GL_WEIGHTS).sum(axis=-1) * half
+
+
+@dataclass(frozen=True)
+class KnotTable:
+    """Cumulative integral of ``density`` tabulated at increasing ``knots``.
+
+    ``values[i]`` is the integral from ``knots[0]`` to ``knots[i]``.  Point
+    values add the 32-node residual from the nearest knot at or below the
+    point; points beyond the last knot integrate on from it.
+    """
+
+    knots: np.ndarray
+    values: np.ndarray
+    density: object
+
+    def base(self, r):
+        """(knot, cumulative value) at the nearest knot at or below r."""
+        idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1,
+                      0, len(self.knots) - 1)
+        return self.knots[idx], self.values[idx]
+
+    def value(self, r):
+        """Integral from the first knot to each r: table plus residual."""
+        base_r, base_v = self.base(r)
+        return base_v + gauss_legendre(self.density, base_r, r)
 
 
 def tail_modify(mod):
@@ -140,11 +182,7 @@ class ConcaveCost:
         grid = np.geomspace(floor, top, _TABLE_SIZE)
         knots = np.unique(np.concatenate([[0.0, 1.0], grid]))
         lo, hi = knots[:-1], knots[1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = self._density(nodes.ravel()).reshape(nodes.shape)
-        increments = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+        increments = gauss_legendre(self._density, lo, hi)
 
         if np.any(increments < 0.0):
             raise QuadratureError("cost increments must be nonnegative")
@@ -155,14 +193,14 @@ class ConcaveCost:
         if np.any(slopes[1:] > slopes[:-1] * (1.0 + 1e-9) + 1e-30):
             raise QuadratureError("cost table lost concavity")
 
-        self._knots = knots
-        self._values = np.concatenate([[0.0],
-                                       _compensated_cumsum(increments)])
+        self._table = KnotTable(
+            knots, np.concatenate([[0.0], _compensated_cumsum(increments)]),
+            self._density)
         if self.modify_tail:
             tail, _ = scipy.integrate.quad(
                 lambda s: float(self._density(s)), top, np.inf,
                 limit=200, epsabs=1e-15, epsrel=1e-11)
-            self.c_infinity = float(self._values[-1] + tail)
+            self.c_infinity = float(self._table.values[-1] + tail)
         else:
             self.c_infinity = self._unmodified_saturation(top)
 
@@ -178,7 +216,7 @@ class ConcaveCost:
             return math.inf
         if len(res) > 3 or not np.isfinite(res[0]):
             return math.inf
-        return float(self._values[-1] + res[0])
+        return float(self._table.values[-1] + res[0])
 
     # -- point evaluation --------------------------------------------------
 
@@ -201,11 +239,7 @@ class ConcaveCost:
             return 0.0
         if math.isinf(r):
             return self.c_infinity
-        idx = int(np.searchsorted(self._knots, r, side="right")) - 1
-        if idx >= len(self._knots) - 1:
-            base_r, base_v = self._knots[-1], self._values[-1]
-        else:
-            base_r, base_v = self._knots[idx], self._values[idx]
+        base_r, base_v = self._table.base(r)
         value = base_v + self._residual(base_r, r)
         return min(value, self.c_infinity)
 
@@ -225,18 +259,7 @@ class ConcaveCost:
         finite = ~infinite
         rs = flat[finite]
         if len(rs):
-            idx = np.searchsorted(self._knots, rs, side="right") - 1
-            idx = np.clip(idx, 0, len(self._knots) - 2)
-            base_r = self._knots[idx]
-            base_r = np.where(rs >= self._knots[-1], self._knots[-1], base_r)
-            base_v = self._values[np.where(rs >= self._knots[-1],
-                                           len(self._knots) - 1, idx)]
-            half = 0.5 * (rs - base_r)
-            mid = 0.5 * (rs + base_r)
-            nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-            dens = self._density(nodes.ravel()).reshape(nodes.shape)
-            residual = (dens * _GL_WEIGHTS[None, :]).sum(axis=1) * half
-            out[finite] = np.minimum(base_v + residual, self.c_infinity)
+            out[finite] = np.minimum(self._table.value(rs), self.c_infinity)
         return out.reshape(radii.shape) if radii.ndim else float(out[0])
 
     def cost_derivative(self, r):
@@ -256,9 +279,9 @@ class ConcaveCost:
             return 0.0
 
         # bracket from the table
-        pos = int(np.searchsorted(self._values, v))
-        if pos >= len(self._values):
-            lo = float(self._knots[-1])
+        pos = int(np.searchsorted(self._table.values, v))
+        if pos >= len(self._table.values):
+            lo = float(self._table.knots[-1])
             hi = lo
             for _ in range(2000):
                 hi *= 2.0
@@ -267,8 +290,8 @@ class ConcaveCost:
             else:
                 raise CostRangeError("value outside cost range")
         else:
-            lo = float(self._knots[max(pos - 1, 0)])
-            hi = float(self._knots[pos])
+            lo = float(self._table.knots[max(pos - 1, 0)])
+            hi = float(self._table.knots[pos])
 
         f_lo = self.cost(lo) - v
         if abs(f_lo) <= tol:

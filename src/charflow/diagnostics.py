@@ -19,15 +19,15 @@ import numpy as np
 import scipy.integrate
 import scipy.optimize
 
-from .costs import saturation_integral
+from .costs import KnotTable, gauss_legendre, saturation_integral
 from .errors import CutoffError, MollifierError, ScheduleError
-from .fields import evaluate_batch, smooth_step, smooth_step_derivative
-from .fileio import atomic_write_text
+from .fields import (evaluate_batch, plateau_bump, plateau_bump_derivative,
+                     smooth_step, smooth_step_derivative)
+from .fileio import write_table
 from .measures import balance_with_reservoir, jordan_decompose, \
     measure_from_arrays
 from .transport import solve_ot
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _RK_CAP = 1e9
 
 
@@ -55,23 +55,7 @@ class CutoffFamily:
     r_zero: float
     sigma: float
     growth: object
-    _h_knots: np.ndarray
-    _h_values: np.ndarray
-
-    def _h(self, r):
-        """H(r) = int_k^r ds / G(s) on [k, r_zero], from the cumulative
-        table plus a short quadrature residual."""
-        r = np.asarray(r, dtype=float)
-        idx = np.searchsorted(self._h_knots, r, side="right") - 1
-        idx = np.clip(idx, 0, len(self._h_knots) - 2)
-        base_r = self._h_knots[idx]
-        base_v = self._h_values[idx]
-        half = 0.5 * (r - base_r)
-        mid = 0.5 * (r + base_r)
-        nodes = mid[..., None] + half[..., None] * _GL_NODES
-        dens = 1.0 / np.asarray(self.growth(nodes.ravel()),
-                                dtype=float).reshape(nodes.shape)
-        return base_v + (dens * _GL_WEIGHTS).sum(axis=-1) * half
+    _h_table: KnotTable  # H(r) = int_k^r ds / G(s) on [k, r_zero]
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -81,7 +65,7 @@ class CutoffFamily:
         out[r >= self.r_zero] = 0.0
         mid = (r > self.k) & (r < self.r_zero)
         if mid.any():
-            out[mid] = smooth_step(1.0 - self._h(r[mid]))
+            out[mid] = smooth_step(1.0 - self._h_table.value(r[mid]))
         return float(out[0]) if scalar else out
 
     def gradient_norm(self, r):
@@ -93,7 +77,7 @@ class CutoffFamily:
         out = np.zeros_like(r)
         mid = (r > self.k) & (r < self.r_zero)
         if mid.any():
-            slope = smooth_step_derivative(1.0 - self._h(r[mid]))
+            slope = smooth_step_derivative(1.0 - self._h_table.value(r[mid]))
             out[mid] = slope / np.asarray(self.growth(r[mid]), dtype=float)
         return float(out[0]) if scalar else out
 
@@ -133,18 +117,15 @@ def build_cutoff(growth, k, check_samples=512):
                                    xtol=1e-13, rtol=1e-15)
     sigma = min(0.5, (r_zero - k) / 8.0)
 
-    knots = np.linspace(k, r_zero, 2049)
-    lo, hi_k = knots[:-1], knots[1:]
-    half = 0.5 * (hi_k - lo)
-    mid = 0.5 * (hi_k + lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    dens = 1.0 / np.asarray(growth(nodes.ravel()),
-                            dtype=float).reshape(nodes.shape)
-    incs = (dens * _GL_WEIGHTS[None, :]).sum(axis=1) * half
-    values = np.concatenate([[0.0], np.cumsum(incs)])
+    def density(s):
+        return 1.0 / np.asarray(growth(s), dtype=float)
 
+    knots = np.linspace(k, r_zero, 2049)
+    incs = gauss_legendre(density, knots[:-1], knots[1:])
+    table = KnotTable(knots, np.concatenate([[0.0], np.cumsum(incs)]),
+                      density)
     cut = CutoffFamily(k=k, r_zero=float(r_zero), sigma=float(sigma),
-                       growth=growth, _h_knots=knots, _h_values=values)
+                       growth=growth, _h_table=table)
 
     # invariant audit on a dense sample
     rs = np.linspace(max(k - 1.0, 0.0), r_zero + 1.0, check_samples)
@@ -275,6 +256,31 @@ def D_functional(pair, cost):
     return plan.primal_value
 
 
+def variation_integrals(snapshots, radius):
+    """Time integrals (trapezoid rule) of a snapshot sequence's variation.
+
+    Returns (int_total, int_tail): the integral of the total variation and
+    of the variation at distance >= ``radius`` from the origin, reservoir
+    included.  The parameter schedule and the three-term bound both read
+    these two numbers.
+    """
+    snapshots = list(snapshots)
+    if len(snapshots) < 2:
+        raise ScheduleError("need at least two snapshots in time")
+    times = np.array([t for t, _ in snapshots], dtype=float)
+    if np.any(np.diff(times) <= 0.0):
+        raise ScheduleError("snapshot times must increase")
+
+    totals = []
+    tails = []
+    for _, m in snapshots:
+        totals.append(m.total_variation())
+        radii = np.linalg.norm(m.locations, axis=1)
+        far = np.abs(m.weights[radii >= radius])
+        tails.append(math.fsum([*far, abs(m.reservoir_weight)]))
+    return trapezoid_rule(totals, times), trapezoid_rule(tails, times)
+
+
 @dataclass(frozen=True)
 class CostEstimate:
     """Three-term bound for the time derivative of the transport value."""
@@ -302,25 +308,7 @@ def costestimate_bound(field, snapshots, cutoff, cost, alpha, j_value):
     already computed it).  Time integrals use the trapezoid rule on the
     given snapshot grid.
     """
-    snapshots = list(snapshots)
-    if len(snapshots) < 2:
-        raise ScheduleError("need at least two snapshots in time")
-    times = np.array([t for t, _ in snapshots], dtype=float)
-    if np.any(np.diff(times) <= 0.0):
-        raise ScheduleError("snapshot times must increase")
-
-    totals = []
-    outside = []
-    for _, m in snapshots:
-        totals.append(m.total_variation())
-        if m.atom_count:
-            radii = np.linalg.norm(m.locations, axis=1)
-            far = np.abs(m.weights[radii >= cutoff.k - 1.0])
-            outside.append(math.fsum(far) + abs(m.reservoir_weight))
-        else:
-            outside.append(abs(m.reservoir_weight))
-    int_total = trapezoid_rule(totals, times)
-    int_out = trapezoid_rule(outside, times)
+    int_total, int_out = variation_integrals(snapshots, cutoff.k - 1.0)
 
     const = field.modulus_constant_for(cutoff.r_zero + 1.0)
     beta, delta = cost.beta, cost.delta
@@ -451,21 +439,13 @@ def _test_bank(radius, horizon):
         return -math.pi / (2.0 * T) * math.sin(math.pi * t / (2.0 * T))
 
     def plateau(points):
-        r = np.linalg.norm(points, axis=1)
-        return smooth_step((r_out - r) / (r_out - r_in))
+        return plateau_bump(np.linalg.norm(points, axis=1), r_in, r_out)
 
     def plateau_grad(points):
         r = np.linalg.norm(points, axis=1)
-        slope = -smooth_step_derivative((r_out - r) / (r_out - r_in)) \
-            / (r_out - r_in)
+        slope = plateau_bump_derivative(r, r_in, r_out)
         safe = np.where(r > 0.0, r, 1.0)
         return slope[:, None] * points / safe[:, None]
-
-    def g_plain(points):
-        return plateau(points)
-
-    def grad_plain(points):
-        return plateau_grad(points)
 
     def g_coord(points):
         return points[:, 0] * plateau(points)
@@ -484,7 +464,7 @@ def _test_bank(radius, horizon):
 
     bank = []
     for psi, dpsi in ((psi_poly, dpsi_poly), (psi_cos, dpsi_cos)):
-        for g, grad in ((g_plain, grad_plain), (g_coord, grad_coord),
+        for g, grad in ((plateau, plateau_grad), (g_coord, grad_coord),
                         (g_quad, grad_quad)):
             bank.append((psi, dpsi, g, grad))
     return bank
@@ -539,7 +519,7 @@ def weak_solution_residual(field, snapshots, test_bank=None):
 
 # -- reporting -------------------------------------------------------------------
 
-_REPORT_COLUMNS = ("t", "D", "term1", "term2", "term3", "bound",
+REPORT_COLUMNS = ("t", "D", "term1", "term2", "term3", "bound",
                    "W_refine", "mass")
 
 
@@ -551,12 +531,9 @@ class DiagnosticsReport:
     rows: tuple
 
     def to_csv(self, path):
-        lines = [",".join(_REPORT_COLUMNS)]
-        for row in self.rows:
-            if len(row) != len(_REPORT_COLUMNS):
-                raise ScheduleError("report row has the wrong width")
-            lines.append(",".join(repr(float(x)) for x in row))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        if any(len(row) != len(REPORT_COLUMNS) for row in self.rows):
+            raise ScheduleError("report row has the wrong width")
+        write_table(path, REPORT_COLUMNS, self.rows, "csv")
 
     @staticmethod
     def from_rows(rows):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 
@@ -22,3 +23,21 @@ def atomic_write_text(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_table(path, columns, rows, fmt):
+    """Write a table of floats as CSV (repr floats) or JSON.
+
+    The JSON form is ``{"columns": [...], "rows": [[...], ...]}`` with
+    ``indent=2`` and sorted keys.  Both forms round-trip every float
+    exactly, so rewriting the same table is byte-identical.
+    """
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(repr(float(x)) for x in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps({"columns": list(columns),
+                           "rows": [list(map(float, row)) for row in rows]},
+                          indent=2, sort_keys=True) + "\n"
+    atomic_write_text(path, text)

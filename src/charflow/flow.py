@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FlowError
 from .fields import evaluate_batch
-from .fileio import atomic_write_text
+from .fileio import write_table
 from .measures import measure_from_arrays
 
 # Dormand-Prince 5(4) tableau.  Row seven equals the fifth-order weights:
@@ -323,12 +323,7 @@ def trajectory_to_csv(traj, path):
     byte-identical.
     """
     n = traj.states.shape[1]
-    header = ",".join(["t"] + [f"x_{i + 1}" for i in range(n)]
-                      + ["step", "err"])
-    lines = [header]
-    for i in range(len(traj.times)):
-        cells = [repr(float(traj.times[i]))]
-        cells += [repr(float(v)) for v in traj.states[i]]
-        cells += [repr(float(traj.steps[i])), repr(float(traj.errors[i]))]
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = ["t"] + [f"x_{i + 1}" for i in range(n)] + ["step", "err"]
+    rows = [(traj.times[i], *traj.states[i], traj.steps[i], traj.errors[i])
+            for i in range(len(traj.times))]
+    write_table(path, columns, rows, "csv")

@@ -18,15 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import ConcaveCost, saturation_integral
-from .diagnostics import (CostEstimate, DiagnosticsReport, MollifierSpec,
-                          Schedule, build_cutoff, build_mu_nu,
+from .diagnostics import (REPORT_COLUMNS, CostEstimate, DiagnosticsReport,
+                          MollifierSpec, Schedule, build_cutoff, build_mu_nu,
                           costestimate_bound, D_functional, mass_balance,
-                          mollify, parameter_schedule, trapezoid_rule,
+                          mollify, parameter_schedule, variation_integrals,
                           weak_solution_residual)
 from .errors import CharflowError, ConfigError
 from .fields import (FIELD_CATALOG, growth_affine, modulus_linear,
                      rotation_field)
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, write_table
 from .flow import FlowOptions, flow_map, integrate_flow
 from .measures import (balance_with_reservoir, jordan_decompose,
                        make_measure, measure_from_arrays)
@@ -482,23 +482,13 @@ def _difference_measure(dimension, loc_fine, w_fine, loc_coarse, w_coarse):
     return measure_from_arrays(dimension, locations, weights, merge=True)
 
 
-def _tail_variation(measure, radius):
-    if measure.atom_count == 0:
-        return abs(measure.reservoir_weight)
-    radii = np.linalg.norm(measure.locations, axis=1)
-    far = np.abs(measure.weights[radii >= radius])
-    return math.fsum([*far, abs(measure.reservoir_weight)])
-
-
 def _level_job(field, config, level, times, diffs):
     cutoff = build_cutoff(field.growth, level)
     const = field.modulus_constant_for(cutoff.r_zero + 1.0)
     snapshots = list(zip(times, diffs))
 
-    totals = [m.total_variation() for m in diffs]
-    tails = [_tail_variation(m, level - 1.0) for m in diffs]
-    var_integral = trapezoid_rule(totals, times)
-    var_floor = max(trapezoid_rule(tails, times), 1.0 / level)
+    var_integral, var_tail = variation_integrals(snapshots, level - 1.0)
+    var_floor = max(var_tail, 1.0 / level)
 
     if config.parameters == "schedule":
         schedule = parameter_schedule(
@@ -564,12 +554,6 @@ def _level_job(field, config, level, times, diffs):
                        report=DiagnosticsReport.from_rows(rows),
                        invariants=invariants, final_gap=worst_gap,
                        final_bound=last[5])
-
-
-def _report_payload(report):
-    from .diagnostics import _REPORT_COLUMNS
-    return {"columns": list(_REPORT_COLUMNS),
-            "rows": [list(row) for row in report.rows]}
 
 
 def run_scenario(config, out_dir, threads=1, fmt="csv"):
@@ -641,9 +625,7 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
         if fmt == "csv":
             result.report.to_csv(path)
         else:
-            atomic_write_text(path, json.dumps(
-                _report_payload(result.report), indent=2, sort_keys=True)
-                + "\n")
+            write_table(path, REPORT_COLUMNS, result.report.rows, "json")
         report_paths[f"{result.level:g}"] = os.path.basename(path)
 
     invariants = {"mass_zero": bool(mass_ok),
@@ -763,16 +745,7 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
         rows.append((j, resolution, w_val, ratio))
 
     table_path = os.path.join(out_dir, f"{config.name}_refinement.{fmt}")
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(float(x)) for x in row))
-        atomic_write_text(table_path, "\n".join(lines) + "\n")
-    else:
-        atomic_write_text(table_path, json.dumps(
-            {"columns": list(header), "rows": [list(map(float, r))
-                                               for r in rows]},
-            indent=2, sort_keys=True) + "\n")
+    write_table(table_path, header, rows, fmt)
 
     exit_code = 0 if passed else 1
     summary = {

@@ -210,48 +210,40 @@ def _least_cost_start(supplies, demands, costs):
 
 
 def _tree_potentials(adj, costs, m, n):
+    """Potentials u_i + v_j = costs[i, j] on the basis tree rooted at row 0,
+    and each node's parent in that tree (-1 at the root)."""
     u = np.zeros(m)
     v = np.zeros(n)
-    seen = [False] * (m + n)
+    parent = [-2] * (m + n)
+    parent[0] = -1
     stack = [0]
-    seen[0] = True
     while stack:
         p = stack.pop()
         for q in adj[p]:
-            if seen[q]:
+            if parent[q] != -2:
                 continue
-            seen[q] = True
+            parent[q] = p
             if p < m:
                 v[q - m] = costs[p, q - m] - u[p]
             else:
                 u[q] = costs[q, p - m] - v[p - m]
             stack.append(q)
-    if not all(seen):
+    if -2 in parent:
         raise TransportError("basis lost connectivity")
-    return u, v
+    return u, v, parent
 
 
-def _tree_path(adj, start, goal, node_count):
-    parent = [-2] * node_count
-    parent[start] = -1
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        p = queue[head]
-        head += 1
-        if p == goal:
-            break
-        for q in adj[p]:
-            if parent[q] == -2:
-                parent[q] = p
-                queue.append(q)
-    if parent[goal] == -2:
-        raise TransportError("basis lost connectivity")
-    path = [goal]
-    while path[-1] != start:
+def _tree_path(parent, start, goal):
+    """The unique tree path from start to goal, both endpoints included:
+    climb from start to the first ancestor of goal, then descend to goal."""
+    up = [goal]
+    while parent[up[-1]] != -1:
+        up.append(parent[up[-1]])
+    steps_above_goal = {node: i for i, node in enumerate(up)}
+    path = [start]
+    while path[-1] not in steps_above_goal:
         path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return path + up[:steps_above_goal[path[-1]]][::-1]
 
 
 def _network_simplex(supplies, demands, costs):
@@ -263,10 +255,8 @@ def _network_simplex(supplies, demands, costs):
     """
     m, n = len(supplies), len(demands)
     flows = _least_cost_start(supplies, demands, costs)
-    basic = np.zeros((m, n), dtype=bool)
     adj = {node: set() for node in range(m + n)}
     for (i, j) in flows:
-        basic[i, j] = True
         adj[i].add(m + j)
         adj[m + j].add(i)
 
@@ -278,9 +268,10 @@ def _network_simplex(supplies, demands, costs):
     degenerate_run = 0
 
     for pivot in range(pivot_cap):
-        u, v = _tree_potentials(adj, costs, m, n)
+        u, v, parent = _tree_potentials(adj, costs, m, n)
         reduced = costs - u[:, None] - v[None, :]
-        reduced[basic] = np.inf
+        rows, cols = zip(*flows)
+        reduced[rows, cols] = np.inf
         if bland:
             offenders = np.argwhere(reduced < -enter_tol)
             if len(offenders) == 0:
@@ -294,7 +285,7 @@ def _network_simplex(supplies, demands, costs):
 
         # closed walk: entering arc, then the unique tree path back;
         # row-to-column hops gain mass, column-to-row hops lose it
-        walk = [ei, m + ej] + _tree_path(adj, m + ej, ei, m + n)[1:]
+        walk = [ei] + _tree_path(parent, m + ej, ei)
         plus, minus = [], []
         for p, q in zip(walk[:-1], walk[1:]):
             if p < m:
@@ -309,11 +300,9 @@ def _network_simplex(supplies, demands, costs):
         for arc in minus:
             flows[arc] = max(flows[arc] - theta, 0.0)
         del flows[leaving]
-        basic[leaving] = False
         adj[leaving[0]].discard(m + leaving[1])
         adj[m + leaving[1]].discard(leaving[0])
         flows.setdefault((ei, ej), 0.0)
-        basic[ei, ej] = True
         adj[ei].add(m + ej)
         adj[m + ej].add(ei)
 
@@ -733,16 +722,17 @@ def comparison_bound(cost, transport_value, epsilon, total_mass):
     return radius * total_mass + epsilon + value / c_one
 
 
-def firstterm_estimate(field, t, pair, potential, cost):
+def firstterm_estimate(field, t, pair, cost):
     """Leading growth-rate term of the transport functional and its bound.
 
-    lhs pairs the optimal plan's velocity differences against the potential
-    gradient direction (slope of the cost along each matched pair); rhs
-    replaces each velocity gap by its declared modulus bound C * omega(d).
-    lhs <= rhs certifies the declared constant on this configuration; rhs
-    never exceeds beta * C * (shipped mass) because the slope saturates the
-    modulus.  The marginals must be mutually singular, mirroring the
-    positive/negative-part split the functional is built on.
+    The optimal plan is solved here from ``pair`` and ``cost``.  lhs pairs
+    its velocity differences against the potential gradient direction
+    (slope of the cost along each matched pair); rhs replaces each velocity
+    gap by its declared modulus bound C * omega(d).  lhs <= rhs certifies
+    the declared constant on this configuration; rhs never exceeds
+    beta * C * (shipped mass) because the slope saturates the modulus.  The
+    marginals must be mutually singular, mirroring the positive/negative
+    split the functional is built on.
     """
     mu, nu = pair.mu, pair.nu
     mu_c, nu_c = cancel_colocated_pair(mu, nu)
@@ -750,9 +740,7 @@ def firstterm_estimate(field, t, pair, potential, cost):
             or nu_c.total_variation() != nu.total_variation()):
         raise MeasureError(
             "firstterm estimate requires mutually singular marginals")
-    plan, fresh = solve_ot(pair, cost)
-    if potential is None:
-        potential = fresh
+    plan, _ = solve_ot(pair, cost)
     pairs = [(i, j, mass) for i, j, mass in plan.entries
              if i != DIAMOND and j != DIAMOND]
     if not pairs:

@@ -95,6 +95,26 @@ def test_vectorized_cost_tracks_the_scalar_path(delta):
             assert v == pytest.approx(s, rel=3e-11, abs=1e-300), f"r={r!r}"
 
 
+def test_table_edges_match_the_scalar_path(cost_quarter):
+    """Below the first positive knot, on a knot, at the last knot and
+    beyond it, cost_many and cost agree; on a knot both return the table's
+    cumulative value, because the residual interval is empty."""
+    knots = cost_quarter._table.knots
+    values = cost_quarter._table.values
+    for i in (1, len(knots) // 2, len(knots) - 1):
+        assert cost_quarter.cost(knots[i]) == values[i]
+        assert cost_quarter.cost_many(np.array([knots[i]]))[0] == values[i]
+    radii = np.array([0.5 * knots[1], knots[1], 1.0, knots[-1],
+                      2.0 * knots[-1]])
+    vec = cost_quarter.cost_many(radii)
+    for r, v in zip(radii, vec):
+        s = cost_quarter.cost(r)
+        assert v == pytest.approx(s, rel=3e-11), f"r={r!r}"
+        assert v <= cost_quarter.c_infinity
+    assert cost_quarter.cost(0.5 * knots[1]) == pytest.approx(
+        linear_closed_form(0.5 * knots[1], 0.25, 2.0), rel=1e-12)
+
+
 def test_cost_many_shapes(cost_quarter):
     grid = np.array([[0.1, 0.2], [0.3, 0.4]])
     out = cost_quarter.cost_many(grid)

@@ -14,7 +14,8 @@ from charflow import (ConcaveCost, CutoffError, MollifierError, MollifierSpec,
                       parameter_schedule, rotation_field,
                       saturation_integral, weak_solution_residual)
 from charflow.diagnostics import DiagnosticsReport, build_cutoff as _bc  # noqa: F401
-from charflow.diagnostics import trapezoid_rule
+from charflow.diagnostics import trapezoid_rule, variation_integrals
+from charflow.fields import smooth_step, smooth_step_derivative
 
 
 def saturation_linear(delta):
@@ -54,6 +55,26 @@ def test_cutoff_plateau_support_and_gradient_cap():
     assert np.all(grads <= caps * (1.0 + 1e-9))
     assert cut.gradient_norm(1.0) == 0.0
     assert cut.gradient_norm(cut.r_zero + 0.5) == 0.0
+
+
+def test_cutoff_table_matches_the_window_integral_near_r_zero():
+    # affine growth: H(r) = log((1 + r) / (1 + k)) in closed form
+    growth = growth_affine()
+    cut = build_cutoff(growth, 2.0)
+    rs = [3.0 * math.exp(1.0 - u) - 1.0 for u in (0.05, 0.02, 0.01)]
+    rs.append(float(np.nextafter(cut.r_zero, 0.0)))
+    for r in rs:
+        assert cut.k < r < cut.r_zero
+        u = 1.0 - math.log((1.0 + r) / 3.0)
+        value = cut.value(r)
+        grad = cut.gradient_norm(r)
+        assert value == cut.value(np.array([r]))[0]
+        assert grad == cut.gradient_norm(np.array([r]))[0]
+        assert value == pytest.approx(smooth_step(u), rel=1e-9, abs=1e-300)
+        assert grad == pytest.approx(smooth_step_derivative(u) / (1.0 + r),
+                                     rel=1e-9, abs=1e-300)
+        assert 0.0 <= grad <= 2.0 / float(growth(r))
+    assert cut.value(rs[0]) > 0.0 and cut.gradient_norm(rs[0]) > 0.0
 
 
 def test_cutoff_apply_reweights_and_drops():
@@ -170,6 +191,43 @@ def test_costestimate_sees_tail_mass():
     est = costestimate_bound(field, [(0.0, far), (1.0, far)], cut, cost,
                              alpha=0.125, j_value=j)
     assert est.term2 == pytest.approx(2.0 * 2.0 * 1.0 * j * 0.2, rel=1e-9)
+
+
+def test_variation_integrals_are_the_ones_the_bound_uses():
+    field = rotation_field()
+    cut = build_cutoff(growth_affine(), 2.0)
+    cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
+    far = make_measure(2, [((1.5, 0.0), 0.2)])  # beyond k - 1 = 1
+    j = saturation_linear(0.25)
+    snapshots = [(0.0, far), (1.0, far)]
+    int_total, int_tail = variation_integrals(snapshots, cut.k - 1.0)
+    est = costestimate_bound(field, snapshots, cut, cost, alpha=0.125,
+                             j_value=j)
+    # the bound's own products, in its order: exact equality
+    const = field.modulus_constant_for(cut.r_zero + 1.0)
+    assert est.term1 == cost.beta * const * int_total
+    assert est.term2 == 2.0 * cost.beta * field.growth_const * j * int_tail
+    assert int_total == pytest.approx(0.2, rel=1e-15)
+    assert int_tail == pytest.approx(0.2, rel=1e-15)
+
+
+def test_variation_integrals_count_the_reservoir_and_the_far_atoms():
+    inside = ((0.5, 0.0), 0.25)
+    outside = ((0.0, -3.0), -0.125)
+    first = make_measure(2, [inside, outside], reservoir_weight=0.5)
+    second = make_measure(2, [inside], reservoir_weight=-0.0625)
+    empty = measure_from_arrays(2, np.zeros((0, 2)), np.zeros(0),
+                                reservoir_weight=0.25)
+    snapshots = [(0.0, first), (0.5, second), (1.5, empty)]
+    int_total, int_tail = variation_integrals(snapshots, 1.0)
+    assert int_total == trapezoid_rule([0.875, 0.3125, 0.25],
+                                       [0.0, 0.5, 1.5])
+    assert int_tail == trapezoid_rule([0.625, 0.0625, 0.25],
+                                      [0.0, 0.5, 1.5])
+    with pytest.raises(ScheduleError):
+        variation_integrals(snapshots[:1], 1.0)
+    with pytest.raises(ScheduleError):
+        variation_integrals(snapshots[::-1], 1.0)
 
 
 def test_costestimate_needs_a_time_grid():

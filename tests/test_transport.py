@@ -248,7 +248,7 @@ def test_comparison_bound_dominates_reference_distance(cost):
 def test_firstterm_estimate_orders(cost):
     field = rotation_field()
     pair = random_pair(60, 4, 4)
-    lhs, rhs = firstterm_estimate(field, 0.0, pair, None, cost)
+    lhs, rhs = firstterm_estimate(field, 0.0, pair, cost)
     assert 0.0 <= lhs <= rhs * (1.0 + 1e-9) + 1e-15
     shipped = pair.mu.total_mass()
     const = field.modulus_constant_for(3.0)
@@ -264,7 +264,7 @@ def test_firstterm_requires_mutual_singularity(cost):
     mu = make_measure(2, [((0.0, 0.0), 0.5), ((1.0, 0.0), 0.5)])
     nu = make_measure(2, [((0.0, 0.0), 0.2), ((2.0, 0.0), 0.8)])
     lhs, rhs = firstterm_estimate(rotation_field(), 0.0,
-                                  balance_with_reservoir(mu, nu), None, cost)
+                                  balance_with_reservoir(mu, nu), cost)
     assert lhs <= rhs + 1e-15
     del pair_args, BalancedPair
 
