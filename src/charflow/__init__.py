@@ -10,8 +10,8 @@ scenario runner behind the ``charflow`` command.
 from .costs import ConcaveCost, reference_cost, saturation_integral, tail_modify
 from .diagnostics import (CostEstimate, CutoffFamily, DiagnosticsReport,
                           MollifierSpec, Schedule, build_cutoff, build_mu_nu,
-                          costestimate_bound, D_functional, mass_balance,
-                          mollify, parameter_schedule, weak_solution_residual)
+                          costestimate_bound, D_functional, mollify,
+                          parameter_schedule, weak_solution_residual)
 from .errors import (CharflowError, ComparisonBoundError, ConfigError,
                      CostRangeError, CutoffError, EnvelopeViolation,
                      FieldError, FlowError, MeasureError, MollifierError,

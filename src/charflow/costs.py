@@ -142,15 +142,9 @@ def _compensated_cumsum(increments):
 
 
 class ConcaveCost:
-    """Saturating concave cost c(r) = beta * int_0^r ds/(omega'(s)+delta).
+    """Saturating concave cost c(r) = beta * int_0^r ds/(omega'(s)+delta)."""
 
-    ``modify_tail=False`` integrates the raw modulus instead; the cost then
-    need not saturate and ``c_infinity`` may be ``math.inf``.  That variant
-    exists for closed-form cross-checks, not for transport to the absorbing
-    point (which needs a finite saturation value).
-    """
-
-    def __init__(self, modulus, delta, beta, modify_tail=True):
+    def __init__(self, modulus, delta, beta):
         if float(delta) <= 0.0:
             raise FieldError("delta must be positive")
         if float(beta) <= 0.0:
@@ -158,8 +152,7 @@ class ConcaveCost:
         self.modulus = modulus
         self.delta = float(delta)
         self.beta = float(beta)
-        self.modify_tail = bool(modify_tail)
-        self._omega = tail_modify(modulus) if modify_tail else modulus
+        self._omega = tail_modify(modulus)
         self._build_table()
 
     # integrand of the cost, vectorized
@@ -170,12 +163,9 @@ class ConcaveCost:
 
     def _build_table(self):
         omega_one = float(self.modulus(1.0))
-        if self.modify_tail:
-            # Beyond S the remaining tail mass is below beta/(omega(1)*S);
-            # push it under the evaluation tolerance.
-            top = max(1e13 * self.beta / max(omega_one, 1e-300), 1e6)
-        else:
-            top = 1e9
+        # Beyond S the remaining tail mass is below beta/(omega(1)*S);
+        # push it under the evaluation tolerance.
+        top = max(1e13 * self.beta / max(omega_one, 1e-300), 1e6)
         # The integrand's knee sits near delta; the geometric grid must
         # start well below it or the vectorized evaluator goes blind there.
         floor = max(min(_TABLE_FLOOR, self.delta * 1e-5), 1e-250)
@@ -196,27 +186,14 @@ class ConcaveCost:
         self._table = KnotTable(
             knots, np.concatenate([[0.0], _compensated_cumsum(increments)]),
             self._density)
-        if self.modify_tail:
-            tail, _ = scipy.integrate.quad(
-                lambda s: float(self._density(s)), top, np.inf,
-                limit=200, epsabs=1e-15, epsrel=1e-11)
-            self.c_infinity = float(self._table.values[-1] + tail)
-        else:
-            self.c_infinity = self._unmodified_saturation(top)
+        self.c_infinity = float(self._table.values[-1] + self._tail(top))
 
-    def _unmodified_saturation(self, top):
-        # Without the tail inflation the integral may genuinely diverge;
-        # report inf in that case rather than trusting a warning-laden quad.
-        try:
-            with np.errstate(all="ignore"):
-                res = scipy.integrate.quad(
-                    lambda s: float(self._density(s)), top, np.inf,
-                    limit=200, epsabs=1e-15, epsrel=1e-11, full_output=1)
-        except Exception:
-            return math.inf
-        if len(res) > 3 or not np.isfinite(res[0]):
-            return math.inf
-        return float(self._table.values[-1] + res[0])
+    def _tail(self, a):
+        """Integral of the density from ``a`` to infinity."""
+        tail, _ = scipy.integrate.quad(lambda s: float(self._density(s)),
+                                       a, np.inf, limit=200, epsabs=1e-15,
+                                       epsrel=1e-11)
+        return tail
 
     # -- point evaluation --------------------------------------------------
 
@@ -239,6 +216,9 @@ class ConcaveCost:
             return 0.0
         if math.isinf(r):
             return self.c_infinity
+        if r > self._table.knots[-1]:
+            # the tail that sets c_infinity, cut at r instead of the last knot
+            return self.c_infinity - self._tail(r)
         base_r, base_v = self._table.base(r)
         value = base_v + self._residual(base_r, r)
         return min(value, self.c_infinity)

@@ -11,6 +11,7 @@ is the quantitative heart of the uniqueness argument.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ from .measures import balance_with_reservoir, jordan_decompose, \
 from .transport import solve_ot
 
 _RK_CAP = 1e9
+_DECADE = math.log(10.0)
+_LOG_DELTA_FLOOR = math.log(1e-280)
+_LOG_DELTA_CEILING = math.log(1e12)
 
 
 def trapezoid_rule(values, times):
@@ -53,7 +57,6 @@ class CutoffFamily:
 
     k: float
     r_zero: float
-    sigma: float
     growth: object
     _h_table: KnotTable  # H(r) = int_k^r ds / G(s) on [k, r_zero]
 
@@ -88,7 +91,7 @@ class CutoffFamily:
         return measure.scaled_weights(self.value(radii))
 
 
-def build_cutoff(growth, k, check_samples=512):
+def build_cutoff(growth, k):
     """Construct the level-k cutoff for a growth envelope.
 
     Fails when the envelope grows so fast that int_k^R ds/G cannot reach 1
@@ -115,7 +118,6 @@ def build_cutoff(growth, k, check_samples=512):
             raise CutoffError("G tail too heavy for numeric R_k")
     r_zero = scipy.optimize.brentq(lambda r: h_to(r) - 1.0, k, hi,
                                    xtol=1e-13, rtol=1e-15)
-    sigma = min(0.5, (r_zero - k) / 8.0)
 
     def density(s):
         return 1.0 / np.asarray(growth(s), dtype=float)
@@ -124,11 +126,11 @@ def build_cutoff(growth, k, check_samples=512):
     incs = gauss_legendre(density, knots[:-1], knots[1:])
     table = KnotTable(knots, np.concatenate([[0.0], np.cumsum(incs)]),
                       density)
-    cut = CutoffFamily(k=k, r_zero=float(r_zero), sigma=float(sigma),
-                       growth=growth, _h_table=table)
+    cut = CutoffFamily(k=k, r_zero=float(r_zero), growth=growth,
+                       _h_table=table)
 
     # invariant audit on a dense sample
-    rs = np.linspace(max(k - 1.0, 0.0), r_zero + 1.0, check_samples)
+    rs = np.linspace(max(k - 1.0, 0.0), r_zero + 1.0, 512)
     vals = cut.value(rs)
     if np.any(vals < 0.0) or np.any(vals > 1.0):
         raise CutoffError("cutoff left the unit interval")
@@ -162,10 +164,9 @@ class MollifierSpec:
         if self.cells_per_alpha < 4:
             raise MollifierError(
                 "lattice cells must be at most alpha/4 wide")
-        # continuous unit-mass audit: compare the closed normalization
-        # against an independent radial quadrature
+        # continuous unit-mass audit: compare the radial kernel mass
+        # against an independent Riemann sum
         n = self.dimension
-        surface = 2.0 * math.pi**(n / 2.0) / math.gamma(n / 2.0)
         target, _ = scipy.integrate.quad(
             lambda r: math.exp(-1.0 / (1.0 - r * r)) * r**(n - 1),
             0.0, 1.0, limit=200, epsabs=1e-14, epsrel=1e-13)
@@ -174,7 +175,6 @@ class MollifierSpec:
                                * xs**(n - 1)) / 20000)
         if abs(target - riemann) > 1e-10 * max(target, 1.0):
             raise MollifierError("kernel mass normalization disagrees")
-        object.__setattr__(self, "_radial_mass", target * surface)
 
     @property
     def spacing(self):
@@ -367,27 +367,32 @@ def parameter_schedule(k, variation_integral, variation_floor,
     j_target = (const * ivar + 1.0) / (2.0 * (float(growth_constant) + 1.0)
                                        * floor)
 
-    lo = 1.0
-    while saturation_integral(modulus, lo) < j_target:
-        lo *= 0.1
-        if lo < 1e-280:
+    # J decreases as delta grows.  Walk log(delta) away from 0 with a
+    # doubling stride until J crosses the target, then solve inside the
+    # last stride; the cache hands brentq its endpoints and the final J.
+    @functools.cache
+    def j_at(log_delta):
+        return saturation_integral(modulus, math.exp(log_delta))
+
+    downward = j_at(0.0) < j_target
+    step = -_DECADE if downward else _DECADE
+    a = 0.0
+    while True:
+        b = min(max(a + step, _LOG_DELTA_FLOOR), _LOG_DELTA_CEILING)
+        if (j_at(b) >= j_target) if downward else (j_at(b) <= j_target):
+            break
+        if b == _LOG_DELTA_FLOOR:
             raise ScheduleError(
                 "no delta reaches the target saturation scale; the "
                 "reciprocal modulus integral converges")
-    hi = lo
-    while saturation_integral(modulus, hi) > j_target:
-        hi *= 10.0
-        if hi > 1e12:
+        if b == _LOG_DELTA_CEILING:
             raise ScheduleError("delta search bracket ran away upward")
-    if hi == lo:
-        delta = lo
-    else:
-        log_delta = scipy.optimize.brentq(
-            lambda ld: saturation_integral(modulus, math.exp(ld)) - j_target,
-            math.log(lo), math.log(hi), xtol=1e-12, rtol=8.9e-16)
-        delta = math.exp(log_delta)
-
-    j_val = saturation_integral(modulus, delta)
+        a, step = b, 2.0 * step
+    log_delta = scipy.optimize.brentq(lambda ld: j_at(ld) - j_target,
+                                      min(a, b), max(a, b),
+                                      xtol=1e-12, rtol=8.9e-16)
+    delta = math.exp(log_delta)
+    j_val = j_at(log_delta)
     rate = (beta / delta + beta * j_val / float(growth_at_k)) \
         * (const * ivar + 1.0)
     alpha = 1.0
@@ -405,12 +410,6 @@ def parameter_schedule(k, variation_integral, variation_floor,
     return Schedule(k=float(k), variation_integral=ivar,
                     variation_floor=floor, beta=beta, delta=delta,
                     alpha=alpha, j_target=j_target, j_value=j_val)
-
-
-def mass_balance(measure):
-    """Signed total including the reservoir; exact fsum."""
-    terms = list(measure.weights) + [measure.reservoir_weight]
-    return math.fsum(terms)
 
 
 # -- weak-formulation residual --------------------------------------------------
@@ -470,7 +469,7 @@ def _test_bank(radius, horizon):
     return bank
 
 
-def weak_solution_residual(field, snapshots, test_bank=None):
+def weak_solution_residual(field, snapshots):
     """Residual of the continuity equation in weak form along snapshots.
 
     For each test function psi(t) * g(x) with psi(T) = 0 the exact solution
@@ -492,10 +491,9 @@ def weak_solution_residual(field, snapshots, test_bank=None):
         if m.atom_count:
             radius = max(radius, float(np.max(
                 np.linalg.norm(m.locations, axis=1))))
-    bank = test_bank or _test_bank(radius, horizon)
 
     worst = 0.0
-    for psi, dpsi, g, grad in bank:
+    for psi, dpsi, g, grad in _test_bank(radius, horizon):
         integrand = []
         for t, m in snapshots:
             if m.atom_count == 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class FlowOptions:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_steps: int = 100_000
-    first_step: Optional[float] = None
     freeze_radius: float = 1e-8
 
     def __post_init__(self):
@@ -135,8 +133,7 @@ def _advance(field, points, t0, t1, opts, record):
 
     t = t0
     f_first = rhs(t, y)
-    h = (opts.first_step if opts.first_step
-         else _initial_step(rhs, t, y, f_first, direction, span, opts))
+    h = _initial_step(rhs, t, y, f_first, direction, span, opts)
     h = min(max(h, 1e-300), span)
     min_step = 1e-14 * max(1.0, abs(t0), abs(t1))
     fac_old = 1e-4

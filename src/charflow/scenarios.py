@@ -20,8 +20,8 @@ import numpy as np
 from .costs import ConcaveCost, saturation_integral
 from .diagnostics import (REPORT_COLUMNS, CostEstimate, DiagnosticsReport,
                           MollifierSpec, Schedule, build_cutoff, build_mu_nu,
-                          costestimate_bound, D_functional, mass_balance,
-                          mollify, parameter_schedule, variation_integrals,
+                          costestimate_bound, D_functional, mollify,
+                          parameter_schedule, variation_integrals,
                           weak_solution_residual)
 from .errors import CharflowError, ConfigError
 from .fields import (FIELD_CATALOG, growth_affine, modulus_linear,
@@ -482,7 +482,12 @@ def _difference_measure(dimension, loc_fine, w_fine, loc_coarse, w_coarse):
     return measure_from_arrays(dimension, locations, weights, merge=True)
 
 
-def _level_job(field, config, level, times, diffs):
+def _refinement_distance(diff):
+    """Benchmark-cost distance between the two sides of a difference."""
+    return reference_W(balance_with_reservoir(*jordan_decompose(diff)))
+
+
+def _level_job(field, config, level, times, diffs, w_refine, masses):
     cutoff = build_cutoff(field.growth, level)
     const = field.modulus_constant_for(cutoff.r_zero + 1.0)
     snapshots = list(zip(times, diffs))
@@ -524,11 +529,8 @@ def _level_job(field, config, level, times, diffs):
             estimate = costestimate_bound(field, snapshots[:i + 1], cutoff,
                                           cost, alpha_used,
                                           j_value=schedule.j_value)
-        w_ref = reference_W(balance_with_reservoir(
-            *jordan_decompose(diffs[i])))
         rows.append((t, value, estimate.term1, estimate.term2,
-                     estimate.term3, estimate.bound, w_ref,
-                     mass_balance(diffs[i])))
+                     estimate.term3, estimate.bound, w_refine[i], masses[i]))
         worst_gap = max(worst_gap,
                         value - estimate.bound * (1.0 + _BOUND_SLACK))
         final_pair, final_value = pair, value
@@ -606,11 +608,14 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
                                         weights_fine, merge=False))
                 for i, t in enumerate(times)]
 
-    mass_ok = all(mass_balance(m) == 0.0 for m in diffs)
+    masses = [m.total_mass() for m in diffs]
+    w_refine = [_refinement_distance(m) for m in diffs]
+    mass_ok = all(mass == 0.0 for mass in masses)
     residual = weak_solution_residual(field, solution)
 
     def job(level):
-        return _level_job(field, config, level, times, diffs)
+        return _level_job(field, config, level, times, diffs, w_refine,
+                          masses)
 
     if threads > 1 and len(config.cutoff_levels) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -723,8 +728,7 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
     distances = []
     for (loc_a, w_a), (loc_b, w_b) in zip(endpoints, endpoints[1:]):
         diff = _difference_measure(field.dimension, loc_b, w_b, loc_a, w_a)
-        distances.append(reference_W(balance_with_reservoir(
-            *jordan_decompose(diff))))
+        distances.append(_refinement_distance(diff))
     ratios = []
     for a, b in zip(distances, distances[1:]):
         ratios.append(a / b if b > 0.0 else math.inf)

@@ -115,6 +115,17 @@ def test_table_edges_match_the_scalar_path(cost_quarter):
         linear_closed_form(0.5 * knots[1], 0.25, 2.0), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [2.0, 1e3, 1e200])
+def test_cost_beyond_the_last_knot_is_quiet_and_saturates(cost_quarter,
+                                                          factor):
+    r = factor * cost_quarter._table.knots[-1]
+    value = cost_quarter.cost(r)
+    assert value == pytest.approx(cost_quarter.cost_many(np.array([r]))[0],
+                                  rel=3e-11)
+    assert value <= cost_quarter.c_infinity
+
+
 def test_cost_many_shapes(cost_quarter):
     grid = np.array([[0.1, 0.2], [0.3, 0.4]])
     out = cost_quarter.cost_many(grid)
@@ -169,14 +180,6 @@ def test_tail_modify_rejects_degenerate_modulus():
                    osgood=False)
     with pytest.raises(FieldError):
         tail_modify(dead)
-
-
-def test_unmodified_cost_keeps_the_log_form_everywhere():
-    c = ConcaveCost(modulus_linear(), 0.25, 2.0, modify_tail=False)
-    for r in (0.5, 5.0, 800.0):
-        assert c.cost(r) == pytest.approx(2.0 * math.log((r + 0.25) / 0.25),
-                                          rel=1e-10)
-    assert c.c_infinity == math.inf
 
 
 def test_nonosgood_modulus_still_yields_a_finite_saturating_cost():

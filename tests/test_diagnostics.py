@@ -9,7 +9,7 @@ from charflow import (ConcaveCost, CutoffError, MollifierError, MollifierSpec,
                       ScheduleError, build_cutoff, build_mu_nu,
                       costestimate_bound, D_functional, GrowthEnvelope,
                       growth_affine, growth_constant, make_measure,
-                      mass_balance, measure_from_arrays, modulus_linear,
+                      measure_from_arrays, modulus_linear,
                       modulus_log, modulus_loglog_squared, mollify,
                       parameter_schedule, rotation_field,
                       saturation_integral, weak_solution_residual)
@@ -306,8 +306,8 @@ def test_schedule_argument_guards():
 def test_mass_balance_is_exact():
     m = measure_from_arrays(1, [[0.0], [1.0], [2.0]], [0.5, -0.25, -0.25],
                             merge=False)
-    assert mass_balance(m) == 0.0
-    assert mass_balance(m.with_reservoir(0.125)) == 0.125
+    assert m.total_mass() == 0.0
+    assert m.with_reservoir(0.125).total_mass() == 0.125
 
 
 # -- weak residual --------------------------------------------------------------

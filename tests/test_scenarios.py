@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charflow import ConfigError
+from charflow import ComparisonBoundError, ConfigError
 from charflow.cli import main as cli_main
 from charflow.scenarios import (ScenarioConfig, builtin_config, builtin_names,
                                 build_field, convergence_study,
@@ -225,6 +225,39 @@ def test_runs_are_byte_reproducible(tmp_path):
         blob = (out_a / name).read_bytes()
         assert (out_b / name).read_bytes() == blob
         assert (out_c / name).read_bytes() == blob
+
+
+@pytest.mark.parametrize("name,levels", [
+    ("shear_line", [2.0, 3.0]),
+    # level 3 of rotation_ring aborts like osgood_line below
+    ("rotation_ring", [2.0]),
+])
+def test_resolution_mode_passes_and_is_thread_stable(tmp_path, name, levels):
+    doc = builtin_config(name)
+    doc["difference_mode"] = "resolution"
+    doc["cutoff_levels"] = levels
+    config = ScenarioConfig.from_dict(doc)
+    one = run_scenario(config, tmp_path / "one")
+    two = run_scenario(config, tmp_path / "two", threads=2)
+    assert one.exit_code == 0
+    inv = one.summary["invariants"]
+    assert inv["mass_zero"] and inv["weak_residual"]
+    assert len(inv["levels"]) == len(levels)
+    assert all(all(block.values()) for block in inv["levels"].values())
+    for path in (one.summary_path, *one.report_paths.values()):
+        name_only = os.path.basename(path)
+        assert ((tmp_path / "two" / name_only).read_bytes()
+                == (tmp_path / "one" / name_only).read_bytes())
+    assert two.exit_code == 0
+
+
+def test_resolution_mode_osgood_line_breaks_the_comparison_chain(tmp_path):
+    # D / epsilon exceeds the cost's saturation value c_infinity, so the
+    # comparison bound has no crossing radius
+    doc = builtin_config("osgood_line")
+    doc["difference_mode"] = "resolution"
+    with pytest.raises(ComparisonBoundError, match="inapplicable"):
+        run_scenario(ScenarioConfig.from_dict(doc), tmp_path)
 
 
 def test_failed_invariant_exits_one(tmp_path):

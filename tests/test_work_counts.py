@@ -1,4 +1,5 @@
-"""Work counts of a scenario run: each cost-layer value is computed once.
+"""Work counts of a scenario run: each schedule, cost-layer and snapshot
+value is computed once.
 
 The counts are deterministic, so a regression that recomputes a value shows
 here without any timing.
@@ -8,8 +9,9 @@ import pytest
 
 import charflow.diagnostics as diagnostics
 import charflow.scenarios as scenarios
-from charflow import (ConcaveCost, balance_with_reservoir, make_measure,
-                      modulus_log, solve_ot)
+from charflow import (ConcaveCost, ScheduleError, balance_with_reservoir,
+                      make_measure, modulus_linear, modulus_log,
+                      modulus_loglog_squared, parameter_schedule, solve_ot)
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import DIAMOND
 
@@ -68,7 +70,49 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     run_scenario(config, str(tmp_path))
 
     levels = len(config.cutoff_levels)
-    # one per report time and level, plus the comparison chain's one per level
-    assert counts["reference_W"] == levels * config.time_points + levels
+    # one per report time, plus the comparison chain's one per level
+    assert counts["reference_W"] == config.time_points + levels
     assert counts["bound"] == levels * (config.time_points - 1)
     assert counts["J inside the bound"] == 0
+
+
+def _record_j(monkeypatch):
+    deltas = []
+
+    def recorded(modulus, delta, _original=diagnostics.saturation_integral):
+        deltas.append(delta)
+        return _original(modulus, delta)
+
+    monkeypatch.setattr(diagnostics, "saturation_integral", recorded)
+    return deltas
+
+
+@pytest.mark.parametrize("ivar,floor,modulus", [
+    (1.75, 0.5, modulus_linear()),     # J(1) above the target
+    (1.0, 0.25, modulus_log()),        # J(1) below it: one stride down
+    (3.0, 0.02, modulus_linear()),     # five doubling strides down
+    (1e-3, 5.0, modulus_log()),        # two strides up
+])
+def test_schedule_evaluates_j_once_per_delta(monkeypatch, ivar, floor,
+                                             modulus):
+    deltas = _record_j(monkeypatch)
+    sched = parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
+    assert len(deltas) == len(set(deltas))
+    assert sched.delta in deltas
+
+
+def test_non_osgood_schedule_fails_within_twelve_evaluations(monkeypatch):
+    deltas = _record_j(monkeypatch)
+    with pytest.raises(ScheduleError, match="converges"):
+        parameter_schedule(k=50.0, variation_integral=1.0,
+                           variation_floor=0.02, modulus_constant=1.0,
+                           growth_constant=1.0,
+                           modulus=modulus_loglog_squared())
+    assert len(deltas) <= 12
+    assert min(deltas) == pytest.approx(1e-280, rel=1e-12)
+
+
+def test_mixing_disc_run_fails_in_the_schedule(tmp_path):
+    config = ScenarioConfig.from_dict(builtin_config("mixing_disc"))
+    with pytest.raises(ScheduleError, match="converges"):
+        run_scenario(config, str(tmp_path))
