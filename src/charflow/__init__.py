@@ -8,8 +8,8 @@ scenario runner behind the ``charflow`` command.
 """
 
 from .costs import ConcaveCost, reference_cost, saturation_integral, tail_modify
-from .diagnostics import (CostEstimate, CutoffFamily, DiagnosticsReport,
-                          MollifierSpec, Schedule, build_cutoff, build_mu_nu,
+from .diagnostics import (CostEstimate, CutoffFamily, MollifierSpec,
+                          Schedule, build_cutoff, build_mu_nu,
                           costestimate_bound, D_functional, mollify,
                           parameter_schedule, weak_solution_residual)
 from .errors import (CharflowError, ComparisonBoundError, ConfigError,

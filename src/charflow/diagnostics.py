@@ -24,7 +24,6 @@ from .costs import KnotTable, gauss_legendre, saturation_integral
 from .errors import CutoffError, MollifierError, ScheduleError
 from .fields import (evaluate_batch, plateau_bump, plateau_bump_derivative,
                      smooth_step, smooth_step_derivative)
-from .fileio import write_table
 from .measures import balance_with_reservoir, jordan_decompose, \
     measure_from_arrays
 from .transport import solve_ot
@@ -197,7 +196,8 @@ def mollify(measure, spec):
     touches, normalized by the kernel's own lattice sum, so the atom's mass
     is conserved exactly up to one rounding per cell.  The lattice is
     anchored at the origin, so overlapping kernels accumulate into shared
-    cells instead of multiplying atoms.
+    cells instead of multiplying atoms.  Shares are added into their cells
+    in atom-major order and the cells come out in lexicographic order.
     """
     if measure.dimension != spec.dimension:
         raise MollifierError("measure and mollifier dimensions differ")
@@ -210,27 +210,27 @@ def mollify(measure, spec):
         *([np.arange(-reach, reach + 1)] * n), indexing="ij"),
         axis=-1).reshape(-1, n)
 
-    cells = {}
-    for loc, w in zip(measure.locations, measure.weights):
-        base = np.floor(loc / h - 0.5).astype(int)
-        idx = base[None, :] + offsets
-        centers = (idx + 0.5) * h
-        weights = spec.kernel(centers - loc[None, :])
-        total = weights.sum()
-        if total <= 0.0:
-            raise MollifierError(
-                f"kernel missed every lattice cell near {loc.tolist()}")
-        share = w * (weights / total)
-        for cell, q in zip(map(tuple, idx), share):
-            if q != 0.0:
-                cells[cell] = cells.get(cell, 0.0) + q
+    locations = measure.locations
+    base = np.floor(locations / h - 0.5)
+    if not np.all(np.abs(base) < 2.0**52):
+        raise MollifierError(
+            f"lattice spacing {h:g} is too fine for atoms as far out as "
+            f"{float(np.max(np.abs(locations))):g}")
+    idx = base.astype(np.int64)[:, None, :] + offsets[None, :, :]
+    kernel = spec.kernel((idx + 0.5) * h - locations[:, None, :])
+    totals = kernel.sum(axis=1)
+    if np.any(totals <= 0.0):
+        missed = locations[np.argmax(totals <= 0.0)]
+        raise MollifierError(
+            f"kernel missed every lattice cell near {missed.tolist()}")
+    shares = measure.weights[:, None] * (kernel / totals[:, None])
 
-    items = sorted(cells.items())
-    locations = np.array([(np.array(cell) + 0.5) * h
-                          for cell, _ in items], dtype=float)
-    weights = np.array([q for _, q in items], dtype=float)
+    nonzero = shares != 0.0
+    cells, slot = np.unique(idx[nonzero], axis=0, return_inverse=True)
+    weights = np.bincount(slot.ravel(), weights=shares[nonzero],
+                          minlength=len(cells))
     keep = weights != 0.0
-    return measure_from_arrays(n, locations[keep], weights[keep],
+    return measure_from_arrays(n, (cells[keep] + 0.5) * h, weights[keep],
                                reservoir_weight=measure.reservoir_weight,
                                merge=False)
 
@@ -257,12 +257,14 @@ def D_functional(pair, cost):
 
 
 def variation_integrals(snapshots, radius):
-    """Time integrals (trapezoid rule) of a snapshot sequence's variation.
+    """Time integrals (trapezoid rule) of a snapshot sequence's variation,
+    up to every snapshot time.
 
-    Returns (int_total, int_tail): the integral of the total variation and
-    of the variation at distance >= ``radius`` from the origin, reservoir
-    included.  The parameter schedule and the three-term bound both read
-    these two numbers.
+    Returns (int_total, int_tail), two arrays with one entry per snapshot:
+    entry i integrates, over the first i + 1 snapshots, the total variation
+    and the variation at distance >= ``radius`` from the origin, reservoir
+    included.  Entry 0 is 0.0.  The parameter schedule reads the last
+    entries; the three-term bound reads all of them.
     """
     snapshots = list(snapshots)
     if len(snapshots) < 2:
@@ -278,12 +280,18 @@ def variation_integrals(snapshots, radius):
         radii = np.linalg.norm(m.locations, axis=1)
         far = np.abs(m.weights[radii >= radius])
         tails.append(math.fsum([*far, abs(m.reservoir_weight)]))
-    return trapezoid_rule(totals, times), trapezoid_rule(tails, times)
+
+    def prefixes(values):
+        return np.array([trapezoid_rule(values[:i + 1], times[:i + 1])
+                         for i in range(len(times))])
+
+    return prefixes(totals), prefixes(tails)
 
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Three-term bound for the time derivative of the transport value."""
+    """Three-term bound for the time derivative of the transport value;
+    each term is one number or one array entry per report time."""
 
     term1: float
     term2: float
@@ -294,8 +302,9 @@ class CostEstimate:
         return self.term1 + self.term2 + self.term3
 
 
-def costestimate_bound(field, snapshots, cutoff, cost, alpha, j_value):
-    """Evaluate the three-term estimate along difference snapshots.
+def costestimate_bound(field, int_total, int_out, cutoff, cost, alpha,
+                       j_value):
+    """Evaluate the three-term estimate from the variation integrals.
 
     * term1: modulus term, beta * C * integral of total variation;
     * term2: boundary leakage through the cutoff's decay window,
@@ -303,13 +312,13 @@ def costestimate_bound(field, snapshots, cutoff, cost, alpha, j_value):
     * term3: mollification error, C * omega(alpha) * (beta/delta +
       beta * J / G(k)) * integral of total variation;
 
-    J is the saturating integral of the reciprocal modified modulus at
+    ``int_total`` and ``int_out`` are the two integrals returned by
+    :func:`variation_integrals` at radius k - 1, either one number each or
+    one array entry per report time; the terms follow their shape.  J is
+    the saturating integral of the reciprocal modified modulus at
     ``cost.delta``; the caller passes it as ``j_value`` (the schedule has
-    already computed it).  Time integrals use the trapezoid rule on the
-    given snapshot grid.
+    already computed it).
     """
-    int_total, int_out = variation_integrals(snapshots, cutoff.k - 1.0)
-
     const = field.modulus_constant_for(cutoff.r_zero + 1.0)
     beta, delta = cost.beta, cost.delta
     j_val = float(j_value)
@@ -414,59 +423,32 @@ def parameter_schedule(k, variation_integral, variation_floor,
 
 # -- weak-formulation residual --------------------------------------------------
 
-def _test_bank(radius, horizon):
-    """Deterministic library of separable space-time test functions.
+def _time_profiles(t, horizon):
+    """(psi(t), psi'(t)) of the two time profiles; both vanish at the
+    horizon."""
+    T = horizon
+    return (((1.0 - (t / T)**2)**2,
+             -4.0 * (t / T**2) * (1.0 - (t / T)**2)),
+            (math.cos(math.pi * t / (2.0 * T)),
+             -math.pi / (2.0 * T) * math.sin(math.pi * t / (2.0 * T))))
 
-    Each entry is (psi, dpsi, g, grad_g) with psi vanishing at the horizon
-    and g a compactly supported plateau, optionally modulated by low-order
-    polynomials so the residual probes transport, not just mass.
-    """
-    T = float(horizon)
-    r_in = 0.6 * radius
-    r_out = 1.2 * radius + 1e-6
 
-    def psi_poly(t):
-        return (1.0 - (t / T)**2)**2
-
-    def dpsi_poly(t):
-        return -4.0 * (t / T**2) * (1.0 - (t / T)**2)
-
-    def psi_cos(t):
-        return math.cos(math.pi * t / (2.0 * T))
-
-    def dpsi_cos(t):
-        return -math.pi / (2.0 * T) * math.sin(math.pi * t / (2.0 * T))
-
-    def plateau(points):
-        return plateau_bump(np.linalg.norm(points, axis=1), r_in, r_out)
-
-    def plateau_grad(points):
-        r = np.linalg.norm(points, axis=1)
-        slope = plateau_bump_derivative(r, r_in, r_out)
-        safe = np.where(r > 0.0, r, 1.0)
-        return slope[:, None] * points / safe[:, None]
-
-    def g_coord(points):
-        return points[:, 0] * plateau(points)
-
-    def grad_coord(points):
-        grad = points[:, 0:1] * plateau_grad(points)
-        grad[:, 0] += plateau(points)
-        return grad
-
-    def g_quad(points):
-        return np.sum(points**2, axis=1) * plateau(points)
-
-    def grad_quad(points):
-        return (np.sum(points**2, axis=1)[:, None] * plateau_grad(points)
-                + 2.0 * points * plateau(points)[:, None])
-
-    bank = []
-    for psi, dpsi in ((psi_poly, dpsi_poly), (psi_cos, dpsi_cos)):
-        for g, grad in ((plateau, plateau_grad), (g_coord, grad_coord),
-                        (g_quad, grad_quad)):
-            bank.append((psi, dpsi, g, grad))
-    return bank
+def _spatial_tests(points, r_in, r_out):
+    """(g, grad g) at the points for the three spatial tests: a compactly
+    supported plateau, and the plateau times x_1 and times |x|^2, so the
+    residual probes transport, not just mass."""
+    r = np.linalg.norm(points, axis=1)
+    plateau = plateau_bump(r, r_in, r_out)
+    safe = np.where(r > 0.0, r, 1.0)
+    plateau_grad = (plateau_bump_derivative(r, r_in, r_out)[:, None]
+                    * points / safe[:, None])
+    coord_grad = points[:, 0:1] * plateau_grad
+    coord_grad[:, 0] += plateau
+    square = np.sum(points**2, axis=1)
+    return ((plateau, plateau_grad),
+            (points[:, 0] * plateau, coord_grad),
+            (square * plateau, square[:, None] * plateau_grad
+             + 2.0 * points * plateau[:, None]))
 
 
 def weak_solution_residual(field, snapshots):
@@ -478,62 +460,43 @@ def weak_solution_residual(field, snapshots):
         int_0^T sum_atoms w [psi' g + psi <b, grad g>] dt
             + psi(0) * sum_atoms w0 g = 0;
 
-    the time integral is trapezoidal on the snapshot grid.  Returns the
-    maximum absolute residual over the bank.
+    the time integral is trapezoidal on the snapshot grid.  The bank pairs
+    two time profiles with three spatial tests; the field and the tests
+    are evaluated once per snapshot for all six.  Returns the maximum
+    absolute residual over the bank.
     """
     snapshots = list(snapshots)
     if len(snapshots) < 2:
         raise ScheduleError("need at least two snapshots in time")
     times = np.array([t for t, _ in snapshots], dtype=float)
-    horizon = times[-1]
+    horizon = float(times[-1])
     radius = 1.0
     for _, m in snapshots:
         if m.atom_count:
             radius = max(radius, float(np.max(
                 np.linalg.norm(m.locations, axis=1))))
+    r_in = 0.6 * radius
+    r_out = 1.2 * radius + 1e-6
+
+    # integrand[p, s, i]: profile p, spatial test s, snapshot i
+    integrand = np.zeros((2, 3, len(snapshots)))
+    initial = np.zeros((2, 3))
+    for i, (t, m) in enumerate(snapshots):
+        if m.atom_count == 0:
+            continue
+        vel = evaluate_batch(field, t, m.locations)
+        tests = [(g, np.sum(grad * vel, axis=1))
+                 for g, grad in _spatial_tests(m.locations, r_in, r_out)]
+        for p, (psi, dpsi) in enumerate(_time_profiles(t, horizon)):
+            for s, (g, advect) in enumerate(tests):
+                integrand[p, s, i] = math.fsum(
+                    m.weights * (dpsi * g + psi * advect))
+                if i == 0:
+                    initial[p, s] = psi * math.fsum(m.weights * g)
 
     worst = 0.0
-    for psi, dpsi, g, grad in _test_bank(radius, horizon):
-        integrand = []
-        for t, m in snapshots:
-            if m.atom_count == 0:
-                integrand.append(0.0)
-                continue
-            gv = g(m.locations)
-            gr = grad(m.locations)
-            vel = evaluate_batch(field, t, m.locations)
-            advect = np.sum(gr * vel, axis=1)
-            integrand.append(math.fsum(
-                w * (dpsi(t) * gv_i + psi(t) * adv_i)
-                for w, gv_i, adv_i in zip(m.weights, gv, advect)))
-        time_part = trapezoid_rule(integrand, times)
-        t0, m0 = snapshots[0]
-        initial = psi(t0) * math.fsum(
-            w * gv for w, gv in zip(m0.weights, g(m0.locations))) \
-            if m0.atom_count else 0.0
-        worst = max(worst, abs(time_part + initial))
+    for p in range(2):
+        for s in range(3):
+            time_part = trapezoid_rule(integrand[p, s], times)
+            worst = max(worst, abs(time_part + float(initial[p, s])))
     return worst
-
-
-# -- reporting -------------------------------------------------------------------
-
-REPORT_COLUMNS = ("t", "D", "term1", "term2", "term3", "bound",
-                   "W_refine", "mass")
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Per-time rows of the functional, its bound terms, the benchmark
-    refinement distance, and the signed mass balance."""
-
-    rows: tuple
-
-    def to_csv(self, path):
-        if any(len(row) != len(REPORT_COLUMNS) for row in self.rows):
-            raise ScheduleError("report row has the wrong width")
-        write_table(path, REPORT_COLUMNS, self.rows, "csv")
-
-    @staticmethod
-    def from_rows(rows):
-        return DiagnosticsReport(rows=tuple(tuple(map(float, r))
-                                            for r in rows))

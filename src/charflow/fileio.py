@@ -6,6 +6,8 @@ import json
 import os
 import tempfile
 
+from .errors import CharflowError
+
 
 def atomic_write_text(path, text):
     """Write text to path through a same-directory temp file and rename.
@@ -30,8 +32,13 @@ def write_table(path, columns, rows, fmt):
 
     The JSON form is ``{"columns": [...], "rows": [[...], ...]}`` with
     ``indent=2`` and sorted keys.  Both forms round-trip every float
-    exactly, so rewriting the same table is byte-identical.
+    exactly, so rewriting the same table is byte-identical.  A row whose
+    width differs from the header's is refused before anything is written.
     """
+    for row in rows:
+        if len(row) != len(columns):
+            raise CharflowError(f"table row has the wrong width: "
+                                f"{len(row)} columns, not {len(columns)}")
     if fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(repr(float(x)) for x in row) for row in rows]

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import ConcaveCost, saturation_integral
-from .diagnostics import (REPORT_COLUMNS, CostEstimate, DiagnosticsReport,
-                          MollifierSpec, Schedule, build_cutoff, build_mu_nu,
+from .diagnostics import (MollifierSpec, Schedule, build_cutoff, build_mu_nu,
                           costestimate_bound, D_functional, mollify,
                           parameter_schedule, variation_integrals,
                           weak_solution_residual)
@@ -36,6 +35,11 @@ _ATOM_BUDGET = 20000
 _SNAP_GRAIN = 2.0 ** -40
 _BOUND_SLACK = 1e-5   # relative slack for D <= bound checks
 _TERM_SLACK = 1e-9    # absolute slack for the unit bound on schedule terms
+
+# one report row per time: the functional, its bound terms, the benchmark
+# refinement distance, and the signed mass balance
+REPORT_COLUMNS = ("t", "D", "term1", "term2", "term3", "bound",
+                  "W_refine", "mass")
 
 
 # -- densities ----------------------------------------------------------------
@@ -459,7 +463,7 @@ class LevelResult:
     level: float
     schedule: Schedule
     alpha_used: float
-    report: DiagnosticsReport
+    rows: tuple
     invariants: dict
     final_gap: float
     final_bound: float
@@ -490,10 +494,9 @@ def _refinement_distance(diff):
 def _level_job(field, config, level, times, diffs, w_refine, masses):
     cutoff = build_cutoff(field.growth, level)
     const = field.modulus_constant_for(cutoff.r_zero + 1.0)
-    snapshots = list(zip(times, diffs))
-
-    var_integral, var_tail = variation_integrals(snapshots, level - 1.0)
-    var_floor = max(var_tail, 1.0 / level)
+    int_total, int_tail = variation_integrals(zip(times, diffs), level - 1.0)
+    var_integral = float(int_total[-1])
+    var_floor = max(float(int_tail[-1]), 1.0 / level)
 
     if config.parameters == "schedule":
         schedule = parameter_schedule(
@@ -515,6 +518,10 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
     spec = MollifierSpec(alpha_used, field.dimension,
                          cells_per_alpha=config.cells_per_alpha)
     cost = ConcaveCost(field.modulus, schedule.delta, schedule.beta)
+    estimate = costestimate_bound(field, int_total, int_tail, cutoff, cost,
+                                  alpha_used, j_value=schedule.j_value)
+    terms = np.column_stack([estimate.term1, estimate.term2, estimate.term3,
+                             estimate.bound])
 
     rows = []
     final_pair = None
@@ -523,16 +530,10 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
     for i, t in enumerate(times):
         pair = build_mu_nu(diffs[i], cutoff, spec)
         value = D_functional(pair, cost)
-        if i == 0:
-            estimate = CostEstimate(0.0, 0.0, 0.0)
-        else:
-            estimate = costestimate_bound(field, snapshots[:i + 1], cutoff,
-                                          cost, alpha_used,
-                                          j_value=schedule.j_value)
-        rows.append((t, value, estimate.term1, estimate.term2,
-                     estimate.term3, estimate.bound, w_refine[i], masses[i]))
-        worst_gap = max(worst_gap,
-                        value - estimate.bound * (1.0 + _BOUND_SLACK))
+        row = tuple(map(float, (t, value, *terms[i], w_refine[i],
+                                masses[i])))
+        rows.append(row)
+        worst_gap = max(worst_gap, value - row[5] * (1.0 + _BOUND_SLACK))
         final_pair, final_value = pair, value
 
     last = rows[-1]
@@ -553,8 +554,8 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
     invariants["comparison_chain"] = bool(chain_ok)
 
     return LevelResult(level=level, schedule=schedule, alpha_used=alpha_used,
-                       report=DiagnosticsReport.from_rows(rows),
-                       invariants=invariants, final_gap=worst_gap,
+                       rows=tuple(rows), invariants=invariants,
+                       final_gap=worst_gap,
                        final_bound=last[5])
 
 
@@ -627,10 +628,7 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
     for result in levels:
         stem = f"{config.name}_k{result.level:g}"
         path = os.path.join(out_dir, f"{stem}.{fmt}")
-        if fmt == "csv":
-            result.report.to_csv(path)
-        else:
-            write_table(path, REPORT_COLUMNS, result.report.rows, "json")
+        write_table(path, REPORT_COLUMNS, result.rows, fmt)
         report_paths[f"{result.level:g}"] = os.path.basename(path)
 
     invariants = {"mass_zero": bool(mass_ok),

@@ -60,15 +60,15 @@ class DualPotential:
     ``v(z) = min_j cost(|z - y_j|) + base_j`` (plus the constant branch
     ``c_infinity`` when the absorbing point carries target mass), which
     makes v automatically cost-Lipschitz.  ``mu_values`` and ``nu_values``
-    are its evaluations on the two supports; ``diamond_value`` is 0 by
-    normalization.
+    are its evaluations on the two supports; the target values double as
+    the bases ``base_j``.  The value at the absorbing point is 0 by
+    normalization.  The location arrays are the pair's own read-only
+    arrays, not copies.
     """
 
     mu_values: np.ndarray
     nu_values: np.ndarray
-    diamond_value: float
     nu_locations: np.ndarray
-    nu_bases: np.ndarray
     include_diamond_base: bool
     cost: object
 
@@ -82,12 +82,12 @@ class DualPotential:
 def c_transform_extend(potential, points):
     """Evaluate the dual potential anywhere via its defining minimum."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(potential.nu_bases) == 0:
+    if len(potential.nu_values) == 0:
         if not potential.include_diamond_base:
             raise TransportError("potential has no generating data")
         return np.full(len(points), potential.cost.c_infinity)
     dists = cdist(points, potential.nu_locations)
-    values = potential.cost.cost_many(dists) + potential.nu_bases[None, :]
+    values = potential.cost.cost_many(dists) + potential.nu_values[None, :]
     out = values.min(axis=1)
     if potential.include_diamond_base:
         out = np.minimum(out, potential.cost.c_infinity)
@@ -337,11 +337,11 @@ def solve_ot(pair, cost):
         if math.fsum(supplies) > 0.0 or math.fsum(demands) > 0.0:
             raise TransportError("one-sided mass cannot be transported")
         plan = TransportPlan(entries=(), primal_value=0.0,
-                             mu_locations=mu.locations.copy(),
-                             nu_locations=nu.locations.copy())
+                             mu_locations=mu.locations,
+                             nu_locations=nu.locations)
         potential = DualPotential(
-            mu_values=np.zeros(0), nu_values=np.zeros(0), diamond_value=0.0,
-            nu_locations=np.zeros((0, mu.dimension)), nu_bases=np.zeros(0),
+            mu_values=np.zeros(0), nu_values=np.zeros(0),
+            nu_locations=np.zeros((0, mu.dimension)),
             include_diamond_base=common > 0.0, cost=cost)
         return plan, potential
 
@@ -376,15 +376,13 @@ def solve_ot(pair, cost):
     potential = DualPotential(
         mu_values=u[:m_atoms] - shift,
         nu_values=bases - shift,
-        diamond_value=0.0,
-        nu_locations=nu.locations.copy(),
-        nu_bases=bases - shift,
+        nu_locations=nu.locations,
         include_diamond_base=diamond_col or common > 0.0,
         cost=cost)
 
     plan = TransportPlan(entries=entries, primal_value=primal,
-                         mu_locations=mu.locations.copy(),
-                         nu_locations=nu.locations.copy())
+                         mu_locations=mu.locations,
+                         nu_locations=nu.locations)
 
     dual = potential.dual_value(mu, nu)
     if abs(primal - dual) > _GAP_TOL * (1.0 + abs(primal)):
@@ -792,7 +790,7 @@ def transport_to_json(plan, potential, pair):
     objective values."""
     potentials = ([float(x) for x in potential.mu_values]
                   + [float(x) for x in potential.nu_values]
-                  + [float(potential.diamond_value)])
+                  + [0.0])
     return {
         "entries": [[int(i), int(j), float(q)] for i, j, q in plan.entries],
         "potentials": potentials,

@@ -118,7 +118,7 @@ def test_criterion_03_potential_gradient():
             # with enough margin that the probe stencil cannot switch branch
             vals = (cost.cost_many(
                 np.linalg.norm(x - potential.nu_locations, axis=1))
-                + potential.nu_bases)
+                + potential.nu_values)
             order = np.sort(vals)
             if vals[j] - order[0] > 1e-9:
                 continue
@@ -236,7 +236,7 @@ def test_criterion_08_functional_under_bound(scenario_runs):
     for name, (cfg, result) in scenario_runs.items():
         assert result.exit_code == 0, f"{name} failed an invariant"
         for level in result.levels:
-            for row in level.report.rows:
+            for row in level.rows:
                 t, value, bound = row[0], row[1], row[5]
                 assert value <= bound * (1.0 + 1e-5), \
                     f"{name} k={level.level} t={t}: {value} > {bound}"
@@ -246,7 +246,7 @@ def test_criterion_09_schedule_terms_and_growth(scenario_runs):
     for name in ("rotation_ring", "osgood_line"):
         _, result = scenario_runs[name]
         for level in result.levels:
-            for row in level.report.rows:
+            for row in level.rows:
                 assert max(row[2], row[3], row[4]) <= 1.0 + 1e-9, name
 
     # ladder of cutoff levels for the rotation run's variation data

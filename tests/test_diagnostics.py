@@ -1,20 +1,22 @@
 """Cutoffs, mollification, the three-term estimate, and the weak residual."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from charflow import (ConcaveCost, CutoffError, MollifierError, MollifierSpec,
-                      ScheduleError, build_cutoff, build_mu_nu,
+from charflow import (CharflowError, ConcaveCost, CutoffError, MollifierError,
+                      MollifierSpec, ScheduleError, build_cutoff, build_mu_nu,
                       costestimate_bound, D_functional, GrowthEnvelope,
                       growth_affine, growth_constant, make_measure,
                       measure_from_arrays, modulus_linear,
                       modulus_log, modulus_loglog_squared, mollify,
                       parameter_schedule, rotation_field,
                       saturation_integral, weak_solution_residual)
-from charflow.diagnostics import DiagnosticsReport, build_cutoff as _bc  # noqa: F401
 from charflow.diagnostics import trapezoid_rule, variation_integrals
+from charflow.fileio import write_table
 from charflow.fields import smooth_step, smooth_step_derivative
 
 
@@ -145,6 +147,65 @@ def test_mollify_guards():
     assert mollify(empty, spec) is empty
 
 
+def _mollify_reference(measure, spec):
+    """Per-atom loop with dict accumulation: the array pass must match it
+    cell for cell and bit for bit."""
+    h = spec.spacing
+    n = spec.dimension
+    reach = int(math.ceil(spec.alpha / h)) + 1
+    offsets = np.stack(np.meshgrid(
+        *([np.arange(-reach, reach + 1)] * n), indexing="ij"),
+        axis=-1).reshape(-1, n)
+    cells = {}
+    for loc, w in zip(measure.locations, measure.weights):
+        idx = np.floor(loc / h - 0.5).astype(int)[None, :] + offsets
+        weights = spec.kernel((idx + 0.5) * h - loc[None, :])
+        share = w * (weights / weights.sum())
+        for cell, q in zip(map(tuple, idx), share):
+            if q != 0.0:
+                cells[cell] = cells.get(cell, 0.0) + q
+    items = [(cell, q) for cell, q in sorted(cells.items()) if q != 0.0]
+    locations = np.array([(np.array(cell) + 0.5) * h for cell, _ in items],
+                         dtype=float).reshape(-1, n)
+    return locations, np.array([q for _, q in items], dtype=float)
+
+
+@pytest.mark.parametrize("dimension,count,alpha", [
+    (1, 40, 0.1), (1, 9, 0.3), (2, 12, 0.2), (2, 30, 0.45)])
+def test_mollify_matches_the_per_atom_loop(dimension, count, alpha):
+    rng = np.random.default_rng(count)
+    # atoms a fraction of alpha apart, so kernels overlap; mixed signs
+    locations = rng.uniform(-0.6, 0.6, size=(count, dimension))
+    weights = rng.uniform(0.05, 0.3, size=count) \
+        * rng.choice([-1.0, 1.0], size=count)
+    m = measure_from_arrays(dimension, locations, weights,
+                            reservoir_weight=-0.375, merge=False)
+    spec = MollifierSpec(alpha=alpha, dimension=dimension)
+    out = mollify(m, spec)
+    want_locations, want_weights = _mollify_reference(m, spec)
+    assert out.locations.tobytes() == want_locations.tobytes()
+    assert out.weights.tobytes() == want_weights.tobytes()
+    assert out.reservoir_weight == -0.375
+
+
+def test_mollify_cancels_opposite_atoms_to_the_empty_measure():
+    m = measure_from_arrays(2, [[0.3, -0.1], [0.3, -0.1]], [0.25, -0.25],
+                            reservoir_weight=0.5, merge=False)
+    out = mollify(m, MollifierSpec(alpha=0.2, dimension=2))
+    assert out.atom_count == 0
+    assert out.locations.shape == (0, 2)
+    assert out.reservoir_weight == 0.5
+
+
+def test_mollify_refuses_a_lattice_too_fine_for_its_atoms():
+    m = make_measure(1, [((0.5,), 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MollifierError, match="too fine for atoms as far "
+                                                 "out as 0.5"):
+            mollify(m, MollifierSpec(1e-60, 1))
+
+
 def test_build_mu_nu_balances_split_parts():
     diff = measure_from_arrays(2, [[0.1, 0.0], [0.4, 0.2]], [0.6, -0.6],
                                merge=False)
@@ -173,7 +234,9 @@ def test_costestimate_closed_form():
     cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     m = make_measure(2, [((0.1, 0.0), 0.3)])
     j = saturation_linear(0.25)
-    est = costestimate_bound(field, [(0.0, m), (1.0, m)], cut, cost,
+    int_total, int_tail = variation_integrals([(0.0, m), (1.0, m)],
+                                              cut.k - 1.0)
+    est = costestimate_bound(field, int_total[-1], int_tail[-1], cut, cost,
                              alpha=0.125, j_value=j)
     assert est.term1 == pytest.approx(2.0 * 1.0 * 0.3, rel=1e-9)
     assert est.term2 == 0.0  # the atom sits inside radius k - 1
@@ -188,7 +251,9 @@ def test_costestimate_sees_tail_mass():
     cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     far = make_measure(2, [((1.5, 0.0), 0.2)])  # beyond k - 1 = 1
     j = saturation_linear(0.25)
-    est = costestimate_bound(field, [(0.0, far), (1.0, far)], cut, cost,
+    int_total, int_tail = variation_integrals([(0.0, far), (1.0, far)],
+                                              cut.k - 1.0)
+    est = costestimate_bound(field, int_total[-1], int_tail[-1], cut, cost,
                              alpha=0.125, j_value=j)
     assert est.term2 == pytest.approx(2.0 * 2.0 * 1.0 * j * 0.2, rel=1e-9)
 
@@ -199,16 +264,24 @@ def test_variation_integrals_are_the_ones_the_bound_uses():
     cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     far = make_measure(2, [((1.5, 0.0), 0.2)])  # beyond k - 1 = 1
     j = saturation_linear(0.25)
-    snapshots = [(0.0, far), (1.0, far)]
+    snapshots = [(0.0, far), (0.5, far), (1.0, far)]
     int_total, int_tail = variation_integrals(snapshots, cut.k - 1.0)
-    est = costestimate_bound(field, snapshots, cut, cost, alpha=0.125,
-                             j_value=j)
+    est = costestimate_bound(field, int_total, int_tail, cut, cost,
+                             alpha=0.125, j_value=j)
     # the bound's own products, in its order: exact equality
     const = field.modulus_constant_for(cut.r_zero + 1.0)
-    assert est.term1 == cost.beta * const * int_total
-    assert est.term2 == 2.0 * cost.beta * field.growth_const * j * int_tail
-    assert int_total == pytest.approx(0.2, rel=1e-15)
-    assert int_tail == pytest.approx(0.2, rel=1e-15)
+    np.testing.assert_array_equal(est.term1, cost.beta * const * int_total)
+    np.testing.assert_array_equal(
+        est.term2, 2.0 * cost.beta * field.growth_const * j * int_tail)
+    assert int_total[-1] == pytest.approx(0.2, rel=1e-15)
+    assert int_tail[-1] == pytest.approx(0.2, rel=1e-15)
+    # one row per report time, each the bound of that time's integrals
+    for i in range(len(snapshots)):
+        row = costestimate_bound(field, int_total[i], int_tail[i], cut, cost,
+                                 alpha=0.125, j_value=j)
+        assert (est.term1[i], est.term2[i], est.term3[i], est.bound[i]) == \
+            (row.term1, row.term2, row.term3, row.bound)
+    assert est.bound[0] == 0.0
 
 
 def test_variation_integrals_count_the_reservoir_and_the_far_atoms():
@@ -220,10 +293,10 @@ def test_variation_integrals_count_the_reservoir_and_the_far_atoms():
                                 reservoir_weight=0.25)
     snapshots = [(0.0, first), (0.5, second), (1.5, empty)]
     int_total, int_tail = variation_integrals(snapshots, 1.0)
-    assert int_total == trapezoid_rule([0.875, 0.3125, 0.25],
-                                       [0.0, 0.5, 1.5])
-    assert int_tail == trapezoid_rule([0.625, 0.0625, 0.25],
-                                      [0.0, 0.5, 1.5])
+    assert int_total[-1] == trapezoid_rule([0.875, 0.3125, 0.25],
+                                           [0.0, 0.5, 1.5])
+    assert int_tail[-1] == trapezoid_rule([0.625, 0.0625, 0.25],
+                                          [0.0, 0.5, 1.5])
     with pytest.raises(ScheduleError):
         variation_integrals(snapshots[:1], 1.0)
     with pytest.raises(ScheduleError):
@@ -231,16 +304,32 @@ def test_variation_integrals_count_the_reservoir_and_the_far_atoms():
 
 
 def test_costestimate_needs_a_time_grid():
-    field = rotation_field()
+    # the bound reads its integrals from variation_integrals, which guards
+    # the time grid
     cut = build_cutoff(growth_affine(), 2.0)
-    cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     m = make_measure(2, [((0.1, 0.0), 0.3)])
     with pytest.raises(ScheduleError):
-        costestimate_bound(field, [(0.0, m)], cut, cost, alpha=0.125,
-                           j_value=1.0)
+        variation_integrals([(0.0, m)], cut.k - 1.0)
     with pytest.raises(ScheduleError):
-        costestimate_bound(field, [(1.0, m), (0.0, m)], cut, cost,
-                           alpha=0.125, j_value=1.0)
+        variation_integrals([(1.0, m), (0.0, m)], cut.k - 1.0)
+
+
+def test_variation_integrals_hold_every_prefix_exactly():
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.uniform(0.05, 0.3, size=12))
+    snapshots = [(float(t), measure_from_arrays(
+        2, rng.uniform(-2.0, 2.0, size=(5, 2)), rng.normal(size=5),
+        reservoir_weight=float(rng.normal())))
+        for t in times]
+    int_total, int_tail = variation_integrals(snapshots, 1.0)
+    assert len(int_total) == len(int_tail) == len(snapshots)
+    assert int_total[0] == 0.0 and int_tail[0] == 0.0
+    for i in range(1, len(snapshots)):
+        total, tail = variation_integrals(snapshots[:i + 1], 1.0)
+        assert int_total[i] == total[-1]
+        assert int_tail[i] == tail[-1]
+        tv = [m.total_variation() for _, m in snapshots[:i + 1]]
+        assert int_total[i] == trapezoid_rule(tv, times[:i + 1])
 
 
 # -- the parameter schedule ----------------------------------------------------
@@ -350,17 +439,27 @@ def test_weak_residual_needs_two_snapshots():
 # -- report ---------------------------------------------------------------------
 
 def test_report_roundtrip_and_width_guard(tmp_path):
+    from charflow.scenarios import REPORT_COLUMNS
     rows = [(0.0, 0.1, 0.01, 0.0, 0.02, 0.03, 0.5, 0.0),
             (0.5, 0.2, 0.015, 0.001, 0.025, 0.0415, 0.6, 0.0)]
-    report = DiagnosticsReport.from_rows(rows)
-    path = tmp_path / "report.csv"
-    report.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,D,term1,term2,term3,bound,W_refine,mass"
-    parsed = [tuple(float(c) for c in line.split(",")) for line in text[1:]]
-    assert parsed == [tuple(map(float, r)) for r in rows]
-    report.to_csv(path)
-    assert path.read_text().splitlines() == text  # deterministic rewrite
-    bad = DiagnosticsReport(rows=((0.0, 1.0),))
-    with pytest.raises(ScheduleError):
-        bad.to_csv(tmp_path / "bad.csv")
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"report.{fmt}"
+        write_table(path, REPORT_COLUMNS, rows, fmt)
+        text = path.read_text()
+        if fmt == "csv":
+            lines = text.splitlines()
+            assert lines[0] == "t,D,term1,term2,term3,bound,W_refine,mass"
+            parsed = [tuple(float(c) for c in line.split(","))
+                      for line in lines[1:]]
+        else:
+            doc = json.loads(text)
+            assert ",".join(doc["columns"]) == \
+                "t,D,term1,term2,term3,bound,W_refine,mass"
+            parsed = [tuple(row) for row in doc["rows"]]
+        assert parsed == [tuple(map(float, r)) for r in rows]
+        write_table(path, REPORT_COLUMNS, rows, fmt)
+        assert path.read_text() == text  # deterministic rewrite
+        with pytest.raises(CharflowError, match="width: 2 columns, not 8"):
+            write_table(tmp_path / f"bad.{fmt}", REPORT_COLUMNS,
+                        rows + [(0.0, 1.0)], fmt)
+        assert not (tmp_path / f"bad.{fmt}").exists()

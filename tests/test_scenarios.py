@@ -365,6 +365,20 @@ def test_cli_runtime_failure_exits_three_with_record(tmp_path):
     assert record["verb"] == "run"
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_run_with_a_lattice_too_fine_exits_three_with_record(tmp_path):
+    # at cutoff level 3 the schedule picks alpha near 1e-54, whose lattice
+    # index would overflow an integer for atoms at distance about 1
+    doc = {**builtin_config("osgood_line"), "cutoff_levels": [3.0]}
+    cfg = _write_config(tmp_path, doc, name="fine.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["run", cfg, "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    record = json.loads((out / "fine_error.json").read_text())
+    assert record["error"] == "MollifierError"
+    assert "too fine for atoms as far out as" in record["message"]
+
+
 def test_cli_converge(tmp_path):
     cfg = _write_config(tmp_path, LINE)
     out = tmp_path / "out"

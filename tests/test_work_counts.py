@@ -1,17 +1,20 @@
-"""Work counts of a scenario run: each schedule, cost-layer and snapshot
-value is computed once.
+"""Work counts of a scenario run: each schedule, cost-layer, snapshot and
+field value is computed once.
 
 The counts are deterministic, so a regression that recomputes a value shows
 here without any timing.
 """
 
+import numpy as np
 import pytest
 
 import charflow.diagnostics as diagnostics
 import charflow.scenarios as scenarios
-from charflow import (ConcaveCost, ScheduleError, balance_with_reservoir,
-                      make_measure, modulus_linear, modulus_log,
-                      modulus_loglog_squared, parameter_schedule, solve_ot)
+from charflow import (AtomicSignedMeasure, ConcaveCost, ScheduleError,
+                      balance_with_reservoir, make_measure,
+                      measure_from_arrays, modulus_linear, modulus_log,
+                      modulus_loglog_squared, parameter_schedule,
+                      rotation_field, solve_ot, weak_solution_residual)
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import DIAMOND
 
@@ -43,6 +46,18 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     config = ScenarioConfig.from_dict(doc)
     counts = {"reference_W": 0, "J inside the bound": 0, "bound": 0}
     inside_bound = []
+    snapshots = []      # the difference measures, in report-time order
+    variation_sums = {}  # id of a snapshot -> total_variation calls
+
+    def recorded_difference(*args, _original=scenarios._difference_measure):
+        diff = _original(*args)
+        snapshots.append(diff)
+        return diff
+
+    def counted_variation(self,
+                          _original=AtomicSignedMeasure.total_variation):
+        variation_sums[id(self)] = variation_sums.get(id(self), 0) + 1
+        return _original(self)
 
     def counted_reference_W(pair, _original=scenarios.reference_W):
         counts["reference_W"] += 1
@@ -67,13 +82,41 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     monkeypatch.setattr(diagnostics, "saturation_integral",
                         counted_saturation)
     monkeypatch.setattr(scenarios, "costestimate_bound", marked_bound)
+    monkeypatch.setattr(scenarios, "_difference_measure",
+                        recorded_difference)
+    monkeypatch.setattr(AtomicSignedMeasure, "total_variation",
+                        counted_variation)
     run_scenario(config, str(tmp_path))
 
     levels = len(config.cutoff_levels)
     # one per report time, plus the comparison chain's one per level
     assert counts["reference_W"] == config.time_points + levels
-    assert counts["bound"] == levels * (config.time_points - 1)
+    # one bound call per level gives the terms of every report time
+    assert counts["bound"] == levels
     assert counts["J inside the bound"] == 0
+    # each snapshot's variation is summed once per level
+    assert len(snapshots) == config.time_points
+    assert [variation_sums.get(id(m), 0) for m in snapshots] == \
+        [levels] * config.time_points
+
+
+def test_weak_residual_evaluates_the_field_once_per_snapshot(monkeypatch):
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-0.5, 0.5, size=(6, 2))
+    weights = rng.uniform(0.1, 0.3, size=6)
+    empty = measure_from_arrays(2, np.zeros((0, 2)), np.zeros(0))
+    snapshots = [(float(t), measure_from_arrays(2, points, weights))
+                 for t in np.linspace(0.0, 1.0, 7)]
+    snapshots[3] = (snapshots[3][0], empty)
+    calls = []
+
+    def counted(field, t, points, _original=diagnostics.evaluate_batch):
+        calls.append(t)
+        return _original(field, t, points)
+
+    monkeypatch.setattr(diagnostics, "evaluate_batch", counted)
+    weak_solution_residual(rotation_field(), snapshots)
+    assert calls == [t for t, m in snapshots if m.atom_count]
 
 
 def _record_j(monkeypatch):
