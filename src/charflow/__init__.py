@@ -17,29 +17,26 @@ from .errors import (CharflowError, ComparisonBoundError, ConfigError,
                      FieldError, FlowError, MeasureError, MollifierError,
                      QuadratureError, ScheduleError, TransportError)
 from .fields import (FIELD_CATALOG, GrowthEnvelope, Modulus, VectorFieldSpec,
-                     constant_field, divergence_numeric,
-                     estimate_modulus_constant, evaluate, evaluate_batch,
+                     constant_field, evaluate, evaluate_batch,
                      growth_affine, growth_constant, linear_field,
                      modulus_linear, modulus_log, modulus_loglog,
                      modulus_loglog_squared, nonosgood_plane_field,
-                     osgood_1d_field, osgood_integral, osgood_plane_field,
+                     osgood_1d_field, osgood_plane_field,
                      plateau_bump, rotation_field, smooth_step,
                      smooth_step_derivative)
 from .flow import (FlowOptions, Trajectory, flow_endpoints, flow_map,
-                   flow_push, integrate_flow, inverse_residual,
-                   osgood_envelope)
+                   flow_push, integrate_flow, osgood_envelope)
 from .measures import (AtomicSignedMeasure, BalancedPair,
                        balance_with_reservoir, cancel_colocated_pair,
                        empty_measure, jordan_decompose, make_measure,
-                       measure_from_arrays, push_forward, total_variation)
+                       measure_from_arrays, total_variation)
 from .scenarios import (ScenarioConfig, ScenarioResult, StudyResult,
                         builtin_config, builtin_names, convergence_study,
                         density_from_config, load_config, quantize_density,
                         run_scenario, selftest)
 from .transport import (DIAMOND, DualPotential, TransportPlan,
                         brute_force_ot, c_transform_extend, comparison_bound,
-                        firstterm_estimate, reference_W, solve_ot,
-                        transport_to_json, weak_lsc_check)
+                        firstterm_estimate, reference_W, solve_ot)
 
 __version__ = "0.1.0"
 

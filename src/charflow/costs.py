@@ -243,11 +243,16 @@ class ConcaveCost:
         return out.reshape(radii.shape) if radii.ndim else float(out[0])
 
     def cost_derivative(self, r):
-        """Right slope beta / (omega'(r) + delta); equals beta/delta at 0."""
-        r = float(r)
-        if r < 0.0 or math.isnan(r):
+        """Right slope beta / (omega'(r) + delta); equals beta/delta at 0.
+
+        An array of radii gives an array of slopes, as :meth:`cost_many`
+        does; each entry equals the scalar call bit for bit.
+        """
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0.0) or np.any(np.isnan(r)):
             raise CostRangeError("cost argument must be a nonnegative radius")
-        return float(self._density(r))
+        slopes = self._density(r)
+        return slopes if r.ndim else float(slopes)
 
     def cost_inverse(self, value):
         """Radius r with |cost(r) - value| <= 1e-12 * max(1, value)."""

@@ -251,9 +251,10 @@ def build_mu_nu(difference, cutoff, mollifier):
 
 
 def D_functional(pair, cost):
-    """Transport value of a balanced pair under a concave cost."""
+    """Optimal plan of a balanced pair under a concave cost; its
+    ``primal_value`` is the transport functional D."""
     plan, _ = solve_ot(pair, cost)
-    return plan.primal_value
+    return plan
 
 
 def variation_integrals(snapshots, radius):

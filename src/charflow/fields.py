@@ -4,7 +4,7 @@ A field is packaged with the analytic control data the diagnostics need: a
 growth envelope G with ``|b(t,x)| <= C_G * G(|x|)``, a modulus of continuity
 omega with ``|b(t,x)-b(t,y)| <= C * omega(|x-y|)`` inside declared radii, and
 the list of points where the field is merely log-Lipschitz (used by the
-integrator's freeze guard and the divergence stencil guard).
+integrator's freeze guard).
 
 Every evaluator is pure and vectorized over a leading batch axis, so the flow
 integrator can advance whole atom clouds per call.  The growth envelope is
@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 
-from .errors import EnvelopeViolation, FieldError, QuadratureError
+from .errors import EnvelopeViolation, FieldError
 
 _ENVELOPE_SLACK = 1e-9  # relative rounding allowance on the hard check
 
@@ -214,95 +213,6 @@ def evaluate(field, t, x):
     envelope violation."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return evaluate_batch(field, t, x.reshape(1, -1))[0]
-
-
-def estimate_modulus_constant(field, radius, t_samples, pair_samples, seed=0):
-    """Empirical sup of |b(t,x)-b(t,y)| / omega(|x-y|) inside B(0, radius).
-
-    ``t_samples`` is either a sample count (grid on [0,1]) or an explicit
-    sequence of times.  Pairs are drawn from a seeded stream, so enlarging
-    ``pair_samples`` refines (never reshuffles) the sample set and the
-    estimate is nondecreasing in the sample count.
-    """
-    if np.isscalar(t_samples):
-        count = int(t_samples)
-        if count < 1:
-            raise FieldError("at least one time sample is required")
-        times = np.linspace(0.0, 1.0, count) if count > 1 else np.array([0.0])
-    else:
-        times = np.asarray(t_samples, dtype=float)
-    pair_samples = int(pair_samples)
-    if pair_samples < 1:
-        raise FieldError("at least one pair sample is required")
-    rng = np.random.default_rng(seed)
-    box = rng.uniform(-radius, radius,
-                      size=(pair_samples, 2, field.dimension))
-    inside = np.linalg.norm(box, axis=2) <= radius
-    keep = inside[:, 0] & inside[:, 1]
-    xs, ys = box[keep, 0, :], box[keep, 1, :]
-    dists = np.linalg.norm(xs - ys, axis=1)
-    nonzero = dists > 0.0
-    xs, ys, dists = xs[nonzero], ys[nonzero], dists[nonzero]
-    if len(dists) == 0:
-        return 0.0
-    denom = np.asarray(field.modulus(dists), dtype=float)
-    if np.any(denom <= 0.0):
-        raise FieldError("degenerate modulus: omega vanishes at a positive "
-                         "separation")
-    best = 0.0
-    for t in times:
-        gaps = np.linalg.norm(evaluate_batch(field, t, xs)
-                              - evaluate_batch(field, t, ys), axis=1)
-        best = max(best, float(np.max(gaps / denom)))
-    return best
-
-
-def divergence_numeric(field, t, x, h):
-    """Central-difference divergence, second order in h.
-
-    Refuses to difference across declared singular points closer than 2h.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = float(h)
-    if h <= 0.0:
-        raise FieldError("step h must be positive")
-    for p in field.singular_points:
-        if np.linalg.norm(x - np.asarray(p, dtype=float)) < 2.0 * h:
-            raise FieldError(
-                f"divergence stencil would straddle the singular point "
-                f"{np.asarray(p).tolist()}; keep a distance of 2h")
-    n = field.dimension
-    stencil = np.repeat(x.reshape(1, -1), 2 * n, axis=0)
-    for i in range(n):
-        stencil[2 * i, i] += h
-        stencil[2 * i + 1, i] -= h
-    vel = evaluate_batch(field, t, stencil)
-    terms = [(vel[2 * i, i] - vel[2 * i + 1, i]) / (2.0 * h)
-             for i in range(n)]
-    return math.fsum(terms)
-
-
-def osgood_integral(mod, r_low, r_high):
-    """Adaptive quadrature of the reciprocal modulus over [r_low, r_high].
-
-    Diverges (in the limit r_low -> 0) exactly for Osgood moduli; the caller
-    probes that by shrinking r_low.
-    """
-    r_low, r_high = float(r_low), float(r_high)
-    if not 0.0 < r_low < r_high:
-        raise FieldError("need 0 < r_low < r_high")
-
-    def integrand(s):
-        return 1.0 / float(mod(s))
-
-    result = scipy.integrate.quad(integrand, r_low, r_high, limit=400,
-                                  epsabs=1e-13, epsrel=1e-11, full_output=1)
-    value = result[0]
-    if len(result) > 3:  # QUADPACK warning message present
-        raise QuadratureError(
-            f"reciprocal-modulus quadrature did not converge: {result[3]}",
-            partial=value)
-    return value
 
 
 # -- catalog ----------------------------------------------------------------

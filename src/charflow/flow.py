@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import FlowError
 from .fields import evaluate_batch
-from .fileio import write_table
 from .measures import measure_from_arrays
 
 # Dormand-Prince 5(4) tableau.  Row seven equals the fifth-order weights:
@@ -261,15 +260,6 @@ def flow_map(field, points, t_grid, options=None):
     return np.array(frames)
 
 
-def inverse_residual(field, points, t0, t1, options=None):
-    """Forward-then-back defect |phi_{t1->t0}(phi_{t0->t1}(x)) - x| per point
-    (max-norm).  A direct measure of accumulated integration error."""
-    points = np.asarray(points, dtype=float)
-    forward = flow_endpoints(field, points, t0, t1, options)
-    back = flow_endpoints(field, forward, t1, t0, options)
-    return np.max(np.abs(back - points), axis=1)
-
-
 def osgood_envelope(constant, modulus, d0, t_grid, options=None):
     """Upper envelope for trajectory separation: solves d' = C * omega(d).
 
@@ -311,16 +301,3 @@ def osgood_envelope(constant, modulus, d0, t_grid, options=None):
                                  options or FlowOptions(), record=False)
         out[i + 1] = current[0, 0]
     return out
-
-
-def trajectory_to_csv(traj, path):
-    """Write a trajectory as CSV with columns t, x_1..x_n, step, err.
-
-    Floats are written with repr so rewriting the same trajectory is
-    byte-identical.
-    """
-    n = traj.states.shape[1]
-    columns = ["t"] + [f"x_{i + 1}" for i in range(n)] + ["step", "err"]
-    rows = [(traj.times[i], *traj.states[i], traj.steps[i], traj.errors[i])
-            for i in range(len(traj.times))]
-    write_table(path, columns, rows, "csv")

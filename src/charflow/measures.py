@@ -3,9 +3,9 @@
 A measure is a finite cloud of weighted atoms in R^n together with an optional
 scalar mass sitting at a reserved point "diamond" that is infinitely far from
 every point of R^n.  The reservoir never carries a coordinate vector; it is
-addressed symbolically (index -1 in transport plans, the ``reservoir`` slot in
-JSON).  All values are immutable after construction and every operation is
-pure, so instances can be shared freely across threads.
+addressed symbolically (index -1 in transport plans).  All values are
+immutable after construction and every operation is pure, so instances can be
+shared freely across threads.
 
 Mass totals are computed with ``math.fsum`` (exactly rounded, permutation
 invariant), which is what makes the exact-balance guarantees of
@@ -15,7 +15,6 @@ push-forwards possible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -114,11 +113,6 @@ class AtomicSignedMeasure:
 
     # -- algebra ---------------------------------------------------------
 
-    def negated(self):
-        return AtomicSignedMeasure(
-            self.dimension, self.locations.copy(), -self.weights,
-            -self.reservoir_weight)
-
     def with_reservoir(self, reservoir_weight):
         return AtomicSignedMeasure(
             self.dimension, self.locations.copy(), self.weights.copy(),
@@ -132,24 +126,6 @@ class AtomicSignedMeasure:
         return AtomicSignedMeasure(
             self.dimension, self.locations[keep].copy(), w[keep],
             self.reservoir_weight)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self):
-        doc = {
-            "dimension": self.dimension,
-            "atoms": [[list(map(float, loc)), float(w)]
-                      for loc, w in zip(self.locations, self.weights)],
-            "reservoir": float(self.reservoir_weight),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        atoms = [(entry[0], entry[1]) for entry in doc["atoms"]]
-        return make_measure(int(doc["dimension"]), atoms,
-                            reservoir_weight=float(doc.get("reservoir", 0.0)))
 
 
 def measure_from_arrays(dimension, locations, weights, reservoir_weight=0.0,
@@ -220,35 +196,6 @@ def jordan_decompose(m):
 
 def total_variation(m):
     return m.total_variation()
-
-
-def push_forward(m, point_map):
-    """Transport each atom along ``point_map``; weights ride along unchanged.
-
-    Co-located images merge by weight summation.  The reservoir is fixed by
-    every map.  A map failure is reported with the offending atom.
-    """
-    images = []
-    for i, loc in enumerate(m.locations):
-        try:
-            y = np.atleast_1d(np.asarray(point_map(loc), dtype=float))
-        except Exception as exc:
-            raise MeasureError(
-                f"push-forward map failed at atom {i} located at "
-                f"{np.asarray(loc).tolist()}: {exc}") from exc
-        if not np.all(np.isfinite(y)):
-            raise MeasureError(
-                f"push-forward map returned a non-finite image at atom {i} "
-                f"located at {np.asarray(loc).tolist()}")
-        images.append(y)
-    if images:
-        images = np.array(images)
-        out_dim = images.shape[1]
-    else:
-        images = np.zeros((0, m.dimension))
-        out_dim = m.dimension
-    return measure_from_arrays(out_dim, images, m.weights,
-                               m.reservoir_weight, merge=True)
 
 
 def cancel_colocated_pair(mu, nu):

@@ -28,10 +28,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .costs import reference_cost
-from .errors import ComparisonBoundError, CostRangeError, MeasureError, \
-    TransportError
+from .errors import ComparisonBoundError, CostRangeError, TransportError
 from .fields import evaluate_batch
-from .measures import cancel_colocated_pair
 
 DIAMOND = -1  # entry index marking the absorbing point
 
@@ -48,9 +46,6 @@ class TransportPlan:
     primal_value: float
     mu_locations: np.ndarray
     nu_locations: np.ndarray
-
-    def mass_shipped(self):
-        return math.fsum(mass for _, _, mass in self.entries)
 
 
 @dataclass(frozen=True)
@@ -681,10 +676,6 @@ class _ReferenceCost:
 
     cost = cost_many = staticmethod(reference_cost)
 
-    @staticmethod
-    def cost_derivative(r):
-        return 1.0 if float(r) < 1.0 else 0.0
-
 
 REFERENCE_COST = _ReferenceCost()
 
@@ -720,80 +711,32 @@ def comparison_bound(cost, transport_value, epsilon, total_mass):
     return radius * total_mass + epsilon + value / c_one
 
 
-def firstterm_estimate(field, t, pair, cost):
+def firstterm_estimate(field, t, plan, cost, const):
     """Leading growth-rate term of the transport functional and its bound.
 
-    The optimal plan is solved here from ``pair`` and ``cost``.  lhs pairs
-    its velocity differences against the potential gradient direction
-    (slope of the cost along each matched pair); rhs replaces each velocity
-    gap by its declared modulus bound C * omega(d).  lhs <= rhs certifies
-    the declared constant on this configuration; rhs never exceeds
-    beta * C * (shipped mass) because the slope saturates the modulus.  The
-    marginals must be mutually singular, mirroring the positive/negative
-    split the functional is built on.
+    ``plan`` is the optimal plan already solved for the pair.  lhs pairs
+    each matched velocity difference against the unit direction of its gap,
+    weighted by the cost's slope at the gap length; rhs replaces each
+    velocity gap by its declared modulus bound ``const * omega(d)``.  When
+    ``const`` bounds the field's velocity differences, lhs <= rhs holds entry
+    by entry for any plan, so a violation shows the declared constant is too
+    small on this configuration.  rhs never exceeds beta * const * (matched
+    mass) because the slope saturates the modulus.  Entries at the absorbing
+    point or of zero length contribute to neither side.  Returns (|lhs|, rhs).
     """
-    mu, nu = pair.mu, pair.nu
-    mu_c, nu_c = cancel_colocated_pair(mu, nu)
-    if (mu_c.total_variation() != mu.total_variation()
-            or nu_c.total_variation() != nu.total_variation()):
-        raise MeasureError(
-            "firstterm estimate requires mutually singular marginals")
-    plan, _ = solve_ot(pair, cost)
-    pairs = [(i, j, mass) for i, j, mass in plan.entries
-             if i != DIAMOND and j != DIAMOND]
-    if not pairs:
+    entries = np.array(plan.entries, dtype=float).reshape(-1, 3)
+    entries = entries[(entries[:, 0] != DIAMOND) & (entries[:, 1] != DIAMOND)]
+    rows, cols = entries[:, 0].astype(int), entries[:, 1].astype(int)
+    gaps = plan.mu_locations[rows] - plan.nu_locations[cols]
+    dists = np.linalg.norm(gaps, axis=1)
+    live = dists > 0.0
+    if not np.any(live):
         return 0.0, 0.0
-    radius = 0.0
-    for measure in (mu, nu):
-        if measure.atom_count:
-            radius = max(radius, float(np.max(
-                np.linalg.norm(measure.locations, axis=1))))
-    const = field.modulus_constant_for(radius * (1.0 + 1e-12))
-    lhs_terms = []
-    rhs_terms = []
-    for i, j, mass in pairs:
-        x = plan.mu_locations[i]
-        y = plan.nu_locations[j]
-        gap = x - y
-        dist = float(np.linalg.norm(gap))
-        if dist == 0.0:
-            continue
-        slope = cost.cost_derivative(dist)
-        vel_gap = (evaluate_batch(field, t, x.reshape(1, -1))[0]
-                   - evaluate_batch(field, t, y.reshape(1, -1))[0])
-        lhs_terms.append(mass * slope * float(np.dot(vel_gap, gap)) / dist)
-        rhs_terms.append(mass * slope * const * float(field.modulus(dist)))
-    return abs(math.fsum(lhs_terms)), math.fsum(rhs_terms)
-
-
-def weak_lsc_check(pair_sequence, limit_pair, cost):
-    """Check lower semicontinuity of the transport value along a sequence.
-
-    The liminf is proxied by the minimum over the tail half of the computed
-    values; the check passes when the limit pair's value stays below that
-    proxy plus a small slack.  Returns (ok, sequence_values, limit_value).
-    """
-    pair_sequence = list(pair_sequence)
-    if len(pair_sequence) < 2:
-        raise TransportError("need at least two pairs to form a tail")
-    values = [solve_ot(p, cost)[0].primal_value for p in pair_sequence]
-    limit_value = solve_ot(limit_pair, cost)[0].primal_value
-    tail = values[len(values) // 2:]
-    proxy = min(tail)
-    ok = limit_value <= proxy + 1e-9 * (1.0 + abs(proxy))
-    return ok, values, limit_value
-
-
-def transport_to_json(plan, potential, pair):
-    """Serializable summary: entries, flat potential list (values on the
-    source atoms, then the target atoms, absorbing point last), and both
-    objective values."""
-    potentials = ([float(x) for x in potential.mu_values]
-                  + [float(x) for x in potential.nu_values]
-                  + [0.0])
-    return {
-        "entries": [[int(i), int(j), float(q)] for i, j, q in plan.entries],
-        "potentials": potentials,
-        "primal": float(plan.primal_value),
-        "dual": float(potential.dual_value(pair.mu, pair.nu)),
-    }
+    rows, cols, masses = rows[live], cols[live], entries[live, 2]
+    gaps, dists = gaps[live], dists[live]
+    vel_gaps = (evaluate_batch(field, t, plan.mu_locations)[rows]
+                - evaluate_batch(field, t, plan.nu_locations)[cols])
+    weights = masses * cost.cost_derivative(dists)
+    lhs = weights * np.einsum("ij,ij->i", vel_gaps, gaps) / dists
+    rhs = weights * const * np.asarray(field.modulus(dists), dtype=float)
+    return abs(math.fsum(lhs)), math.fsum(rhs)

@@ -65,6 +65,16 @@ def test_cost_at_zero_and_slope(cost_quarter):
     assert all(a >= b - 1e-15 for a, b in zip(slopes, slopes[1:]))
 
 
+def test_array_slopes_equal_the_scalar_slopes():
+    radii = np.concatenate([[0.0], np.geomspace(1e-30, 1e3, 121)])
+    for modulus in (modulus_linear(), modulus_log(), modulus_loglog(),
+                    modulus_loglog_squared()):
+        c = ConcaveCost(modulus, 1e-3, 0.7)
+        slopes = c.cost_derivative(radii)
+        assert slopes.shape == radii.shape
+        assert slopes.tolist() == [c.cost_derivative(r) for r in radii]
+
+
 def test_cost_is_monotone_subadditive_lipschitz(cost_quarter):
     c = cost_quarter
     rng = np.random.default_rng(42)
@@ -157,6 +167,8 @@ def test_argument_guards(cost_quarter):
         cost_quarter.cost(math.nan)
     with pytest.raises(CostRangeError):
         cost_quarter.cost_many(np.array([0.1, -0.2]))
+    with pytest.raises(CostRangeError):
+        cost_quarter.cost_derivative(np.array([0.1, -0.2]))
     with pytest.raises(FieldError):
         ConcaveCost(modulus_linear(), 0.0, 1.0)
     with pytest.raises(FieldError):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from charflow import (AtomicSignedMeasure, MeasureError, balance_with_reservoir,
                       cancel_colocated_pair, empty_measure, jordan_decompose,
-                      make_measure, measure_from_arrays, push_forward,
-                      total_variation)
+                      make_measure, measure_from_arrays, total_variation)
 
 
 def test_totals_on_a_small_cloud():
@@ -73,22 +72,6 @@ def test_jordan_split_reproduces_the_input():
     assert not shared
 
 
-def test_push_forward_moves_atoms_and_merges_images():
-    m = make_measure(1, [((0.0,), 0.5), ((1.0,), 0.25), ((2.0,), 0.125)])
-    out = push_forward(m, lambda x: np.abs(x - 1.0))
-    # 0 and 2 both land at distance 1
-    assert out.atom_count == 2
-    weights = dict((loc[0], w) for loc, w in zip(out.locations, out.weights))
-    assert weights[1.0] == 0.625
-    assert weights[0.0] == 0.25
-
-
-def test_push_forward_reports_the_failing_atom():
-    m = make_measure(1, [((0.0,), 1.0), ((3.0,), 1.0)])
-    with pytest.raises(MeasureError, match="atom 1"):
-        push_forward(m, lambda x: [math.inf] if x[0] == 3.0 else x)
-
-
 def test_cancel_colocated_removes_shared_mass():
     mu = make_measure(1, [((0.0,), 0.5), ((1.0,), 0.25)])
     nu = make_measure(1, [((0.0,), 0.2), ((2.0,), 0.3)])
@@ -112,15 +95,6 @@ def test_balance_rejects_signed_input():
     nu = make_measure(1, [((1.0,), 0.5)])
     with pytest.raises(MeasureError):
         balance_with_reservoir(jordan_decompose(mu)[1], mu)
-
-
-def test_serialization_roundtrip_is_exact():
-    m = make_measure(2, [((0.1, -0.7), 0.3), ((2.0, 0.25), -0.125)],
-                     reservoir_weight=0.0625)
-    back = AtomicSignedMeasure.from_json(m.to_json())
-    np.testing.assert_array_equal(back.locations, m.locations)
-    np.testing.assert_array_equal(back.weights, m.weights)
-    assert back.reservoir_weight == m.reservoir_weight
 
 
 finite_weights = st.lists(

@@ -84,14 +84,12 @@ def test_resolution_differencing_needs_a_density():
         ScenarioConfig.from_dict(doc)
 
 
-def test_config_defaults_and_roundtrip():
+def test_config_defaults():
     cfg = micro_config()
     assert cfg.quantization == "grid"
     assert cfg.difference_mode == "tolerance"
     assert cfg.parameters == "schedule"
     assert cfg.coarse_factor == 100.0
-    again = ScenarioConfig.from_dict(cfg.to_dict())
-    assert again == cfg
 
 
 def test_seed_override_wins():
@@ -260,6 +258,15 @@ def test_resolution_mode_osgood_line_breaks_the_comparison_chain(tmp_path):
         run_scenario(ScenarioConfig.from_dict(doc), tmp_path)
 
 
+def test_canned_run_certifies_the_first_term(tmp_path):
+    # shear_line's unit shear meets the certificate with equality
+    result = run_scenario(ScenarioConfig.from_dict(builtin_config(
+        "shear_line")), tmp_path)
+    assert result.exit_code == 0
+    summary = json.loads(open(result.summary_path).read())
+    assert summary["invariants"]["levels"]["2"]["first_term"] is True
+
+
 def test_failed_invariant_exits_one(tmp_path):
     result = run_scenario(micro_config(weak_tol=1e-15), tmp_path)
     assert result.exit_code == 1
@@ -335,6 +342,25 @@ def test_cli_run_seed_override(tmp_path):
     assert result.exit_code == 0, result.output
     summary = json.loads((out / "micro_spin_summary.json").read_text())
     assert summary["seed"] == 31
+
+
+@pytest.mark.parametrize("name,quantization,constant", [
+    ("osgood_line", "grid", 0.3),
+    ("osgood_disc", "random", 1.0),
+])
+def test_undervalued_modulus_constant_fails_the_first_term(
+        tmp_path, name, quantization, constant):
+    doc = builtin_config(name)
+    doc["quantization"] = quantization
+    doc["field"]["modulus_constant"] = constant
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        cli_main, ["run", _write_config(tmp_path, doc), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    summary = json.loads((out / f"{name}_summary.json").read_text())
+    level = summary["invariants"]["levels"]["2"]
+    assert level.pop("first_term") is False
+    assert all(level.values())
 
 
 def test_cli_missing_config_is_a_usage_error(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 import charflow.diagnostics as diagnostics
 import charflow.scenarios as scenarios
+import charflow.transport as transport
 from charflow import (AtomicSignedMeasure, ConcaveCost, ScheduleError,
                       balance_with_reservoir, make_measure,
                       measure_from_arrays, modulus_linear, modulus_log,
@@ -44,7 +45,8 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     doc["cutoff_levels"] = [2.0, 3.0]
     doc["parameters"] = parameters
     config = ScenarioConfig.from_dict(doc)
-    counts = {"reference_W": 0, "J inside the bound": 0, "bound": 0}
+    counts = {"reference_W": 0, "J inside the bound": 0, "bound": 0,
+              "solve_ot": 0, "certificate field calls": 0}
     inside_bound = []
     snapshots = []      # the difference measures, in report-time order
     variation_sums = {}  # id of a snapshot -> total_variation calls
@@ -63,6 +65,15 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
         counts["reference_W"] += 1
         return _original(pair)
 
+    def counted_solve(pair, cost, _original=transport.solve_ot):
+        counts["solve_ot"] += 1
+        return _original(pair, cost)
+
+    def counted_certificate_field(field, t, points,
+                                  _original=transport.evaluate_batch):
+        counts["certificate field calls"] += 1
+        return _original(field, t, points)
+
     def counted_saturation(modulus, delta,
                            _original=diagnostics.saturation_integral):
         if inside_bound:
@@ -79,6 +90,10 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
             inside_bound.pop()
 
     monkeypatch.setattr(scenarios, "reference_W", counted_reference_W)
+    for module in (transport, diagnostics, scenarios):
+        monkeypatch.setattr(module, "solve_ot", counted_solve)
+    monkeypatch.setattr(transport, "evaluate_batch",
+                        counted_certificate_field)
     monkeypatch.setattr(diagnostics, "saturation_integral",
                         counted_saturation)
     monkeypatch.setattr(scenarios, "costestimate_bound", marked_bound)
@@ -91,6 +106,13 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     levels = len(config.cutoff_levels)
     # one per report time, plus the comparison chain's one per level
     assert counts["reference_W"] == config.time_points + levels
+    # D at every report row and every reference_W: the first-term
+    # certificate reuses the row's plan instead of solving again
+    rows = levels * config.time_points
+    assert counts["solve_ot"] == rows + config.time_points + levels
+    # the certificate evaluates the field at most once per side of each
+    # row's plan (none for a plan without a matched pair)
+    assert counts["certificate field calls"] <= 2 * rows
     # one bound call per level gives the terms of every report time
     assert counts["bound"] == levels
     assert counts["J inside the bound"] == 0
