@@ -17,7 +17,7 @@ from .errors import (CharflowError, ComparisonBoundError, ConfigError,
                      FieldError, FlowError, MeasureError, MollifierError,
                      QuadratureError, ScheduleError, TransportError)
 from .fields import (FIELD_CATALOG, GrowthEnvelope, Modulus, VectorFieldSpec,
-                     constant_field, evaluate, evaluate_batch,
+                     constant_field, evaluate_batch,
                      growth_affine, growth_constant, linear_field,
                      modulus_linear, modulus_log, modulus_loglog,
                      modulus_loglog_squared, nonosgood_plane_field,
@@ -29,7 +29,7 @@ from .flow import (FlowOptions, Trajectory, flow_endpoints, flow_map,
 from .measures import (AtomicSignedMeasure, BalancedPair,
                        balance_with_reservoir, cancel_colocated_pair,
                        empty_measure, jordan_decompose, make_measure,
-                       measure_from_arrays, total_variation)
+                       measure_from_arrays)
 from .scenarios import (ScenarioConfig, ScenarioResult, StudyResult,
                         builtin_config, builtin_names, convergence_study,
                         density_from_config, load_config, quantize_density,

@@ -208,13 +208,6 @@ def evaluate_batch(field, t, points):
     return velocities
 
 
-def evaluate(field, t, x):
-    """Velocity at a single point; errors on non-finite output or an
-    envelope violation."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return evaluate_batch(field, t, x.reshape(1, -1))[0]
-
-
 # -- catalog ----------------------------------------------------------------
 
 def constant_field(velocity):

@@ -194,10 +194,6 @@ def jordan_decompose(m):
     return pos, neg
 
 
-def total_variation(m):
-    return m.total_variation()
-
-
 def cancel_colocated_pair(mu, nu):
     """Remove common mass carried at co-located atoms of two nonnegative
     measures.  Returns the reduced (mu, nu); reservoirs are left alone."""

@@ -97,6 +97,11 @@ def _assemble(pair, cost):
     A reservoir common to both sides is cancelled first (it would ship to
     itself at zero cost); whichever side keeps a positive remainder
     contributes the absorbing point as an extra row or column.
+
+    Mollified atoms sit on a lattice, so many ground distances repeat:
+    ``cost.cost_many`` runs once on the distinct distances and its values
+    are scattered back.  It evaluates each entry independently of its
+    batch, so every cell gets the same bits as a full-matrix call.
     """
     mu, nu = pair.mu, pair.nu
     common = min(mu.reservoir_weight, nu.reservoir_weight)
@@ -130,8 +135,10 @@ def _assemble(pair, cost):
     cols = n_atoms + int(diamond_col)
     ground = np.empty((rows, cols))
     if m_atoms and n_atoms:
-        ground[:m_atoms, :n_atoms] = cost.cost_many(
-            cdist(mu.locations, nu.locations))
+        radii, cell_radius = np.unique(
+            cdist(mu.locations, nu.locations).ravel(), return_inverse=True)
+        ground[:m_atoms, :n_atoms] = cost.cost_many(radii)[
+            cell_radius].reshape(m_atoms, n_atoms)
     if diamond_row:
         ground[m_atoms, :] = cost.c_infinity
     if diamond_col:
@@ -154,18 +161,34 @@ def _least_cost_start(supplies, demands, costs):
     node and the arc set is a forest; zero-flow arcs then splice the
     components into a single spanning tree.  Greedy matching starts close
     to optimal on near-diagonal instances, which keeps the pivot count low.
+
+    Fewer than m + n cells can ship, so the sorted cells are walked in
+    doubling blocks of at least m + n, and each block first drops the cells
+    whose row or column was already exhausted when it began.  Remainders
+    only shrink, so the dropped cells are ones the per-cell test would skip:
+    the arcs and their order are those of a scan over every cell.
     """
     m, n = len(supplies), len(demands)
     rem_s, rem_d = list(supplies), list(demands)
     flows = {}
-    for index in np.argsort(costs, axis=None, kind="stable"):
-        i, j = divmod(int(index), n)
-        if rem_s[i] <= 0.0 or rem_d[j] <= 0.0:
-            continue
-        q = min(rem_s[i], rem_d[j])
-        flows[(i, j)] = q
-        rem_s[i] -= q
-        rem_d[j] -= q
+    order = np.argsort(costs, axis=None, kind="stable")
+    start, size = 0, m + n
+    while start < len(order):
+        live_s = np.asarray(rem_s) > 0.0
+        live_d = np.asarray(rem_d) > 0.0
+        if not (live_s.any() and live_d.any()):
+            break
+        rows, cols = np.divmod(order[start:start + size], n)
+        live = live_s[rows] & live_d[cols]
+        for i, j in zip(rows[live].tolist(), cols[live].tolist()):
+            if rem_s[i] <= 0.0 or rem_d[j] <= 0.0:
+                continue
+            q = min(rem_s[i], rem_d[j])
+            flows[(i, j)] = q
+            rem_s[i] -= q
+            rem_d[j] -= q
+        start += size
+        size *= 2
 
     parent = list(range(m + n))
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 
 from charflow import (EnvelopeViolation, FieldError, GrowthEnvelope,
-                      Modulus, VectorFieldSpec, constant_field, evaluate,
+                      Modulus, VectorFieldSpec, constant_field,
                       evaluate_batch, linear_field, modulus_linear,
                       modulus_log, modulus_loglog, modulus_loglog_squared,
                       osgood_1d_field, osgood_plane_field,
@@ -99,15 +99,19 @@ def test_osgood_integral_separates_the_classes():
 
 def test_constant_field_is_constant():
     f = constant_field([0.35])
-    np.testing.assert_array_equal(evaluate(f, 0.0, [12.0]), [0.35])
-    np.testing.assert_array_equal(evaluate(f, 3.0, [-4.0]), [0.35])
+    np.testing.assert_array_equal(evaluate_batch(f, 0.0, np.array([[12.0]])),
+                                  [[0.35]])
+    np.testing.assert_array_equal(evaluate_batch(f, 3.0, np.array([[-4.0]])),
+                                  [[0.35]])
     assert f.modulus_constant_for(100.0) == 0.0
 
 
 def test_rotation_quarter_positions():
     f = rotation_field()
-    np.testing.assert_allclose(evaluate(f, 0.0, [1.0, 0.0]), [0.0, 1.0])
-    np.testing.assert_allclose(evaluate(f, 0.0, [0.0, 2.0]), [-2.0, 0.0])
+    np.testing.assert_allclose(evaluate_batch(f, 0.0, np.array([[1.0, 0.0]])),
+                               [[0.0, 1.0]])
+    np.testing.assert_allclose(evaluate_batch(f, 0.0, np.array([[0.0, 2.0]])),
+                               [[-2.0, 0.0]])
 
 
 def test_batch_shape_guard():
@@ -122,7 +126,7 @@ def test_nonfinite_velocity_is_an_error():
         growth=rotation_field().growth, modulus=modulus_linear(),
         growth_const=1.0, modulus_constants=((math.inf, 1.0),))
     with pytest.raises(FieldError, match="non-finite"):
-        evaluate(bad, 0.0, [1.0])
+        evaluate_batch(bad, 0.0, np.array([[1.0]]))
 
 
 def test_envelope_violation_is_hard():
@@ -133,9 +137,9 @@ def test_envelope_violation_is_hard():
                               divergent_tail=True, name="unit"),
         modulus=modulus_linear(), growth_const=1.0,
         modulus_constants=((math.inf, 1.0),))
-    evaluate(lying, 0.0, [0.5])  # inside the cap: fine
+    evaluate_batch(lying, 0.0, np.array([[0.5]]))  # inside the cap: fine
     with pytest.raises(EnvelopeViolation):
-        evaluate(lying, 0.0, [2.0])
+        evaluate_batch(lying, 0.0, np.array([[2.0]]))
 
 
 def test_modulus_constant_lookup_prefers_tight_radii():
@@ -161,10 +165,10 @@ def test_modulus_constant_lookup_prefers_tight_radii():
 def test_osgood1d_closed_form_inside():
     f = osgood_1d_field()
     x = 0.5
-    assert evaluate(f, 0.0, [x])[0] == pytest.approx(-x * math.log(x),
-                                                     rel=1e-13)
-    assert evaluate(f, 0.0, [-0.2])[0] == 0.0
-    assert evaluate(f, 0.0, [1.3])[0] == 0.0
+    assert evaluate_batch(f, 0.0, np.array([[x]]))[0, 0] == pytest.approx(
+        -x * math.log(x), rel=1e-13)
+    assert evaluate_batch(f, 0.0, np.array([[-0.2]]))[0, 0] == 0.0
+    assert evaluate_batch(f, 0.0, np.array([[1.3]]))[0, 0] == 0.0
 
 
 def test_plane_fields_match_their_formulas():
@@ -172,10 +176,11 @@ def test_plane_fields_match_their_formulas():
     log_r2 = math.log(r2)
     f_val = log_r2 * math.log(-log_r2)
     g_val = log_r2 * math.log(-log_r2) ** 2
-    v = evaluate(osgood_plane_field(), 0.0, [0.2, 0.0])
+    v = evaluate_batch(osgood_plane_field(), 0.0, np.array([[0.2, 0.0]]))[0]
     assert v[0] == pytest.approx(0.2 * f_val, rel=1e-12)
     assert v[1] == 0.0
-    w = evaluate(nonosgood_plane_field(), 0.0, [0.12, 0.16])
+    w = evaluate_batch(nonosgood_plane_field(), 0.0,
+                       np.array([[0.12, 0.16]]))[0]
     assert w[0] == pytest.approx(0.12 * g_val, rel=1e-12)
     assert w[1] == pytest.approx(-0.16 * g_val, rel=1e-12)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from charflow import (AtomicSignedMeasure, MeasureError, balance_with_reservoir,
                       cancel_colocated_pair, empty_measure, jordan_decompose,
-                      make_measure, measure_from_arrays, total_variation)
+                      make_measure, measure_from_arrays)
 
 
 def test_totals_on_a_small_cloud():
@@ -19,7 +19,6 @@ def test_totals_on_a_small_cloud():
     assert m.atom_mass() == 0.375
     assert m.total_mass() == 0.3125
     assert m.total_variation() == 0.9375
-    assert total_variation(m) == m.total_variation()
 
 
 def test_zero_weights_are_rejected():

@@ -5,14 +5,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import charflow.scenarios as scenarios
 from charflow import (ComparisonBoundError, ConcaveCost, TransportError,
                       balance_with_reservoir, brute_force_ot,
                       c_transform_extend, comparison_bound, firstterm_estimate,
                       CostRangeError, linear_field, make_measure,
-                      measure_from_arrays, modulus_linear, reference_W,
+                      measure_from_arrays, modulus_linear, modulus_log,
+                      modulus_loglog, modulus_loglog_squared, reference_W,
                       rotation_field, solve_ot)
-from charflow.transport import DIAMOND, REFERENCE_COST, _check_slackness
+from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
+from charflow.transport import (DIAMOND, REFERENCE_COST, _assemble,
+                                _check_slackness, _least_cost_start)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +180,7 @@ def test_tied_costs_exercise_the_anticycling_path(cost):
     assert plan.primal_value == pytest.approx(value, rel=1e-10)
     # matching each atom to its right neighbor is optimal here
     assert plan.primal_value == pytest.approx(cost.cost(0.5), rel=1e-10)
+    _assert_same_start(*_assemble(pair, cost)[:3])
 
 
 def test_plan_marginals_match(cost):
@@ -302,3 +308,124 @@ def test_ssp_matches_tree_enumeration_on_raw_tables():
         v_tree, _ = _brute_tree_enumeration(list(s), list(d), table)
         v_ssp, _ = _brute_ssp(list(s), list(d), table)
         assert v_ssp == pytest.approx(v_tree, rel=1e-10, abs=1e-12)
+
+
+# -- assembly and the greedy start --------------------------------------------
+
+@pytest.fixture(scope="module")
+def mollified_pairs(tmp_path_factory):
+    """Every (pair, cost) that the D solves of osgood_line and rotation_ring
+    see, on grid and random quantization."""
+    captured = []
+
+    def recorded(pair, cost, _original=scenarios.D_functional):
+        captured.append((pair, cost))
+        return _original(pair, cost)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "D_functional", recorded)
+        for name in ("osgood_line", "rotation_ring"):
+            for quantization in ("grid", "random"):
+                doc = builtin_config(name)
+                doc["quantization"] = quantization
+                run_scenario(ScenarioConfig.from_dict(doc),
+                             str(tmp_path_factory.mktemp(name)))
+    return captured
+
+
+def test_assembled_costs_equal_a_full_matrix_evaluation(mollified_pairs):
+    repeated = 0
+    for pair, cost in mollified_pairs:
+        m, n = pair.mu.atom_count, pair.nu.atom_count
+        if not (m and n):
+            continue
+        dists = cdist(pair.mu.locations, pair.nu.locations)
+        ground = _assemble(pair, cost)[2]
+        np.testing.assert_array_equal(ground[:m, :n], cost.cost_many(dists))
+        repeated += len(np.unique(dists)) < dists.size
+    # the lattice repeats distances, so the distinct-value path is exercised
+    assert repeated > 0
+
+
+@pytest.mark.parametrize("modulus", [modulus_linear(), modulus_log(),
+                                     modulus_loglog(),
+                                     modulus_loglog_squared()],
+                         ids=["linear", "log", "loglog", "loglog_squared"])
+def test_cost_many_value_does_not_depend_on_its_batch(modulus):
+    """Assembly evaluates each distinct distance in one batch, so an entry's
+    value must not depend on the batch size or on its position in it (SIMD
+    loops may treat an array's tail elements differently)."""
+    cost = ConcaveCost(modulus, 1e-3, 0.5)
+    radii = np.concatenate([np.geomspace(1e-14, 1e4, 40),
+                            0.03125 * np.sqrt(np.arange(1.0, 28.0))])
+    size = len(radii)  # 67
+    alone = np.array([cost.cost_many(radii[k:k + 1])[0] for k in range(size)])
+    for batch in range(1, size + 1):
+        for first in range(size):
+            picked = (first + np.arange(batch)) % size
+            np.testing.assert_array_equal(cost.cost_many(radii[picked]),
+                                          alone[picked])
+
+
+def _full_scan_shipments(supplies, demands, costs):
+    """The greedy loop over every sorted cell: the reference the block walk
+    must reproduce arc for arc, in order."""
+    n = len(demands)
+    rem_s, rem_d = list(supplies), list(demands)
+    flows = {}
+    for index in np.argsort(costs, axis=None, kind="stable"):
+        i, j = divmod(int(index), n)
+        if rem_s[i] <= 0.0 or rem_d[j] <= 0.0:
+            continue
+        q = min(rem_s[i], rem_d[j])
+        flows[(i, j)] = q
+        rem_s[i] -= q
+        rem_d[j] -= q
+    return flows
+
+
+def _assert_same_start(supplies, demands, costs):
+    flows = _least_cost_start(supplies, demands, costs)
+    shipped = _full_scan_shipments(supplies, demands, costs)
+    items = list(flows.items())
+    assert items[:len(shipped)] == list(shipped.items())
+    # the rest are the zero-flow arcs that splice the forest into a tree
+    assert all(q == 0.0 for _, q in items[len(shipped):])
+    assert len(flows) == len(supplies) + len(demands) - 1
+
+
+def _random_instance(rng, m, n, dust):
+    supplies = rng.uniform(0.1, 1.0, size=m)
+    demands = rng.uniform(0.1, 1.0, size=n)
+    if dust:
+        supplies[rng.integers(m, size=2)] = 2.0 ** -40
+        demands[rng.integers(n, size=2)] = 2.0 ** -40
+    big = demands > 2.0 ** -40
+    demands[big] *= ((math.fsum(supplies) - math.fsum(demands[~big]))
+                     / math.fsum(demands[big]))
+    # a last-ulp imbalance may leave one side a hair of mass to the end
+    demands[np.flatnonzero(big)[-1]] += (math.fsum(supplies)
+                                         - math.fsum(demands))
+    # few distinct lattice costs, so ties are everywhere
+    costs = 0.125 * rng.integers(0, 6, size=(m, n)).astype(float)
+    return supplies, demands, costs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_start_ships_what_a_full_scan_ships(seed):
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(3, 40, size=2))
+    supplies, demands, costs = _random_instance(rng, m, n, dust=seed % 2)
+    if seed % 2:
+        assert 2.0 ** -40 in supplies and 2.0 ** -40 in demands
+    _assert_same_start(supplies, demands, costs)
+    # a surplus of 0.5 on an absorbing row, then on an absorbing column
+    c_infinity = 0.75
+    heavier = demands.copy()
+    heavier[np.argmax(heavier)] += 0.5
+    _assert_same_start(np.append(supplies, 0.5), heavier,
+                       np.vstack([costs, np.full(n, c_infinity)]))
+    heavier = supplies.copy()
+    heavier[np.argmax(heavier)] += 0.5
+    _assert_same_start(heavier, np.append(demands, 0.5),
+                       np.hstack([costs, np.full((m, 1), c_infinity)]))

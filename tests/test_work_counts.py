@@ -7,14 +7,15 @@ here without any timing.
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import charflow.diagnostics as diagnostics
 import charflow.scenarios as scenarios
 import charflow.transport as transport
-from charflow import (AtomicSignedMeasure, ConcaveCost, ScheduleError,
-                      balance_with_reservoir, make_measure,
+from charflow import (AtomicSignedMeasure, ConcaveCost, MollifierSpec,
+                      ScheduleError, balance_with_reservoir, make_measure,
                       measure_from_arrays, modulus_linear, modulus_log,
-                      modulus_loglog_squared, parameter_schedule,
+                      modulus_loglog_squared, mollify, parameter_schedule,
                       rotation_field, solve_ot, weak_solution_residual)
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import DIAMOND
@@ -33,6 +34,30 @@ def test_solve_ot_never_takes_the_scalar_cost_path(monkeypatch):
     plan, _ = solve_ot(balance_with_reservoir(mu, nu), cost)
     labels = {label for entry in plan.entries for label in entry[:2]}
     assert DIAMOND in labels and len(plan.entries) > 1
+
+
+def test_solve_ot_evaluates_each_distinct_distance_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    spec = MollifierSpec(0.25, 1)
+    mu, nu = (mollify(measure_from_arrays(1, rng.uniform(-0.5, 0.5, (k, 1)),
+                                          rng.uniform(0.1, 0.3, k)), spec)
+              for k in (4, 3))
+    cost = ConcaveCost(modulus_log(), 1e-3, 0.5)
+    batches = []
+
+    def counted(self, radii, _original=ConcaveCost.cost_many):
+        batches.append(int(np.size(radii)))
+        return _original(self, radii)
+
+    pair = balance_with_reservoir(mu, nu)
+    monkeypatch.setattr(ConcaveCost, "cost_many", counted)
+    plan, _ = solve_ot(pair, cost)
+    distinct = len(np.unique(cdist(pair.mu.locations, pair.nu.locations)))
+    assert distinct < pair.mu.atom_count * pair.nu.atom_count
+    # the assembly's one call, then the slackness audit's own call on the
+    # plan's real entries
+    real = sum(DIAMOND not in entry[:2] for entry in plan.entries)
+    assert batches == [distinct, real]
 
 
 @pytest.mark.parametrize("name,parameters", [
