@@ -27,9 +27,8 @@ from .fields import (FIELD_CATALOG, GrowthEnvelope, Modulus, VectorFieldSpec,
 from .flow import (FlowOptions, Trajectory, flow_endpoints, flow_map,
                    flow_push, integrate_flow, osgood_envelope)
 from .measures import (AtomicSignedMeasure, BalancedPair,
-                       balance_with_reservoir, cancel_colocated_pair,
-                       empty_measure, jordan_decompose, make_measure,
-                       measure_from_arrays)
+                       balance_with_reservoir, empty_measure,
+                       jordan_decompose, make_measure, measure_from_arrays)
 from .scenarios import (ScenarioConfig, ScenarioResult, StudyResult,
                         builtin_config, builtin_names, convergence_study,
                         density_from_config, load_config, quantize_density,

@@ -30,6 +30,9 @@ from .fields import Modulus
 
 _TABLE_SIZE = 6144
 _TABLE_FLOOR = 1e-9
+# quad flags intervals shorter than about 1000 smallest normal doubles as bad
+# integrand behavior; below this radius the density is constant to roundoff
+_QUAD_FLOOR = 1e-300
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -92,7 +95,7 @@ def tail_modify(mod):
             return np.where(s <= 1.0, base,
                             np.maximum(base, omega_one * s * s))
 
-    return Modulus(ev, osgood=mod.osgood, closed_form_tag=None)
+    return Modulus(ev, osgood=mod.osgood)
 
 
 def saturation_integral(mod, delta):
@@ -122,8 +125,7 @@ def saturation_integral(mod, delta):
                                       epsabs=1e-14, epsrel=1e-11,
                                       full_output=1)
         if not np.isfinite(result[0]):
-            raise QuadratureError("saturation integral failed",
-                                  partial=result[0])
+            raise QuadratureError("saturation integral failed")
         pieces.append(result[0])
     return math.fsum(pieces)
 
@@ -200,12 +202,13 @@ class ConcaveCost:
     def _residual(self, a, b):
         if b <= a:
             return 0.0
+        if b < _QUAD_FLOOR:
+            return (b - a) * float(self._density(b))
         val, err = scipy.integrate.quad(lambda s: float(self._density(s)),
                                         a, b, limit=200,
                                         epsabs=1e-13, epsrel=1e-12)
         if not np.isfinite(val):
-            raise QuadratureError("cost residual quadrature failed",
-                                  partial=val)
+            raise QuadratureError("cost residual quadrature failed")
         return val
 
     def cost(self, r):

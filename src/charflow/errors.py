@@ -18,11 +18,7 @@ class EnvelopeViolation(FieldError):
 
 
 class QuadratureError(CharflowError):
-    """Adaptive quadrature failed to converge; carries the partial value."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Adaptive quadrature failed to converge."""
 
 
 class CostRangeError(CharflowError):
@@ -32,10 +28,9 @@ class CostRangeError(CharflowError):
 class FlowError(CharflowError):
     """Characteristic-flow integration failure; carries the partial trajectory."""
 
-    def __init__(self, message, trajectory=None, atom_index=None):
+    def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-        self.atom_index = atom_index
 
 
 class TransportError(CharflowError):

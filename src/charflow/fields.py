@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -72,12 +72,10 @@ def plateau_bump_derivative(r, r_inner, r_outer):
 
 @dataclass(frozen=True)
 class GrowthEnvelope:
-    """Radial speed envelope G; ``divergent_tail`` asserts the integral of
-    1/G over [r, infinity) diverges (no finite-time escape)."""
+    """Radial speed envelope G; the integral of 1/G over [r, infinity) must
+    diverge (no finite-time escape), which ``build_cutoff`` checks."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    divergent_tail: bool
-    name: str = ""
 
     def __call__(self, r):
         return self.evaluator(np.asarray(r, dtype=float))
@@ -90,7 +88,6 @@ class Modulus:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     osgood: bool
-    closed_form_tag: Optional[str] = None
 
     def __call__(self, s):
         return self.evaluator(np.asarray(s, dtype=float))
@@ -99,13 +96,11 @@ class Modulus:
 def growth_constant(level=1.0):
     level = float(level)
     return GrowthEnvelope(lambda r: np.full_like(np.asarray(r, dtype=float),
-                                                 level),
-                          divergent_tail=True, name="constant")
+                                                 level))
 
 
 def growth_affine():
-    return GrowthEnvelope(lambda r: 1.0 + np.asarray(r, dtype=float),
-                          divergent_tail=True, name="affine")
+    return GrowthEnvelope(lambda r: 1.0 + np.asarray(r, dtype=float))
 
 
 def _safe_positive(s):
@@ -114,8 +109,7 @@ def _safe_positive(s):
 
 
 def modulus_linear():
-    return Modulus(lambda s: np.asarray(s, dtype=float), osgood=True,
-                   closed_form_tag="linear")
+    return Modulus(lambda s: np.asarray(s, dtype=float), osgood=True)
 
 
 def modulus_log():
@@ -123,7 +117,7 @@ def modulus_log():
     def ev(s):
         s = np.asarray(s, dtype=float)
         return s * np.log(math.e + 1.0 / _safe_positive(s))
-    return Modulus(ev, osgood=True, closed_form_tag="log")
+    return Modulus(ev, osgood=True)
 
 
 def modulus_loglog():
@@ -132,7 +126,7 @@ def modulus_loglog():
         s = np.asarray(s, dtype=float)
         big_l = np.log(math.e + 1.0 / _safe_positive(s))
         return s * big_l * np.log(math.e + big_l)
-    return Modulus(ev, osgood=True, closed_form_tag="loglog")
+    return Modulus(ev, osgood=True)
 
 
 def modulus_loglog_squared():
@@ -142,7 +136,7 @@ def modulus_loglog_squared():
         s = np.asarray(s, dtype=float)
         big_l = np.log(math.e + 1.0 / _safe_positive(s))
         return s * big_l * np.log(math.e + big_l)**2
-    return Modulus(ev, osgood=False, closed_form_tag="loglog_squared")
+    return Modulus(ev, osgood=False)
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,6 @@ class VectorFieldSpec:
     modulus_constants: tuple  # ((radius, constant), ...) sorted by radius
     singular_points: tuple = ()
     lipschitz: bool = False
-    time_dependent: bool = False
 
     def modulus_constant_for(self, radius):
         for declared_radius, const in self.modulus_constants:

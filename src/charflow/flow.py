@@ -183,11 +183,7 @@ def _advance(field, points, t0, t1, opts, record):
                 raise FlowError(
                     f"step size underflow at t={t:.6g} "
                     f"(needed below {min_step:.3g})",
-                    trajectory=_pack_history(history),
-                    atom_index=int(np.argmax(np.max(
-                        np.abs(err_vec) / (opts.abs_tol
-                                           + opts.rel_tol * np.abs(y)),
-                        axis=1))))
+                    trajectory=_pack_history(history))
     else:
         raise FlowError(
             f"flow did not reach t={t1:g} within {opts.max_steps} steps "

@@ -19,46 +19,54 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import MeasureError
 
-# Atoms closer than this in max-norm are considered co-located and merge.
-# Keeps zero-length transport arcs out of the LP.
+# Atoms within this max-norm distance of each other, directly or through a
+# chain of such atoms, are co-located and merge into one atom.  Keeps
+# zero-length transport arcs out of the LP and lets a difference of two
+# clouds cancel the mass its twins share.
 DEDUP_TOL = 1e-12
 
 
 def _merge_colocated(locations, weights):
-    """Sum weights of lexicographically adjacent atoms within DEDUP_TOL.
+    """Merge every group of co-located atoms into one atom.
 
-    Exact duplicates always merge; near-duplicates merge when adjacent in
-    lexicographic order, which covers everything the transport solver cares
-    about (exactly coincident columns).
+    A group is a connected component of the graph joining atoms within
+    DEDUP_TOL in max-norm.  Its atom sits at the group's lexicographically
+    first location and carries the ``math.fsum`` of the group's weights;
+    zero sums are dropped.  Atoms come out in lexicographic order.
     """
-    if len(weights) <= 1:
-        return locations, weights
     order = np.lexsort(locations.T[::-1])
     locs = locations[order]
     ws = weights[order]
-    out_loc, out_w = [], []
-    run_loc = locs[0]
-    run = [ws[0]]
-    for i in range(1, len(ws)):
-        if np.max(np.abs(locs[i] - run_loc)) <= DEDUP_TOL:
-            run.append(ws[i])
-        else:
-            w = math.fsum(run)
-            if w != 0.0:
-                out_loc.append(run_loc)
-                out_w.append(w)
-            run_loc = locs[i]
-            run = [ws[i]]
-    w = math.fsum(run)
-    if w != 0.0:
-        out_loc.append(run_loc)
-        out_w.append(w)
-    if not out_w:
-        return np.zeros((0, locations.shape[1])), np.zeros(0)
-    return np.array(out_loc), np.array(out_w)
+    if len(ws) <= 1:
+        return locs, ws
+    pairs = cKDTree(locs).query_pairs(DEDUP_TOL, p=np.inf,
+                                      output_type="ndarray")
+    if len(pairs) == 0:
+        return locs, ws
+    first, second = pairs[:, 0], pairs[:, 1]
+    # every atom takes the lowest index of its group, which is the group's
+    # lexicographically first atom
+    label = np.arange(len(ws))
+    while True:
+        low = np.minimum(label[first], label[second])
+        relabel = label.copy()
+        np.minimum.at(relabel, first, low)
+        np.minimum.at(relabel, second, low)
+        if np.array_equal(relabel, label):
+            break
+        label = relabel
+    members = np.unique(pairs)
+    members = members[np.argsort(label[members], kind="stable")]
+    starts = np.flatnonzero(np.diff(label[members], prepend=-1))
+    merged = ws.copy()
+    for group in np.split(members, starts[1:]):
+        merged[group[0]] = math.fsum(ws[group])
+    keep = (label == np.arange(len(ws))) & (merged != 0.0)
+    return locs[keep], merged[keep]
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ def measure_from_arrays(dimension, locations, weights, reservoir_weight=0.0,
 
     ``merge=False`` skips co-location merging (the arrays must already be
     free of exact-zero weights).  Used where the weight multiset must be
-    preserved verbatim, e.g. flow push-forwards and solution differences.
+    preserved verbatim, e.g. flow push-forwards and solution snapshots.
     """
     dimension = int(dimension)
     locations = np.asarray(locations, dtype=float)
@@ -149,9 +157,13 @@ def measure_from_arrays(dimension, locations, weights, reservoir_weight=0.0,
     if weights.shape != (locations.shape[0],):
         raise MeasureError("one weight per atom location is required")
     if merge:
+        # the tree search and sums of the merge need finite input
+        if not np.all(np.isfinite(locations)):
+            raise MeasureError("atom locations must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise MeasureError("atom weights must be finite")
         keep = weights != 0.0
-        locations, weights = _merge_colocated(locations[keep].copy(),
-                                              weights[keep].copy())
+        locations, weights = _merge_colocated(locations[keep], weights[keep])
     else:
         locations = locations.copy()
         weights = weights.copy()
@@ -194,30 +206,6 @@ def jordan_decompose(m):
     return pos, neg
 
 
-def cancel_colocated_pair(mu, nu):
-    """Remove common mass carried at co-located atoms of two nonnegative
-    measures.  Returns the reduced (mu, nu); reservoirs are left alone."""
-    if mu.atom_count == 0 or nu.atom_count == 0:
-        return mu, nu
-    mu_w = mu.weights.copy()
-    nu_w = nu.weights.copy()
-    # For every nu atom find a co-located mu atom, if any, and cancel.
-    for j, y in enumerate(nu.locations):
-        diffs = np.max(np.abs(mu.locations - y), axis=1)
-        i = int(np.argmin(diffs))
-        if diffs[i] <= DEDUP_TOL and mu_w[i] > 0.0 and nu_w[j] > 0.0:
-            q = min(mu_w[i], nu_w[j])
-            mu_w[i] -= q
-            nu_w[j] -= q
-    mu_keep = mu_w > 0.0
-    nu_keep = nu_w > 0.0
-    mu2 = measure_from_arrays(mu.dimension, mu.locations[mu_keep],
-                              mu_w[mu_keep], mu.reservoir_weight, merge=False)
-    nu2 = measure_from_arrays(nu.dimension, nu.locations[nu_keep],
-                              nu_w[nu_keep], nu.reservoir_weight, merge=False)
-    return mu2, nu2
-
-
 def _exact_balance_reservoir(weights, target_total):
     """Reservoir r with fsum([*weights, r]) == target_total exactly.
 
@@ -242,9 +230,11 @@ def _exact_balance_reservoir(weights, target_total):
 class BalancedPair:
     """Two nonnegative measures with exactly equal total mass.
 
-    Construction cancels co-located atom mass across the two sides, so the
-    stored measures are mutually singular on R^n, and verifies that the
-    fsum-computed totals (reservoirs included) agree to the last bit.
+    Build it with :func:`balance_with_reservoir`, which has already merged
+    co-located atoms across the two sides, so the stored measures are
+    mutually singular on R^n.  Construction checks the shared dimension, the
+    signs, and that the fsum-computed totals (reservoirs included) agree to
+    the last bit.
     """
 
     mu: AtomicSignedMeasure
@@ -255,13 +245,10 @@ class BalancedPair:
             raise MeasureError("paired measures must share the dimension")
         if not (self.mu.is_nonnegative() and self.nu.is_nonnegative()):
             raise MeasureError("balanced pairs require nonnegative measures")
-        mu2, nu2 = cancel_colocated_pair(self.mu, self.nu)
-        object.__setattr__(self, "mu", mu2)
-        object.__setattr__(self, "nu", nu2)
         if self.mu.total_mass() != self.nu.total_mass():
             raise MeasureError(
-                "pair masses differ after co-location cancellation; route "
-                "construction through balance_with_reservoir")
+                "pair masses differ; route construction through "
+                "balance_with_reservoir")
 
     @property
     def dimension(self):
@@ -274,7 +261,10 @@ class BalancedPair:
 def balance_with_reservoir(mu_raw, nu_raw):
     """Attach reservoir mass to the lighter side so totals match exactly.
 
-    Both inputs must be nonnegative with zero reservoir.  The heavier side
+    Both inputs must be nonnegative with zero reservoir.  Mass the two sides
+    share at co-located atoms cancels first: the signed union mu - nu is
+    merged by :func:`measure_from_arrays` and split by
+    :func:`jordan_decompose`.  The heavier side
     normally keeps reservoir 0; the lighter side receives the (nonnegative)
     mass difference, polished so the fsum totals agree bit-for-bit.
 
@@ -289,7 +279,11 @@ def balance_with_reservoir(mu_raw, nu_raw):
             raise MeasureError(f"{name} must be nonnegative")
         if m.reservoir_weight != 0.0:
             raise MeasureError(f"{name} must carry no reservoir mass yet")
-    mu_c, nu_c = cancel_colocated_pair(mu_raw, nu_raw)
+    if mu_raw.dimension != nu_raw.dimension:
+        raise MeasureError("paired measures must share the dimension")
+    mu_c, nu_c = jordan_decompose(measure_from_arrays(
+        mu_raw.dimension, np.vstack([mu_raw.locations, nu_raw.locations]),
+        np.concatenate([mu_raw.weights, -nu_raw.weights])))
     sides = ((mu_c, nu_c, True) if nu_c.atom_mass() >= mu_c.atom_mass()
              else (nu_c, mu_c, False))
     light, heavy, mu_is_light = sides

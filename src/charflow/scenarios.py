@@ -57,6 +57,21 @@ class DensityField:
     pdf_sup: float
 
 
+def _typed(convert, value, key):
+    """``convert(value)``, with a value of the wrong type reported as a
+    ConfigError that names its config key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"config key {key!r} has a value of the wrong type: {value!r}") \
+            from None
+
+
+def _array(value):
+    return np.asarray(value, dtype=float)
+
+
 def _require(params, allowed, kind):
     extra = set(params) - set(allowed)
     if extra:
@@ -66,10 +81,10 @@ def _require(params, allowed, kind):
 
 def _gaussian_density(params):
     _require(params, ("kind", "center", "spread"), "gaussian density")
-    center = np.asarray(params.get("center", (0.0, 0.0)), dtype=float)
+    center = _typed(_array, params.get("center", (0.0, 0.0)), "center")
     if center.ndim != 1 or center.size == 0:
         raise ConfigError("gaussian center must be a coordinate list")
-    spread = float(params.get("spread", 0.15))
+    spread = _typed(float, params.get("spread", 0.15), "spread")
     if not spread > 0.0:
         raise ConfigError("gaussian spread must be positive")
 
@@ -83,8 +98,8 @@ def _gaussian_density(params):
 
 def _ring_density(params):
     _require(params, ("kind", "radius", "width"), "ring density")
-    radius = float(params.get("radius", 0.5))
-    width = float(params.get("width", 0.06))
+    radius = _typed(float, params.get("radius", 0.5), "radius")
+    width = _typed(float, params.get("width", 0.06), "width")
     if not (radius > 0.0 and width > 0.0):
         raise ConfigError("ring radius and width must be positive")
     reach = radius + 4.0 * width
@@ -99,8 +114,8 @@ def _ring_density(params):
 
 def _interval_density(params):
     _require(params, ("kind", "low", "high"), "interval density")
-    low = float(params.get("low", 0.0))
-    high = float(params.get("high", 1.0))
+    low = _typed(float, params.get("low", 0.0), "low")
+    high = _typed(float, params.get("high", 1.0), "high")
     if not high > low:
         raise ConfigError("interval density needs low < high")
 
@@ -112,10 +127,11 @@ def _interval_density(params):
 
 def _two_bumps_density(params):
     _require(params, ("kind", "centers", "spread"), "two_bumps density")
-    centers = np.asarray(params.get("centers", ((-0.4,), (0.4,))), dtype=float)
+    centers = _typed(_array, params.get("centers", ((-0.4,), (0.4,))),
+                     "centers")
     if centers.ndim != 2 or centers.shape[0] != 2:
         raise ConfigError("two_bumps needs exactly two center coordinates")
-    spread = float(params.get("spread", 0.1))
+    spread = _typed(float, params.get("spread", 0.1), "spread")
     if not spread > 0.0:
         raise ConfigError("two_bumps spread must be positive")
 
@@ -251,14 +267,16 @@ def build_field(kind, params):
              f"{kind} field")
     try:
         if kind == "constant":
-            return FIELD_CATALOG[kind](tuple(params.get("velocity", (1.0,))))
+            return FIELD_CATALOG[kind](
+                _typed(_array, params.get("velocity", (1.0,)), "velocity"))
         if kind == "linear":
-            return FIELD_CATALOG[kind](np.asarray(params["matrix"],
-                                                  dtype=float))
+            return FIELD_CATALOG[kind](
+                _typed(_array, params["matrix"], "matrix"))
         if kind == "rotation":
             return FIELD_CATALOG[kind]()
         if "modulus_constant" in params:
-            return FIELD_CATALOG[kind](float(params["modulus_constant"]))
+            return FIELD_CATALOG[kind](_typed(
+                float, params["modulus_constant"], "modulus_constant"))
         return FIELD_CATALOG[kind]()
     except KeyError as missing:
         raise ConfigError(f"{kind} field needs parameter {missing}") from None
@@ -280,6 +298,10 @@ _CONFIG_DEFAULTS = {
 
 _CONFIG_KEYS = ("name", "field", "density", "horizon", "seed",
                 *_CONFIG_DEFAULTS)
+
+_CONFIG_NUMBERS = {"horizon": float, "time_points": int, "resolution": int,
+                   "abs_tol": float, "rel_tol": float, "coarse_factor": float,
+                   "cells_per_alpha": int, "weak_tol": float}
 
 
 @dataclass(frozen=True)
@@ -316,6 +338,8 @@ class ScenarioConfig:
         for key in ("name", "field", "density", "horizon"):
             if key not in merged:
                 raise ConfigError(f"config key {key!r} is required")
+        for key, convert in _CONFIG_NUMBERS.items():
+            merged[key] = _typed(convert, merged[key], key)
 
         name = str(merged["name"])
         if not name or any(ch in name for ch in "/\\ \t"):
@@ -327,11 +351,9 @@ class ScenarioConfig:
         if not isinstance(density, dict) or "kind" not in density:
             raise ConfigError("density block needs a \"kind\" key")
 
-        horizon = float(merged["horizon"])
-        if not horizon > 0.0:
+        if not merged["horizon"] > 0.0:
             raise ConfigError("horizon must be positive")
-        time_points = int(merged["time_points"])
-        if time_points < 2:
+        if merged["time_points"] < 2:
             raise ConfigError("time grid needs at least two points")
         quantization = merged["quantization"]
         if quantization not in ("grid", "random"):
@@ -348,7 +370,7 @@ class ScenarioConfig:
         levels = merged["cutoff_levels"]
         try:
             levels = tuple(sorted(float(k) for k in levels))
-        except TypeError:
+        except (TypeError, ValueError):
             raise ConfigError("cutoff_levels must be a list of radii") \
                 from None
         if not levels or any(k < 1.0 for k in levels):
@@ -363,25 +385,21 @@ class ScenarioConfig:
                 raise ConfigError(
                     "parameters must be \"schedule\" or an object with "
                     "exactly beta, delta, alpha")
-            parameters = {key: float(parameters[key]) for key in parameters}
+            parameters = {key: _typed(float, value, key)
+                          for key, value in parameters.items()}
             if parameters["beta"] <= 0.0 or parameters["delta"] <= 0.0:
                 raise ConfigError("beta and delta must be positive")
             if not 0.0 < parameters["alpha"] < 1.0:
                 raise ConfigError("alpha must lie in (0, 1)")
 
-        abs_tol = float(merged["abs_tol"])
-        rel_tol = float(merged["rel_tol"])
-        if abs_tol <= 0.0 or rel_tol <= 0.0:
+        if merged["abs_tol"] <= 0.0 or merged["rel_tol"] <= 0.0:
             raise ConfigError("integrator tolerances must be positive")
-        coarse = float(merged["coarse_factor"])
-        if mode == "tolerance" and not coarse > 1.0:
+        if mode == "tolerance" and not merged["coarse_factor"] > 1.0:
             raise ConfigError(
                 "coarse_factor must exceed 1 for tolerance differencing")
-        cells = int(merged["cells_per_alpha"])
-        if cells < 4:
+        if merged["cells_per_alpha"] < 4:
             raise ConfigError("cells_per_alpha must be at least 4")
-        weak_tol = float(merged["weak_tol"])
-        if not weak_tol > 0.0:
+        if not merged["weak_tol"] > 0.0:
             raise ConfigError("weak_tol must be positive")
 
         seed = seed_override if seed_override is not None \
@@ -389,18 +407,15 @@ class ScenarioConfig:
         if seed is None:
             raise ConfigError(
                 "a seed is required (config key \"seed\" or --seed)")
-        seed = int(seed)
 
-        resolution = int(merged["resolution"])
         field_params = {k: v for k, v in field_block.items() if k != "kind"}
         return ScenarioConfig(
             name=name, field_kind=field_block["kind"],
             field_params=field_params, density=dict(density),
-            horizon=horizon, time_points=time_points, resolution=resolution,
             quantization=quantization, difference_mode=mode,
-            cutoff_levels=levels, parameters=parameters, abs_tol=abs_tol,
-            rel_tol=rel_tol, coarse_factor=coarse, cells_per_alpha=cells,
-            seed=seed, weak_tol=weak_tol)
+            cutoff_levels=levels, parameters=parameters,
+            seed=_typed(int, seed, "seed"),
+            **{key: merged[key] for key in _CONFIG_NUMBERS})
 
 
 def load_config(path, seed_override=None):
@@ -457,8 +472,9 @@ class ScenarioResult:
 
 
 def _difference_measure(dimension, loc_fine, w_fine, loc_coarse, w_coarse):
-    # refined minus baseline; merging cancels bit-identical twins exactly,
-    # so a difference of equal clouds is the empty measure
+    # refined minus baseline; the merge sums each group of atoms within
+    # DEDUP_TOL, so twins cancel and a difference of equal clouds is the
+    # empty measure
     locations = np.vstack([loc_fine, loc_coarse])
     weights = np.concatenate([w_fine, -w_coarse])
     return measure_from_arrays(dimension, locations, weights, merge=True)

@@ -209,6 +209,14 @@ def test_reference_cost_clips_at_one():
         reference_cost(-0.1)
 
 
+@pytest.mark.parametrize("radius", [5e-324, 1e-310, 2.225073858507203e-309,
+                                    1e-307, 3e-305])
+def test_cost_near_the_underflow_threshold(radius):
+    # quad flagged these radii as bad integrand behavior, and 5e-324 gave 0
+    c = ConcaveCost(modulus_log(), 1e-6, 1.0)
+    assert c.cost(radius) == pytest.approx(radius / 1e-6, rel=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(delta=st.floats(min_value=1e-6, max_value=10.0),
        beta=st.floats(min_value=1e-3, max_value=100.0),

@@ -1,0 +1,41 @@
+"""The package imports only numpy, scipy, click and the standard library."""
+
+import ast
+import pathlib
+import re
+import sys
+
+import pytest
+
+ALLOWED = {"numpy", "scipy", "click"}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "charflow").glob("*.py"))
+
+
+def _imported_packages(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sources_import_only_the_declared_packages(path):
+    outside = {name for name in _imported_packages(path)
+               if name not in ALLOWED and name not in sys.stdlib_module_names}
+    assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_sources_are_found():
+    assert len(SOURCES) >= 10
+
+
+def test_pyproject_declares_only_the_allowed_packages():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
+             for spec in project["dependencies"]}
+    assert names <= ALLOWED, sorted(names - ALLOWED)

@@ -91,8 +91,7 @@ def test_cutoff_apply_reweights_and_drops():
 
 
 def test_cutoff_rejects_heavy_tails():
-    heavy = GrowthEnvelope(lambda r: (1.0 + np.asarray(r, dtype=float))**2,
-                           divergent_tail=False, name="quadratic")
+    heavy = GrowthEnvelope(lambda r: (1.0 + np.asarray(r, dtype=float))**2)
     with pytest.raises(CutoffError, match="tail"):
         build_cutoff(heavy, 1.0)
     with pytest.raises(CutoffError):

@@ -133,8 +133,7 @@ def test_envelope_violation_is_hard():
     # identity field with a lying envelope: speed |x| against cap 1
     lying = VectorFieldSpec(
         dimension=1, name="liar", evaluator=lambda t, p: p.copy(),
-        growth=GrowthEnvelope(lambda r: np.ones_like(r),
-                              divergent_tail=True, name="unit"),
+        growth=GrowthEnvelope(lambda r: np.ones_like(r)),
         modulus=modulus_linear(), growth_const=1.0,
         modulus_constants=((math.inf, 1.0),))
     evaluate_batch(lying, 0.0, np.array([[0.5]]))  # inside the cap: fine
@@ -145,8 +144,7 @@ def test_envelope_violation_is_hard():
 def test_modulus_constant_lookup_prefers_tight_radii():
     f = VectorFieldSpec(
         dimension=1, name="tiered", evaluator=lambda t, p: 0.0 * p,
-        growth=GrowthEnvelope(lambda r: np.ones_like(r),
-                              divergent_tail=True, name="unit"),
+        growth=GrowthEnvelope(lambda r: np.ones_like(r)),
         modulus=modulus_linear(), growth_const=1.0,
         modulus_constants=((1.0, 2.0), (math.inf, 5.0)))
     assert f.modulus_constant_for(0.5) == 2.0

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charflow import (AtomicSignedMeasure, MeasureError, balance_with_reservoir,
-                      cancel_colocated_pair, empty_measure, jordan_decompose,
-                      make_measure, measure_from_arrays)
+                      empty_measure, jordan_decompose, make_measure,
+                      measure_from_arrays)
+from charflow.measures import DEDUP_TOL
 
 
 def test_totals_on_a_small_cloud():
@@ -71,13 +72,64 @@ def test_jordan_split_reproduces_the_input():
     assert not shared
 
 
-def test_cancel_colocated_removes_shared_mass():
+def test_balance_cancels_shared_colocated_mass():
     mu = make_measure(1, [((0.0,), 0.5), ((1.0,), 0.25)])
     nu = make_measure(1, [((0.0,), 0.2), ((2.0,), 0.3)])
-    mu2, nu2 = cancel_colocated_pair(mu, nu)
-    assert mu2.atom_mass() == 0.55
-    assert nu2.atom_mass() == 0.3
-    assert all(tuple(loc) != (0.0,) for loc in nu2.locations)
+    pair = balance_with_reservoir(mu, nu)
+    assert pair.mu.atom_mass() == 0.55
+    assert pair.nu.atom_mass() == 0.3
+    assert all(tuple(loc) != (0.0,) for loc in pair.nu.locations)
+
+
+def test_merge_joins_twins_that_a_third_atom_separates():
+    # (0, 1) sorts between the twins, which differ in the first coordinate
+    locs = [[0.0, 0.0], [0.0, 1.0], [DEDUP_TOL / 2, 0.0]]
+    m = measure_from_arrays(2, locs, [0.25, 0.5, -0.25])
+    assert m.atom_count == 1
+    assert m.locations.tolist() == [[0.0, 1.0]]
+    assert m.weights.tolist() == [0.5]
+
+
+def test_merge_joins_a_chain_at_its_first_atom():
+    a, b, c = 1.0, 1.0 + 0.9 * DEDUP_TOL, 1.0 + 1.8 * DEDUP_TOL
+    assert c - a > DEDUP_TOL  # only the chain joins the ends
+    weights = [0.1, 0.2, 0.3]
+    m = measure_from_arrays(1, [[c], [a], [b]], [weights[2], weights[0],
+                                                 weights[1]])
+    assert m.locations.tolist() == [[a]]
+    assert m.weights.tolist() == [math.fsum(weights)]
+    pm = measure_from_arrays(1, [[a], [b], [c], [5.0]],
+                             [0.25, 0.5, -0.75, 0.125])
+    assert pm.locations.tolist() == [[5.0]]
+    assert pm.weights.tolist() == [0.125]
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1, 3.0]),
+                      min_size=1, max_size=12),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_merge_groups_are_the_chains_of_close_atoms(steps, seed):
+    """Brute-force check of the rule on clustered 2-D atoms."""
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum([0.0, *steps]) * DEDUP_TOL
+    locs = np.stack([xs, rng.choice([0.0, 0.5 * DEDUP_TOL, 1.0],
+                                    size=len(xs))], axis=1)
+    order = rng.permutation(len(xs))
+    weights = rng.integers(1, 9, size=len(xs)) / 8.0
+    m = measure_from_arrays(2, locs[order], weights[order])
+    close = np.max(np.abs(locs[:, None] - locs[None]), axis=2) <= DEDUP_TOL
+    group = np.arange(len(xs))
+    for _ in range(len(xs)):
+        group = np.min(np.where(close, group[None, :], len(xs)), axis=1)
+    want = sorted((min(map(tuple, locs[group == g])),
+                   math.fsum(weights[group == g])) for g in set(group.tolist()))
+    assert [(tuple(loc), w) for loc, w in zip(m.locations, m.weights)] == want
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_merge_rejects_nonfinite_locations(bad):
+    with pytest.raises(MeasureError, match="finite"):
+        measure_from_arrays(1, [[0.0], [bad]], [0.5, 0.5])
 
 
 def test_balance_attaches_reservoir_to_the_light_side():

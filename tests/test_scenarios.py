@@ -16,7 +16,10 @@ from charflow.scenarios import (ScenarioConfig, builtin_config, builtin_names,
                                 build_field, convergence_study,
                                 density_from_config, load_config,
                                 quantize_density, run_scenario, selftest)
+from charflow import scenarios
+from charflow.measures import DEDUP_TOL
 from charflow.scenarios import _SNAP_GRAIN, _snap_unit_weights
+from charflow.scenarios import _difference_measure as difference_measure
 
 MICRO = {
     "name": "micro_spin",
@@ -267,6 +270,28 @@ def test_canned_run_certifies_the_first_term(tmp_path):
     assert summary["invariants"]["levels"]["2"]["first_term"] is True
 
 
+def test_canned_osgood_disc_differences_hold_no_colocated_atoms(
+        tmp_path, monkeypatch):
+    # the grid twins of osgood_disc sit within DEDUP_TOL of each other with
+    # a third atom between them in lexicographic order
+    diffs = []
+
+    def record(*args):
+        diffs.append(difference_measure(*args))
+        return diffs[-1]
+
+    monkeypatch.setattr(scenarios, "_difference_measure", record)
+    result = run_scenario(ScenarioConfig.from_dict(builtin_config(
+        "osgood_disc")), tmp_path)
+    assert result.exit_code == 0
+    assert len(diffs) == 5
+    for diff in diffs:
+        locs = diff.locations
+        gaps = np.max(np.abs(locs[:, None, :] - locs[None, :, :]), axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min(initial=np.inf) > DEDUP_TOL
+
+
 def test_failed_invariant_exits_one(tmp_path):
     result = run_scenario(micro_config(weak_tol=1e-15), tmp_path)
     assert result.exit_code == 1
@@ -377,6 +402,23 @@ def test_cli_bad_config_exits_two_with_record(tmp_path):
     record = json.loads((out / "broken_error.json").read_text())
     assert record["error"] == "ConfigError"
     assert "banana" in record["message"]
+
+
+@pytest.mark.parametrize("patch, key", [
+    ({"horizon": "soon"}, "horizon"),
+    ({"time_points": [3]}, "time_points"),
+    ({"field": {"kind": "linear", "matrix": "identity"}}, "matrix"),
+    ({"density": {"kind": "ring", "radius": "wide"}}, "radius"),
+])
+def test_cli_config_value_of_the_wrong_type_exits_two_with_record(
+        tmp_path, patch, key):
+    cfg = _write_config(tmp_path, {**LINE, **patch}, name="typed.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["run", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    record = json.loads((out / "typed_error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert repr(key) in record["message"]
 
 
 def test_cli_runtime_failure_exits_three_with_record(tmp_path):
