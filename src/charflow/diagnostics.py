@@ -23,7 +23,7 @@ import scipy.optimize
 from .costs import KnotTable, gauss_legendre, saturation_integral
 from .errors import CutoffError, MollifierError, ScheduleError
 from .fields import (evaluate_batch, plateau_bump, plateau_bump_derivative,
-                     smooth_step, smooth_step_derivative)
+                     row_norms, smooth_step, smooth_step_derivative)
 from .measures import balance_with_reservoir, jordan_decompose, \
     measure_from_arrays
 from .transport import solve_ot
@@ -85,9 +85,7 @@ class CutoffFamily:
 
     def apply(self, measure):
         """Reweight an atomic measure by the cutoff (drops far atoms)."""
-        radii = np.linalg.norm(measure.locations, axis=1) \
-            if measure.atom_count else np.zeros(0)
-        return measure.scaled_weights(self.value(radii))
+        return measure.scaled_weights(self.value(row_norms(measure.locations)))
 
 
 def build_cutoff(growth, k):
@@ -278,7 +276,7 @@ def variation_integrals(snapshots, radius):
     tails = []
     for _, m in snapshots:
         totals.append(m.total_variation())
-        radii = np.linalg.norm(m.locations, axis=1)
+        radii = row_norms(m.locations)
         far = np.abs(m.weights[radii >= radius])
         tails.append(math.fsum([*far, abs(m.reservoir_weight)]))
 
@@ -438,7 +436,7 @@ def _spatial_tests(points, r_in, r_out):
     """(g, grad g) at the points for the three spatial tests: a compactly
     supported plateau, and the plateau times x_1 and times |x|^2, so the
     residual probes transport, not just mass."""
-    r = np.linalg.norm(points, axis=1)
+    r = row_norms(points)
     plateau = plateau_bump(r, r_in, r_out)
     safe = np.where(r > 0.0, r, 1.0)
     plateau_grad = (plateau_bump_derivative(r, r_in, r_out)[:, None]
@@ -475,7 +473,7 @@ def weak_solution_residual(field, snapshots):
     for _, m in snapshots:
         if m.atom_count:
             radius = max(radius, float(np.max(
-                np.linalg.norm(m.locations, axis=1))))
+                row_norms(m.locations))))
     r_in = 0.6 * radius
     r_out = 1.2 * radius + 1e-6
 

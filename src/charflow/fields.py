@@ -167,6 +167,21 @@ class VectorFieldSpec:
             f"radius {radius:g}")
 
 
+def row_norms(a):
+    """Euclidean norm of each row of an (N, n) array.
+
+    Sums the squares one column at a time, which is several times faster
+    than ``np.linalg.norm(a, axis=1)``: numpy's axis-1 reduction runs one
+    short inner loop per row.  Through n = 7 the bits equal numpy's; from
+    n = 8 on numpy sums in pairwise blocks and may differ by an ulp.
+    """
+    a = np.asarray(a, dtype=float)
+    total = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        total += a[:, j] * a[:, j]
+    return np.sqrt(total)
+
+
 def _declared(*pairs):
     return tuple(sorted(((float(r), float(c)) for r, c in pairs),
                         key=lambda rc: rc[0]))
@@ -188,9 +203,9 @@ def evaluate_batch(field, t, points):
         raise FieldError(
             f"field '{field.name}' returned a non-finite velocity at "
             f"{points[bad].tolist()} (t={t:g})")
-    speeds = np.linalg.norm(velocities, axis=1)
+    speeds = row_norms(velocities)
     caps = field.growth_const * np.asarray(
-        field.growth(np.linalg.norm(points, axis=1)), dtype=float)
+        field.growth(row_norms(points)), dtype=float)
     over = speeds > caps * (1.0 + _ENVELOPE_SLACK)
     if np.any(over):
         bad = int(np.argmax(over))

@@ -8,6 +8,15 @@ work).  Atoms that drift within ``freeze_radius`` of a declared singular
 point are frozen in place for the rest of the segment: past that distance
 the field is below every useful modulus scale and chasing it only burns
 steps.
+
+Frozen atoms leave the field evaluation: each stage evaluates the field on
+the live rows only and gives the frozen rows velocity 0, while the stepper
+itself keeps working on the full arrays.  Every velocity the stepper uses is
+therefore either checked against the growth envelope by ``evaluate_batch``
+or exactly 0, which no envelope can break.  An atom that freezes during a
+push had its point checked at the step where it froze; it never moves again
+and no catalog field depends on t, so each dropped check would only repeat
+one already made.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowError
-from .fields import evaluate_batch
+from .fields import evaluate_batch, row_norms
 from .measures import measure_from_arrays
 
 # Dormand-Prince 5(4) tableau.  Row seven equals the fifth-order weights:
@@ -101,13 +110,23 @@ def _initial_step(rhs, t0, y0, f0, direction, span, opts):
 
 
 def _freeze_mask(points, singular_points, radius):
-    if not len(singular_points):
-        return np.zeros(len(points), dtype=bool)
     mask = np.zeros(len(points), dtype=bool)
     for p in singular_points:
-        mask |= (np.linalg.norm(points - np.asarray(p, dtype=float), axis=1)
-                 <= radius)
+        mask |= row_norms(points - np.asarray(p, dtype=float)) <= radius
     return mask
+
+
+def _velocities(field, t, state, live):
+    """Field velocities at the rows ``live`` of state, and 0 at the others.
+
+    A row's value does not depend on the batch it is evaluated in, so the
+    live rows get the bits a full evaluation would give them.
+    """
+    if len(live) == len(state):
+        return evaluate_batch(field, t, state)
+    vel = np.zeros_like(state)
+    vel[live] = evaluate_batch(field, t, state[live])
+    return vel
 
 
 def _advance(field, points, t0, t1, opts, record):
@@ -123,12 +142,10 @@ def _advance(field, points, t0, t1, opts, record):
 
     direction = 1.0 if t1 > t0 else -1.0
     frozen = _freeze_mask(y, field.singular_points, opts.freeze_radius)
+    live = np.flatnonzero(~frozen)  # rebuilt only when frozen grows
 
     def rhs(t, state):
-        vel = evaluate_batch(field, t, state)
-        if frozen.any():
-            vel[frozen] = 0.0
-        return vel
+        return _velocities(field, t, state, live)
 
     t = t0
     f_first = rhs(t, y)
@@ -161,8 +178,9 @@ def _advance(field, points, t0, t1, opts, record):
             y = y_new
             k[0] = k[6]
             newly = _freeze_mask(y, field.singular_points, opts.freeze_radius)
-            if newly.any() and not np.array_equal(newly | frozen, frozen):
+            if np.any(newly & ~frozen):
                 frozen |= newly
+                live = np.flatnonzero(~frozen)
                 k[0] = rhs(t, y)
             if record:
                 history.append((t, y.copy(), h, err))

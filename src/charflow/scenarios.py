@@ -22,9 +22,9 @@ from .diagnostics import (MollifierSpec, Schedule, build_cutoff, build_mu_nu,
                           costestimate_bound, D_functional, mollify,
                           parameter_schedule, variation_integrals,
                           weak_solution_residual)
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from .fields import (FIELD_CATALOG, growth_affine, modulus_linear,
-                     rotation_field)
+                     rotation_field, row_norms)
 from .fileio import atomic_write_text, write_table
 from .flow import FlowOptions, flow_map, integrate_flow
 from .measures import (balance_with_reservoir, jordan_decompose,
@@ -105,7 +105,7 @@ def _ring_density(params):
     reach = radius + 4.0 * width
 
     def pdf(points):
-        r = np.linalg.norm(points, axis=1)
+        r = row_norms(points)
         return np.exp(-((r - radius) ** 2) / (2.0 * width * width))
 
     return DensityField(2, np.array([-reach, -reach]),
@@ -270,8 +270,11 @@ def build_field(kind, params):
             return FIELD_CATALOG[kind](
                 _typed(_array, params.get("velocity", (1.0,)), "velocity"))
         if kind == "linear":
-            return FIELD_CATALOG[kind](
-                _typed(_array, params["matrix"], "matrix"))
+            matrix = _typed(_array, params["matrix"], "matrix")
+            try:
+                return FIELD_CATALOG[kind](matrix)
+            except FieldError as err:
+                raise ConfigError(f"config key 'matrix': {err}") from None
         if kind == "rotation":
             return FIELD_CATALOG[kind]()
         if "modulus_constant" in params:
@@ -436,10 +439,15 @@ def _initial_atoms(config, resolution, salt):
         atoms = block.get("atoms")
         if not atoms:
             raise ConfigError("explicit atoms list is empty")
-        locations = np.asarray([entry[0] for entry in atoms], dtype=float)
+        try:
+            locations = np.asarray([entry[0] for entry in atoms], dtype=float)
+            weights = np.asarray([entry[1] for entry in atoms], dtype=float)
+        except (LookupError, TypeError, ValueError):
+            raise ConfigError(
+                "config key 'atoms' needs [location, weight] entries") \
+                from None
         if locations.ndim == 1:
             locations = locations[:, None]
-        weights = np.asarray([entry[1] for entry in atoms], dtype=float)
         if np.any(weights == 0.0) or not np.all(np.isfinite(weights)):
             raise ConfigError("explicit atom weights must be finite nonzero")
         return locations, weights

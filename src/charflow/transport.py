@@ -29,7 +29,7 @@ from scipy.spatial.distance import cdist
 
 from .costs import reference_cost
 from .errors import ComparisonBoundError, CostRangeError, TransportError
-from .fields import evaluate_batch
+from .fields import evaluate_batch, row_norms
 
 DIAMOND = -1  # entry index marking the absorbing point
 
@@ -425,7 +425,7 @@ def _check_slackness(plan, potential, cost):
     real = (rows != DIAMOND) & (cols != DIAMOND)
     if np.any(real):
         gaps = plan.mu_locations[rows[real]] - plan.nu_locations[cols[real]]
-        costs[real] = cost.cost_many(np.linalg.norm(gaps, axis=1))
+        costs[real] = cost.cost_many(row_norms(gaps))
     bad = np.abs(drops - costs) > _SLACK_TOL * (1.0 + np.abs(costs))
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -751,7 +751,7 @@ def firstterm_estimate(field, t, plan, cost, const):
     entries = entries[(entries[:, 0] != DIAMOND) & (entries[:, 1] != DIAMOND)]
     rows, cols = entries[:, 0].astype(int), entries[:, 1].astype(int)
     gaps = plan.mu_locations[rows] - plan.nu_locations[cols]
-    dists = np.linalg.norm(gaps, axis=1)
+    dists = row_norms(gaps)
     live = dists > 0.0
     if not np.any(live):
         return 0.0, 0.0

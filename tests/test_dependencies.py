@@ -1,4 +1,5 @@
-"""The package imports only numpy, scipy, click and the standard library."""
+"""Source guards: the package imports only numpy, scipy, click and the
+standard library, and ``fields.row_norms`` is its only per-row norm."""
 
 import ast
 import pathlib
@@ -39,3 +40,27 @@ def test_pyproject_declares_only_the_allowed_packages():
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
              for spec in project["dependencies"]}
     assert names <= ALLOWED, sorted(names - ALLOWED)
+
+
+def _row_norm_calls(source):
+    """Line numbers of ``np.linalg.norm`` calls given an axis."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                ast.unparse(node.func).endswith("linalg.norm") and \
+                (len(node.args) > 2 or
+                 any(k.arg == "axis" for k in node.keywords)):
+            yield node.lineno
+
+
+def test_row_norm_guard_finds_axis_calls():
+    sample = ("r = np.linalg.norm(a, axis=1)\n"
+              "s = numpy.linalg.norm(a, None, 0)\n"
+              "n = np.linalg.norm(matrix, 2)\n")
+    assert list(_row_norm_calls(sample)) == [1, 2]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_row_norms_have_one_owner(path):
+    # fields.row_norms gives numpy's bits several times faster
+    lines = list(_row_norm_calls(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}:{lines} use np.linalg.norm with an axis"

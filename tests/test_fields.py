@@ -13,7 +13,7 @@ from charflow import (EnvelopeViolation, FieldError, GrowthEnvelope,
                       osgood_1d_field, osgood_plane_field,
                       nonosgood_plane_field, plateau_bump, rotation_field,
                       smooth_step, smooth_step_derivative)
-from charflow.fields import FIELD_CATALOG
+from charflow.fields import FIELD_CATALOG, row_norms
 
 
 # -- smooth glue -------------------------------------------------------------
@@ -259,3 +259,69 @@ def test_estimate_is_nondecreasing_in_sample_count():
     small = _empirical_modulus_constant(f, 1.5, 2, 500, seed=8)
     large = _empirical_modulus_constant(f, 1.5, 2, 2000, seed=8)
     assert large >= small
+
+
+# -- row values: what the flow's live-row evaluation relies on ----------------
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_norms_match_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3000, n)) * 10.0 ** rng.uniform(-320, 300,
+                                                             (3000, n))
+    a[::6] = 0.0
+    a[1::6, 0] = 0.0
+    a[2::6] = rng.uniform(-1.0, 1.0, (500, n)) * 2.0 ** -1060  # subnormal
+    a[3::6] *= 1e-160  # squares near and below the smallest normal
+    a[4::6, -1] = 1e200  # the square overflows to inf
+    with np.errstate(over="ignore", under="ignore"):
+        got = row_norms(a)
+        want = np.linalg.norm(a, axis=1)
+    assert np.isinf(got).any() and (got == 0.0).any()
+    assert got.tobytes() == want.tobytes()
+    assert row_norms(np.zeros((0, n))).shape == (0,)
+
+
+def _probe_points(dimension):
+    """67 points through every branch of the catalog: the singular point and
+    its freeze radius, the smooth margins and truncations, and far out."""
+    rng = np.random.default_rng(5)
+    if dimension == 1:
+        special = [0.0, 1e-9, 5e-4, 1e-3, 0.5, 1.0 - 5e-4, 1.0, -0.3, 1.7]
+        x = np.concatenate([special,
+                            rng.uniform(-0.5, 1.5, 67 - len(special))])
+        return x[:, None]
+    special = [0.0, 1e-9, 1e-5, 0.25, 0.4, 0.5, 0.9]
+    r = np.concatenate([special, rng.uniform(0.0, 0.6, 67 - len(special))])
+    theta = rng.uniform(0.0, 2.0 * math.pi, 67)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+# The flow evaluates a subset of a batch only once atoms freeze, which needs a
+# singular point, so only fields with one are listed.  ``linear`` has none
+# and may give a 1-row batch other bits (its matrix product takes another
+# BLAS path there).
+_FREEZING = sorted(name for name, build in _CATALOG_INSTANCES.items()
+                   if build().singular_points)
+
+
+@pytest.mark.parametrize("name", _FREEZING)
+def test_catalog_rows_do_not_depend_on_their_batch(name):
+    # each row keeps its bits at every batch size and every position in the
+    # batch, which SIMD tails could break
+    f = _CATALOG_INSTANCES[name]()
+    pts = _probe_points(f.dimension)
+    full = f.evaluator(0.0, pts)
+    count = len(pts)
+    for size in range(1, count + 1):
+        for shift in range(count):
+            rows = (shift + np.arange(size)) % count
+            assert f.evaluator(0.0, pts[rows]).tobytes() == \
+                full[rows].tobytes(), (size, shift)
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CATALOG))
+def test_catalog_fields_do_not_depend_on_t(name):
+    f = _CATALOG_INSTANCES[name]()
+    pts = _probe_points(f.dimension)
+    assert f.evaluator(0.0, pts).tobytes() == \
+        f.evaluator(0.73, pts).tobytes()

@@ -421,6 +421,22 @@ def test_cli_config_value_of_the_wrong_type_exits_two_with_record(
     assert repr(key) in record["message"]
 
 
+@pytest.mark.parametrize("patch, key", [
+    ({"density": {"kind": "atoms", "atoms": [[[0.5]]]}}, "atoms"),
+    ({"field": {"kind": "linear", "matrix": [[1.0, 2.0]]}}, "matrix"),
+])
+def test_cli_malformed_config_value_exits_two_with_record(tmp_path, patch,
+                                                          key):
+    # an atom without its weight, a matrix that is not square
+    cfg = _write_config(tmp_path, {**LINE, **patch}, name="shape.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["run", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    record = json.loads((out / "shape_error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert repr(key) in record["message"]
+
+
 def test_cli_runtime_failure_exits_three_with_record(tmp_path):
     # tolerances this tight stall the step controller into underflow
     doc = {**MICRO, "abs_tol": 1e-300, "rel_tol": 1e-300}

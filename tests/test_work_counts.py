@@ -10,13 +10,16 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import charflow.diagnostics as diagnostics
+import charflow.flow as flow
 import charflow.scenarios as scenarios
 import charflow.transport as transport
-from charflow import (AtomicSignedMeasure, ConcaveCost, MollifierSpec,
-                      ScheduleError, balance_with_reservoir, make_measure,
-                      measure_from_arrays, modulus_linear, modulus_log,
-                      modulus_loglog_squared, mollify, parameter_schedule,
-                      rotation_field, solve_ot, weak_solution_residual)
+from charflow import (AtomicSignedMeasure, ConcaveCost, FlowOptions,
+                      MollifierSpec, ScheduleError, balance_with_reservoir,
+                      make_measure, measure_from_arrays, modulus_linear,
+                      modulus_log, modulus_loglog_squared, mollify,
+                      osgood_plane_field, parameter_schedule, rotation_field,
+                      solve_ot, weak_solution_residual)
+from charflow.fields import row_norms
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import DIAMOND
 
@@ -145,6 +148,48 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     assert len(snapshots) == config.time_points
     assert [variation_sums.get(id(m), 0) for m in snapshots] == \
         [levels] * config.time_points
+
+
+def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
+    """Once atoms freeze, evaluate_batch receives only the live rows, and the
+    endpoints keep the bits of the old rule: evaluate the full batch, then
+    zero the frozen rows."""
+    field = osgood_plane_field()
+    radii = np.array([0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.45, 0.6])
+    angles = np.linspace(0.3, 5.9, len(radii))
+    points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    times = [0.0, 0.25, 0.5, 1.0]
+    opts = FlowOptions(abs_tol=1e-9, rel_tol=1e-7)
+    calls = []  # (state, frozen rows) at each call of the old rule
+
+    def old_rule(field, t, state, live):
+        frozen = np.ones(len(state), dtype=bool)
+        frozen[live] = False
+        calls.append((state.copy(), frozen))
+        vel = flow.evaluate_batch(field, t, state)
+        vel[frozen] = 0.0
+        return vel
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_velocities", old_rule)
+        reference = flow.flow_map(field, points, times, opts)
+
+    batches = []
+
+    def recorded(field, t, points, _original=flow.evaluate_batch):
+        batches.append(points.copy())
+        return _original(field, t, points)
+
+    monkeypatch.setattr(flow, "evaluate_batch", recorded)
+    frames = flow.flow_map(field, points, times, opts)
+    assert frames.tobytes() == reference.tobytes()
+    assert len(batches) == len(calls)
+    for batch, (state, frozen) in zip(batches, calls):
+        assert batch.tobytes() == state[~frozen].tobytes()
+    # the atom at the origin starts frozen, and six more freeze on the way
+    assert all(frozen[0] for _, frozen in calls)
+    assert np.sum(row_norms(frames[-1]) <= opts.freeze_radius) == 7
+    assert min(len(batch) for batch in batches) == len(points) - 7
 
 
 def test_weak_residual_evaluates_the_field_once_per_snapshot(monkeypatch):
