@@ -242,7 +242,15 @@ def linear_field(matrix):
     norm = float(np.linalg.norm(matrix, 2))
 
     def ev(t, pts):
-        return pts @ matrix.T
+        # column passes, as in row_norms: a matrix product may take another
+        # BLAS path for a 1-row batch and change a row's last bit
+        out = np.empty((len(pts), n))
+        for i in range(n):
+            total = pts[:, 0] * matrix[i, 0]
+            for j in range(1, n):
+                total += pts[:, j] * matrix[i, j]
+            out[:, i] = total
+        return out
 
     return VectorFieldSpec(
         dimension=n, name="linear", evaluator=ev,

@@ -11,7 +11,12 @@ Two independent solvers are kept deliberately separate:
 
 * :func:`solve_ot` runs a primal transportation simplex (tree basis,
   Dantzig pricing with a Bland fallback) and recovers the single dual
-  potential from the optimal tree.
+  potential from the optimal tree.  The basis tree, the potentials and the
+  reduced costs persist across pivots; a pivot re-hangs only the subtree
+  that its leaving arc cuts off, and recomputes only that subtree's
+  potentials and its rows and columns of reduced costs.  Each potential is
+  recomputed from its parent arc as a fresh walk from the root would, so
+  the prices are exact at every pivot, not only after a final recompute.
 * :func:`brute_force_ot` never touches that code path: tiny instances are
   settled by enumerating every spanning-tree basis, slightly larger ones by
   successive shortest augmenting paths.  It is the cross-check, so it shares
@@ -40,12 +45,13 @@ _SLACK_TOL = 1e-9
 @dataclass(frozen=True)
 class TransportPlan:
     """Optimal coupling as sparse entries (i, j, mass); index -1 is the
-    absorbing point."""
+    absorbing point.  ``pivots`` counts the simplex pivots of the solve."""
 
     entries: tuple
     primal_value: float
     mu_locations: np.ndarray
     nu_locations: np.ndarray
+    pivots: int
 
 
 @dataclass(frozen=True)
@@ -227,12 +233,22 @@ def _least_cost_start(supplies, demands, costs):
     return flows
 
 
-def _tree_potentials(adj, costs, m, n):
+def _tree_potentials(arcs, costs, m, n):
     """Potentials u_i + v_j = costs[i, j] on the basis tree rooted at row 0,
-    and each node's parent in that tree (-1 at the root)."""
+    and each node's parent (-1 at the root) and depth in that tree.
+
+    Each potential is its parent's subtracted from the cost of the arc
+    between them, so the values depend on the tree alone, not on the order
+    of the walk.
+    """
+    adj = [[] for _ in range(m + n)]
+    for (i, j) in arcs:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
     u = np.zeros(m)
     v = np.zeros(n)
     parent = [-2] * (m + n)
+    depth = [0] * (m + n)
     parent[0] = -1
     stack = [0]
     while stack:
@@ -241,6 +257,7 @@ def _tree_potentials(adj, costs, m, n):
             if parent[q] != -2:
                 continue
             parent[q] = p
+            depth[q] = depth[p] + 1
             if p < m:
                 v[q - m] = costs[p, q - m] - u[p]
             else:
@@ -248,20 +265,19 @@ def _tree_potentials(adj, costs, m, n):
             stack.append(q)
     if -2 in parent:
         raise TransportError("basis lost connectivity")
-    return u, v, parent
+    return u, v, parent, depth
 
 
-def _tree_path(parent, start, goal):
-    """The unique tree path from start to goal, both endpoints included:
-    climb from start to the first ancestor of goal, then descend to goal."""
-    up = [goal]
-    while parent[up[-1]] != -1:
-        up.append(parent[up[-1]])
-    steps_above_goal = {node: i for i, node in enumerate(up)}
-    path = [start]
-    while path[-1] not in steps_above_goal:
-        path.append(parent[path[-1]])
-    return path + up[:steps_above_goal[path[-1]]][::-1]
+def _entering_cell(red, enter_tol, bland):
+    """The cell that enters the basis, or None when none prices below
+    -enter_tol: the most negative reduced cost (Dantzig's rule, first in
+    row-major order on ties), or under Bland's rule the first offender in
+    row-major order."""
+    if bland:
+        offenders = np.argwhere(red < -enter_tol)
+        return tuple(map(int, offenders[0])) if len(offenders) else None
+    i, j = divmod(int(np.argmin(red)), red.shape[1])
+    return (i, j) if red[i, j] < -enter_tol else None
 
 
 def _network_simplex(supplies, demands, costs):
@@ -270,13 +286,33 @@ def _network_simplex(supplies, demands, costs):
     Returns (flows, u, v, pivots) with u_i + v_j = costs[i, j] on the final
     basis.  Dantzig pricing normally; a run of degenerate pivots switches to
     Bland's rule, which cannot cycle.
+
+    The basis tree (parent, depth and children of each node, rooted at row
+    0), the potentials and the reduced-cost matrix persist across pivots,
+    seeded by one :func:`_tree_potentials` walk.  The cycle of an entering
+    arc is found by climbing depths from both endpoints.  The leaving arc
+    cuts a subtree off the root; the parent pointers from the entering
+    endpoint up to the cut are reversed, the subtree is re-hung from the
+    entering arc, and only its nodes get new depths and potentials, and
+    only its rows and columns are repriced.  Each new potential is its new
+    parent's subtracted from the arc cost, top-down, which is the
+    arithmetic of a fresh walk over the whole tree: the potentials and
+    reduced costs stay exact, bit for bit, so no pivot acts on drifted
+    prices and the final u and v equal a fresh walk's.
     """
     m, n = len(supplies), len(demands)
+    costs = np.ascontiguousarray(costs)  # flat cell indices are row-major
     flows = _least_cost_start(supplies, demands, costs)
-    adj = {node: set() for node in range(m + n)}
-    for (i, j) in flows:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
+    u, v, parent, depth = _tree_potentials(flows, costs, m, n)
+    children = [set() for _ in range(m + n)]
+    for node in range(1, m + n):
+        children[parent[node]].add(node)
+    # u_i for rows, then v_j for columns, as Python floats for the walks
+    pot = u.tolist() + v.tolist()
+    red = costs - u[:, None] - v[None, :]
+    costs_t = np.ascontiguousarray(costs.T)  # contiguous column reads
+    rows, cols = zip(*flows)
+    red[rows, cols] = np.inf
 
     total = math.fsum(supplies)
     enter_tol = 1e-12 * (1.0 + float(np.max(np.abs(costs))))
@@ -286,24 +322,24 @@ def _network_simplex(supplies, demands, costs):
     degenerate_run = 0
 
     for pivot in range(pivot_cap):
-        u, v, parent = _tree_potentials(adj, costs, m, n)
-        reduced = costs - u[:, None] - v[None, :]
-        rows, cols = zip(*flows)
-        reduced[rows, cols] = np.inf
-        if bland:
-            offenders = np.argwhere(reduced < -enter_tol)
-            if len(offenders) == 0:
-                return flows, u, v, pivot
-            ei, ej = map(int, offenders[0])
-        else:
-            flat = int(np.argmin(reduced))
-            ei, ej = divmod(flat, n)
-            if reduced[ei, ej] >= -enter_tol:
-                return flows, u, v, pivot
+        entering = _entering_cell(red, enter_tol, bland)
+        if entering is None:
+            return flows, u, v, pivot
+        ei, ej = entering
 
-        # closed walk: entering arc, then the unique tree path back;
+        # the tree paths from both endpoints up to where they join
+        side_col, side_row = [m + ej], [ei]
+        while depth[side_col[-1]] > depth[side_row[-1]]:
+            side_col.append(parent[side_col[-1]])
+        while depth[side_row[-1]] > depth[side_col[-1]]:
+            side_row.append(parent[side_row[-1]])
+        while side_col[-1] != side_row[-1]:
+            side_col.append(parent[side_col[-1]])
+            side_row.append(parent[side_row[-1]])
+
+        # closed walk: entering arc, then the tree path back to the row;
         # row-to-column hops gain mass, column-to-row hops lose it
-        walk = [ei] + _tree_path(parent, m + ej, ei)
+        walk = [ei] + side_col + side_row[-2::-1]
         plus, minus = [], []
         for p, q in zip(walk[:-1], walk[1:]):
             if p < m:
@@ -318,11 +354,59 @@ def _network_simplex(supplies, demands, costs):
         for arc in minus:
             flows[arc] = max(flows[arc] - theta, 0.0)
         del flows[leaving]
-        adj[leaving[0]].discard(m + leaving[1])
-        adj[m + leaving[1]].discard(leaving[0])
         flows.setdefault((ei, ej), 0.0)
-        adj[ei].add(m + ej)
-        adj[m + ej].add(ei)
+
+        # the leaving arc's lower node heads the subtree cut off the root;
+        # the entering endpoint on that side becomes the subtree's new head
+        cut = leaving[0] if parent[leaving[0]] == m + leaving[1] \
+            else m + leaving[1]
+        if cut in side_col:
+            side, outer = side_col, ei
+        else:
+            side, outer = side_row, m + ej
+        children[parent[cut]].discard(cut)
+        reversed_path = side[:side.index(cut) + 1]
+        for lower, upper in zip(reversed_path[:-1], reversed_path[1:]):
+            children[upper].discard(lower)
+            children[lower].add(upper)
+            parent[upper] = lower
+        head = reversed_path[0]
+        parent[head] = outer
+        children[outer].add(head)
+
+        # new depths and potentials down the subtree, each from the arc to
+        # its node's parent, whose flat cell index joins ``basic``
+        sub_rows, sub_cols, basic = [], [], []
+        stack = [head]
+        while stack:
+            q = stack.pop()
+            p = parent[q]
+            depth[q] = depth[p] + 1
+            if q < m:
+                cell = q * n + p - m
+                sub_rows.append(q)
+            else:
+                cell = p * n + q - m
+                sub_cols.append(q - m)
+            pot[q] = costs.item(cell) - pot[p]
+            basic.append(cell)
+            stack.extend(children[q])
+
+        rows_at = np.array(sub_rows, dtype=np.intp)
+        cols_at = np.array(sub_cols, dtype=np.intp)
+        u[rows_at] = [pot[i] for i in sub_rows]
+        v[cols_at] = [pot[m + j] for j in sub_cols]
+        if sub_rows:
+            block = costs[rows_at]
+            block -= u[rows_at, None]
+            block -= v
+            red[rows_at] = block
+        if sub_cols:
+            block = costs_t[cols_at]
+            block -= u
+            block -= v[cols_at, None]
+            red[:, cols_at] = block.T
+        red.reshape(-1)[basic] = np.inf
 
         if theta <= zero_theta:
             degenerate_run += 1
@@ -356,14 +440,14 @@ def solve_ot(pair, cost):
             raise TransportError("one-sided mass cannot be transported")
         plan = TransportPlan(entries=(), primal_value=0.0,
                              mu_locations=mu.locations,
-                             nu_locations=nu.locations)
+                             nu_locations=nu.locations, pivots=0)
         potential = DualPotential(
             mu_values=np.zeros(0), nu_values=np.zeros(0),
             nu_locations=np.zeros((0, mu.dimension)),
             include_diamond_base=common > 0.0, cost=cost)
         return plan, potential
 
-    flows, u, v, _ = _network_simplex(supplies, demands, ground)
+    flows, u, v, pivots = _network_simplex(supplies, demands, ground)
 
     # feasibility audit on the returned flows
     row_tot = np.zeros(len(supplies))
@@ -400,7 +484,7 @@ def solve_ot(pair, cost):
 
     plan = TransportPlan(entries=entries, primal_value=primal,
                          mu_locations=mu.locations,
-                         nu_locations=nu.locations)
+                         nu_locations=nu.locations, pivots=pivots)
 
     dual = potential.dual_value(mu, nu)
     if abs(primal - dual) > _GAP_TOL * (1.0 + abs(primal)):

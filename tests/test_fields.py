@@ -296,15 +296,7 @@ def _probe_points(dimension):
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-# The flow evaluates a subset of a batch only once atoms freeze, which needs a
-# singular point, so only fields with one are listed.  ``linear`` has none
-# and may give a 1-row batch other bits (its matrix product takes another
-# BLAS path there).
-_FREEZING = sorted(name for name, build in _CATALOG_INSTANCES.items()
-                   if build().singular_points)
-
-
-@pytest.mark.parametrize("name", _FREEZING)
+@pytest.mark.parametrize("name", sorted(FIELD_CATALOG))
 def test_catalog_rows_do_not_depend_on_their_batch(name):
     # each row keeps its bits at every batch size and every position in the
     # batch, which SIMD tails could break

@@ -8,6 +8,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import charflow.scenarios as scenarios
+import charflow.transport as transport
 from charflow import (ComparisonBoundError, ConcaveCost, TransportError,
                       balance_with_reservoir, brute_force_ot,
                       c_transform_extend, comparison_bound, firstterm_estimate,
@@ -17,7 +18,8 @@ from charflow import (ComparisonBoundError, ConcaveCost, TransportError,
                       rotation_field, solve_ot)
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import (DIAMOND, REFERENCE_COST, _assemble,
-                                _check_slackness, _least_cost_start)
+                                _check_slackness, _least_cost_start,
+                                _network_simplex, _tree_potentials)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,7 @@ def test_identical_clouds_cost_nothing(cost):
     pair = balance_with_reservoir(m, m)
     plan, _ = solve_ot(pair, cost)
     assert plan.primal_value == 0.0
+    assert plan.entries == () and plan.pivots == 0  # nothing left to ship
     assert reference_W(pair) == 0.0
 
 
@@ -170,7 +173,7 @@ def test_slackness_audit_passes_a_plan_with_dyadic_dust(cost):
 
 def test_tied_costs_exercise_the_anticycling_path(cost):
     # aligned lattices with uniform weights create many equal-cost arcs and
-    # fully degenerate pivots
+    # exhaust both ends of every greedy shipment at once
     xs = np.arange(5.0)[:, None]
     mu = measure_from_arrays(1, xs, np.full(5, 0.2))
     nu = measure_from_arrays(1, xs + 0.5, np.full(5, 0.2))
@@ -181,6 +184,97 @@ def test_tied_costs_exercise_the_anticycling_path(cost):
     # matching each atom to its right neighbor is optimal here
     assert plan.primal_value == pytest.approx(cost.cost(0.5), rel=1e-10)
     _assert_same_start(*_assemble(pair, cost)[:3])
+
+
+def _tied_lattice_pair(rng):
+    """1-7 atoms a side on a coarse lattice, so ground costs tie, with some
+    2^-40 masses; unequal totals put a reservoir on either side."""
+    dim = int(rng.integers(1, 3))
+    sides = []
+    for count in rng.integers(1, 8, size=2):
+        locations = 0.25 * rng.integers(0, 5, size=(count, dim))
+        weights = rng.uniform(0.1, 1.0, size=count)
+        weights[rng.random(count) < 0.25] = 2.0 ** -40
+        sides.append(measure_from_arrays(dim, locations, weights))
+    return balance_with_reservoir(*sides)
+
+
+def test_simplex_agrees_with_brute_force_on_tied_lattices(cost):
+    rng = np.random.default_rng(12)
+    reservoirs = {"mu": 0, "nu": 0}
+    for trial in range(200):
+        pair = _tied_lattice_pair(rng)
+        reservoirs["mu"] += pair.mu.reservoir_weight > 0.0
+        reservoirs["nu"] += pair.nu.reservoir_weight > 0.0
+        ground = cost if trial % 2 else REFERENCE_COST
+        plan, _ = solve_ot(pair, ground)
+        value, _ = brute_force_ot(pair, ground)
+        assert plan.primal_value == pytest.approx(value, rel=1e-10), trial
+    assert min(reservoirs.values()) > 50
+
+
+def _assert_exact_potentials(supplies, demands, costs):
+    """The potentials kept across pivots are those of a fresh walk over the
+    final basis, bit for bit: each node's is its tree arc's cost minus its
+    parent's, so u_i + v_j equals c_ij on every basic arc up to the rounding
+    of that one subtraction."""
+    m = len(supplies)
+    flows, u, v, pivots = _network_simplex(supplies, demands, costs)
+    fresh_u, fresh_v, parent, _ = _tree_potentials(flows, costs, m,
+                                                   len(demands))
+    assert u.tobytes() == fresh_u.tobytes()
+    assert v.tobytes() == fresh_v.tobytes()
+    potentials = np.concatenate([u, v])
+    for q, p in enumerate(parent):
+        if p >= 0:
+            arc = (q, p - m) if q < m else (p, q - m)
+            assert potentials[q] == costs[arc] - potentials[p]
+    rows, cols = np.array(list(flows)).T
+    basic = costs[rows, cols]
+    assert np.all(np.abs(u[rows] + v[cols] - basic) <= np.finfo(float).eps * (
+        np.abs(u[rows]) + np.abs(v[cols]) + np.abs(basic)))
+    return pivots
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kept_potentials_equal_a_fresh_walk_on_tied_instances(seed):
+    rng = np.random.default_rng(100 + seed)
+    m, n = (int(k) for k in rng.integers(10, 60, size=2))
+    assert _assert_exact_potentials(
+        *_random_instance(rng, m, n, dust=seed % 2)) > 0
+
+
+def test_kept_potentials_equal_a_fresh_walk_on_mollified_pairs(
+        mollified_pairs):
+    pivots = 0
+    for pair, cost in mollified_pairs:
+        if pair.mu.atom_count and pair.nu.atom_count:
+            pivots += _assert_exact_potentials(*_assemble(pair, cost)[:3])
+    assert pivots > 1000
+
+
+def test_degenerate_runs_switch_to_blands_rule(monkeypatch):
+    """Squared gaps between two aligned 12-atom lattices: the greedy start is
+    already the unique optimum (each atom to its right-hand neighbour), so
+    every pivot is degenerate and a run of m + n of them hands the choice of
+    the entering cell to Bland's rule."""
+    xs = np.arange(12.0)
+    costs = (xs[:, None] - xs[None, :] - 0.5) ** 2
+    masses = np.full(12, 1.0 / 12)
+    rules = []
+
+    def counted(red, enter_tol, bland, _original=transport._entering_cell):
+        rules.append(bland)
+        return _original(red, enter_tol, bland)
+
+    monkeypatch.setattr(transport, "_entering_cell", counted)
+    flows, _, _, pivots = _network_simplex(masses, masses, costs)
+    assert sum(rules) > 0 and len(rules) == pivots + 1
+    shipped = {arc for arc, q in flows.items() if q > 0.0}
+    assert shipped == {(k, k) for k in range(12)}
+    value = math.fsum(costs[arc] * q for arc, q in flows.items())
+    assert value == pytest.approx(0.25, rel=1e-12)
+    _assert_exact_potentials(masses, masses, costs)
 
 
 def test_plan_marginals_match(cost):

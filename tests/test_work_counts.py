@@ -63,6 +63,31 @@ def test_solve_ot_evaluates_each_distinct_distance_once(monkeypatch):
     assert batches == [distinct, real]
 
 
+def test_simplex_walks_the_whole_basis_tree_at_most_twice(monkeypatch):
+    """A pivot re-prices only the subtree that its leaving arc cuts off:
+    ``_tree_potentials`` walks the whole tree to seed the state, never once
+    per pivot, and the pivots stay those of the solver that did."""
+    rng = np.random.default_rng(4)
+    spec = MollifierSpec(0.02, 1)
+    mu, nu = (mollify(measure_from_arrays(1, rng.uniform(-1.0, 1.0, (20, 1)),
+                                          rng.uniform(0.1, 0.3, 20)), spec)
+              for _ in range(2))
+    pair = balance_with_reservoir(mu, nu)
+    assert (pair.mu.atom_count, pair.nu.atom_count) == (102, 116)
+    walks = []
+
+    def counted(*args, _original=transport._tree_potentials):
+        walks.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(transport, "_tree_potentials", counted)
+    plan, _ = solve_ot(pair, ConcaveCost(modulus_log(), 1e-3, 0.5))
+    assert 1 <= len(walks) <= 2
+    # 95 pivots when every pivot walked the whole tree and re-priced every
+    # cell
+    assert abs(plan.pivots - 95) <= 0.05 * 95
+
+
 @pytest.mark.parametrize("name,parameters", [
     ("drift_line", "schedule"),
     ("shear_line", {"beta": 0.5, "delta": 1e-3, "alpha": 0.25}),
