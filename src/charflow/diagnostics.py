@@ -391,8 +391,9 @@ def parameter_schedule(k, variation_integral, variation_floor,
             break
         if b == _LOG_DELTA_FLOOR:
             raise ScheduleError(
-                "no delta reaches the target saturation scale; the "
-                "reciprocal modulus integral converges")
+                f"J({math.exp(b):.3g}) = {j_at(b):.4g} stays below the "
+                f"target {j_target:.4g}; no delta reaches the target "
+                "saturation scale, the reciprocal modulus integral converges")
         if b == _LOG_DELTA_CEILING:
             raise ScheduleError("delta search bracket ran away upward")
         a, step = b, 2.0 * step

@@ -390,8 +390,9 @@ class ScenarioConfig:
                     "exactly beta, delta, alpha")
             parameters = {key: _typed(float, value, key)
                           for key, value in parameters.items()}
-            if parameters["beta"] <= 0.0 or parameters["delta"] <= 0.0:
-                raise ConfigError("beta and delta must be positive")
+            if not all(math.isfinite(parameters[key])
+                       and parameters[key] > 0.0 for key in ("beta", "delta")):
+                raise ConfigError("beta and delta must be positive and finite")
             if not 0.0 < parameters["alpha"] < 1.0:
                 raise ConfigError("alpha must lie in (0, 1)")
 

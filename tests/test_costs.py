@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charflow import (ConcaveCost, CostRangeError, FieldError, Modulus,
+                      build_cutoff, growth_affine, growth_constant,
                       modulus_linear, modulus_log, modulus_loglog,
                       modulus_loglog_squared, reference_cost,
                       saturation_integral, tail_modify)
+from charflow.costs import gauss_legendre
 
 
 def linear_closed_form(r, delta, beta):
@@ -54,6 +56,96 @@ def test_saturation_integral_matches_c_infinity(cost_quarter):
     assert cost_quarter.c_infinity == pytest.approx(2.0 * j, rel=1e-10)
     with pytest.raises(FieldError):
         saturation_integral(modulus_linear(), 0.0)
+
+
+CANNED_MODULI = (modulus_linear, modulus_log, modulus_loglog,
+                 modulus_loglog_squared)
+
+
+def test_saturation_integral_matches_the_linear_closed_form():
+    """Over the schedule's whole clamp; an adaptive quadrature once stalled
+    near 286 below delta = 1e-124 (645.7 is right at the floor)."""
+    mod = modulus_linear()
+    for delta in np.geomspace(1e-280, 1e12, 301):
+        delta = float(delta)
+        exact = (math.log1p(1.0 / delta)
+                 + math.atan(math.sqrt(delta)) / math.sqrt(delta))
+        assert saturation_integral(mod, delta) == pytest.approx(
+            exact, rel=1e-13), f"delta={delta!r}"
+
+
+@pytest.mark.parametrize("make", CANNED_MODULI)
+def test_saturation_integral_strictly_decreases(make):
+    mod = make()
+    values = [saturation_integral(mod, float(d))
+              for d in np.geomspace(1e-280, 1e12, 600)]
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("make", CANNED_MODULI)
+@pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-7, 1e-13])
+def test_saturation_integral_is_the_cost_ceiling_over_beta(make, delta):
+    mod = make()
+    cost = ConcaveCost(mod, delta, 0.7)
+    assert cost.c_infinity / 0.7 == pytest.approx(
+        saturation_integral(mod, delta), rel=5e-13)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_delta_or_beta_is_rejected(value):
+    with pytest.raises(FieldError, match="finite"):
+        saturation_integral(modulus_log(), value)
+    with pytest.raises(FieldError, match="finite"):
+        ConcaveCost(modulus_log(), value, 1.0)
+    with pytest.raises(FieldError, match="finite"):
+        ConcaveCost(modulus_log(), 1e-3, value)
+
+
+def _residual_rules_disagree(table, radii):
+    """Largest gap between the 4- and 32-node table values, relative to
+    the value, after checking that ``value`` takes the 4-node one."""
+    base_r, base_v = table.base(radii)
+    four = base_v + gauss_legendre(table.density, base_r, radii, 4)
+    full = base_v + gauss_legendre(table.density, base_r, radii, 32)
+    assert np.array_equal(table.value(radii), four)
+    return float(np.max(np.abs(four - full) / full))
+
+
+@pytest.mark.parametrize("make", CANNED_MODULI)
+@pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-7, 1e-13])
+def test_four_node_residual_matches_32_nodes_on_costs(make, delta):
+    table = ConcaveCost(make(), delta, 0.7)._table
+    rng = np.random.default_rng(11)
+    radii = np.exp(rng.uniform(math.log(table.knots[1]),
+                               math.log(table.knots[-1]), 4000))
+    assert _residual_rules_disagree(table, radii) <= 4.4e-16
+
+
+@pytest.mark.parametrize("growth", [growth_constant(), growth_affine()])
+@pytest.mark.parametrize("k", [1.0, 7.0, 600.0])
+def test_four_node_residual_matches_32_nodes_on_cutoffs(growth, k):
+    table = build_cutoff(growth, k)._h_table
+    rng = np.random.default_rng(12)
+    radii = rng.uniform(table.knots[1], table.knots[-1], 4000)
+    assert _residual_rules_disagree(table, radii) <= 4.4e-16
+
+
+def test_cost_many_takes_4_nodes_inside_a_positive_knot_interval(
+        monkeypatch):
+    points = []
+
+    def counted(self, s, _original=ConcaveCost._density):
+        points.append(np.size(s))
+        return _original(self, s)
+
+    monkeypatch.setattr(ConcaveCost, "_density", counted)
+    cost = ConcaveCost(modulus_log(), 1e-3, 0.5)
+    knots = cost._table.knots
+    inside = np.array([0.5 * (knots[1] + knots[2]), 0.3, 2.0])
+    outside = np.array([0.5 * knots[1], 3.0 * knots[-1]])
+    points.clear()
+    cost.cost_many(np.concatenate([inside, outside]))
+    assert sorted(points) == [4 * len(inside), 32 * len(outside)]
 
 
 def test_cost_at_zero_and_slope(cost_quarter):

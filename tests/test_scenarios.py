@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charflow import ComparisonBoundError, ConfigError
+from charflow import ComparisonBoundError, ConfigError, MollifierError
 from charflow.cli import main as cli_main
 from charflow.scenarios import (ScenarioConfig, builtin_config, builtin_names,
                                 build_field, convergence_study,
@@ -72,6 +73,10 @@ def micro_config(**overrides):
     ({"weak_tol": 0.0}, "weak_tol"),
     ({"seed": None}, "seed"),
     ({"banana": 1}, "unknown config key"),
+    ({"parameters": {"beta": math.nan, "delta": 0.1, "alpha": 0.5}},
+     "finite"),
+    ({"parameters": {"beta": 1.0, "delta": math.inf, "alpha": 0.5}},
+     "finite"),
 ])
 def test_config_rejections(patch, needle):
     doc = {**MICRO, **patch}
@@ -402,6 +407,57 @@ def test_cli_bad_config_exits_two_with_record(tmp_path):
     record = json.loads((out / "broken_error.json").read_text())
     assert record["error"] == "ConfigError"
     assert "banana" in record["message"]
+
+
+@pytest.mark.parametrize("key", ["beta", "delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cli_non_finite_given_parameter_exits_two(tmp_path, key, value):
+    # json writes these as NaN and Infinity, which json.load reads back;
+    # NaN once reached the quadrature and Infinity the comparison bound
+    params = {"beta": 0.5, "delta": 1e-3, "alpha": 0.25, key: value}
+    cfg = _write_config(tmp_path, {**MICRO, "parameters": params},
+                        name="nonfinite.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["run", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    record = json.loads((out / "nonfinite_error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "finite" in record["message"]
+
+
+def test_cli_mixing_disc_names_j_at_the_floor(tmp_path):
+    cfg = _write_config(tmp_path, builtin_config("mixing_disc"),
+                        name="mixing.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["run", cfg, "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    record = json.loads((out / "mixing_error.json").read_text())
+    assert record["error"] == "ScheduleError"
+    match = re.match(r"J\(1e-280\) = ([0-9.]+) stays below the target "
+                     r"([0-9.]+);.*converges", record["message"])
+    assert match, record["message"]
+    j_floor, target = map(float, match.groups())
+    assert j_floor == pytest.approx(1.603, abs=1e-3) and j_floor < target
+
+
+def test_shear_line_at_level_600_stops_at_the_lattice_guard(tmp_path,
+                                                            monkeypatch):
+    # J of the linear modulus diverges like log(1/delta), so the schedule
+    # meets level 600's target near delta = 3.7e-163; the mollifier lattice
+    # that delta asks for is finer than 2^-52 of the atom radii
+    schedules = []
+
+    def recorded(*args, _original=scenarios.parameter_schedule, **kwargs):
+        schedules.append(_original(*args, **kwargs))
+        return schedules[-1]
+
+    monkeypatch.setattr(scenarios, "parameter_schedule", recorded)
+    doc = {**builtin_config("shear_line"), "cutoff_levels": [600]}
+    with pytest.raises(MollifierError, match="too fine"):
+        run_scenario(ScenarioConfig.from_dict(doc), str(tmp_path))
+    (sched,) = schedules
+    assert sched.delta == pytest.approx(3.7e-163, rel=0.05)
+    assert sched.j_value == pytest.approx(sched.j_target, rel=1e-12)
 
 
 @pytest.mark.parametrize("patch, key", [

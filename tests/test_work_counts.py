@@ -5,10 +5,13 @@ The counts are deterministic, so a regression that recomputes a value shows
 here without any timing.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import charflow.costs as costs
 import charflow.diagnostics as diagnostics
 import charflow.flow as flow
 import charflow.scenarios as scenarios
@@ -276,3 +279,30 @@ def test_mixing_disc_run_fails_in_the_schedule(tmp_path):
     config = ScenarioConfig.from_dict(builtin_config("mixing_disc"))
     with pytest.raises(ScheduleError, match="converges"):
         run_scenario(config, str(tmp_path))
+
+
+class _CountingTables(weakref.WeakKeyDictionary):
+    def __init__(self):
+        super().__init__()
+        self.builds = 0
+
+    def __setitem__(self, key, value):
+        self.builds += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("ivar,floor,modulus", [
+    (3.0, 0.02, modulus_linear()),     # five doubling strides down
+    (1e-3, 5.0, modulus_log()),        # two strides up
+])
+def test_schedule_builds_the_j_node_table_at_most_once(monkeypatch, ivar,
+                                                       floor, modulus):
+    tables = _CountingTables()
+    monkeypatch.setattr(costs, "_J_TABLES", tables)
+    deltas = _record_j(monkeypatch)
+    parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
+    assert len(deltas) > 3
+    assert tables.builds == 1
+    # the table lives as long as its modulus
+    parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
+    assert tables.builds == 1
