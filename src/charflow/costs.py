@@ -11,13 +11,13 @@ nonincreasing.  c(0) = 0 and subadditivity follow, which is what lets the
 cost act as a metric on measures with mass parked at the absorbing point.
 
 Evaluation strategy: a geometric knot table carries exact-cumulative values
-(compensated summation); point queries integrate the short residual from the
-nearest knot with adaptive quadrature, so table density never limits
-accuracy.  The vectorized path takes the residual with the rule of
-:class:`KnotTable`, which also tabulates the cutoff window in diagnostics:
-4 Gauss-Legendre nodes inside one interval whose left knot is positive, 32
-on the interval from 0 (where omega has its log singularity) and beyond the
-last knot.
+(compensated summation), and every query adds the residual from the nearest
+knot with the fixed rule of :class:`KnotTable`, which also tabulates the
+cutoff window in diagnostics: 4 Gauss-Legendre nodes inside one interval
+whose left knot is positive, 32 on the interval from 0 (where omega has its
+log singularity) and beyond the last knot.  The ceiling c_infinity adds to
+the last knot's value the tail beyond it in closed form on the quadratic
+floor, as J below does.
 
 The saturation integral J(delta), the total of the integral above over
 beta, is a fixed composite rule: omega' is evaluated once per modulus on the
@@ -32,16 +32,15 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import CostRangeError, FieldError, QuadratureError
 from .fields import Modulus
 
 _TABLE_SIZE = 6144
 _TABLE_FLOOR = 1e-9
-# quad flags intervals shorter than about 1000 smallest normal doubles as bad
-# integrand behavior; below this radius the density is constant to roundoff
-_QUAD_FLOOR = 1e-300
+# below this radius the density is constant to roundoff, while the rule's
+# half-width would underflow: c(r) = r * density(r) there
+_LINEAR_FLOOR = 1e-300
 # Gauss-Legendre rules on [-1, 1] by node count: 32 for table builds and
 # singular or unbounded residuals, 4 for a residual inside one knot interval
 _RULES = {n: np.polynomial.legendre.leggauss(n) for n in (4, 32)}
@@ -162,10 +161,19 @@ def saturation_integral(mod, delta):
     if not math.isfinite(delta) or delta <= 0.0:
         raise FieldError("delta must be positive and finite")
     weights, omega = _saturation_nodes(mod)
-    # int_S1^inf ds / (a s^2 + delta) with a = omega(1)
-    scale = math.sqrt(float(mod(1.0)) * delta)
-    tail = math.atan(delta / (scale * 10.0**_J_HIGH)) / scale
-    return float(np.sum(weights / (omega + delta))) + tail
+    return (float(np.sum(weights / (omega + delta)))
+            + _floor_tail(float(mod(1.0)), delta, 10.0**_J_HIGH))
+
+
+def _floor_tail(omega_one, delta, start):
+    """int_start^inf ds / (omega_one s^2 + delta), in closed form.
+
+    Beyond s = 1 a modulus that grows at most linearly, omega(s) <=
+    omega(1)*s, lies under the quadratic floor, so this is the tail of the
+    tail-modified integrand.
+    """
+    scale = math.sqrt(omega_one * delta)
+    return math.atan(delta / (scale * start)) / scale
 
 
 def _compensated_cumsum(increments):
@@ -225,51 +233,19 @@ class ConcaveCost:
         self._table = KnotTable(
             knots, np.concatenate([[0.0], _compensated_cumsum(increments)]),
             self._density)
-        self.c_infinity = float(self._table.values[-1] + self._tail(top))
-
-    def _tail(self, a):
-        """Integral of the density from ``a`` to infinity."""
-        tail, _ = scipy.integrate.quad(lambda s: float(self._density(s)),
-                                       a, np.inf, limit=200, epsabs=1e-15,
-                                       epsrel=1e-11)
-        return tail
-
-    # -- point evaluation --------------------------------------------------
-
-    def _residual(self, a, b):
-        if b <= a:
-            return 0.0
-        if b < _QUAD_FLOOR:
-            return (b - a) * float(self._density(b))
-        val, err = scipy.integrate.quad(lambda s: float(self._density(s)),
-                                        a, b, limit=200,
-                                        epsabs=1e-13, epsrel=1e-12)
-        if not np.isfinite(val):
-            raise QuadratureError("cost residual quadrature failed")
-        return val
-
-    def cost(self, r):
-        r = float(r)
-        if r < 0.0 or math.isnan(r):
-            raise CostRangeError("cost argument must be a nonnegative radius")
-        if r == 0.0:
-            return 0.0
-        if math.isinf(r):
-            return self.c_infinity
-        if r > self._table.knots[-1]:
-            # the tail that sets c_infinity, cut at r instead of the last knot
-            return self.c_infinity - self._tail(r)
-        base_r, base_v = self._table.base(r)
-        value = base_v + self._residual(base_r, r)
-        return min(value, self.c_infinity)
+        self.c_infinity = float(self._table.values[-1] + self.beta
+                                * _floor_tail(omega_one, self.delta, top))
 
     def cost_many(self, radii):
-        """Vectorized cost: the knot table plus :class:`KnotTable`'s fixed
-        residual rule (4 nodes inside a positive-knot interval, 32 below the
-        first positive knot and beyond the last).
+        """Cost of each radius: the knot table plus :class:`KnotTable`'s
+        fixed residual rule (4 nodes inside a positive-knot interval, 32
+        below the first positive knot and beyond the last), and
+        r * density(r) below 1e-300.
 
-        Each entry matches :meth:`cost` within 3e-11 relative on the canned
-        moduli (radii 1e-14 to 1e4, delta 1 down to 1e-13).
+        On the canned moduli (radii 1e-30 to 1e3 and beyond the last knot,
+        delta 1 down to 1e-13) each entry matches the table plus an
+        adaptive residual within 3e-11 relative.  A scalar radius gives a
+        float; :meth:`cost` is this same method.
         """
         radii = np.asarray(radii, dtype=float)
         flat = np.atleast_1d(radii).ravel()
@@ -278,11 +254,16 @@ class ConcaveCost:
         out = np.empty(flat.shape)
         infinite = np.isinf(flat)
         out[infinite] = self.c_infinity
-        finite = ~infinite
-        rs = flat[finite]
-        if len(rs):
-            out[finite] = np.minimum(self._table.value(rs), self.c_infinity)
+        tiny = flat < _LINEAR_FLOOR
+        if tiny.any():
+            out[tiny] = flat[tiny] * self._density(flat[tiny])
+        rest = ~(infinite | tiny)
+        if rest.any():
+            out[rest] = np.minimum(self._table.value(flat[rest]),
+                                   self.c_infinity)
         return out.reshape(radii.shape) if radii.ndim else float(out[0])
+
+    cost = cost_many
 
     def cost_derivative(self, r):
         """Right slope beta / (omega'(r) + delta); equals beta/delta at 0.
@@ -302,23 +283,16 @@ class ConcaveCost:
         if math.isnan(v) or v < 0.0 or v > self.c_infinity:
             raise CostRangeError("value outside cost range")
         tol = 1e-12 * max(1.0, v)
-        if self.cost(0.0) >= v - tol and v <= tol:
+        if v <= tol:
             return 0.0
 
-        # bracket from the table
+        # bracket from the table; past the last knot's value only the tail
+        # remains, below beta/(omega(1)*top) <= 1e-13 < tol, so the f_lo
+        # check returns the last knot
+        knots = self._table.knots
         pos = int(np.searchsorted(self._table.values, v))
-        if pos >= len(self._table.values):
-            lo = float(self._table.knots[-1])
-            hi = lo
-            for _ in range(2000):
-                hi *= 2.0
-                if self.cost(hi) >= v:
-                    break
-            else:
-                raise CostRangeError("value outside cost range")
-        else:
-            lo = float(self._table.knots[max(pos - 1, 0)])
-            hi = float(self._table.knots[pos])
+        lo = float(knots[pos - 1])
+        hi = float(knots[min(pos, len(knots) - 1)])
 
         f_lo = self.cost(lo) - v
         if abs(f_lo) <= tol:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,26 +97,22 @@ def build_cutoff(growth, k):
     if k <= 0.0:
         raise CutoffError("cutoff level k must be positive")
 
-    def h_to(r):
-        with warnings.catch_warnings():
-            # probing a heavy tail legitimately stalls the quadrature; the
-            # bracket search below turns that into a CutoffError
-            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            val, _ = scipy.integrate.quad(
-                lambda s: 1.0 / float(growth(s)), k, r,
-                limit=200, epsabs=1e-14, epsrel=1e-12)
-        return val
-
-    hi = k + 1.0
-    while h_to(hi) < 1.0:
-        hi *= 2.0
-        if hi > _RK_CAP:
-            raise CutoffError("G tail too heavy for numeric R_k")
-    r_zero = scipy.optimize.brentq(lambda r: h_to(r) - 1.0, k, hi,
-                                   xtol=1e-13, rtol=1e-15)
-
     def density(s):
         return 1.0 / np.asarray(growth(s), dtype=float)
+
+    def h_over(a, b):
+        return float(gauss_legendre(density, np.array(a), np.array(b)))
+
+    # H over [k, k+1], then over each doubling, until it reaches 1
+    lo, hi = k, k + 1.0
+    h_lo, h_hi = 0.0, h_over(lo, hi)
+    while h_hi < 1.0:
+        lo, hi, h_lo = hi, 2.0 * hi, h_hi
+        if hi > _RK_CAP:
+            raise CutoffError("G tail too heavy for numeric R_k")
+        h_hi = h_lo + h_over(lo, hi)
+    r_zero = scipy.optimize.brentq(lambda r: h_lo + h_over(lo, r) - 1.0,
+                                   lo, hi, xtol=1e-13, rtol=1e-15)
 
     knots = np.linspace(k, r_zero, 2049)
     incs = gauss_legendre(density, knots[:-1], knots[1:])

@@ -18,7 +18,7 @@ class EnvelopeViolation(FieldError):
 
 
 class QuadratureError(CharflowError):
-    """Adaptive quadrature failed to converge."""
+    """A cost table failed its sign, slope or concavity check."""
 
 
 class CostRangeError(CharflowError):

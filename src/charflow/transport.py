@@ -426,9 +426,8 @@ def solve_ot(pair, cost):
     so the absorbing point sits at 0 (with no reservoir in play, the minimum
     over the target support sits at 0 instead).  Duality gap and support
     slackness are verified before returning.  Slackness is audited on every
-    plan entry in one pass against the vectorized table evaluator
-    ``cost.cost_many``; the adaptive ``cost.cost`` path stays the independent
-    reference used by :func:`brute_force_ot` and the tests.
+    plan entry in one pass against ``cost.cost_many``, the same evaluator
+    that :func:`brute_force_ot` reaches through ``cost.cost``.
     """
     mu, nu = pair.mu, pair.nu
     (supplies, demands, ground, diamond_row, diamond_col,

@@ -1,5 +1,6 @@
 """Source guards: the package imports only numpy, scipy, click and the
-standard library, and ``fields.row_norms`` is its only per-row norm."""
+standard library, ``fields.row_norms`` is its only per-row norm, and
+``scipy.integrate`` serves only the mollifier's kernel-mass audit."""
 
 import ast
 import pathlib
@@ -64,3 +65,58 @@ def test_row_norms_have_one_owner(path):
     # fields.row_norms gives numpy's bits several times faster
     lines = list(_row_norm_calls(path.read_text(encoding="utf-8")))
     assert not lines, f"{path.name}:{lines} use np.linalg.norm with an axis"
+
+
+def _quadrature_uses(source):
+    """(kind, line) of each ``scipy.integrate`` import ("import") and each
+    ``scipy.integrate`` attribute or ``quad`` call ("use")."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.integrate") for a in node.names):
+                yield "import", node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("scipy.integrate"):
+                yield "import", node.lineno
+        elif isinstance(node, ast.Attribute) and \
+                ast.unparse(node).startswith("scipy.integrate."):
+            yield "use", node.lineno
+        elif isinstance(node, ast.Call) and \
+                ast.unparse(node.func).split(".")[-1] == "quad":
+            yield "use", node.lineno
+
+
+def test_quadrature_guard_finds_integrate_uses():
+    sample = ("import scipy.integrate\n"
+              "from scipy.integrate import quad\n"
+              "v, _ = quad(f, 0.0, 1.0)\n"
+              "w, _ = scipy.integrate.quad_vec(f, 0.0, 1.0)\n"
+              "x = np.sum(f(s))\n")
+    assert sorted(set(_quadrature_uses(sample))) == [
+        ("import", 1), ("import", 2), ("use", 3), ("use", 4)]
+
+
+def _mollifier_audit_lines(source):
+    """Line numbers of ``MollifierSpec.__post_init__``, the kernel-mass
+    audit, or an empty range where the source has none."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "MollifierSpec":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and \
+                        item.name == "__post_init__":
+                    return range(item.lineno, item.end_lineno + 1)
+    return range(0)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_quadrature_has_one_owner(path):
+    # the integrals run on costs.gauss_legendre's fixed rules; only the
+    # kernel-mass audit of MollifierSpec keeps quad, as an independent check
+    source = path.read_text(encoding="utf-8")
+    audit = _mollifier_audit_lines(source)
+    found = set(_quadrature_uses(source))
+    stray = sorted(line for kind, line in found
+                   if kind == "use" and line not in audit)
+    assert not stray, f"{path.name}:{stray} use scipy.integrate"
+    imports = sorted(line for kind, line in found if kind == "import")
+    assert not imports or any(kind == "use" for kind, _ in found), \
+        f"{path.name}:{imports} import scipy.integrate without the audit"
