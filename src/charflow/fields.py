@@ -32,10 +32,12 @@ def smooth_step(u):
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
+    out = np.heaviside(u - 1.0, 1.0)  # a / (a + b) outside the open band
+    band = (u > 0.0) & (u < 1.0)
     with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(u > 0.0, np.exp(-1.0 / np.clip(u, 1e-300, None)), 0.0)
-        b = np.where(u < 1.0, np.exp(-1.0 / np.clip(1.0 - u, 1e-300, None)), 0.0)
-    out = a / (a + b)
+        a = np.exp(-1.0 / u[band])
+        b = np.exp(-1.0 / (1.0 - u[band]))
+    out[band] = a / (a + b)
     return float(out[0]) if scalar else out
 
 

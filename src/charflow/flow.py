@@ -9,14 +9,15 @@ point are frozen in place for the rest of the segment: past that distance
 the field is below every useful modulus scale and chasing it only burns
 steps.
 
-Frozen atoms leave the field evaluation: each stage evaluates the field on
-the live rows only and gives the frozen rows velocity 0, while the stepper
-itself keeps working on the full arrays.  Every velocity the stepper uses is
-therefore either checked against the growth envelope by ``evaluate_batch``
-or exactly 0, which no envelope can break.  An atom that freezes during a
-push had its point checked at the step where it froze; it never moves again
-and no catalog field depends on t, so each dropped check would only repeat
-one already made.
+Frozen atoms leave the stepper: the stages, their sums, the error norm and
+the freeze test run on a compacted array of the live rows, which drops the
+atoms that freeze after an accepted step.  Every velocity the stepper uses
+is therefore checked against the growth envelope by ``evaluate_batch``.  An
+atom that freezes during a push had its point checked at the step where it
+froze; it never moves again and no catalog field depends on t, so each
+dropped check would only repeat one already made.  The stage sums are BLAS
+calls whose rounding depends on the row count, so a freeze may move a live
+row by an ulp.
 """
 
 from __future__ import annotations
@@ -90,18 +91,18 @@ class Trajectory:
 def _scaled_error(err_vec, y_old, y_new, opts):
     scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y_old),
                                                      np.abs(y_new))
-    return float(np.max(np.abs(err_vec) / scale)) if err_vec.size else 0.0
+    return float(np.max(np.abs(err_vec) / scale, initial=0.0))
 
 
-def _initial_step(rhs, t0, y0, f0, direction, span, opts):
+def _initial_step(field, t0, y0, f0, d0, direction, span, opts):
+    # d0 is taken over the whole batch, y0 and f0 over its live rows
     scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
-    d0 = float(np.max(np.abs(y0) / scale))
-    d1 = float(np.max(np.abs(f0) / scale))
+    d1 = float(np.max(np.abs(f0) / scale, initial=0.0))
     h0 = 1e-6 if d1 <= 1e-300 or d0 <= 1e-300 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + direction * h0 * f0
-    f1 = rhs(t0 + direction * h0, y1)
-    d2 = float(np.max(np.abs(f1 - f0) / scale)) / h0
+    f1 = evaluate_batch(field, t0 + direction * h0, y1)
+    d2 = float(np.max(np.abs(f1 - f0) / scale, initial=0.0)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -116,46 +117,34 @@ def _freeze_mask(points, singular_points, radius):
     return mask
 
 
-def _velocities(field, t, state, live):
-    """Field velocities at the rows ``live`` of state, and 0 at the others.
-
-    A row's value does not depend on the batch it is evaluated in, so the
-    live rows get the bits a full evaluation would give them.
-    """
-    if len(live) == len(state):
-        return evaluate_batch(field, t, state)
-    vel = np.zeros_like(state)
-    vel[live] = evaluate_batch(field, t, state[live])
-    return vel
-
-
 def _advance(field, points, t0, t1, opts, record):
-    """Core stepper.  Returns (final_points, history, stats)."""
-    y = np.array(points, dtype=float)
-    if y.ndim != 2:
+    """Core stepper on the live rows y = y_all[live].  Returns
+    (final_points, history, stats)."""
+    y_all = np.array(points, dtype=float)
+    if y_all.ndim != 2:
         raise FlowError("expected an (N, n) batch of start points")
     t0, t1 = float(t0), float(t1)
     span = abs(t1 - t0)
-    history = [(t0, y.copy(), 0.0, 0.0)] if record else None
+    history = [(t0, y_all.copy(), 0.0, 0.0)] if record else None
     if span == 0.0:
-        return y, history, (0, 0)
+        return y_all, history, (0, 0)
 
     direction = 1.0 if t1 > t0 else -1.0
-    frozen = _freeze_mask(y, field.singular_points, opts.freeze_radius)
-    live = np.flatnonzero(~frozen)  # rebuilt only when frozen grows
-
-    def rhs(t, state):
-        return _velocities(field, t, state, live)
-
+    live = np.flatnonzero(~_freeze_mask(y_all, field.singular_points,
+                                        opts.freeze_radius))
+    y = y_all[live]
     t = t0
-    f_first = rhs(t, y)
-    h = _initial_step(rhs, t, y, f_first, direction, span, opts)
+    f_first = evaluate_batch(field, t, y)
+    scale = opts.abs_tol + opts.rel_tol * np.abs(y_all)
+    d0 = float(np.max(np.abs(y_all) / scale, initial=0.0))
+    h = _initial_step(field, t, y, f_first, d0, direction, span, opts)
     h = min(max(h, 1e-300), span)
     min_step = 1e-14 * max(1.0, abs(t0), abs(t1))
     fac_old = 1e-4
     accepted = rejected = 0
     just_rejected = False
-    k = np.empty((7,) + y.shape)
+    stages = np.empty((7,) + y_all.shape)  # k is a view of its first rows
+    k = stages[:, :len(y)]
     k[0] = f_first
 
     for _ in range(opts.max_steps):
@@ -166,9 +155,9 @@ def _advance(field, points, t0, t1, opts, record):
         dt = direction * h
         for stage in range(1, 6):
             yi = y + dt * np.tensordot(_A[stage - 1], k[:stage], axes=1)
-            k[stage] = rhs(t + _C[stage] * dt, yi)
+            k[stage] = evaluate_batch(field, t + _C[stage] * dt, yi)
         y_new = y + dt * np.tensordot(_A[5], k[:6], axes=1)
-        k[6] = rhs(t + dt, y_new)
+        k[6] = evaluate_batch(field, t + dt, y_new)
         err_vec = dt * np.tensordot(_ERR, k, axes=1)
         err = _scaled_error(err_vec, y, y_new, opts)
 
@@ -178,12 +167,14 @@ def _advance(field, points, t0, t1, opts, record):
             y = y_new
             k[0] = k[6]
             newly = _freeze_mask(y, field.singular_points, opts.freeze_radius)
-            if np.any(newly & ~frozen):
-                frozen |= newly
-                live = np.flatnonzero(~frozen)
-                k[0] = rhs(t, y)
+            if np.any(newly):
+                y_all[live[newly]] = y[newly]
+                live, y = live[~newly], y[~newly]
+                k = stages[:, :len(y)]
+                k[0] = evaluate_batch(field, t, y)
             if record:
-                history.append((t, y.copy(), h, err))
+                y_all[live] = y
+                history.append((t, y_all.copy(), h, err))
             fac = _SAFETY * err**(-_EXPO) * fac_old**_PI_BETA \
                 if err > 0.0 else _FAC_MAX
             if just_rejected:
@@ -201,17 +192,18 @@ def _advance(field, points, t0, t1, opts, record):
                 raise FlowError(
                     f"step size underflow at t={t:.6g} "
                     f"(needed below {min_step:.3g})",
-                    trajectory=_pack_history(history))
+                    trajectory=_pack_history(history, accepted, rejected))
     else:
         raise FlowError(
             f"flow did not reach t={t1:g} within {opts.max_steps} steps "
             f"(stopped at t={t:.6g})",
-            trajectory=_pack_history(history))
+            trajectory=_pack_history(history, accepted, rejected))
 
-    return y, history, (accepted, rejected)
+    y_all[live] = y
+    return y_all, history, (accepted, rejected)
 
 
-def _pack_history(history):
+def _pack_history(history, accepted, rejected):
     if not history:
         return None
     times = np.array([row[0] for row in history])
@@ -219,7 +211,7 @@ def _pack_history(history):
     steps = np.array([row[2] for row in history])
     errors = np.array([row[3] for row in history])
     return Trajectory(times=times, states=states, steps=steps, errors=errors,
-                      n_accepted=max(len(history) - 1, 0), n_rejected=0)
+                      n_accepted=accepted, n_rejected=rejected)
 
 
 def integrate_flow(field, x0, t0, t1, options=None):
@@ -228,11 +220,9 @@ def integrate_flow(field, x0, t0, t1, options=None):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (field.dimension,):
         raise FlowError(f"start point must have dimension {field.dimension}")
-    _, history, (acc, rej) = _advance(field, x0.reshape(1, -1), t0, t1,
-                                      opts, record=True)
-    traj = _pack_history(history)
-    return Trajectory(times=traj.times, states=traj.states, steps=traj.steps,
-                      errors=traj.errors, n_accepted=acc, n_rejected=rej)
+    _, history, stats = _advance(field, x0.reshape(1, -1), t0, t1, opts,
+                                 record=True)
+    return _pack_history(history, *stats)
 
 
 def flow_endpoints(field, points, t0, t1, options=None):

@@ -97,7 +97,7 @@ def test_saturation_integral_matches_the_linear_closed_form():
         exact = (math.log1p(1.0 / delta)
                  + math.atan(math.sqrt(delta)) / math.sqrt(delta))
         assert saturation_integral(mod, delta) == pytest.approx(
-            exact, rel=1e-13), f"delta={delta!r}"
+            exact, rel=1e-13, abs=0.0), f"delta={delta!r}"
 
 
 @pytest.mark.parametrize("make", CANNED_MODULI)

@@ -273,8 +273,8 @@ def test_variation_integrals_are_the_ones_the_bound_uses():
     np.testing.assert_array_equal(est.term1, cost.beta * const * int_total)
     np.testing.assert_array_equal(
         est.term2, 2.0 * cost.beta * field.growth_const * j * int_tail)
-    assert int_total[-1] == pytest.approx(0.2, rel=1e-15)
-    assert int_tail[-1] == pytest.approx(0.2, rel=1e-15)
+    assert int_total[-1] == pytest.approx(0.2, rel=1e-15, abs=0.0)
+    assert int_tail[-1] == pytest.approx(0.2, rel=1e-15, abs=0.0)
     # one row per report time, each the bound of that time's integrals
     for i in range(len(snapshots)):
         row = costestimate_bound(field, int_total[i], int_tail[i], cut, cost,

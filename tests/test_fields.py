@@ -26,6 +26,28 @@ def test_smooth_step_saturates_exactly():
     assert smooth_step(0.5) == 0.5  # a == b by symmetry
 
 
+def _two_where_smooth_step(u):
+    """The formula that evaluates both exponentials on every input."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.where(u > 0.0, np.exp(-1.0 / np.clip(u, 1e-300, None)), 0.0)
+        b = np.where(u < 1.0,
+                     np.exp(-1.0 / np.clip(1.0 - u, 1e-300, None)), 0.0)
+    return a / (a + b)
+
+
+def test_smooth_step_keeps_the_bits_of_the_two_where_formula():
+    edges = [0.0, -0.0, 1.0, np.inf, -np.inf, 1e-320, 1e-300, -1e-300,
+             1.0 - 1e-16, 1.0 + 1e-16, 5e-324]
+    u = np.concatenate([edges,
+                        np.random.default_rng(5).uniform(-0.5, 1.5, 20_000)])
+    got = smooth_step(u)
+    assert got.tobytes() == _two_where_smooth_step(u).tobytes()
+    for x in edges:
+        assert np.float64(smooth_step(x)).tobytes() == \
+            _two_where_smooth_step(x).tobytes()
+
+
 def test_smooth_step_is_monotone_with_slope_at_most_two():
     u = np.linspace(-0.5, 1.5, 4001)
     vals = smooth_step(u)

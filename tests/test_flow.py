@@ -154,3 +154,52 @@ def test_flow_error_carries_partial_trajectory():
         integrate_flow(f, [1.0, 0.0], 0.0, 50.0, FlowOptions(max_steps=2))
     traj = info.value.trajectory
     assert traj is not None and len(traj.times) == 3
+
+
+@pytest.mark.parametrize("field,start,max_steps,accepted,rejected", [
+    (osgood_1d_field(), (0.999,), 6, 5, 1),
+    (osgood_plane_field(), (0.3, 0.0), 82, 77, 5),
+], ids=["osgood_1d", "osgood_plane"])
+def test_flow_error_trajectory_counts_its_rejected_steps(
+        field, start, max_steps, accepted, rejected):
+    with pytest.raises(FlowError, match="did not reach") as info:
+        integrate_flow(field, start, 0.0, 1.0,
+                       FlowOptions(max_steps=max_steps))
+    traj = info.value.trajectory
+    assert (traj.n_accepted, traj.n_rejected) == (accepted, rejected)
+    assert len(traj.times) == accepted + 1
+
+
+def test_batch_that_starts_frozen_returns_its_input():
+    f = osgood_plane_field()
+    start = np.array([[0.0, 0.0], [1e-9, 0.0], [0.0, -5e-9], [3e-9, 4e-9]])
+    frames = flow_map(f, start, [0.0, 0.5, 1.0])
+    for frame in frames:
+        assert frame.tobytes() == start.tobytes()
+    traj = integrate_flow(f, start[1], 0.0, 1.0)
+    assert traj.times[-1] == 1.0 and traj.n_rejected == 0
+    assert traj.states.tobytes() == np.tile(start[1], (len(traj.times), 1)
+                                            ).tobytes()
+
+
+def test_last_live_atom_freezes_mid_segment():
+    # the atom at radius 0.05 reaches the freeze radius near t = 0.35, so
+    # the stepper runs the rest of [0.25, 0.5] and all of [0.5, 1] on no rows
+    f = osgood_plane_field()
+    opts = FlowOptions(abs_tol=1e-9, rel_tol=1e-7)
+    start = np.array([[0.0, 0.0], [0.04, 0.03]])
+    frames = flow_map(f, start, [0.0, 0.25, 0.5, 1.0], opts)
+    assert np.linalg.norm(frames[1, 1]) > opts.freeze_radius
+    assert np.linalg.norm(frames[2, 1]) <= opts.freeze_radius
+    for frame in frames[2:]:
+        assert frame.tobytes() == frames[2].tobytes()
+    assert frames[:, 0].tobytes() == np.zeros((4, 2)).tobytes()
+
+    traj = integrate_flow(f, start[1], 0.0, 1.0, opts)
+    assert traj.times[-1] == 1.0
+    assert traj.n_accepted == len(traj.times) - 1
+    frozen = np.linalg.norm(traj.states, axis=1) <= opts.freeze_radius
+    first = int(np.argmax(frozen))
+    assert 0.25 < traj.times[first] < 0.5 and frozen[first:].all()
+    assert traj.states[first:].tobytes() == np.tile(
+        traj.states[first], (len(traj.times) - first, 1)).tobytes()

@@ -18,10 +18,10 @@ import charflow.scenarios as scenarios
 import charflow.transport as transport
 from charflow import (AtomicSignedMeasure, ConcaveCost, FlowOptions,
                       MollifierSpec, ScheduleError, balance_with_reservoir,
-                      make_measure, measure_from_arrays, modulus_linear,
-                      modulus_log, modulus_loglog_squared, mollify,
-                      osgood_plane_field, parameter_schedule, rotation_field,
-                      solve_ot, weak_solution_residual)
+                      integrate_flow, make_measure, measure_from_arrays,
+                      modulus_linear, modulus_log, modulus_loglog_squared,
+                      mollify, osgood_plane_field, parameter_schedule,
+                      rotation_field, solve_ot, weak_solution_residual)
 from charflow.fields import row_norms
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import DIAMOND
@@ -179,45 +179,59 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
 
 
 def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
-    """Once atoms freeze, evaluate_batch receives only the live rows, and the
-    endpoints keep the bits of the old rule: evaluate the full batch, then
-    zero the frozen rows."""
+    """Once atoms freeze, evaluate_batch receives only the live rows; frozen
+    atoms keep the bits of the step where they froze, and live ones stay
+    within 100 tolerances of their single-atom integrations."""
     field = osgood_plane_field()
     radii = np.array([0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.45, 0.6])
     angles = np.linspace(0.3, 5.9, len(radii))
     points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     times = [0.0, 0.25, 0.5, 1.0]
     opts = FlowOptions(abs_tol=1e-9, rel_tol=1e-7)
-    calls = []  # (state, frozen rows) at each call of the old rule
 
-    def old_rule(field, t, state, live):
-        frozen = np.ones(len(state), dtype=bool)
-        frozen[live] = False
-        calls.append((state.copy(), frozen))
-        vel = flow.evaluate_batch(field, t, state)
-        vel[frozen] = 0.0
-        return vel
-
-    with monkeypatch.context() as patch:
-        patch.setattr(flow, "_velocities", old_rule)
-        reference = flow.flow_map(field, points, times, opts)
+    def live_rows(state):
+        return state[row_norms(state) > opts.freeze_radius]
 
     batches = []
 
     def recorded(field, t, points, _original=flow.evaluate_batch):
-        batches.append(points.copy())
+        batches.append((t, points.copy()))
         return _original(field, t, points)
 
     monkeypatch.setattr(flow, "evaluate_batch", recorded)
+    current, history = points, []  # every accepted (t, state) of the push
+    for t_prev, t_next in zip(times[:-1], times[1:]):
+        first = len(batches)
+        current, rows, _ = flow._advance(field, current, t_prev, t_next,
+                                         opts, record=True)
+        history += rows
+        assert batches[first][1].tobytes() == live_rows(rows[0][1]).tobytes()
+    states = {t: state for t, state, _, _ in history}
+    # the batch shrinks only when atoms freeze, and then to exactly the
+    # live rows of the accepted state where they froze
+    for (_, before), (t, batch) in zip(batches, batches[1:]):
+        if len(batch) != len(before):
+            assert len(batch) < len(before)
+            assert batch.tobytes() == live_rows(states[t]).tobytes()
+    assert {len(batch) for _, batch in batches} == \
+        {len(live_rows(state)) for state in states.values()}
+
+    monkeypatch.undo()
     frames = flow.flow_map(field, points, times, opts)
-    assert frames.tobytes() == reference.tobytes()
-    assert len(batches) == len(calls)
-    for batch, (state, frozen) in zip(batches, calls):
-        assert batch.tobytes() == state[~frozen].tobytes()
+    assert frames[-1].tobytes() == current.tobytes()
+    frozen = row_norms(frames[-1]) <= opts.freeze_radius
     # the atom at the origin starts frozen, and six more freeze on the way
-    assert all(frozen[0] for _, frozen in calls)
-    assert np.sum(row_norms(frames[-1]) <= opts.freeze_radius) == 7
-    assert min(len(batch) for batch in batches) == len(points) - 7
+    assert np.sum(frozen) == 7
+    assert min(len(batch) for _, batch in batches) == len(points) - 7
+    for i in np.flatnonzero(frozen):
+        at_freeze = next(s[i] for _, s, _, _ in history
+                         if np.linalg.norm(s[i]) <= opts.freeze_radius)
+        assert frames[-1, i].tobytes() == at_freeze.tobytes()
+    for i in np.flatnonzero(~frozen):
+        alone = integrate_flow(field, points[i], times[0], times[-1],
+                               opts).final_state
+        tol = opts.abs_tol + opts.rel_tol * np.abs(alone)
+        assert np.all(np.abs(frames[-1, i] - alone) <= 100.0 * tol)
 
 
 def test_weak_residual_evaluates_the_field_once_per_snapshot(monkeypatch):
