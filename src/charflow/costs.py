@@ -10,24 +10,23 @@ saturates).  Concavity is automatic: the integrand is positive and
 nonincreasing.  c(0) = 0 and subadditivity follow, which is what lets the
 cost act as a metric on measures with mass parked at the absorbing point.
 
-Evaluation strategy: a geometric knot table carries exact-cumulative values
-(compensated summation), and every query adds the residual from the nearest
-knot with the fixed rule of :class:`KnotTable`, which also tabulates the
-cutoff window in diagnostics: 4 Gauss-Legendre nodes inside one interval
-whose left knot is positive, 32 on the interval from 0 (where omega has its
-log singularity) and beyond the last knot.  The ceiling c_infinity adds to
-the last knot's value the tail beyond it in closed form on the quadratic
-floor, as J below does.
-
-The saturation integral J(delta), the total of the integral above over
-beta, is a fixed composite rule: omega' is evaluated once per modulus on the
-32 Gauss-Legendre nodes of each interval of a geometric grid, and each J is
-one weighted sum over that node table.
+Evaluation strategy: omega' is tabulated once per live modulus, on the 4
+Gauss-Legendre nodes of each interval of a geometric grid from 1e-300 to
+1e13, 128 intervals per decade.  The saturation integral J(delta), the
+total of the integral above over beta, is one weighted sum over that node
+table plus the tail beyond 1e13 in closed form on the quadratic floor.  A
+cost sums the same terms per interval into its knot table and takes its
+ceiling c_infinity = beta * J(delta) from them, so a cost built on a
+modulus that J has seen evaluates no modulus.  A query adds to the value at
+the nearest knot the 4-node residual of :class:`KnotTable`, which also
+tabulates the cutoff window in diagnostics; below the first knot the cost
+is r * density(r), and beyond the last one the closed-form floor tail.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -36,19 +35,12 @@ import numpy as np
 from .errors import CostRangeError, FieldError, QuadratureError
 from .fields import Modulus
 
-_TABLE_SIZE = 6144
-_TABLE_FLOOR = 1e-9
-# below this radius the density is constant to roundoff, while the rule's
-# half-width would underflow: c(r) = r * density(r) there
-_LINEAR_FLOOR = 1e-300
-# Gauss-Legendre rules on [-1, 1] by node count: 32 for table builds and
-# singular or unbounded residuals, 4 for a residual inside one knot interval
+# Gauss-Legendre rules on [-1, 1] by node count: 4 for the modulus's node
+# table and every knot-table residual, 32 for the cutoff's bracket search
+# and table
 _RULES = {n: np.polynomial.legendre.leggauss(n) for n in (4, 32)}
-# J's node grid: 16 intervals per decade from 1e-300 to 1e13, edges 10^(i/16)
-# with i/16 exact in binary, so s = 1 (the tail splice) is an edge
-_J_DECADE_PARTS = 16
-_J_LOW, _J_HIGH = -300, 13
-_J_TABLES = weakref.WeakKeyDictionary()
+_NODE_TABLES = weakref.WeakKeyDictionary()
+_NODE_LOCK = threading.Lock()  # level jobs on threads share one build
 
 
 def _rule_nodes(lo, hi, order):
@@ -75,14 +67,13 @@ def gauss_legendre(density, lo, hi, order=32):
 class KnotTable:
     """Cumulative integral of ``density`` tabulated at increasing ``knots``.
 
-    ``values[i]`` is the integral from ``knots[0]`` to ``knots[i]``.  Point
-    values add the residual from the nearest knot at or below the point.
-    Inside one interval whose left knot is positive the residual takes 4
-    nodes: on the canned moduli and cutoff tables, where such an interval
-    is at most 0.83 % of its radius wide and the density is smooth, they
-    agree with 32 nodes within 4.4e-16 of the value.  The interval from a
-    zero knot, where a modulus may be singular, and points beyond the last
-    knot, which integrate on from it, keep 32 nodes.
+    ``values[i]`` is the integral from ``knots[0]`` to ``knots[i]``.  A
+    point in [knots[0], knots[-1]] adds the 4-node residual from the nearest
+    knot at or below it.  On the canned moduli and cutoff tables, where an
+    interval with a positive left knot is at most 1.8 % of its radius wide,
+    that agrees with 32 nodes within 4.4e-16 of the value.  Callers keep
+    their points off an interval from a zero knot, where the density may
+    be singular.
     """
 
     knots: np.ndarray
@@ -98,13 +89,7 @@ class KnotTable:
     def value(self, r):
         """Integral from the first knot to each r: table plus residual."""
         base_r, base_v = self.base(r)
-        out = np.empty(np.shape(r))
-        short = (base_r > 0.0) & (r <= self.knots[-1])
-        for order, where in ((4, short), (32, ~short)):
-            if where.any():
-                out[where] = base_v[where] + gauss_legendre(
-                    self.density, base_r[where], r[where], order)
-        return out
+        return base_v + gauss_legendre(self.density, base_r, r, 4)
 
 
 def tail_modify(mod):
@@ -116,40 +101,54 @@ def tail_modify(mod):
     omega_one = float(mod(1.0))
     if omega_one <= 0.0:
         raise FieldError("modulus must be positive at 1 to modify its tail")
-
-    def ev(s):
-        s = np.asarray(s, dtype=float)
-        base = np.asarray(mod(s), dtype=float)
-        # the quadratic floor may overflow to inf at extreme radii, which is
-        # the right answer for a saturating cost (density 0 there)
-        with np.errstate(over="ignore"):
-            return np.where(s <= 1.0, base,
-                            np.maximum(base, omega_one * s * s))
-
-    return Modulus(ev, osgood=mod.osgood)
+    return Modulus(lambda s: _raised_tail(mod, omega_one, s),
+                   osgood=mod.osgood)
 
 
-def _saturation_nodes(mod):
-    """(weights, omega') on J's node grid, built once per live modulus."""
-    table = _J_TABLES.get(mod)
-    if table is None:
-        powers = np.arange(_J_LOW * _J_DECADE_PARTS,
-                           _J_HIGH * _J_DECADE_PARTS + 1) / _J_DECADE_PARTS
-        edges = 10.0 ** powers
-        nodes, half = _rule_nodes(edges[:-1], edges[1:], 32)
-        weights = (half[:, None] * _RULES[32][1]).ravel()
-        omega = np.asarray(tail_modify(mod)(nodes.ravel()), dtype=float)
-        table = _J_TABLES[mod] = (weights, omega)
+def _raised_tail(mod, omega_one, s):
+    """omega'(s) for the modulus ``mod`` with omega(1) = ``omega_one``."""
+    s = np.asarray(s, dtype=float)
+    base = np.asarray(mod(s), dtype=float)
+    # the quadratic floor may overflow to inf at extreme radii, which is the
+    # right answer for a saturating cost (density 0 there)
+    with np.errstate(over="ignore"):
+        return np.where(s <= 1.0, base, np.maximum(base, omega_one * s * s))
+
+
+def _node_table(mod):
+    """(edges, rule weight of each node, omega' at each node, omega(1)) on
+    the node grid of ``mod``, built once per live modulus."""
+    with _NODE_LOCK:
+        table = _NODE_TABLES.get(mod)
+        if table is None:
+            # 128 intervals per decade from 1e-300 to 1e13, each 1.8 % of
+            # its radius wide; i/128 is exact in binary, so s = 1 is an edge
+            edges = 10.0 ** (np.arange(-300 * 128, 13 * 128 + 1) / 128)
+            nodes, half = _rule_nodes(edges[:-1], edges[1:], 4)
+            modified = tail_modify(mod)
+            table = _NODE_TABLES[mod] = (
+                edges, (half[:, None] * _RULES[4][1]).ravel(),
+                np.asarray(modified(nodes.ravel()), dtype=float),
+                float(modified(1.0)))
     return table
+
+
+def _saturation_terms(mod, delta):
+    """J's terms w / (omega' + delta), one per node, and J: their sum plus
+    the floor tail beyond the last edge."""
+    edges, weights, omega, omega_one = _node_table(mod)
+    terms = weights / (omega + delta)
+    return terms, float(np.sum(terms)) + float(
+        _floor_tail(omega_one, delta, edges[-1]))
 
 
 def saturation_integral(mod, delta):
     """Total integral J of 1/(omega'(s) + delta) over [0, infinity).
 
-    Equals c_infinity / beta for the cost built on the same (tail-modified)
-    modulus.  J is one weighted sum over a node table of the modulus: the
-    32 Gauss-Legendre nodes on each interval of a geometric grid from
-    S0 = 1e-300 to S1 = 1e13, 16 intervals per decade (160,256 nodes), plus
+    c_infinity / beta of the cost built on the same modulus equals J bit for
+    bit.  J is one weighted sum over the modulus's node table: the 4
+    Gauss-Legendre nodes on each interval of a geometric grid from
+    S0 = 1e-300 to S1 = 1e13, 128 intervals per decade (160,256 nodes), plus
     the tail beyond S1 in closed form on the quadratic floor omega(1)*s^2,
     which is below 1/(omega(1)*S1).  The head over [0, S0] is left out; it
     is below S0/delta, under 1e-20 on the schedule's clamp delta >= 1e-280.
@@ -160,9 +159,7 @@ def saturation_integral(mod, delta):
     delta = float(delta)
     if not math.isfinite(delta) or delta <= 0.0:
         raise FieldError("delta must be positive and finite")
-    weights, omega = _saturation_nodes(mod)
-    return (float(np.sum(weights / (omega + delta)))
-            + _floor_tail(float(mod(1.0)), delta, 10.0**_J_HIGH))
+    return _saturation_terms(mod, delta)[1]
 
 
 def _floor_tail(omega_one, delta, start):
@@ -170,23 +167,10 @@ def _floor_tail(omega_one, delta, start):
 
     Beyond s = 1 a modulus that grows at most linearly, omega(s) <=
     omega(1)*s, lies under the quadratic floor, so this is the tail of the
-    tail-modified integrand.
+    tail-modified integrand.  ``start`` may be an array.
     """
     scale = math.sqrt(omega_one * delta)
-    return math.atan(delta / (scale * start)) / scale
-
-
-def _compensated_cumsum(increments):
-    out = np.empty(len(increments))
-    total = 0.0
-    carry = 0.0
-    for i, inc in enumerate(increments):
-        y = inc + carry
-        t = total + y
-        carry = y - (t - total)
-        total = t
-        out[i] = total
-    return out
+    return np.arctan(delta / (scale * start)) / scale
 
 
 class ConcaveCost:
@@ -197,70 +181,68 @@ class ConcaveCost:
             if not math.isfinite(float(value)) or float(value) <= 0.0:
                 raise FieldError(f"{name} must be positive and finite")
         self.modulus = modulus
-        self.delta = float(delta)
-        self.beta = float(beta)
-        self._omega = tail_modify(modulus)
-        self._build_table()
+        self.delta = delta = float(delta)
+        self.beta = beta = float(beta)
+        edges, _, _, omega_one = _node_table(modulus)
+        self._omega_one = omega_one
+        terms, j_value = _saturation_terms(modulus, delta)
+        self.c_infinity = beta * j_value
 
-    # integrand of the cost, vectorized
-    def _density(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.beta / (np.asarray(self._omega(s), dtype=float)
-                            + self.delta)
+        # one increment per interval of the node grid, from the first that
+        # is a normal float (subnormal ones lose the digits the audits read);
+        # below it the density is beta/delta to roundoff
+        increments = beta * sum(terms[i::4] for i in range(4))
+        first = int(np.argmax(increments >= np.finfo(float).tiny))
+        knots = np.concatenate([[0.0], edges[first:]])
+        cap = beta / delta
+        steps = np.concatenate([[knots[1] * cap], increments[first:]])
 
-    def _build_table(self):
-        omega_one = float(self.modulus(1.0))
-        # Beyond S the remaining tail mass is below beta/(omega(1)*S);
-        # push it under the evaluation tolerance.
-        top = max(1e13 * self.beta / max(omega_one, 1e-300), 1e6)
-        # The integrand's knee sits near delta; the geometric grid must
-        # start well below it or the vectorized evaluator goes blind there.
-        floor = max(min(_TABLE_FLOOR, self.delta * 1e-5), 1e-250)
-        grid = np.geomspace(floor, top, _TABLE_SIZE)
-        knots = np.unique(np.concatenate([[0.0, 1.0], grid]))
-        lo, hi = knots[:-1], knots[1:]
-        increments = gauss_legendre(self._density, lo, hi)
-
-        if np.any(increments < 0.0):
+        if np.any(steps < 0.0):
             raise QuadratureError("cost increments must be nonnegative")
-        slopes = increments / (hi - lo)
-        cap = self.beta / self.delta
+        slopes = steps / np.diff(knots)
         if np.any(slopes > cap * (1.0 + 1e-9)):
             raise QuadratureError("cost slope exceeded beta/delta")
         if np.any(slopes[1:] > slopes[:-1] * (1.0 + 1e-9) + 1e-30):
             raise QuadratureError("cost table lost concavity")
 
+        # the integrand, vectorized: a closure, not a method, so the table
+        # holds no reference cycle and is freed with the cost
+        def density(s):
+            return beta / (_raised_tail(modulus, omega_one, s) + delta)
+
+        self._density = density
         self._table = KnotTable(
-            knots, np.concatenate([[0.0], _compensated_cumsum(increments)]),
-            self._density)
-        self.c_infinity = float(self._table.values[-1] + self.beta
-                                * _floor_tail(omega_one, self.delta, top))
+            knots, np.concatenate([[0.0], np.cumsum(steps)]), density)
 
     def cost_many(self, radii):
-        """Cost of each radius: the knot table plus :class:`KnotTable`'s
-        fixed residual rule (4 nodes inside a positive-knot interval, 32
-        below the first positive knot and beyond the last), and
-        r * density(r) below 1e-300.
+        """Cost of each radius, clipped at c_infinity: the knot table plus
+        :class:`KnotTable`'s 4-node residual, r * density(r) below the
+        first positive knot, and the closed-form floor tail beyond the last
+        knot (1e13).
 
         On the canned moduli (radii 1e-30 to 1e3 and beyond the last knot,
         delta 1 down to 1e-13) each entry matches the table plus an
-        adaptive residual within 3e-11 relative.  A scalar radius gives a
-        float; :meth:`cost` is this same method.
+        adaptive residual within 3e-11 relative, and an adaptive integral
+        from 0 within 1e-13.  A scalar radius gives a float; :meth:`cost`
+        is this same method.
         """
         radii = np.asarray(radii, dtype=float)
         flat = np.atleast_1d(radii).ravel()
         if np.any(flat < 0.0) or np.any(np.isnan(flat)):
             raise CostRangeError("cost argument must be a nonnegative radius")
+        knots = self._table.knots
         out = np.empty(flat.shape)
-        infinite = np.isinf(flat)
-        out[infinite] = self.c_infinity
-        tiny = flat < _LINEAR_FLOOR
-        if tiny.any():
-            out[tiny] = flat[tiny] * self._density(flat[tiny])
-        rest = ~(infinite | tiny)
-        if rest.any():
-            out[rest] = np.minimum(self._table.value(flat[rest]),
-                                   self.c_infinity)
+        head = flat < knots[1]
+        past = flat > knots[-1]
+        inside = ~(head | past)
+        if head.any():
+            out[head] = flat[head] * self._density(flat[head])
+        if inside.any():
+            out[inside] = self._table.value(flat[inside])
+        if past.any():
+            out[past] = self.c_infinity - self.beta * _floor_tail(
+                self._omega_one, self.delta, flat[past])
+        out = np.minimum(out, self.c_infinity)
         return out.reshape(radii.shape) if radii.ndim else float(out[0])
 
     cost = cost_many
@@ -286,14 +268,18 @@ class ConcaveCost:
         if v <= tol:
             return 0.0
 
-        # bracket from the table; past the last knot's value only the tail
-        # remains, below beta/(omega(1)*top) <= 1e-13 < tol, so the f_lo
-        # check returns the last knot
-        knots = self._table.knots
-        pos = int(np.searchsorted(self._table.values, v))
-        lo = float(knots[pos - 1])
-        hi = float(knots[min(pos, len(knots) - 1)])
-
+        knots, values = self._table.knots, self._table.values
+        if v >= values[-1]:
+            # past the last knot c(r) = c_infinity - beta * tail(r): invert
+            # the tail's closed form, at most tol/2 short of the ceiling,
+            # which no finite radius reaches
+            top = float(_floor_tail(self._omega_one, self.delta, knots[-1]))
+            rest = min(max(self.c_infinity - v, 0.5 * tol) / self.beta, top)
+            scale = math.sqrt(self._omega_one * self.delta)
+            lo = hi = self.delta / (scale * math.tan(scale * rest))
+        else:
+            pos = int(np.searchsorted(values, v))
+            lo, hi = float(knots[pos - 1]), float(knots[pos])
         f_lo = self.cost(lo) - v
         if abs(f_lo) <= tol:
             return lo

@@ -17,7 +17,8 @@ atom that freezes during a push had its point checked at the step where it
 froze; it never moves again and no catalog field depends on t, so each
 dropped check would only repeat one already made.  The stage sums are BLAS
 calls whose rounding depends on the row count, so a freeze may move a live
-row by an ulp.
+row by an ulp.  A segment with no live row left ends at t1 in one step,
+with no further field call.
 """
 
 from __future__ import annotations
@@ -134,22 +135,28 @@ def _advance(field, points, t0, t1, opts, record):
                                         opts.freeze_radius))
     y = y_all[live]
     t = t0
-    f_first = evaluate_batch(field, t, y)
-    scale = opts.abs_tol + opts.rel_tol * np.abs(y_all)
-    d0 = float(np.max(np.abs(y_all) / scale, initial=0.0))
-    h = _initial_step(field, t, y, f_first, d0, direction, span, opts)
-    h = min(max(h, 1e-300), span)
+    stages = np.empty((7,) + y_all.shape)  # k is a view of its first rows
+    k = stages[:, :len(y)]
+    h = span
+    if len(y):
+        k[0] = evaluate_batch(field, t, y)
+        scale = opts.abs_tol + opts.rel_tol * np.abs(y_all)
+        d0 = float(np.max(np.abs(y_all) / scale, initial=0.0))
+        h = _initial_step(field, t, y, k[0], d0, direction, span, opts)
+        h = min(max(h, 1e-300), span)
     min_step = 1e-14 * max(1.0, abs(t0), abs(t1))
     fac_old = 1e-4
     accepted = rejected = 0
     just_rejected = False
-    stages = np.empty((7,) + y_all.shape)  # k is a view of its first rows
-    k = stages[:, :len(y)]
-    k[0] = f_first
 
     for _ in range(opts.max_steps):
         remaining = abs(t1 - t)
         if remaining <= 0.0:
+            break
+        if not len(y):  # every atom is frozen: one step to t1, no field call
+            accepted, t = accepted + 1, t1
+            if record:
+                history.append((t, y_all.copy(), remaining, 0.0))
             break
         h = min(h, remaining)
         dt = direction * h
@@ -171,7 +178,8 @@ def _advance(field, points, t0, t1, opts, record):
                 y_all[live[newly]] = y[newly]
                 live, y = live[~newly], y[~newly]
                 k = stages[:, :len(y)]
-                k[0] = evaluate_batch(field, t, y)
+                if len(y):
+                    k[0] = evaluate_batch(field, t, y)
             if record:
                 y_all[live] = y
                 history.append((t, y_all.copy(), h, err))

@@ -58,14 +58,17 @@ class DensityField:
 
 
 def _typed(convert, value, key):
-    """``convert(value)``, with a value of the wrong type reported as a
-    ConfigError that names its config key."""
+    """``convert(value)``, with a value of the wrong type, or a float that
+    is not finite, reported as a ConfigError that names its config key."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        out = convert(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"config key {key!r} has a value of the wrong type: {value!r}") \
             from None
+    if convert is not int and not np.all(np.isfinite(out)):
+        raise ConfigError(f"config key {key!r} must be finite: {value!r}")
+    return out
 
 
 def _array(value):
@@ -376,8 +379,9 @@ class ScenarioConfig:
         except (TypeError, ValueError):
             raise ConfigError("cutoff_levels must be a list of radii") \
                 from None
-        if not levels or any(k < 1.0 for k in levels):
-            raise ConfigError("cutoff levels must be radii of at least 1")
+        if not levels or not all(1.0 <= k < math.inf for k in levels):
+            raise ConfigError(
+                "config key 'cutoff_levels' needs finite radii of at least 1")
         if len(set(levels)) != len(levels):
             raise ConfigError("cutoff levels must be distinct")
 
@@ -390,9 +394,8 @@ class ScenarioConfig:
                     "exactly beta, delta, alpha")
             parameters = {key: _typed(float, value, key)
                           for key, value in parameters.items()}
-            if not all(math.isfinite(parameters[key])
-                       and parameters[key] > 0.0 for key in ("beta", "delta")):
-                raise ConfigError("beta and delta must be positive and finite")
+            if not (parameters["beta"] > 0.0 and parameters["delta"] > 0.0):
+                raise ConfigError("beta and delta must be positive")
             if not 0.0 < parameters["alpha"] < 1.0:
                 raise ConfigError("alpha must lie in (0, 1)")
 

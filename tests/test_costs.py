@@ -25,8 +25,29 @@ def linear_closed_form(r, delta, beta):
     return below + (beta / rd) * (math.atan(r / rd) - math.atan(1.0 / rd))
 
 
+def full_cost(c, r):
+    """c(r) by adaptive quadrature from 0 in u = log s, reading no knot
+    table: the integrand s / (omega'(s) + delta) is bounded in u, and the
+    range splits at its knee s = delta."""
+    omega = tail_modify(c.modulus)
+
+    def integrand(u):
+        s = math.exp(u)
+        return s / (float(omega(s)) + c.delta)
+
+    top = math.log(r)
+    knee = min(math.log(c.delta), top)
+    total = 0.0
+    for a, b in ((-math.inf, knee - 60.0), (knee - 60.0, knee), (knee, top)):
+        if b > a:
+            total += scipy.integrate.quad(integrand, a, b, limit=200,
+                                          epsabs=0.0, epsrel=1e-13)[0]
+    return c.beta * total
+
+
 def adaptive_cost(c, r):
-    """Independent oracle for ``c.cost_many(r)``: the knot table's value at
+    """Independent oracle for ``c.cost_many(r)``: below the first positive
+    knot the full integral from 0, and above it the knot table's value at
     the nearest knot at or below r plus the rest by adaptive quadrature.
     Beyond the last knot K the rest is integrated in u = K/s, where the
     integrand stays bounded, so r may be infinite."""
@@ -36,6 +57,8 @@ def adaptive_cost(c, r):
         return float(c._density(s))
 
     knots, values = c._table.knots, c._table.values
+    if r < knots[1]:
+        return full_cost(c, r) if r > 0.0 else 0.0
     top = float(knots[-1])
     if r > top:
         tail, _ = scipy.integrate.quad(
@@ -113,8 +136,7 @@ def test_saturation_integral_strictly_decreases(make):
 def test_saturation_integral_is_the_cost_ceiling_over_beta(make, delta):
     mod = make()
     cost = ConcaveCost(mod, delta, 0.7)
-    assert cost.c_infinity / 0.7 == pytest.approx(
-        saturation_integral(mod, delta), rel=1e-15, abs=0.0)
+    assert cost.c_infinity == 0.7 * saturation_integral(mod, delta)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -156,22 +178,80 @@ def test_four_node_residual_matches_32_nodes_on_cutoffs(growth, k):
     assert _residual_rules_disagree(table, radii) <= 4.4e-16
 
 
-def test_cost_many_takes_4_nodes_inside_a_positive_knot_interval(
-        monkeypatch):
+def test_cost_many_takes_4_nodes_inside_a_positive_knot_interval():
+    """4 modulus values per radius inside the table, one below its first
+    positive knot (r * density(r)), and none beyond its last knot, where
+    the floor tail is in closed form; a build on a tabulated modulus takes
+    none."""
     points = []
 
-    def counted(self, s, _original=ConcaveCost._density):
+    def counted(s, _original=modulus_log()):
         points.append(np.size(s))
-        return _original(self, s)
+        return _original(s)
 
-    monkeypatch.setattr(ConcaveCost, "_density", counted)
-    cost = ConcaveCost(modulus_log(), 1e-3, 0.5)
-    knots = cost._table.knots
-    inside = np.array([0.5 * (knots[1] + knots[2]), 0.3, 2.0])
-    outside = np.array([0.5 * knots[1], 3.0 * knots[-1]])
+    modulus = Modulus(counted, osgood=True)
+    saturation_integral(modulus, 1.0)
     points.clear()
-    cost.cost_many(np.concatenate([inside, outside]))
-    assert sorted(points) == [4 * len(inside), 32 * len(outside)]
+    cost = ConcaveCost(modulus, 1e-3, 0.5)
+    assert points == []
+    knots = cost._table.knots
+    inside = np.array([0.5 * (knots[1] + knots[2]), 0.3, 2.0, knots[-1]])
+    head = np.array([0.5 * knots[1]])
+    beyond = np.array([3.0 * knots[-1], np.inf])
+    cost.cost_many(np.concatenate([inside, head, beyond]))
+    assert sorted(points) == [len(head), 4 * len(inside)]
+    points.clear()
+    cost.cost_many(beyond)
+    assert points == []
+
+
+@pytest.mark.parametrize("make", CANNED_MODULI)
+@pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-7, 1e-13])
+def test_cost_many_matches_the_full_integral_from_zero(make, delta):
+    """The oracle reads no knot table, so it sees the table's first
+    intervals: a table whose first interval [0, delta * 1e-5] spanned the
+    modulus's log singularity was 5.2e-11 off for loglog_squared at
+    delta = 1e-13, r = 1e-18 (measured error now below 3e-15)."""
+    c = ConcaveCost(make(), delta, 0.7)
+    radii = [delta * 1e-5, delta, 0.3, 5.0]
+    for r, value in zip(radii, c.cost_many(np.array(radii))):
+        assert value == pytest.approx(full_cost(c, r), rel=1e-13, abs=0.0), \
+            f"r={r!r}"
+
+
+def test_tiny_beta_over_delta_starts_the_table_at_normal_increments():
+    """With beta/delta = 1e-15 the increments of the intervals below about
+    1e-291 are subnormal and would fail the slope and concavity audits; the
+    table starts at the first normal one, and below it the cost is
+    r * beta / delta to roundoff."""
+    delta, beta = 1e12, 1e-3
+    c = ConcaveCost(modulus_linear(), delta, beta)
+    knots, values = c._table.knots, c._table.values
+    assert 1e-300 < knots[1] < 1e-280
+    assert values[2] - values[1] >= np.finfo(float).tiny
+    root = math.sqrt(delta)
+    for r in (1e-295, knots[1], 1e-6, 0.5):
+        assert c.cost(r) == pytest.approx(beta * math.log1p(r / delta),
+                                          rel=1e-13, abs=0.0)
+    for r in (3.0, 1e15):
+        exact = beta * (math.log1p(1.0 / delta) + (
+            math.atan(r / root) - math.atan(1.0 / root)) / root)
+        assert c.cost(r) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("make", [modulus_linear, modulus_log])
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 100.0])
+def test_cost_inverse_round_trips_up_to_the_ceiling(make, beta):
+    """Past the last knot (1e13) the inverse solves the floor tail in
+    closed form: with beta = 100 and delta >= 1e6 that tail is above the
+    inverse's tolerance, so the last knot alone cannot answer."""
+    for delta in (1e-13, 1e-4, 1.0, 1e6, 1e12):
+        c = ConcaveCost(make(), delta, beta)
+        for fraction in (0.2, 0.9, 1.0 - 1e-9, 1.0 - 1e-13, 1.0):
+            value = fraction * c.c_infinity
+            back = c.cost_inverse(value)
+            assert abs(c.cost(back) - value) <= 1e-12 * max(1.0, value), \
+                f"delta={delta!r}, fraction={fraction!r}"
 
 
 def test_cost_at_zero_and_slope(cost_quarter):
@@ -276,7 +356,7 @@ def test_cost_inverse_roundtrip(cost_quarter):
 @pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-7, 1e-13])
 def test_cost_inverse_of_the_ceiling_round_trips(make, delta):
     """c_infinity lies past the last knot's value by the closed-form tail,
-    which is under the inverse's tolerance, so the last knot answers."""
+    which no finite radius closes; the inverse stops within tolerance."""
     c = ConcaveCost(make(), delta, 0.7)
     back = c.cost_inverse(c.c_infinity)
     assert abs(c.cost(back) - c.c_infinity) <= 1e-12 * max(1.0,

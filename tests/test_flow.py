@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import charflow.flow as flow
 from charflow import (FlowError, FlowOptions, constant_field, flow_endpoints,
                       flow_map, flow_push, integrate_flow, linear_field, make_measure, measure_from_arrays,
                       modulus_linear, modulus_log, osgood_1d_field,
@@ -158,7 +159,9 @@ def test_flow_error_carries_partial_trajectory():
 
 @pytest.mark.parametrize("field,start,max_steps,accepted,rejected", [
     (osgood_1d_field(), (0.999,), 6, 5, 1),
-    (osgood_plane_field(), (0.3, 0.0), 82, 77, 5),
+    # the atom freezes at the 74th accepted step; one more step ends the
+    # segment, so 79 steps stop one short of t1
+    (osgood_plane_field(), (0.3, 0.0), 79, 74, 5),
 ], ids=["osgood_1d", "osgood_plane"])
 def test_flow_error_trajectory_counts_its_rejected_steps(
         field, start, max_steps, accepted, rejected):
@@ -170,7 +173,19 @@ def test_flow_error_trajectory_counts_its_rejected_steps(
     assert len(traj.times) == accepted + 1
 
 
-def test_batch_that_starts_frozen_returns_its_input():
+def _record_batch_sizes(monkeypatch):
+    sizes = []
+
+    def recorded(field, t, points, _original=flow.evaluate_batch):
+        sizes.append(len(points))
+        return _original(field, t, points)
+
+    monkeypatch.setattr(flow, "evaluate_batch", recorded)
+    return sizes
+
+
+def test_batch_that_starts_frozen_returns_its_input(monkeypatch):
+    sizes = _record_batch_sizes(monkeypatch)
     f = osgood_plane_field()
     start = np.array([[0.0, 0.0], [1e-9, 0.0], [0.0, -5e-9], [3e-9, 4e-9]])
     frames = flow_map(f, start, [0.0, 0.5, 1.0])
@@ -178,13 +193,17 @@ def test_batch_that_starts_frozen_returns_its_input():
         assert frame.tobytes() == start.tobytes()
     traj = integrate_flow(f, start[1], 0.0, 1.0)
     assert traj.times[-1] == 1.0 and traj.n_rejected == 0
+    assert traj.n_accepted == len(traj.times) - 1
     assert traj.states.tobytes() == np.tile(start[1], (len(traj.times), 1)
                                             ).tobytes()
+    # a segment with no live row ends at t1 without a field call
+    assert sizes == []
 
 
-def test_last_live_atom_freezes_mid_segment():
+def test_last_live_atom_freezes_mid_segment(monkeypatch):
     # the atom at radius 0.05 reaches the freeze radius near t = 0.35, so
-    # the stepper runs the rest of [0.25, 0.5] and all of [0.5, 1] on no rows
+    # the rest of [0.25, 0.5] and all of [0.5, 1] have no live row
+    sizes = _record_batch_sizes(monkeypatch)
     f = osgood_plane_field()
     opts = FlowOptions(abs_tol=1e-9, rel_tol=1e-7)
     start = np.array([[0.0, 0.0], [0.04, 0.03]])
@@ -203,3 +222,4 @@ def test_last_live_atom_freezes_mid_segment():
     assert 0.25 < traj.times[first] < 0.5 and frozen[first:].all()
     assert traj.states[first:].tobytes() == np.tile(
         traj.states[first], (len(traj.times) - first, 1)).tobytes()
+    assert sizes and 0 not in sizes  # no zero-row call

@@ -77,6 +77,17 @@ def micro_config(**overrides):
      "finite"),
     ({"parameters": {"beta": 1.0, "delta": math.inf, "alpha": 0.5}},
      "finite"),
+    ({"parameters": {"beta": 1.0, "delta": 0.1, "alpha": math.nan}},
+     "'alpha' must be finite"),
+    ({"cutoff_levels": [math.inf]}, "'cutoff_levels' needs finite radii"),
+    ({"cutoff_levels": [2.0, math.nan]}, "'cutoff_levels' needs finite"),
+    ({"horizon": math.inf}, "'horizon' must be finite"),
+    ({"abs_tol": math.nan}, "'abs_tol' must be finite"),
+    ({"rel_tol": math.inf}, "'rel_tol' must be finite"),
+    ({"coarse_factor": math.inf}, "'coarse_factor' must be finite"),
+    ({"weak_tol": -math.inf}, "'weak_tol' must be finite"),
+    ({"time_points": math.inf}, "'time_points' has a value of the wrong"),
+    ({"seed": math.nan}, "'seed' has a value of the wrong type"),
 ])
 def test_config_rejections(patch, needle):
     doc = {**MICRO, **patch}
@@ -138,6 +149,7 @@ def test_builtins_all_validate():
     ({"kind": "interval", "low": 1.0, "high": 0.0}, "low < high"),
     ({"kind": "ring", "radius": 0.0}, "positive"),
     ({"kind": "two_bumps", "centers": [[0.0]]}, "exactly two"),
+    ({"kind": "gaussian", "spread": math.inf}, "'spread' must be finite"),
 ])
 def test_density_rejections(doc, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -5,6 +5,8 @@ The counts are deterministic, so a regression that recomputes a value shows
 here without any timing.
 """
 
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -17,7 +19,8 @@ import charflow.flow as flow
 import charflow.scenarios as scenarios
 import charflow.transport as transport
 from charflow import (AtomicSignedMeasure, ConcaveCost, FlowOptions,
-                      MollifierSpec, ScheduleError, balance_with_reservoir,
+                      Modulus, MollifierSpec, ScheduleError,
+                      balance_with_reservoir,
                       integrate_flow, make_measure, measure_from_arrays,
                       modulus_linear, modulus_log, modulus_loglog_squared,
                       mollify, osgood_plane_field, parameter_schedule,
@@ -157,6 +160,8 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
                         recorded_difference)
     monkeypatch.setattr(AtomicSignedMeasure, "total_variation",
                         counted_variation)
+    tables = _CountingTables()
+    monkeypatch.setattr(costs, "_NODE_TABLES", tables)
     run_scenario(config, str(tmp_path))
 
     levels = len(config.cutoff_levels)
@@ -172,6 +177,8 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     # one bound call per level gives the terms of every report time
     assert counts["bound"] == levels
     assert counts["J inside the bound"] == 0
+    # the modulus is tabulated once: J and every level's cost share it
+    assert tables.builds == 1
     # each snapshot's variation is summed once per level
     assert len(snapshots) == config.time_points
     assert [variation_sums.get(id(m), 0) for m in snapshots] == \
@@ -215,6 +222,7 @@ def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
             assert batch.tobytes() == live_rows(states[t]).tobytes()
     assert {len(batch) for _, batch in batches} == \
         {len(live_rows(state)) for state in states.values()}
+    assert all(len(batch) for _, batch in batches)  # no zero-row call
 
     monkeypatch.undo()
     frames = flow.flow_map(field, points, times, opts)
@@ -312,11 +320,53 @@ class _CountingTables(weakref.WeakKeyDictionary):
 def test_schedule_builds_the_j_node_table_at_most_once(monkeypatch, ivar,
                                                        floor, modulus):
     tables = _CountingTables()
-    monkeypatch.setattr(costs, "_J_TABLES", tables)
+    monkeypatch.setattr(costs, "_NODE_TABLES", tables)
     deltas = _record_j(monkeypatch)
-    parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
+    evaluations = []
+
+    def counted(s, _original=modulus):
+        evaluations.append(np.size(s))
+        return _original(s)
+
+    modulus = Modulus(counted, osgood=modulus.osgood)
+    sched = parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
     assert len(deltas) > 3
     assert tables.builds == 1
     # the table lives as long as its modulus
     parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
     assert tables.builds == 1
+    # a cost on the same modulus sums the table's terms: no modulus value
+    evaluations.clear()
+    cost = ConcaveCost(modulus, sched.delta, sched.beta)
+    assert tables.builds == 1 and evaluations == []
+    assert cost.c_infinity == sched.beta * sched.j_value
+
+
+def test_threads_share_one_node_table_build(monkeypatch):
+    """Level jobs on threads ask for J on one modulus at once; the lock
+    around the table lets one build it and the others read it."""
+    tables = _CountingTables()
+    monkeypatch.setattr(costs, "_NODE_TABLES", tables)
+    modulus = modulus_log()
+    deltas = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0]
+    start = threading.Barrier(len(deltas))
+    results = {}
+
+    def job(delta):
+        start.wait(timeout=10.0)
+        results[delta] = costs.saturation_integral(modulus, delta)
+
+    workers = [threading.Thread(target=job, args=(d,)) for d in deltas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert tables.builds == 1
+    assert results == {d: costs.saturation_integral(modulus, d)
+                       for d in deltas}
