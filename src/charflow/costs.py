@@ -10,17 +10,17 @@ saturates).  Concavity is automatic: the integrand is positive and
 nonincreasing.  c(0) = 0 and subadditivity follow, which is what lets the
 cost act as a metric on measures with mass parked at the absorbing point.
 
-Evaluation strategy: omega' is tabulated once per live modulus, on the 4
-Gauss-Legendre nodes of each interval of a geometric grid from 1e-300 to
-1e13, 128 intervals per decade.  The saturation integral J(delta), the
+Evaluation strategy: one rule, 4-node Gauss-Legendre, on one geometric
+grid (:func:`grid_edges`).  omega' is tabulated once per live modulus at
+the rule's nodes in each grid interval from 1e-300 to 1e13.  J(delta), the
 total of the integral above over beta, is one weighted sum over that node
 table plus the tail beyond 1e13 in closed form on the quadratic floor.  A
 cost sums the same terms per interval into its knot table and takes its
 ceiling c_infinity = beta * J(delta) from them, so a cost built on a
 modulus that J has seen evaluates no modulus.  A query adds to the value at
 the nearest knot the 4-node residual of :class:`KnotTable`, which also
-tabulates the cutoff window in diagnostics; below the first knot the cost
-is r * density(r), and beyond the last one the closed-form floor tail.
+holds the cutoff window in diagnostics; below the first knot the cost is
+r * density(r), and beyond the last one the closed-form floor tail.
 """
 
 from __future__ import annotations
@@ -35,32 +35,36 @@ import numpy as np
 from .errors import CostRangeError, FieldError, QuadratureError
 from .fields import Modulus
 
-# Gauss-Legendre rules on [-1, 1] by node count: 4 for the modulus's node
-# table and every knot-table residual, 32 for the cutoff's bracket search
-# and table
-_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (4, 32)}
+# the one Gauss-Legendre rule on [-1, 1], for every table and residual
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(4)
 _NODE_TABLES = weakref.WeakKeyDictionary()
 _NODE_LOCK = threading.Lock()  # level jobs on threads share one build
 
 
-def _rule_nodes(lo, hi, order):
-    """Nodes of the ``order``-node rule on each [lo, hi], and half-widths."""
+def grid_edges(first=-300 * 128):
+    """Edges 10**(i/128), i = first ... 13*128: 128 intervals per decade,
+    each 1.8 % of its radius wide; i/128 is exact, so s = 1 is an edge."""
+    return 10.0 ** (np.arange(first, 13 * 128 + 1) / 128)
+
+
+def _rule_nodes(lo, hi):
+    """Nodes of the 4-node rule on each [lo, hi], and half-widths."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return mid[..., None] + half[..., None] * _RULES[order][0], half
+    return mid[..., None] + half[..., None] * _NODES, half
 
 
-def gauss_legendre(density, lo, hi, order=32):
-    """Gauss-Legendre integrals of ``density`` over each [lo, hi].
+def gauss_legendre(density, lo, hi):
+    """4-node Gauss-Legendre integrals of ``density`` over each [lo, hi].
 
     ``lo`` and ``hi`` are arrays that broadcast together; ``density`` is
     called once on every node of every interval and must accept a flat
-    array.  ``order`` is the node count per interval, 4 or 32.
+    array.
     """
-    nodes, half = _rule_nodes(lo, hi, order)
+    nodes, half = _rule_nodes(lo, hi)
     vals = np.asarray(density(nodes.ravel()),
                       dtype=float).reshape(nodes.shape)
-    return (vals * _RULES[order][1]).sum(axis=-1) * half
+    return (vals * _WEIGHTS).sum(axis=-1) * half
 
 
 @dataclass(frozen=True)
@@ -69,11 +73,11 @@ class KnotTable:
 
     ``values[i]`` is the integral from ``knots[0]`` to ``knots[i]``.  A
     point in [knots[0], knots[-1]] adds the 4-node residual from the nearest
-    knot at or below it.  On the canned moduli and cutoff tables, where an
-    interval with a positive left knot is at most 1.8 % of its radius wide,
-    that agrees with 32 nodes within 4.4e-16 of the value.  Callers keep
-    their points off an interval from a zero knot, where the density may
-    be singular.
+    knot at or below it.  Costs and cutoffs take their positive knots from
+    :func:`grid_edges`; on the canned moduli and growth envelopes that
+    agrees with 32 nodes within 4.4e-16 of the value.  Callers keep their
+    points off an interval from a zero knot, where the density may be
+    singular.
     """
 
     knots: np.ndarray
@@ -89,7 +93,7 @@ class KnotTable:
     def value(self, r):
         """Integral from the first knot to each r: table plus residual."""
         base_r, base_v = self.base(r)
-        return base_v + gauss_legendre(self.density, base_r, r, 4)
+        return base_v + gauss_legendre(self.density, base_r, r)
 
 
 def tail_modify(mod):
@@ -121,13 +125,11 @@ def _node_table(mod):
     with _NODE_LOCK:
         table = _NODE_TABLES.get(mod)
         if table is None:
-            # 128 intervals per decade from 1e-300 to 1e13, each 1.8 % of
-            # its radius wide; i/128 is exact in binary, so s = 1 is an edge
-            edges = 10.0 ** (np.arange(-300 * 128, 13 * 128 + 1) / 128)
-            nodes, half = _rule_nodes(edges[:-1], edges[1:], 4)
+            edges = grid_edges()
+            nodes, half = _rule_nodes(edges[:-1], edges[1:])
             modified = tail_modify(mod)
             table = _NODE_TABLES[mod] = (
-                edges, (half[:, None] * _RULES[4][1]).ravel(),
+                edges, (half[:, None] * _WEIGHTS).ravel(),
                 np.asarray(modified(nodes.ravel()), dtype=float),
                 float(modified(1.0)))
     return table

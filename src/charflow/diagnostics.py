@@ -19,7 +19,8 @@ import numpy as np
 import scipy.integrate
 import scipy.optimize
 
-from .costs import KnotTable, gauss_legendre, saturation_integral
+from .costs import (KnotTable, gauss_legendre, grid_edges,
+                    saturation_integral)
 from .errors import CutoffError, MollifierError, ScheduleError
 from .fields import (evaluate_batch, plateau_bump, plateau_bump_derivative,
                      row_norms, smooth_step, smooth_step_derivative)
@@ -27,7 +28,6 @@ from .measures import balance_with_reservoir, jordan_decompose, \
     measure_from_arrays
 from .transport import solve_ot
 
-_RK_CAP = 1e9
 _DECADE = math.log(10.0)
 _LOG_DELTA_FLOOR = math.log(1e-280)
 _LOG_DELTA_CEILING = math.log(1e12)
@@ -90,34 +90,30 @@ class CutoffFamily:
 def build_cutoff(growth, k):
     """Construct the level-k cutoff for a growth envelope.
 
-    Fails when the envelope grows so fast that int_k^R ds/G cannot reach 1
-    for any representable radius (the decay window would be infinite).
+    H(r) = int_k^r ds/G is one cumulative sum of 4-node increments at k
+    and the cost grid's edges above it, cut at the first knot where H
+    reaches 1; r_zero is the root of H - 1 on that same table.  Fails when
+    H stays below 1 at 1e13 (the decay window would be too wide to hold).
     """
     k = float(k)
-    if k <= 0.0:
-        raise CutoffError("cutoff level k must be positive")
+    if not (0.0 < k < math.inf):
+        raise CutoffError("cutoff level k must be positive and finite")
 
     def density(s):
         return 1.0 / np.asarray(growth(s), dtype=float)
 
-    def h_over(a, b):
-        return float(gauss_legendre(density, np.array(a), np.array(b)))
-
-    # H over [k, k+1], then over each doubling, until it reaches 1
-    lo, hi = k, k + 1.0
-    h_lo, h_hi = 0.0, h_over(lo, hi)
-    while h_hi < 1.0:
-        lo, hi, h_lo = hi, 2.0 * hi, h_hi
-        if hi > _RK_CAP:
-            raise CutoffError("G tail too heavy for numeric R_k")
-        h_hi = h_lo + h_over(lo, hi)
-    r_zero = scipy.optimize.brentq(lambda r: h_lo + h_over(lo, r) - 1.0,
-                                   lo, hi, xtol=1e-13, rtol=1e-15)
-
-    knots = np.linspace(k, r_zero, 2049)
-    incs = gauss_legendre(density, knots[:-1], knots[1:])
-    table = KnotTable(knots, np.concatenate([[0.0], np.cumsum(incs)]),
-                      density)
+    edges = grid_edges(math.floor(128 * math.log10(k)))
+    knots = np.concatenate([[k], edges[edges > k]])
+    values = np.concatenate([[0.0], np.cumsum(
+        gauss_legendre(density, knots[:-1], knots[1:]))])
+    if not values[-1] >= 1.0:
+        raise CutoffError(f"G tail too heavy for numeric R_k: H reaches "
+                          f"only {values[-1]:.4g} by r = {knots[-1]:.4g}")
+    end = int(np.searchsorted(values, 1.0)) + 1
+    table = KnotTable(knots[:end], values[:end], density)
+    r_zero = scipy.optimize.brentq(
+        lambda r: float(table.value(r)) - 1.0, knots[end - 2],
+        knots[end - 1], xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     cut = CutoffFamily(k=k, r_zero=float(r_zero), growth=growth,
                        _h_table=table)
 
@@ -357,8 +353,9 @@ def parameter_schedule(k, variation_integral, variation_floor,
       omega(alpha) * (beta/delta + beta*J/G(k)) * (C*I + 1) <= 1, capping
       term3.  Any smaller alpha keeps the inequality.
 
-    Fails honestly when no delta reaches the target (the reciprocal modulus
-    integral converges: the non-uniqueness regime) or when alpha underflows.
+    Fails honestly when no delta >= 1e-280 reaches the target (J converges
+    for a non-Osgood modulus, the non-uniqueness regime, and may diverge
+    too slowly for an Osgood one) or when alpha underflows.
     """
     ivar = float(variation_integral)
     floor = float(variation_floor)
@@ -388,7 +385,8 @@ def parameter_schedule(k, variation_integral, variation_floor,
             raise ScheduleError(
                 f"J({math.exp(b):.3g}) = {j_at(b):.4g} stays below the "
                 f"target {j_target:.4g}; no delta reaches the target "
-                "saturation scale, the reciprocal modulus integral converges")
+                "saturation scale, the reciprocal modulus integral "
+                + ("diverges too slowly" if modulus.osgood else "converges"))
         if b == _LOG_DELTA_CEILING:
             raise ScheduleError("delta search bracket ran away upward")
         a, step = b, 2.0 * step
@@ -400,15 +398,9 @@ def parameter_schedule(k, variation_integral, variation_floor,
     rate = (beta / delta + beta * j_val / float(growth_at_k)) \
         * (const * ivar + 1.0)
     alpha = 1.0
-    for _ in range(1080):
-        if float(modulus(alpha)) * rate <= 1.0:
-            break
+    while alpha > 0.0 and not float(modulus(alpha)) * rate <= 1.0:
         alpha *= 0.5
-        if alpha == 0.0:
-            break
-    else:
-        alpha = 0.0
-    if alpha == 0.0 or float(modulus(alpha)) * rate > 1.0:
+    if alpha == 0.0:
         raise ScheduleError(
             "mollifier radius underflowed before meeting the bound")
     return Schedule(k=float(k), variation_integral=ivar,

@@ -58,14 +58,18 @@ class DensityField:
 
 
 def _typed(convert, value, key):
-    """``convert(value)``, with a value of the wrong type, or a float that
-    is not finite, reported as a ConfigError that names its config key."""
+    """``convert(value)``; a ConfigError naming ``key`` for a wrong type (a
+    bool or str too), a fractional int or a non-finite float."""
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError(value)
         out = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"config key {key!r} has a value of the wrong type: {value!r}") \
             from None
+    if convert is int and out != value:
+        raise ConfigError(f"config key {key!r} needs an integer: {value!r}")
     if convert is not int and not np.all(np.isfinite(out)):
         raise ConfigError(f"config key {key!r} must be finite: {value!r}")
     return out
@@ -375,6 +379,8 @@ class ScenarioConfig:
 
         levels = merged["cutoff_levels"]
         try:
+            if any(isinstance(k, (bool, str)) for k in levels):
+                raise TypeError(levels)
             levels = tuple(sorted(float(k) for k in levels))
         except (TypeError, ValueError):
             raise ConfigError("cutoff_levels must be a list of radii") \

@@ -1,6 +1,7 @@
 """Source guards: the package imports only numpy, scipy, click and the
-standard library, ``fields.row_norms`` is its only per-row norm, and
-``scipy.integrate`` serves only the mollifier's kernel-mass audit."""
+standard library, ``fields.row_norms`` is its only per-row norm,
+``scipy.integrate`` serves only the mollifier's kernel-mass audit, and
+``costs`` builds the one Gauss-Legendre rule."""
 
 import ast
 import pathlib
@@ -109,7 +110,7 @@ def _mollifier_audit_lines(source):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_quadrature_has_one_owner(path):
-    # the integrals run on costs.gauss_legendre's fixed rules; only the
+    # the integrals run on costs.gauss_legendre's fixed rule; only the
     # kernel-mass audit of MollifierSpec keeps quad, as an independent check
     source = path.read_text(encoding="utf-8")
     audit = _mollifier_audit_lines(source)
@@ -120,3 +121,27 @@ def test_quadrature_has_one_owner(path):
     imports = sorted(line for kind, line in found if kind == "import")
     assert not imports or any(kind == "use" for kind, _ in found), \
         f"{path.name}:{imports} import scipy.integrate without the audit"
+
+
+def _leggauss_calls(source):
+    """(line, node-count argument) of each ``leggauss`` call."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                ast.unparse(node.func).split(".")[-1] == "leggauss":
+            yield node.lineno, ast.unparse(node.args[0]) if node.args else ""
+
+
+def test_rule_guard_finds_leggauss_calls():
+    sample = ("a = np.polynomial.legendre.leggauss(4)\n"
+              "from numpy.polynomial.legendre import leggauss\n"
+              "b = leggauss(n)\n")
+    assert list(_leggauss_calls(sample)) == [(1, "4"), (3, "n")]
+
+
+def test_one_gauss_legendre_rule():
+    # the cost grid's node table, the cutoff window and every knot-table
+    # residual take the 4-node rule that costs.py builds once
+    calls = {path.name: [arg for _, arg in _leggauss_calls(
+        path.read_text(encoding="utf-8"))] for path in SOURCES}
+    assert {name: args for name, args in calls.items() if args} == \
+        {"costs.py": ["4"]}

@@ -15,9 +15,12 @@ from charflow import (CharflowError, ConcaveCost, CutoffError, MollifierError,
                       modulus_log, modulus_loglog_squared, mollify,
                       parameter_schedule, rotation_field,
                       saturation_integral, weak_solution_residual)
+from charflow.costs import grid_edges
 from charflow.diagnostics import trapezoid_rule, variation_integrals
 from charflow.fileio import write_table
 from charflow.fields import smooth_step, smooth_step_derivative
+
+EPS = np.finfo(float).eps  # 2.2e-16, one unit in the last place of 1
 
 
 def saturation_linear(delta):
@@ -92,10 +95,46 @@ def test_cutoff_apply_reweights_and_drops():
 
 def test_cutoff_rejects_heavy_tails():
     heavy = GrowthEnvelope(lambda r: (1.0 + np.asarray(r, dtype=float))**2)
-    with pytest.raises(CutoffError, match="tail"):
+    with pytest.raises(CutoffError, match=r"tail.* by r = 1e\+13"):
         build_cutoff(heavy, 1.0)
     with pytest.raises(CutoffError):
         build_cutoff(growth_affine(), 0.0)
+    # a non-finite level is the caller's error, not a root-finder failure
+    for level in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CutoffError, match="positive and finite"):
+                build_cutoff(growth_affine(), level)
+
+
+def _counting_affine():
+    """Affine growth 1 + r, and a list that sums the radii it is given."""
+    seen = [0]
+
+    def affine(r):
+        seen[0] += np.size(r)
+        return 1.0 + r
+    return GrowthEnvelope(affine), seen
+
+
+@pytest.mark.parametrize("levels", [range(1, 601), [5e8], [2e9], [1e11],
+                                    [1e12]],
+                         ids=["1-600", "5e8", "2e9", "1e11", "1e12"])
+def test_cutoff_radius_is_the_root_of_its_grid_table(levels):
+    # H(r) = log((1 + r) / (1 + k)) or r - k in closed form; the table
+    # reaches 1e13, so windows far past 1e9 still close
+    for k in map(float, levels):
+        affine, seen = _counting_affine()
+        for growth, want in ((affine, (1.0 + k) * math.e - 1.0),
+                             (growth_constant(), k + 1.0)):
+            cut = build_cutoff(growth, k)
+            assert abs(cut.r_zero - want) <= 7e-16 * want
+            table = cut._h_table
+            assert abs(table.value(cut.r_zero) - 1.0) <= EPS
+            assert table.knots[0] == k
+            assert np.all(np.isin(table.knots[1:], grid_edges()))
+            assert table.knots[-2] < cut.r_zero <= table.knots[-1]
+        assert seen[0] <= 11_000
 
 
 # -- mollifier ----------------------------------------------------------------
@@ -383,6 +422,15 @@ def test_schedule_fails_honestly_outside_the_osgood_class():
                            variation_floor=0.02, modulus_constant=1.0,
                            growth_constant=1.0,
                            modulus=modulus_loglog_squared())
+
+
+def test_schedule_names_an_osgood_integral_too_slow_for_the_target():
+    # J of the linear modulus diverges like log(1/delta) but is 645.7 at
+    # the floor 1e-280, far below this target of 5e8
+    with pytest.raises(ScheduleError,
+                       match=r"J\(1e-280\) = 645\.7 stays below the target "
+                             r"5e\+08;.* integral diverges too slowly$"):
+        parameter_schedule(1e9, 1.0, 1e-9, 1.0, 1.0, modulus_linear())
 
 
 def test_schedule_argument_guards():

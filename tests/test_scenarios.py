@@ -88,6 +88,18 @@ def micro_config(**overrides):
     ({"weak_tol": -math.inf}, "'weak_tol' must be finite"),
     ({"time_points": math.inf}, "'time_points' has a value of the wrong"),
     ({"seed": math.nan}, "'seed' has a value of the wrong type"),
+    # booleans and strings are not numbers, and an int key takes no fraction
+    ({"resolution": 24.9}, "'resolution' needs an integer"),
+    ({"time_points": 2.5}, "'time_points' needs an integer"),
+    ({"seed": 1.5}, "'seed' needs an integer"),
+    ({"cells_per_alpha": 4.7}, "'cells_per_alpha' needs an integer"),
+    ({"horizon": True}, "'horizon' has a value of the wrong type"),
+    ({"resolution": "24"}, "'resolution' has a value of the wrong type"),
+    ({"abs_tol": "1e-11"}, "'abs_tol' has a value of the wrong type"),
+    ({"cutoff_levels": [2.0, True]}, "cutoff_levels must be a list of"),
+    ({"cutoff_levels": ["2"]}, "cutoff_levels must be a list of radii"),
+    ({"parameters": {"beta": True, "delta": 0.1, "alpha": 0.5}},
+     "'beta' has a value of the wrong type"),
 ])
 def test_config_rejections(patch, needle):
     doc = {**MICRO, **patch}
@@ -101,6 +113,15 @@ def test_resolution_differencing_needs_a_density():
            "density": {"kind": "atoms", "atoms": [[[0.0, 0.0], 1.0]]}}
     with pytest.raises(ConfigError, match="sampled density"):
         ScenarioConfig.from_dict(doc)
+
+
+def test_config_takes_integral_floats_for_int_keys():
+    cfg = micro_config(resolution=9.0, time_points=3.0, seed=4.0,
+                       cells_per_alpha=5.0)
+    assert (cfg.resolution, cfg.time_points, cfg.seed,
+            cfg.cells_per_alpha) == (9, 3, 4, 5)
+    assert all(type(v) is int for v in (cfg.resolution, cfg.time_points,
+                                         cfg.seed, cfg.cells_per_alpha))
 
 
 def test_config_defaults():
@@ -450,6 +471,33 @@ def test_cli_mixing_disc_names_j_at_the_floor(tmp_path):
     assert match, record["message"]
     j_floor, target = map(float, match.groups())
     assert j_floor == pytest.approx(1.603, abs=1e-3) and j_floor < target
+
+
+def test_cli_shear_line_names_an_osgood_integral_too_slow(tmp_path):
+    # the linear modulus is Osgood, so J diverges, but J(1e-280) = 645.7
+    # stays below level 1e8's target of 6.25e7
+    doc = {**builtin_config("shear_line"), "cutoff_levels": [1e8]}
+    cfg = _write_config(tmp_path, doc, name="slow.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["run", cfg, "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    record = json.loads((out / "slow_error.json").read_text())
+    assert record["error"] == "ScheduleError"
+    assert record["message"] == (
+        "J(1e-280) = 645.7 stays below the target 6.25e+07; no delta "
+        "reaches the target saturation scale, the reciprocal modulus "
+        "integral diverges too slowly")
+
+
+def test_pinned_shear_line_cuts_off_at_level_2e9(tmp_path):
+    # affine growth puts r_zero at (1 + 2e9) e - 1 = 5.4e9; atoms near 0
+    # sit on the plateau of both levels
+    doc = {**builtin_config("shear_line"), "cutoff_levels": [2.0, 2e9],
+           "parameters": {"beta": 0.5, "delta": 1e-3, "alpha": 0.25}}
+    cfg = _write_config(tmp_path, doc, name="far.json")
+    result = CliRunner().invoke(
+        cli_main, ["run", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
 
 
 def test_shear_line_at_level_600_stops_at_the_lattice_guard(tmp_path,
