@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowError
-from .fields import evaluate_batch, row_norms
+from .fields import (VectorFieldSpec, evaluate_batch, growth_constant,
+                     row_norms)
 from .measures import measure_from_arrays
 
 # Dormand-Prince 5(4) tableau.  Row seven equals the fifth-order weights:
@@ -275,11 +276,12 @@ def flow_map(field, points, t_grid, options=None):
 def osgood_envelope(constant, modulus, d0, t_grid, options=None):
     """Upper envelope for trajectory separation: solves d' = C * omega(d).
 
-    Starting separations of exactly zero stay zero (that is the uniqueness
-    statement for Osgood moduli); the caller compares measured separations
-    against this curve.
+    The separation is one atom that :func:`flow_map` pushes along the 1-D
+    field C * omega(max(d, 0)); its growth constant is infinite, so the
+    envelope check of ``evaluate_batch`` never binds.  Starting separations
+    of exactly zero stay zero (that is the uniqueness statement for Osgood
+    moduli); the caller compares measured separations against this curve.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     d0 = float(d0)
     if d0 < 0.0:
         raise FlowError("separation must be nonnegative")
@@ -287,29 +289,13 @@ def osgood_envelope(constant, modulus, d0, t_grid, options=None):
         return np.zeros(len(t_grid))
     constant = float(constant)
 
-    class _Envelope:
-        dimension = 1
-        name = "separation-envelope"
-        growth_const = math.inf
-        singular_points = ()
+    def speed(t, pts):
+        return constant * np.asarray(
+            modulus(np.clip(pts[:, 0], 0.0, None)), dtype=float
+        ).reshape(-1, 1)
 
-        @staticmethod
-        def evaluator(t, pts):
-            return constant * np.asarray(
-                modulus(np.clip(pts[:, 0], 0.0, None)), dtype=float
-            ).reshape(-1, 1)
-
-        @staticmethod
-        def growth(r):
-            return np.ones_like(np.asarray(r, dtype=float))
-
-    # bypass the envelope check: growth_const is inf on purpose
-    env = _Envelope()
-    out = np.empty(len(t_grid))
-    out[0] = d0
-    current = np.array([[d0]])
-    for i, (ta, tb) in enumerate(zip(t_grid[:-1], t_grid[1:])):
-        current, _, _ = _advance(env, current, ta, tb,
-                                 options or FlowOptions(), record=False)
-        out[i + 1] = current[0, 0]
-    return out
+    env = VectorFieldSpec(
+        dimension=1, name="separation-envelope", evaluator=speed,
+        growth=growth_constant(), modulus=modulus, growth_const=math.inf,
+        modulus_constants=((math.inf, constant),))
+    return flow_map(env, [[d0]], t_grid, options)[:, 0, 0]

@@ -57,11 +57,21 @@ class DensityField:
     pdf_sup: float
 
 
+def _scalars(value):
+    """The entries of a value at every depth of its nested lists."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _scalars(item)
+    else:
+        yield value
+
+
 def _typed(convert, value, key):
     """``convert(value)``; a ConfigError naming ``key`` for a wrong type (a
-    bool or str too), a fractional int or a non-finite float."""
+    bool or str too, at any depth of a nested list), a fractional int or a
+    non-finite float."""
     try:
-        if isinstance(value, (bool, str)):
+        if any(isinstance(v, (bool, str)) for v in _scalars(value)):
             raise TypeError(value)
         out = convert(value)
     except (TypeError, ValueError, OverflowError):
@@ -422,6 +432,12 @@ class ScenarioConfig:
                 "a seed is required (config key \"seed\" or --seed)")
 
         field_params = {k: v for k, v in field_block.items() if k != "kind"}
+        # built once here, so that a bad value fails when the config is read
+        build_field(field_block["kind"], field_params)
+        if density["kind"] == "atoms":
+            _explicit_atoms(density)
+        else:
+            density_from_config(density)
         return ScenarioConfig(
             name=name, field_kind=field_block["kind"],
             field_params=field_params, density=dict(density),
@@ -441,26 +457,32 @@ def load_config(path, seed_override=None):
     return ScenarioConfig.from_dict(doc, seed_override=seed_override)
 
 
+def _explicit_atoms(block):
+    """(locations, weights) of an ``atoms`` density block."""
+    _require(block, ("kind", "atoms"), "atoms density")
+    atoms = block.get("atoms")
+    if not atoms:
+        raise ConfigError("explicit atoms list is empty")
+    try:
+        locations = [entry[0] for entry in atoms]
+        weights = [entry[1] for entry in atoms]
+    except (LookupError, TypeError):
+        raise ConfigError(
+            "config key 'atoms' needs [location, weight] entries") from None
+    locations = _typed(_array, locations, "atoms")
+    weights = _typed(_array, weights, "atoms")
+    if locations.ndim == 1:
+        locations = locations[:, None]
+    if np.any(weights == 0.0):
+        raise ConfigError("explicit atom weights must be nonzero")
+    return locations, weights
+
+
 def _initial_atoms(config, resolution, salt):
     """Atoms for the initial measure at a given resolution."""
     block = config.density
     if block["kind"] == "atoms":
-        _require(block, ("kind", "atoms"), "atoms density")
-        atoms = block.get("atoms")
-        if not atoms:
-            raise ConfigError("explicit atoms list is empty")
-        try:
-            locations = np.asarray([entry[0] for entry in atoms], dtype=float)
-            weights = np.asarray([entry[1] for entry in atoms], dtype=float)
-        except (LookupError, TypeError, ValueError):
-            raise ConfigError(
-                "config key 'atoms' needs [location, weight] entries") \
-                from None
-        if locations.ndim == 1:
-            locations = locations[:, None]
-        if np.any(weights == 0.0) or not np.all(np.isfinite(weights)):
-            raise ConfigError("explicit atom weights must be finite nonzero")
-        return locations, weights
+        return _explicit_atoms(block)
     density = density_from_config(block)
     return quantize_density(density, resolution, config.quantization,
                             config.seed + salt)
@@ -898,7 +920,7 @@ def selftest(echo=print):
     check, _ = brute_force_ot(pair, cost)
     record("transport-dual-route",
            abs(plan.primal_value - check) <= 1e-9 * (1.0 + abs(check)),
-           f"simplex={plan.primal_value!r} enumeration={check!r}")
+           f"simplex={plan.primal_value!r} ssp={check!r}")
 
     end = integrate_flow(rotation_field(), (1.0, 0.0),
                          0.0, math.pi / 2.0).final_state

@@ -17,15 +17,14 @@ Two independent solvers are kept deliberately separate:
   potentials and its rows and columns of reduced costs.  Each potential is
   recomputed from its parent arc as a fresh walk from the root would, so
   the prices are exact at every pivot, not only after a final recompute.
-* :func:`brute_force_ot` never touches that code path: tiny instances are
-  settled by enumerating every spanning-tree basis, slightly larger ones by
-  successive shortest augmenting paths.  It is the cross-check, so it shares
-  no assembly or pivoting logic with the simplex route.
+* :func:`brute_force_ot` never touches that code path: it settles instances
+  of up to 7 atoms a side by successive shortest augmenting paths.  It is
+  the cross-check, so it shares no assembly, pivoting or labeling logic with
+  the simplex route.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -520,7 +519,6 @@ def _check_slackness(plan, potential, cost):
 # -- independent verification route ------------------------------------------
 
 _BRUTE_ATOM_CAP = 7
-_TREE_ENUM_CAP = 12
 
 
 def _brute_assemble(pair, cost):
@@ -553,87 +551,6 @@ def _brute_assemble(pair, cost):
                 row.append(cost.c_infinity)
         table.append(row)
     return supplies, demands, table
-
-
-def _union_find_is_tree(arcs, m, n):
-    parent = list(range(m + n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in arcs:
-        ra, rb = find(i), find(m + j)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
-
-
-def _tree_flows(arcs, supplies, demands):
-    """Unique flow carried by a spanning tree, via leaf elimination.
-
-    ``net`` holds +supply on rows and -demand on columns; peeling a leaf
-    forces its single incident arc to carry the whole remaining imbalance.
-    Flows of the wrong sign are returned as-is for the caller to reject.
-    """
-    m, n = len(supplies), len(demands)
-    net = [float(s) for s in supplies] + [-float(d) for d in demands]
-    incident = {node: set() for node in range(m + n)}
-    for idx, (i, j) in enumerate(arcs):
-        incident[i].add(idx)
-        incident[m + j].add(idx)
-    flows = [0.0] * len(arcs)
-    leaves = [node for node in range(m + n) if len(incident[node]) == 1]
-    for _ in range(len(arcs)):
-        node = None
-        while leaves:
-            candidate = leaves.pop()
-            if len(incident[candidate]) == 1:
-                node = candidate
-                break
-        if node is None:
-            return None
-        edge = incident[node].pop()
-        i, j = arcs[edge]
-        if node == i:
-            q = net[node]
-            net[m + j] += q
-            other = m + j
-        else:
-            q = -net[node]
-            net[i] -= q
-            other = i
-        net[node] = 0.0
-        flows[edge] = q
-        incident[other].discard(edge)
-        if len(incident[other]) == 1:
-            leaves.append(other)
-    return flows
-
-
-def _brute_tree_enumeration(supplies, demands, table):
-    m, n = len(supplies), len(demands)
-    cells = list(itertools.product(range(m), range(n)))
-    best_value = math.inf
-    best_plan = None
-    for arcs in itertools.combinations(cells, m + n - 1):
-        if not _union_find_is_tree(arcs, m, n):
-            continue
-        flows = _tree_flows(list(arcs), supplies, demands)
-        if flows is None or any(f < -1e-12 for f in flows):
-            continue
-        value = math.fsum(table[i][j] * max(f, 0.0)
-                          for (i, j), f in zip(arcs, flows))
-        if value < best_value:
-            best_value = value
-            best_plan = [(i, j, max(f, 0.0))
-                         for (i, j), f in zip(arcs, flows) if f > 0.0]
-    if best_plan is None:
-        raise TransportError("no feasible spanning tree found")
-    return best_value, best_plan
 
 
 def _brute_ssp(supplies, demands, table):
@@ -749,9 +666,10 @@ def _brute_ssp(supplies, demands, table):
 def brute_force_ot(pair, cost):
     """Reference optimum for small pairs; independent of :func:`solve_ot`.
 
-    Every spanning-tree basis is enumerated when the cost table has at most
-    12 cells; otherwise successive shortest paths take over.  Either way the
-    instance is capped at 7 atoms per side.  Returns (value, entries).
+    Successive shortest paths settle the plain cost table that
+    :func:`_brute_assemble` builds; the instance is capped at 7 atoms per
+    side.  Returns (value, entries), with the absorbing point labeled
+    ``DIAMOND``.
     """
     mu, nu = pair.mu, pair.nu
     if mu.atom_count > _BRUTE_ATOM_CAP or nu.atom_count > _BRUTE_ATOM_CAP:
@@ -763,12 +681,10 @@ def brute_force_ot(pair, cost):
     total_s, total_d = math.fsum(supplies), math.fsum(demands)
     if abs(total_s - total_d) > 1e-12 * max(total_s, total_d, 1.0):
         raise TransportError("pair is not balanced")
-    if len(supplies) * len(demands) <= _TREE_ENUM_CAP:
-        value, plan = _brute_tree_enumeration(supplies, demands, table)
-    else:
-        value, plan = _brute_ssp(supplies, demands, table)
+    value, plan = _brute_ssp(supplies, demands, table)
     labeled = tuple(sorted(
-        (_entry_label(i, mu.atom_count), _entry_label(j, nu.atom_count), q)
+        (DIAMOND if i == mu.atom_count else i,
+         DIAMOND if j == nu.atom_count else j, q)
         for i, j, q in plan))
     return value, labeled
 

@@ -1,7 +1,8 @@
 """Source guards: the package imports only numpy, scipy, click and the
 standard library, ``fields.row_norms`` is its only per-row norm,
-``scipy.integrate`` serves only the mollifier's kernel-mass audit, and
-``costs`` builds the one Gauss-Legendre rule."""
+``scipy.integrate`` serves only the mollifier's kernel-mass audit,
+``costs`` builds the one Gauss-Legendre rule, and the brute-force transport
+route shares no function with the simplex it checks."""
 
 import ast
 import pathlib
@@ -145,3 +146,44 @@ def test_one_gauss_legendre_rule():
         path.read_text(encoding="utf-8"))] for path in SOURCES}
     assert {name: args for name, args in calls.items() if args} == \
         {"costs.py": ["4"]}
+
+
+def _reachable_functions(source, root):
+    """Names of the module-level functions that ``root`` reaches, itself
+    included, through the names its body (nested functions too) loads."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    seen, pending = set(), [root]
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        pending.extend(node.id for node in ast.walk(functions[name])
+                       if isinstance(node, ast.Name) and node.id in functions)
+    return seen
+
+
+def test_reach_guard_follows_calls_and_references():
+    sample = ("LIMIT = 3\n"
+              "def a(x):\n    return b(x) + LIMIT\n"
+              "def b(x):\n    return sorted(x, key=c)\n"
+              "def c(x):\n    return x\n"
+              "def d(x):\n    def inner():\n        return a(x)\n"
+              "    return inner()\n"
+              "def e(x):\n    return x\n")
+    assert _reachable_functions(sample, "a") == {"a", "b", "c"}
+    assert _reachable_functions(sample, "d") == {"a", "b", "c", "d"}
+    assert _reachable_functions(sample, "e") == {"e"}
+
+
+def test_brute_force_route_shares_no_function_with_the_simplex():
+    # brute_force_ot is the independent cross-check of solve_ot; shared
+    # constants (DIAMOND) and error classes are not functions, so they pass
+    source = (ROOT / "src" / "charflow" / "transport.py").read_text(
+        encoding="utf-8")
+    brute = _reachable_functions(source, "brute_force_ot")
+    simplex = _reachable_functions(source, "solve_ot")
+    assert {"_brute_assemble", "_brute_ssp"} <= brute
+    assert {"_assemble", "_network_simplex"} <= simplex
+    assert not brute & simplex, sorted(brute & simplex)

@@ -100,6 +100,17 @@ def micro_config(**overrides):
     ({"cutoff_levels": ["2"]}, "cutoff_levels must be a list of radii"),
     ({"parameters": {"beta": True, "delta": 0.1, "alpha": 0.5}},
      "'beta' has a value of the wrong type"),
+    # nor are they inside array-valued keys, at any depth
+    ({"field": {"kind": "linear", "matrix": [[True]]}},
+     "'matrix' has a value of the wrong type"),
+    ({"field": {"kind": "constant", "velocity": [0.3, True]}},
+     "'velocity' has a value of the wrong type"),
+    ({"field": {"kind": "constant", "velocity": [0.3, "0.1"]}},
+     "'velocity' has a value of the wrong type"),
+    ({"density": {"kind": "atoms", "atoms": [[[0.0, True], 1.0]]}},
+     "'atoms' has a value of the wrong type"),
+    ({"density": {"kind": "atoms", "atoms": [[[0.0, 0.0], True]]}},
+     "'atoms' has a value of the wrong type"),
 ])
 def test_config_rejections(patch, needle):
     doc = {**MICRO, **patch}
@@ -171,6 +182,10 @@ def test_builtins_all_validate():
     ({"kind": "ring", "radius": 0.0}, "positive"),
     ({"kind": "two_bumps", "centers": [[0.0]]}, "exactly two"),
     ({"kind": "gaussian", "spread": math.inf}, "'spread' must be finite"),
+    ({"kind": "gaussian", "center": [True, False]},
+     "'center' has a value of the wrong type"),
+    ({"kind": "two_bumps", "centers": [[1.0], [True]]},
+     "'centers' has a value of the wrong type"),
 ])
 def test_density_rejections(doc, needle):
     with pytest.raises(ConfigError, match=needle):

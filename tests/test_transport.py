@@ -1,6 +1,8 @@
 """Optimal transport: two independent solvers must agree, duals must certify."""
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -79,8 +81,8 @@ _SIZES = [(1, 1, 11), (2, 1, 12), (2, 2, 13), (3, 2, 14), (2, 3, 15),
 
 @pytest.mark.parametrize("m,n,seed", _SIZES)
 def test_simplex_agrees_with_brute_force(cost, m, n, seed):
-    """Two unrelated optimizers (simplex vs tree enumeration / successive
-    shortest paths) must produce the same optimal value."""
+    """Two unrelated optimizers (simplex vs successive shortest paths) must
+    produce the same optimal value."""
     pair = random_pair(seed, m, n)
     plan, _ = solve_ot(pair, cost)
     value, _ = brute_force_ot(pair, cost)
@@ -382,12 +384,60 @@ def test_brute_force_cap(cost):
         brute_force_ot(pair, cost)
 
 
-def test_ssp_matches_tree_enumeration_on_raw_tables():
-    """The two brute-force branches must agree wherever both can run; the
-    shortest-path branch once mishandled its potential updates and lost
-    optimality on instances with returning flow."""
-    from charflow.transport import _brute_ssp, _brute_tree_enumeration
+def _tree_flows(arcs, supplies, demands):
+    """The flow that a set of m + n - 1 arcs carries, found by peeling
+    leaves, or None when the arcs close a cycle and so form no tree.  A
+    peeled leaf's one open arc carries the leaf's whole remaining imbalance;
+    flows of the wrong sign are returned for the caller to reject."""
+    m = len(supplies)
+    net = [float(s) for s in supplies] + [-float(d) for d in demands]
+    ends = [(i, m + j) for i, j in arcs]
+    flows = [0.0] * len(arcs)
+    open_arcs = list(range(len(arcs)))
+    while open_arcs:
+        degree = Counter(node for k in open_arcs for node in ends[k])
+        leaf = next(((k, node) for k in open_arcs for node in ends[k]
+                     if degree[node] == 1), None)
+        if leaf is None:
+            return None
+        k, node = leaf
+        row, col = ends[k]
+        q = net[row] if node == row else -net[col]
+        net[row] -= q
+        net[col] += q
+        flows[k] = q
+        open_arcs.remove(k)
+    return flows
 
+
+def _tree_enumeration(supplies, demands, table):
+    """Optimal value over every spanning-tree basis of the cost table: an
+    optimal basic plan exists, and each tree carries exactly one flow."""
+    m, n = len(supplies), len(demands)
+    best = math.inf
+    for arcs in itertools.combinations(
+            itertools.product(range(m), range(n)), m + n - 1):
+        flows = _tree_flows(arcs, supplies, demands)
+        if flows is None or min(flows) < -1e-12:
+            continue
+        best = min(best, math.fsum(table[i][j] * max(f, 0.0)
+                                   for (i, j), f in zip(arcs, flows)))
+    assert best < math.inf, "no feasible spanning tree"
+    return best
+
+
+def _dyadic_masses(rng, count, total):
+    """``count`` positive multiples of 2^-3 that sum to ``total`` / 8."""
+    cuts = np.sort(rng.choice(np.arange(1, total), count - 1, replace=False))
+    return (np.diff(np.concatenate([[0], cuts, [total]])) / 8.0).tolist()
+
+
+def test_ssp_matches_tree_enumeration_on_raw_tables():
+    """Successive shortest paths, the whole of the brute-force route, must
+    reach the optimum that enumerating every spanning tree finds; it once
+    mishandled its potential updates and lost optimality on instances with
+    returning flow.  Random tables come first, then tied dyadic ones, half
+    of them with a saturated last row in place of the absorbing point."""
     rng = np.random.default_rng(7)
     for _ in range(120):
         m = int(rng.integers(1, 5))
@@ -399,9 +449,29 @@ def test_ssp_matches_tree_enumeration_on_raw_tables():
         d *= s.sum() / d.sum()
         d[-1] += math.fsum(s) - math.fsum(d)
         table = rng.uniform(0.0, 2.0, size=(m, n)).tolist()
-        v_tree, _ = _brute_tree_enumeration(list(s), list(d), table)
-        v_ssp, _ = _brute_ssp(list(s), list(d), table)
+        v_tree = _tree_enumeration(list(s), list(d), table)
+        v_ssp, _ = transport._brute_ssp(list(s), list(d), table)
         assert v_ssp == pytest.approx(v_tree, rel=1e-10, abs=1e-12)
+
+    saturated = 0
+    for trial in range(240):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 12 // m + 1))
+        units = rng.integers(1, 9, size=m)
+        total = int(units.sum())
+        if total < n:
+            continue
+        s = (units / 8.0).tolist()
+        d = _dyadic_masses(rng, n, total)
+        table = (0.5 * rng.integers(0, 3, size=(m, n))).tolist()
+        if trial % 2:
+            table[-1] = [1.0] * n
+            saturated += 1
+        v_tree = _tree_enumeration(s, d, table)
+        v_ssp, _ = transport._brute_ssp(s, d, table)
+        # costs and masses are dyadic, so both sums are exact
+        assert v_ssp == v_tree, (s, d, table)
+    assert saturated > 90
 
 
 # -- assembly and the greedy start --------------------------------------------
