@@ -87,6 +87,14 @@ class CutoffFamily:
         return measure.scaled_weights(self.value(row_norms(measure.locations)))
 
 
+def _excess(x, f, target):
+    """f(x) - target, the root function for brentq.  brentq keeps its
+    callable in a self-referencing closure; passing this one with ``args``
+    keeps the caller's objects (a modulus and its node table) out of that
+    cycle, so they are freed when the caller drops them."""
+    return float(f(x)) - target
+
+
 def build_cutoff(growth, k):
     """Construct the level-k cutoff for a growth envelope.
 
@@ -112,8 +120,8 @@ def build_cutoff(growth, k):
     end = int(np.searchsorted(values, 1.0)) + 1
     table = KnotTable(knots[:end], values[:end], density)
     r_zero = scipy.optimize.brentq(
-        lambda r: float(table.value(r)) - 1.0, knots[end - 2],
-        knots[end - 1], xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        _excess, knots[end - 2], knots[end - 1], args=(table.value, 1.0),
+        xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     cut = CutoffFamily(k=k, r_zero=float(r_zero), growth=growth,
                        _h_table=table)
 
@@ -390,8 +398,8 @@ def parameter_schedule(k, variation_integral, variation_floor,
         if b == _LOG_DELTA_CEILING:
             raise ScheduleError("delta search bracket ran away upward")
         a, step = b, 2.0 * step
-    log_delta = scipy.optimize.brentq(lambda ld: j_at(ld) - j_target,
-                                      min(a, b), max(a, b),
+    log_delta = scipy.optimize.brentq(_excess, min(a, b), max(a, b),
+                                      args=(j_at, j_target),
                                       xtol=1e-12, rtol=8.9e-16)
     delta = math.exp(log_delta)
     j_val = j_at(log_delta)

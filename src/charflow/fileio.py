@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 from .errors import CharflowError
 
@@ -13,10 +12,11 @@ def atomic_write_text(path, text):
     """Write text to path through a same-directory temp file and rename.
 
     Readers never observe a half-written file, and a crash leaves the old
-    content in place.
+    content in place.  The file gets the mode that ``open(path, "w")``
+    gives a new file: 0o666 less the umask.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -430,6 +430,10 @@ class ScenarioConfig:
         if seed is None:
             raise ConfigError(
                 "a seed is required (config key \"seed\" or --seed)")
+        seed = _typed(int, seed, "seed")
+        if seed < 0:
+            raise ConfigError(
+                f"config key 'seed' must not be negative: {seed}")
 
         field_params = {k: v for k, v in field_block.items() if k != "kind"}
         # built once here, so that a bad value fails when the config is read
@@ -443,7 +447,7 @@ class ScenarioConfig:
             field_params=field_params, density=dict(density),
             quantization=quantization, difference_mode=mode,
             cutoff_levels=levels, parameters=parameters,
-            seed=_typed(int, seed, "seed"),
+            seed=seed,
             **{key: merged[key] for key in _CONFIG_NUMBERS})
 
 
@@ -655,11 +659,8 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
         return _level_job(field, config, level, times, diffs, w_refine,
                           masses)
 
-    if threads > 1 and len(config.cutoff_levels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            levels = list(pool.map(job, config.cutoff_levels))
-    else:
-        levels = [job(level) for level in config.cutoff_levels]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        levels = list(pool.map(job, config.cutoff_levels))
 
     report_paths = {}
     for result in levels:
@@ -754,11 +755,8 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
                           np.array([0.0, config.horizon]), opts)
         return frames[-1], weights
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            endpoints = list(pool.map(rung, resolutions))
-    else:
-        endpoints = [rung(r) for r in resolutions]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        endpoints = list(pool.map(rung, resolutions))
 
     distances = []
     for (loc_a, w_a), (loc_b, w_b) in zip(endpoints, endpoints[1:]):

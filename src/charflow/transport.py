@@ -11,12 +11,12 @@ Two independent solvers are kept deliberately separate:
 
 * :func:`solve_ot` runs a primal transportation simplex (tree basis,
   Dantzig pricing with a Bland fallback) and recovers the single dual
-  potential from the optimal tree.  The basis tree, the potentials and the
-  reduced costs persist across pivots; a pivot re-hangs only the subtree
-  that its leaving arc cuts off, and recomputes only that subtree's
-  potentials and its rows and columns of reduced costs.  Each potential is
-  recomputed from its parent arc as a fresh walk from the root would, so
-  the prices are exact at every pivot, not only after a final recompute.
+  potential from the optimal tree.  The basis tree and the potentials
+  persist across pivots; a pivot re-hangs only the subtree that its leaving
+  arc cuts off and recomputes only that subtree's potentials, each from its
+  parent arc as a fresh walk from the root would, so the potentials are
+  exact at every pivot.  Reduced costs are not kept: each pivot prices the
+  whole cost matrix against the current potentials in one in-place pass.
 * :func:`brute_force_ot` never touches that code path: it settles instances
   of up to 7 atoms a side by successive shortest augmenting paths.  It is
   the cross-check, so it shares no assembly, pivoting or labeling logic with
@@ -287,17 +287,21 @@ def _network_simplex(supplies, demands, costs):
     Bland's rule, which cannot cycle.
 
     The basis tree (parent, depth and children of each node, rooted at row
-    0), the potentials and the reduced-cost matrix persist across pivots,
-    seeded by one :func:`_tree_potentials` walk.  The cycle of an entering
-    arc is found by climbing depths from both endpoints.  The leaving arc
-    cuts a subtree off the root; the parent pointers from the entering
-    endpoint up to the cut are reversed, the subtree is re-hung from the
-    entering arc, and only its nodes get new depths and potentials, and
-    only its rows and columns are repriced.  Each new potential is its new
-    parent's subtracted from the arc cost, top-down, which is the
-    arithmetic of a fresh walk over the whole tree: the potentials and
-    reduced costs stay exact, bit for bit, so no pivot acts on drifted
-    prices and the final u and v equal a fresh walk's.
+    0) and the potentials persist across pivots, seeded by one
+    :func:`_tree_potentials` walk.  Each pivot prices every cell in one
+    in-place pass, (c - u) - v, then sets the m + n - 1 basic cells to inf:
+    a per-node array holds the flat cell of each non-root node's arc to its
+    parent.  The mask is explicit because a basic cell prices to zero only
+    up to the rounding of u_i + v_j, which grows with |u| + |v| and so with
+    the depth of the tree, and must never enter.  The cycle of an entering arc is found by climbing depths from both
+    endpoints.  The leaving arc cuts a subtree off the root; the parent
+    pointers from the entering endpoint up to the cut are reversed, the
+    subtree is re-hung from the entering arc, and only its nodes get new
+    depths, potentials and parent-arc cells.  Each new potential is its new
+    parent's subtracted from the arc cost, top-down, which is the arithmetic
+    of a fresh walk over the whole tree: the potentials stay exact, bit for
+    bit, so no pivot acts on drifted prices and the final u and v equal a
+    fresh walk's.
     """
     m, n = len(supplies), len(demands)
     costs = np.ascontiguousarray(costs)  # flat cell indices are row-major
@@ -308,10 +312,12 @@ def _network_simplex(supplies, demands, costs):
         children[parent[node]].add(node)
     # u_i for rows, then v_j for columns, as Python floats for the walks
     pot = u.tolist() + v.tolist()
-    red = costs - u[:, None] - v[None, :]
-    costs_t = np.ascontiguousarray(costs.T)  # contiguous column reads
-    rows, cols = zip(*flows)
-    red[rows, cols] = np.inf
+    # flat cell of the arc from each non-root node up to its parent: the
+    # m + n - 1 basic cells
+    up_cell = np.array([q * n + parent[q] - m if q < m
+                        else parent[q] * n + q - m
+                        for q in range(1, m + n)], dtype=np.intp)
+    red = np.empty_like(costs)
 
     total = math.fsum(supplies)
     enter_tol = 1e-12 * (1.0 + float(np.max(np.abs(costs))))
@@ -321,6 +327,9 @@ def _network_simplex(supplies, demands, costs):
     degenerate_run = 0
 
     for pivot in range(pivot_cap):
+        np.subtract(costs, u[:, None], out=red)
+        red -= v
+        red.reshape(-1)[up_cell] = np.inf
         entering = _entering_cell(red, enter_tol, bland)
         if entering is None:
             return flows, u, v, pivot
@@ -373,39 +382,18 @@ def _network_simplex(supplies, demands, costs):
         parent[head] = outer
         children[outer].add(head)
 
-        # new depths and potentials down the subtree, each from the arc to
-        # its node's parent, whose flat cell index joins ``basic``
-        sub_rows, sub_cols, basic = [], [], []
+        # new depths, potentials and parent-arc cells down the subtree
         stack = [head]
         while stack:
             q = stack.pop()
             p = parent[q]
             depth[q] = depth[p] + 1
-            if q < m:
-                cell = q * n + p - m
-                sub_rows.append(q)
-            else:
-                cell = p * n + q - m
-                sub_cols.append(q - m)
+            cell = q * n + p - m if q < m else p * n + q - m
             pot[q] = costs.item(cell) - pot[p]
-            basic.append(cell)
+            up_cell[q - 1] = cell
             stack.extend(children[q])
-
-        rows_at = np.array(sub_rows, dtype=np.intp)
-        cols_at = np.array(sub_cols, dtype=np.intp)
-        u[rows_at] = [pot[i] for i in sub_rows]
-        v[cols_at] = [pot[m + j] for j in sub_cols]
-        if sub_rows:
-            block = costs[rows_at]
-            block -= u[rows_at, None]
-            block -= v
-            red[rows_at] = block
-        if sub_cols:
-            block = costs_t[cols_at]
-            block -= u
-            block -= v[cols_at, None]
-            red[:, cols_at] = block.T
-        red.reshape(-1)[basic] = np.inf
+        u[:] = pot[:m]
+        v[:] = pot[m:]
 
         if theta <= zero_theta:
             degenerate_run += 1

@@ -1,8 +1,11 @@
 """Cutoffs, mollification, the three-term estimate, and the weak residual."""
 
+import gc
 import json
 import math
+import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from charflow import (CharflowError, ConcaveCost, CutoffError, MollifierError,
                       saturation_integral, weak_solution_residual)
 from charflow.costs import grid_edges
 from charflow.diagnostics import trapezoid_rule, variation_integrals
-from charflow.fileio import write_table
+from charflow.fileio import atomic_write_text, write_table
 from charflow.fields import smooth_step, smooth_step_derivative
 
 EPS = np.finfo(float).eps  # 2.2e-16, one unit in the last place of 1
@@ -415,6 +418,25 @@ def test_schedule_caps_every_term(seed):
     assert term3_cap <= 1.0 + 1e-9
 
 
+def test_schedule_and_cutoff_free_their_inputs_without_the_collector():
+    """brentq holds its callable in a closure that refers to itself, so a
+    root function that closes over the modulus or the cutoff table would
+    keep them, and the modulus's node table, alive until the cyclic
+    collector runs."""
+    modulus, growth = modulus_log(), growth_affine()
+    refs = weakref.ref(modulus), weakref.ref(growth)
+    gc.disable()
+    try:
+        parameter_schedule(k=2.0, variation_integral=1.0,
+                           variation_floor=0.5, modulus_constant=1.0,
+                           growth_constant=1.0, modulus=modulus)
+        build_cutoff(growth, 2.0)
+        del modulus, growth
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_schedule_fails_honestly_outside_the_osgood_class():
     # J is bounded for this modulus, so a large target is unreachable
     with pytest.raises(ScheduleError, match="converges"):
@@ -511,3 +533,15 @@ def test_report_roundtrip_and_width_guard(tmp_path):
             write_table(tmp_path / f"bad.{fmt}", REPORT_COLUMNS,
                         rows + [(0.0, 1.0)], fmt)
         assert not (tmp_path / f"bad.{fmt}").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["022", "077"])
+def test_written_files_honour_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "report.csv", "t\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "report.csv").stat().st_mode & 0o777 == mode
+    assert os.listdir(tmp_path) == ["report.csv"]

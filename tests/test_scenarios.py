@@ -111,6 +111,7 @@ def micro_config(**overrides):
      "'atoms' has a value of the wrong type"),
     ({"density": {"kind": "atoms", "atoms": [[[0.0, 0.0], True]]}},
      "'atoms' has a value of the wrong type"),
+    ({"seed": -2}, "'seed' must not be negative"),
 ])
 def test_config_rejections(patch, needle):
     doc = {**MICRO, **patch}
@@ -455,6 +456,21 @@ def test_cli_bad_config_exits_two_with_record(tmp_path):
     record = json.loads((out / "broken_error.json").read_text())
     assert record["error"] == "ConfigError"
     assert "banana" in record["message"]
+
+
+@pytest.mark.parametrize("doc_seed, flags", [(-2, []), (5, ["--seed", "-1"])])
+def test_cli_negative_seed_exits_two_with_record(tmp_path, doc_seed, flags):
+    # random quantization once handed the seed to numpy, which raised
+    cfg = _write_config(tmp_path, {**MICRO, "seed": doc_seed,
+                                   "quantization": "random"},
+                        name="negative.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main,
+                                ["run", cfg, "--out", str(out), *flags])
+    assert result.exit_code == 2, result.output
+    record = json.loads((out / "negative_error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "'seed'" in record["message"]
 
 
 @pytest.mark.parametrize("key", ["beta", "delta"])

@@ -255,23 +255,53 @@ def test_kept_potentials_equal_a_fresh_walk_on_mollified_pairs(
     assert pivots > 1000
 
 
+def _watch_the_pricing(monkeypatch, supplies, demands, costs):
+    """Run the simplex and check the matrix that each ``_entering_cell``
+    call sees: exactly m + n - 1 inf cells, the cells of the current basis,
+    and every other cell (c - u) - v under the potentials of a fresh walk
+    over that basis, bit for bit.  Returns the flows and each call's rule
+    flag."""
+    m, n = len(supplies), len(demands)
+    basis, rules = [], []
+
+    def start(*args, _original=transport._least_cost_start):
+        basis.append(_original(*args))  # the dict that the pivots update
+        return basis[0]
+
+    def entering(red, enter_tol, bland, _original=transport._entering_cell):
+        masked = np.isinf(red)
+        assert np.count_nonzero(masked) == m + n - 1
+        assert set(map(tuple, np.argwhere(masked).tolist())) == set(basis[0])
+        u, v, _, _ = _tree_potentials(basis[0], costs, m, n)
+        fresh = costs - u[:, None] - v
+        assert red[~masked].tobytes() == fresh[~masked].tobytes()
+        rules.append(bland)
+        return _original(red, enter_tol, bland)
+
+    monkeypatch.setattr(transport, "_least_cost_start", start)
+    monkeypatch.setattr(transport, "_entering_cell", entering)
+    flows, _, _, pivots = _network_simplex(supplies, demands, costs)
+    assert len(rules) == pivots + 1
+    return flows, rules
+
+
+def test_each_pivot_prices_against_the_current_basis(monkeypatch, cost):
+    supplies, demands, costs = _assemble(random_pair(9, 40, 30), cost)[:3]
+    _, rules = _watch_the_pricing(monkeypatch, supplies, demands, costs)
+    assert len(rules) > 10 and not any(rules)  # Dantzig's rule throughout
+
+
 def test_degenerate_runs_switch_to_blands_rule(monkeypatch):
     """Squared gaps between two aligned 12-atom lattices: the greedy start is
     already the unique optimum (each atom to its right-hand neighbour), so
     every pivot is degenerate and a run of m + n of them hands the choice of
-    the entering cell to Bland's rule."""
+    the entering cell to Bland's rule.  Every pivot prices against the
+    current basis, under either rule."""
     xs = np.arange(12.0)
     costs = (xs[:, None] - xs[None, :] - 0.5) ** 2
     masses = np.full(12, 1.0 / 12)
-    rules = []
-
-    def counted(red, enter_tol, bland, _original=transport._entering_cell):
-        rules.append(bland)
-        return _original(red, enter_tol, bland)
-
-    monkeypatch.setattr(transport, "_entering_cell", counted)
-    flows, _, _, pivots = _network_simplex(masses, masses, costs)
-    assert sum(rules) > 0 and len(rules) == pivots + 1
+    flows, rules = _watch_the_pricing(monkeypatch, masses, masses, costs)
+    assert sum(rules) > 0
     shipped = {arc for arc, q in flows.items() if q > 0.0}
     assert shipped == {(k, k) for k in range(12)}
     value = math.fsum(costs[arc] * q for arc, q in flows.items())
