@@ -31,6 +31,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from .errors import CostRangeError, FieldError, QuadratureError
 from .fields import Modulus
@@ -94,6 +95,15 @@ class KnotTable:
         """Integral from the first knot to each r: table plus residual."""
         base_r, base_v = self.base(r)
         return base_v + gauss_legendre(self.density, base_r, r)
+
+
+def excess(x, f, target):
+    """f(x) - target, the package's one root function for brentq.  brentq
+    keeps its callable in a self-referencing closure; passing this one with
+    ``args`` keeps the caller's objects (a modulus and its node table, a
+    cutoff table, a cost) out of that cycle, so they are freed when the
+    caller drops them."""
+    return float(f(x)) - target
 
 
 def tail_modify(mod):
@@ -278,28 +288,15 @@ class ConcaveCost:
             top = float(_floor_tail(self._omega_one, self.delta, knots[-1]))
             rest = min(max(self.c_infinity - v, 0.5 * tol) / self.beta, top)
             scale = math.sqrt(self._omega_one * self.delta)
-            lo = hi = self.delta / (scale * math.tan(scale * rest))
+            r = self.delta / (scale * math.tan(scale * rest))
         else:
+            # the knots on either side of v bracket its root
             pos = int(np.searchsorted(values, v))
-            lo, hi = float(knots[pos - 1]), float(knots[pos])
-        f_lo = self.cost(lo) - v
-        if abs(f_lo) <= tol:
-            return lo
-        r = 0.5 * (lo + hi)
-        for _ in range(200):
-            f = self.cost(r) - v
-            if abs(f) <= tol:
-                return r
-            if f > 0.0:
-                hi = r
-            else:
-                lo = r
-            slope = self.cost_derivative(r)
-            step = r - f / slope if slope > 0.0 else math.inf
-            if lo < step < hi:
-                r = step
-            else:
-                r = 0.5 * (lo + hi)
+            r = scipy.optimize.brentq(
+                excess, knots[pos - 1], knots[pos], args=(self.cost, v),
+                xtol=1e-300, rtol=4.0 * np.finfo(float).eps, disp=False)
+        if abs(self.cost(r) - v) <= tol:
+            return r
         raise CostRangeError(
             "cost inversion stalled before reaching tolerance")
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.integrate
 import scipy.optimize
 
-from .costs import (KnotTable, gauss_legendre, grid_edges,
+from .costs import (KnotTable, excess, gauss_legendre, grid_edges,
                     saturation_integral)
 from .errors import CutoffError, MollifierError, ScheduleError
 from .fields import (evaluate_batch, plateau_bump, plateau_bump_derivative,
@@ -87,14 +87,6 @@ class CutoffFamily:
         return measure.scaled_weights(self.value(row_norms(measure.locations)))
 
 
-def _excess(x, f, target):
-    """f(x) - target, the root function for brentq.  brentq keeps its
-    callable in a self-referencing closure; passing this one with ``args``
-    keeps the caller's objects (a modulus and its node table) out of that
-    cycle, so they are freed when the caller drops them."""
-    return float(f(x)) - target
-
-
 def build_cutoff(growth, k):
     """Construct the level-k cutoff for a growth envelope.
 
@@ -120,7 +112,7 @@ def build_cutoff(growth, k):
     end = int(np.searchsorted(values, 1.0)) + 1
     table = KnotTable(knots[:end], values[:end], density)
     r_zero = scipy.optimize.brentq(
-        _excess, knots[end - 2], knots[end - 1], args=(table.value, 1.0),
+        excess, knots[end - 2], knots[end - 1], args=(table.value, 1.0),
         xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     cut = CutoffFamily(k=k, r_zero=float(r_zero), growth=growth,
                        _h_table=table)
@@ -398,7 +390,7 @@ def parameter_schedule(k, variation_integral, variation_floor,
         if b == _LOG_DELTA_CEILING:
             raise ScheduleError("delta search bracket ran away upward")
         a, step = b, 2.0 * step
-    log_delta = scipy.optimize.brentq(_excess, min(a, b), max(a, b),
+    log_delta = scipy.optimize.brentq(excess, min(a, b), max(a, b),
                                       args=(j_at, j_target),
                                       xtol=1e-12, rtol=8.9e-16)
     delta = math.exp(log_delta)

@@ -50,7 +50,9 @@ class MollifierError(CharflowError):
 
 
 class ScheduleError(CharflowError):
-    """Parameter-schedule bisection could not bracket a solution."""
+    """The parameter schedule cannot be met: a negative variation integral,
+    a log-delta walk that reached its floor or ceiling before it bracketed
+    J(delta) = target for brentq, or an underflowed mollifier radius."""
 
 
 class ConfigError(CharflowError):

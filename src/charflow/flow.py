@@ -24,6 +24,7 @@ with no further field call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,17 @@ class FlowOptions:
     freeze_radius: float = 1e-8
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
-            raise FlowError("tolerances must be positive")
-        if self.max_steps < 1:
+        if not (0.0 < self.abs_tol < math.inf
+                and 0.0 <= self.rel_tol < math.inf):
+            raise FlowError("tolerances must be positive and finite")
+        try:
+            steps = operator.index(self.max_steps)
+        except TypeError:
+            raise FlowError("max_steps must be an integer") from None
+        if steps < 1:
             raise FlowError("max_steps must be at least 1")
+        if not self.freeze_radius >= 0.0:
+            raise FlowError("freeze_radius must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -126,6 +134,8 @@ def _advance(field, points, t0, t1, opts, record):
     if y_all.ndim != 2:
         raise FlowError("expected an (N, n) batch of start points")
     t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise FlowError(f"flow times must be finite (t0={t0}, t1={t1})")
     span = abs(t1 - t0)
     history = [(t0, y_all.copy(), 0.0, 0.0)] if record else None
     if span == 0.0:

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import MeasureError
@@ -47,25 +49,20 @@ def _merge_colocated(locations, weights):
                                       output_type="ndarray")
     if len(pairs) == 0:
         return locs, ws
-    first, second = pairs[:, 0], pairs[:, 1]
-    # every atom takes the lowest index of its group, which is the group's
-    # lexicographically first atom
-    label = np.arange(len(ws))
-    while True:
-        low = np.minimum(label[first], label[second])
-        relabel = label.copy()
-        np.minimum.at(relabel, first, low)
-        np.minimum.at(relabel, second, low)
-        if np.array_equal(relabel, label):
-            break
-        label = relabel
+    graph = csr_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                      shape=(len(ws), len(ws)))
+    _, label = connected_components(graph, directed=False)
+    # the first index of each label is the group's lexicographically first
+    # atom, which carries the group's weight
+    head = np.zeros(len(ws), dtype=bool)
+    head[np.unique(label, return_index=True)[1]] = True
     members = np.unique(pairs)
     members = members[np.argsort(label[members], kind="stable")]
     starts = np.flatnonzero(np.diff(label[members], prepend=-1))
     merged = ws.copy()
     for group in np.split(members, starts[1:]):
         merged[group[0]] = math.fsum(ws[group])
-    keep = (label == np.arange(len(ws))) & (merged != 0.0)
+    keep = head & (merged != 0.0)
     return locs[keep], merged[keep]
 
 

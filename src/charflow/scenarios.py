@@ -612,7 +612,9 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
     """
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be \"csv\" or \"json\"")
-    threads = max(1, int(threads))
+    threads = int(threads)
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
 
     field = build_field(config.field_kind, config.field_params)
@@ -737,7 +739,9 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
         raise ConfigError("format must be \"csv\" or \"json\"")
     if config.density["kind"] == "atoms":
         raise ConfigError("a refinement study needs a sampled density")
-    threads = max(1, int(threads))
+    threads = int(threads)
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
 
     field = build_field(config.field_kind, config.field_params)

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial.distance import cdist
 
 from .costs import reference_cost
@@ -158,6 +160,13 @@ def _entry_label(index, atom_count):
 
 # -- transportation simplex --------------------------------------------------
 
+def _basis_graph(arcs, m, n):
+    """The arcs (i, j) as a graph on rows 0..m-1 and columns m..m+n-1."""
+    cells = np.array(list(arcs), dtype=np.intp).reshape(-1, 2)
+    return csr_array((np.ones(len(cells)), (cells[:, 0], m + cells[:, 1])),
+                     shape=(m + n, m + n))
+
+
 def _least_cost_start(supplies, demands, costs):
     """Basic feasible start: ship greedily along globally cheapest arcs.
 
@@ -195,20 +204,11 @@ def _least_cost_start(supplies, demands, costs):
         start += size
         size *= 2
 
-    parent = list(range(m + n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j) in flows:
-        parent[find(i)] = find(m + j)
-
+    _, labels = connected_components(_basis_graph(flows, m, n),
+                                     directed=False)
     components = {}
-    for node in range(m + n):
-        components.setdefault(find(node), []).append(node)
+    for node, label in enumerate(labels.tolist()):
+        components.setdefault(label, []).append(node)
     # splice order: a component holding both sides anchors the tree (any
     # shipped arc provides one), so every later component finds its
     # counterpart side already present
@@ -236,34 +236,27 @@ def _tree_potentials(arcs, costs, m, n):
     """Potentials u_i + v_j = costs[i, j] on the basis tree rooted at row 0,
     and each node's parent (-1 at the root) and depth in that tree.
 
-    Each potential is its parent's subtracted from the cost of the arc
-    between them, so the values depend on the tree alone, not on the order
-    of the walk.
+    The parents come from a breadth-first search of the arcs, and depths and
+    potentials are filled down its order.  Each potential is its parent's
+    subtracted from the cost of the arc between them, so the values depend
+    on the tree alone, not on the order of the walk.
     """
-    adj = [[] for _ in range(m + n)]
-    for (i, j) in arcs:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+    order, parent = breadth_first_order(_basis_graph(arcs, m, n), 0,
+                                        directed=False)
+    if len(order) < m + n:
+        raise TransportError("basis lost connectivity")
     u = np.zeros(m)
     v = np.zeros(n)
-    parent = [-2] * (m + n)
-    depth = [0] * (m + n)
+    parent = parent.tolist()
     parent[0] = -1
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        for q in adj[p]:
-            if parent[q] != -2:
-                continue
-            parent[q] = p
-            depth[q] = depth[p] + 1
-            if p < m:
-                v[q - m] = costs[p, q - m] - u[p]
-            else:
-                u[q] = costs[q, p - m] - v[p - m]
-            stack.append(q)
-    if -2 in parent:
-        raise TransportError("basis lost connectivity")
+    depth = [0] * (m + n)
+    for q in order[1:].tolist():
+        p = parent[q]
+        depth[q] = depth[p] + 1
+        if p < m:
+            v[q - m] = costs[p, q - m] - u[p]
+        else:
+            u[q] = costs[q, p - m] - v[p - m]
     return u, v, parent, depth
 
 

@@ -1,8 +1,9 @@
 """Source guards: the package imports only numpy, scipy, click and the
 standard library, ``fields.row_norms`` is its only per-row norm,
 ``scipy.integrate`` serves only the mollifier's kernel-mass audit,
-``costs`` builds the one Gauss-Legendre rule, and the brute-force transport
-route shares no function with the simplex it checks."""
+``costs`` builds the one Gauss-Legendre rule and the one brentq root
+function, and the brute-force transport route shares no function with the
+simplex it checks."""
 
 import ast
 import pathlib
@@ -146,6 +147,46 @@ def test_one_gauss_legendre_rule():
         path.read_text(encoding="utf-8"))] for path in SOURCES}
     assert {name: args for name, args in calls.items() if args} == \
         {"costs.py": ["4"]}
+
+
+def _brentq_calls(source):
+    """(line, callable, passes ``args``) of each ``brentq`` call."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                ast.unparse(node.func).split(".")[-1] == "brentq":
+            func = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "f"), None)
+            yield (node.lineno, ast.unparse(func) if func else "",
+                   any(k.arg == "args" for k in node.keywords))
+
+
+def test_root_guard_finds_brentq_calls():
+    sample = ("r = scipy.optimize.brentq(excess, a, b, args=(g, 1.0))\n"
+              "s = brentq(lambda x: g(x) - 1.0, a, b)\n"
+              "t = optimize.brentq(self.cost, a, b, args=(v,))\n"
+              "u = brentq(f=excess, a=a, b=b)\n"
+              "w = np.sum(excess(a, g, 1.0))\n")
+    assert list(_brentq_calls(sample)) == [
+        (1, "excess", True), (2, "lambda x: g(x) - 1.0", False),
+        (3, "self.cost", True), (4, "excess", False)]
+
+
+def test_every_root_is_found_through_the_one_excess_function():
+    # brentq keeps its callable in a closure that refers to itself: a
+    # lambda or bound method there keeps what it holds (a modulus and its
+    # node table, a cost) alive until the cyclic collector runs, while
+    # objects passed through ``args`` are freed with the call
+    calls = [(path.name, line, func, args) for path in SOURCES
+             for line, func, args in _brentq_calls(
+                 path.read_text(encoding="utf-8"))]
+    assert len(calls) == 3, calls  # cost_inverse, the cutoff, the schedule
+    stray = [call for call in calls if call[2:] != ("excess", True)]
+    assert not stray, stray
+    owners = [path.name for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef) and
+              node.name.lstrip("_") == "excess"]
+    assert owners == ["costs.py"]
 
 
 def _reachable_functions(source, root):

@@ -422,17 +422,20 @@ def test_schedule_and_cutoff_free_their_inputs_without_the_collector():
     """brentq holds its callable in a closure that refers to itself, so a
     root function that closes over the modulus or the cutoff table would
     keep them, and the modulus's node table, alive until the cyclic
-    collector runs."""
+    collector runs.  The same holds for the cost that ``cost_inverse``
+    hands to brentq."""
     modulus, growth = modulus_log(), growth_affine()
-    refs = weakref.ref(modulus), weakref.ref(growth)
+    cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
+    refs = weakref.ref(modulus), weakref.ref(growth), weakref.ref(cost)
     gc.disable()
     try:
         parameter_schedule(k=2.0, variation_integral=1.0,
                            variation_floor=0.5, modulus_constant=1.0,
                            growth_constant=1.0, modulus=modulus)
         build_cutoff(growth, 2.0)
-        del modulus, growth
-        assert [ref() for ref in refs] == [None, None]
+        assert cost.cost_inverse(0.5 * cost.c_infinity) > 0.0
+        del modulus, growth, cost
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 

@@ -146,6 +146,50 @@ def test_flow_error_paths():
         FlowOptions(max_steps=0)
 
 
+@pytest.mark.parametrize("fields, needle", [
+    ({"abs_tol": math.nan}, "tolerances"),
+    ({"abs_tol": math.inf}, "tolerances"),
+    ({"rel_tol": math.nan}, "tolerances"),
+    ({"rel_tol": math.inf}, "tolerances"),
+    ({"rel_tol": -1e-8}, "tolerances"),
+    ({"max_steps": 2.5}, "integer"),
+    ({"max_steps": "10"}, "integer"),
+    ({"freeze_radius": math.nan}, "freeze_radius"),
+    ({"freeze_radius": -1.0}, "freeze_radius"),
+])
+def test_flow_options_reject_bad_fields(fields, needle):
+    with pytest.raises(FlowError, match=needle):
+        FlowOptions(**fields)
+
+
+def test_flow_options_take_a_zero_freeze_radius_and_numpy_ints():
+    opts = FlowOptions(max_steps=np.int64(50), freeze_radius=0.0)
+    end = flow_endpoints(rotation_field(), [[1.0, 0.0]], 0.0, 0.5, opts)
+    np.testing.assert_allclose(end, [[math.cos(0.5), math.sin(0.5)]],
+                               atol=1e-8)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (0.0, math.inf),
+                                    (math.nan, 1.0), (-math.inf, 0.0)])
+def test_non_finite_times_fail_before_any_step(monkeypatch, t0, t1):
+    # nan once integrated backwards for max_steps steps, inf ended in a
+    # step size underflow
+    def no_step(*args):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(flow, "evaluate_batch", no_step)
+    f = rotation_field()
+    calls = [
+        lambda: flow_endpoints(f, [[1.0, 0.0]], t0, t1),
+        lambda: integrate_flow(f, [1.0, 0.0], t0, t1),
+        lambda: flow_map(f, [[1.0, 0.0]], [t0, t1]),
+        lambda: flow_push(f, make_measure(2, [((1.0, 0.0), 1.0)]), t0, t1),
+    ]
+    for call in calls:
+        with pytest.raises(FlowError, match="flow times must be finite"):
+            call()
+
+
 def test_flow_error_carries_partial_trajectory():
     f = rotation_field()
     with pytest.raises(FlowError) as info:

@@ -104,6 +104,22 @@ def test_merge_joins_a_chain_at_its_first_atom():
     assert pm.weights.tolist() == [0.125]
 
 
+@pytest.mark.parametrize("zigzag", [False, True])
+def test_merge_collapses_a_long_chain_at_its_first_atom(zigzag):
+    # 2,000 atoms, each within DEDUP_TOL of its neighbours only.  The zigzag
+    # steps up in y while x alternates, so lexicographic order visits every
+    # other link: first the x = 0 atoms, then the others.
+    rng = np.random.default_rng(11)
+    steps = 0.6 * DEDUP_TOL * np.arange(2000)
+    locs = np.stack([0.6 * DEDUP_TOL * (np.arange(2000) % 2), steps],
+                    axis=1) if zigzag else steps[:, None]
+    weights = rng.uniform(0.1, 1.0, size=len(steps))
+    order = rng.permutation(len(steps))
+    m = measure_from_arrays(locs.shape[1], locs[order], weights[order])
+    assert m.locations.tolist() == [[0.0] * locs.shape[1]]
+    assert m.weights.tolist() == [math.fsum(weights)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.1, 3.0]),
                       min_size=1, max_size=12),

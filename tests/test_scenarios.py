@@ -389,6 +389,17 @@ def test_refinement_study_guards(tmp_path):
         convergence_study(atoms, tmp_path, rungs=3)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_counts_below_one_are_config_errors(tmp_path, threads):
+    # both once clamped the count to 1 without a word
+    with pytest.raises(ConfigError, match="threads must be at least 1"):
+        run_scenario(micro_config(), tmp_path / "run", threads=threads)
+    with pytest.raises(ConfigError, match="threads must be at least 1"):
+        convergence_study(ScenarioConfig.from_dict(LINE), tmp_path / "study",
+                          rungs=3, threads=threads)
+    assert not os.listdir(tmp_path)
+
+
 def test_selftest_passes():
     lines = []
     assert selftest(echo=lines.append) == 0
@@ -471,6 +482,17 @@ def test_cli_negative_seed_exits_two_with_record(tmp_path, doc_seed, flags):
     record = json.loads((out / "negative_error.json").read_text())
     assert record["error"] == "ConfigError"
     assert "'seed'" in record["message"]
+
+
+def test_cli_zero_threads_exits_two_with_record(tmp_path):
+    cfg = _write_config(tmp_path, MICRO, name="idle.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        cli_main, ["run", cfg, "--out", str(out), "--threads", "0"])
+    assert result.exit_code == 2, result.output
+    record = json.loads((out / "idle_error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "threads" in record["message"]
 
 
 @pytest.mark.parametrize("key", ["beta", "delta"])

@@ -222,14 +222,15 @@ def _assert_exact_potentials(supplies, demands, costs):
     of that one subtraction."""
     m = len(supplies)
     flows, u, v, pivots = _network_simplex(supplies, demands, costs)
-    fresh_u, fresh_v, parent, _ = _tree_potentials(flows, costs, m,
-                                                   len(demands))
+    fresh_u, fresh_v, parent, depth = _tree_potentials(flows, costs, m,
+                                                       len(demands))
     assert u.tobytes() == fresh_u.tobytes()
     assert v.tobytes() == fresh_v.tobytes()
     potentials = np.concatenate([u, v])
     for q, p in enumerate(parent):
         if p >= 0:
             arc = (q, p - m) if q < m else (p, q - m)
+            assert arc in flows and depth[q] == depth[p] + 1
             assert potentials[q] == costs[arc] - potentials[p]
     rows, cols = np.array(list(flows)).T
     basic = costs[rows, cols]
@@ -253,6 +254,24 @@ def test_kept_potentials_equal_a_fresh_walk_on_mollified_pairs(
         if pair.mu.atom_count and pair.nu.atom_count:
             pivots += _assert_exact_potentials(*_assemble(pair, cost)[:3])
     assert pivots > 1000
+
+
+def test_tree_potentials_hang_every_node_from_its_tree_parent():
+    # rows are nodes 0-2, columns 3-5; the tree is the path
+    # row 0 - col 1 - row 2 - col 0 - row 1, plus col 2 off row 0
+    arcs = {(0, 1): 0.5, (2, 1): 0.0, (2, 0): 0.25, (1, 0): 0.25, (0, 2): 0.0}
+    costs = np.array([[9.0, 1.0, 4.0], [3.0, 9.0, 9.0], [2.0, 5.0, 9.0]])
+    u, v, parent, depth = _tree_potentials(arcs, costs, 3, 3)
+    assert parent == [-1, 3, 4, 2, 0, 0]
+    assert depth == [0, 4, 2, 3, 1, 1]
+    assert u.tolist() == [0.0, 5.0, 4.0] and v.tolist() == [-2.0, 1.0, 4.0]
+
+
+def test_tree_potentials_reject_a_basis_in_two_pieces():
+    # rows 0 and 1 share column 0; row 2 and column 1 hang apart
+    arcs = {(0, 0): 0.5, (1, 0): 0.25, (2, 1): 0.25}
+    with pytest.raises(TransportError, match="basis lost connectivity"):
+        _tree_potentials(arcs, np.ones((3, 2)), 3, 2)
 
 
 def _watch_the_pricing(monkeypatch, supplies, demands, costs):
@@ -585,7 +604,9 @@ def _assert_same_start(supplies, demands, costs):
     assert items[:len(shipped)] == list(shipped.items())
     # the rest are the zero-flow arcs that splice the forest into a tree
     assert all(q == 0.0 for _, q in items[len(shipped):])
+    # m + n - 1 arcs that reach every node: a spanning tree
     assert len(flows) == len(supplies) + len(demands) - 1
+    _tree_potentials(flows, costs, len(supplies), len(demands))
 
 
 def _random_instance(rng, m, n, dust):
