@@ -75,12 +75,21 @@ def plateau_bump_derivative(r, r_inner, r_outer):
 @dataclass(frozen=True)
 class GrowthEnvelope:
     """Radial speed envelope G; the integral of 1/G over [r, infinity) must
-    diverge (no finite-time escape), which ``build_cutoff`` checks."""
+    diverge (no finite-time escape), which ``build_cutoff`` checks.
+    ``level`` is G's value when G is constant, else None."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
+    level: float | None = None
 
     def __call__(self, r):
         return self.evaluator(np.asarray(r, dtype=float))
+
+    def at_rows(self, points):
+        """G(|x|) for each row x of an (N, n) batch; a constant G returns
+        its level as one number, with no row norm taken."""
+        if self.level is not None:
+            return self.level
+        return np.asarray(self.evaluator(row_norms(points)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,7 @@ class Modulus:
 def growth_constant(level=1.0):
     level = float(level)
     return GrowthEnvelope(lambda r: np.full_like(np.asarray(r, dtype=float),
-                                                 level))
+                                                 level), level=level)
 
 
 def growth_affine():
@@ -206,15 +215,14 @@ def evaluate_batch(field, t, points):
             f"field '{field.name}' returned a non-finite velocity at "
             f"{points[bad].tolist()} (t={t:g})")
     speeds = row_norms(velocities)
-    caps = field.growth_const * np.asarray(
-        field.growth(row_norms(points)), dtype=float)
+    caps = field.growth_const * field.growth.at_rows(points)
     over = speeds > caps * (1.0 + _ENVELOPE_SLACK)
     if np.any(over):
         bad = int(np.argmax(over))
         raise EnvelopeViolation(
             f"field '{field.name}' broke its growth envelope at "
             f"{points[bad].tolist()}: speed {speeds[bad]:.6g} > "
-            f"{caps[bad]:.6g}")
+            f"{np.broadcast_to(caps, speeds.shape)[bad]:.6g}")
     return velocities
 
 
@@ -313,11 +321,18 @@ def _plane_example_evaluator(radial_factor, flip_y):
         x, y = pts[:, 0], pts[:, 1]
         r2 = x * x + y * y
         live = (r2 > 0.0) & (r2 < _TRUNC_OUTER**2)
-        r2s = np.where(live, r2, 0.01)
-        factor = np.where(live, radial_factor(r2s), 0.0)
-        factor = factor * plateau_bump(np.sqrt(r2), _TRUNC_INNER, _TRUNC_OUTER)
-        vy = -y * factor if flip_y else y * factor
-        return np.column_stack([x * factor, vy])
+        factor = np.zeros_like(r2)
+        factor[live] = radial_factor(r2[live])
+        # the bump is exactly 1 wherever r^2 <= 1/16 (sqrt and 0.5 - r round
+        # monotonically, and /0.25 is exact); NaN rows stay in the band
+        band = ~(r2 <= _TRUNC_INNER**2)
+        if band.any():
+            factor[band] *= plateau_bump(np.sqrt(r2[band]), _TRUNC_INNER,
+                                         _TRUNC_OUTER)
+        out = np.empty_like(pts)
+        np.multiply(x, factor, out=out[:, 0])
+        np.multiply(-y if flip_y else y, factor, out=out[:, 1])
+        return out
     return ev
 
 

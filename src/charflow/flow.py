@@ -15,10 +15,15 @@ atoms that freeze after an accepted step.  Every velocity the stepper uses
 is therefore checked against the growth envelope by ``evaluate_batch``.  An
 atom that freezes during a push had its point checked at the step where it
 froze; it never moves again and no catalog field depends on t, so each
-dropped check would only repeat one already made.  The stage sums are BLAS
-calls whose rounding depends on the row count, so a freeze may move a live
-row by an ulp.  A segment with no live row left ends at t1 in one step,
-with no further field call.
+dropped check would only repeat one already made.  A segment with no live
+row left ends at t1 in one step, with no further field call.
+
+The seven stages of the live rows are a contiguous front view of one flat
+buffer of 7 N n floats, allocated once per segment and viewed again at each
+freeze.  Each stage sum is therefore one ``np.dot`` of a tableau row with
+the first stages flattened to (s, m n), and nothing is copied.  These sums
+are BLAS calls whose rounding depends on the row count, so a freeze may
+move a live row by an ulp.
 """
 
 from __future__ import annotations
@@ -127,6 +132,13 @@ def _freeze_mask(points, singular_points, radius):
     return mask
 
 
+def _stage_views(stages, shape):
+    """The front 7 m n floats of the stage buffer as the stages k, shape
+    (7, m, n), and as their (7, m n) view for the stage sums."""
+    k = stages[:7 * shape[0] * shape[1]].reshape((7,) + shape)
+    return k, k.reshape(7, -1)
+
+
 def _advance(field, points, t0, t1, opts, record):
     """Core stepper on the live rows y = y_all[live].  Returns
     (final_points, history, stats)."""
@@ -146,8 +158,8 @@ def _advance(field, points, t0, t1, opts, record):
                                         opts.freeze_radius))
     y = y_all[live]
     t = t0
-    stages = np.empty((7,) + y_all.shape)  # k is a view of its first rows
-    k = stages[:, :len(y)]
+    stages = np.empty(7 * y_all.size)  # k and flat are front views of it
+    k, flat = _stage_views(stages, y.shape)
     h = span
     if len(y):
         k[0] = evaluate_batch(field, t, y)
@@ -172,11 +184,11 @@ def _advance(field, points, t0, t1, opts, record):
         h = min(h, remaining)
         dt = direction * h
         for stage in range(1, 6):
-            yi = y + dt * np.tensordot(_A[stage - 1], k[:stage], axes=1)
+            yi = y + dt * np.dot(_A[stage - 1], flat[:stage]).reshape(y.shape)
             k[stage] = evaluate_batch(field, t + _C[stage] * dt, yi)
-        y_new = y + dt * np.tensordot(_A[5], k[:6], axes=1)
+        y_new = y + dt * np.dot(_A[5], flat[:6]).reshape(y.shape)
         k[6] = evaluate_batch(field, t + dt, y_new)
-        err_vec = dt * np.tensordot(_ERR, k, axes=1)
+        err_vec = dt * np.dot(_ERR, flat).reshape(y.shape)
         err = _scaled_error(err_vec, y, y_new, opts)
 
         if err <= 1.0:
@@ -188,7 +200,7 @@ def _advance(field, points, t0, t1, opts, record):
             if np.any(newly):
                 y_all[live[newly]] = y[newly]
                 live, y = live[~newly], y[~newly]
-                k = stages[:, :len(y)]
+                k, flat = _stage_views(stages, y.shape)
                 if len(y):
                     k[0] = evaluate_batch(field, t, y)
             if record:

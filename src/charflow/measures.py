@@ -49,9 +49,13 @@ def _merge_colocated(locations, weights):
                                       output_type="ndarray")
     if len(pairs) == 0:
         return locs, ws
-    graph = csr_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+    # each pair stored both ways: the strong components of that directed
+    # graph are its groups, and scipy need not transpose it
+    graph = csr_array((np.ones(2 * len(pairs)),
+                       (pairs.ravel(), pairs[:, ::-1].ravel())),
                       shape=(len(ws), len(ws)))
-    _, label = connected_components(graph, directed=False)
+    _, label = connected_components(graph, directed=True,
+                                    connection="strong")
     # the first index of each label is the group's lexicographically first
     # atom, which carries the group's weight
     head = np.zeros(len(ws), dtype=bool)

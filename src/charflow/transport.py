@@ -161,9 +161,16 @@ def _entry_label(index, atom_count):
 # -- transportation simplex --------------------------------------------------
 
 def _basis_graph(arcs, m, n):
-    """The arcs (i, j) as a graph on rows 0..m-1 and columns m..m+n-1."""
+    """The arcs (i, j) as a graph on rows 0..m-1 and columns m..m+n-1.
+
+    Each arc is stored both ways, so scipy walks the graph as directed and
+    never builds its transpose, which costs more than the walk itself.
+    """
     cells = np.array(list(arcs), dtype=np.intp).reshape(-1, 2)
-    return csr_array((np.ones(len(cells)), (cells[:, 0], m + cells[:, 1])),
+    rows, cols = cells[:, 0], m + cells[:, 1]
+    return csr_array((np.ones(2 * len(cells)),
+                      (np.concatenate([rows, cols]),
+                       np.concatenate([cols, rows]))),
                      shape=(m + n, m + n))
 
 
@@ -205,7 +212,7 @@ def _least_cost_start(supplies, demands, costs):
         size *= 2
 
     _, labels = connected_components(_basis_graph(flows, m, n),
-                                     directed=False)
+                                     directed=True, connection="strong")
     components = {}
     for node, label in enumerate(labels.tolist()):
         components.setdefault(label, []).append(node)
@@ -242,7 +249,7 @@ def _tree_potentials(arcs, costs, m, n):
     on the tree alone, not on the order of the walk.
     """
     order, parent = breadth_first_order(_basis_graph(arcs, m, n), 0,
-                                        directed=False)
+                                        directed=True)
     if len(order) < m + n:
         raise TransportError("basis lost connectivity")
     u = np.zeros(m)

@@ -8,7 +8,8 @@ import scipy.integrate
 
 from charflow import (EnvelopeViolation, FieldError, GrowthEnvelope,
                       Modulus, VectorFieldSpec, constant_field,
-                      evaluate_batch, linear_field, modulus_linear,
+                      evaluate_batch, growth_affine, growth_constant,
+                      linear_field, modulus_linear,
                       modulus_log, modulus_loglog, modulus_loglog_squared,
                       osgood_1d_field, osgood_plane_field,
                       nonosgood_plane_field, plateau_bump, rotation_field,
@@ -163,6 +164,40 @@ def test_envelope_violation_is_hard():
         evaluate_batch(lying, 0.0, np.array([[2.0]]))
 
 
+def _lying_on_one_row(velocity, row):
+    """A field giving ``velocity(pts)`` on every row but ``row``, whose two
+    components are 3 (1 + |x|) + 1, above both the constant and the affine
+    cap there."""
+    def ev(t, pts):
+        out = velocity(pts)
+        out[row] = 3.0 * (1.0 + np.linalg.norm(pts[row])) + 1.0
+        return out
+    return ev
+
+
+@pytest.mark.parametrize("row", [0, 1, 4_999, 7_777, 9_999])
+@pytest.mark.parametrize("growth, velocity", [
+    (growth_constant(), lambda pts: 0.5 * np.ones_like(pts) / math.sqrt(2)),
+    (growth_affine(), lambda pts: np.column_stack([-pts[:, 1], pts[:, 0]])),
+])
+def test_envelope_check_covers_every_row(growth, velocity, row):
+    # a constant envelope hands evaluate_batch one cap; each of the 10,000
+    # speeds is still compared with it, as with a rotation-style affine one
+    pts = np.random.default_rng(row).uniform(-2.0, 2.0, (10_000, 2))
+    liar = VectorFieldSpec(
+        dimension=2, name="liar", evaluator=_lying_on_one_row(velocity, row),
+        growth=growth, modulus=modulus_linear(), growth_const=1.0,
+        modulus_constants=((math.inf, 1.0),))
+    honest = VectorFieldSpec(
+        dimension=2, name="honest", evaluator=lambda t, p: velocity(p),
+        growth=growth, modulus=modulus_linear(), growth_const=1.0,
+        modulus_constants=((math.inf, 1.0),))
+    evaluate_batch(honest, 0.0, pts)
+    with pytest.raises(EnvelopeViolation) as caught:
+        evaluate_batch(liar, 0.0, pts)
+    assert str(pts[row].tolist()) in str(caught.value)
+
+
 def test_modulus_constant_lookup_prefers_tight_radii():
     f = VectorFieldSpec(
         dimension=1, name="tiered", evaluator=lambda t, p: 0.0 * p,
@@ -210,6 +245,67 @@ def test_plane_fields_vanish_outside_the_truncation():
     for build in (osgood_plane_field, nonosgood_plane_field):
         np.testing.assert_array_equal(evaluate_batch(build(), 0.0, pts),
                                       np.zeros_like(pts))
+
+
+def _f_plane(r2):
+    log_r2 = np.log(r2)
+    return log_r2 * np.log(-log_r2)
+
+
+def _g_plane(r2):
+    log_r2 = np.log(r2)
+    return log_r2 * np.log(-log_r2)**2
+
+
+def _plane_oracle(radial_factor, flip_y, pts):
+    """The plane fields' earlier formula, which sends every row through the
+    radial factor and the plateau bump."""
+    x, y = pts[:, 0], pts[:, 1]
+    r2 = x * x + y * y
+    live = (r2 > 0.0) & (r2 < 0.5**2)
+    r2s = np.where(live, r2, 0.01)
+    factor = np.where(live, radial_factor(r2s), 0.0)
+    factor = factor * plateau_bump(np.sqrt(r2), 0.25, 0.5)
+    vy = -y * factor if flip_y else y * factor
+    return np.column_stack([x * factor, vy])
+
+
+def _plane_probe(count):
+    """Rows at r = 0, r < 1/4, r = 1/4 exactly and one ulp either side, the
+    band, r = 1/2 exactly and one ulp either side, and r > 1/2, in all four
+    quadrants, then rows drawn from the disk of radius 0.6 up to ``count``.
+    Returns the batch and the number of those special rows."""
+    quarter, half = 0.25, 0.5
+    radii = [0.0, 1e-300, 1e-9, 0.1, 0.2, np.nextafter(quarter, 0.0),
+             quarter, np.nextafter(quarter, 1.0), 0.3, 0.4,
+             np.nextafter(half, 0.0), half, np.nextafter(half, 1.0), 0.7, 5.0]
+    special = [[s * r, 0.0] for r in radii for s in (1.0, -1.0)]
+    special += [[0.0, s * r] for r in radii for s in (1.0, -1.0)]
+    special += [[-0.15, 0.2], [0.15, -0.2], [-0.3, -0.4], [0.3, 0.4]]
+    rng = np.random.default_rng(11)
+    r = np.sqrt(rng.uniform(0.0, 0.36, count - len(special)))
+    theta = rng.uniform(0.0, 2.0 * math.pi, count - len(special))
+    return np.concatenate([np.array(special),
+                           np.column_stack([r * np.cos(theta),
+                                            r * np.sin(theta)])]), \
+        len(special)
+
+
+@pytest.mark.parametrize("build, radial_factor, flip_y", [
+    (osgood_plane_field, _f_plane, False),
+    (nonosgood_plane_field, _g_plane, True),
+])
+def test_plane_fields_keep_the_bits_of_the_every_row_formula(
+        build, radial_factor, flip_y):
+    ev = build().evaluator
+    pts, special = _plane_probe(10_000)
+    got, want = ev(0.0, pts), _plane_oracle(radial_factor, flip_y, pts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    for i in [*range(special), *range(special, len(pts), 97)]:
+        got = ev(0.0, pts[i:i + 1])
+        assert np.array_equal(got, want[i:i + 1]), pts[i]
+        assert np.array_equal(np.signbit(got), np.signbit(want[i:i + 1]))
 
 
 _CATALOG_INSTANCES = {
