@@ -11,12 +11,16 @@ steps.
 
 Frozen atoms leave the stepper: the stages, their sums, the error norm and
 the freeze test run on a compacted array of the live rows, which drops the
-atoms that freeze after an accepted step.  Every velocity the stepper uses
-is therefore checked against the growth envelope by ``evaluate_batch``.  An
-atom that freezes during a push had its point checked at the step where it
-froze; it never moves again and no catalog field depends on t, so each
-dropped check would only repeat one already made.  A segment with no live
-row left ends at t1 in one step, with no further field call.
+atoms that freeze after an accepted step.  The first stage of the next step
+is the compacted last stage of the accepted one (FSAL), not a new field
+call: those rows were checked against the envelope at the same points, and
+a catalog field gives a row the same bits at every batch size.  Every
+velocity the stepper uses is therefore checked against the growth envelope
+by ``evaluate_batch``.  An atom that freezes during a push had its point
+checked at the step where it froze; it never moves again and no catalog
+field depends on t, so each dropped check would only repeat one already
+made.  A segment with no live row left ends at t1 in one step, with no
+further field call.
 
 The seven stages of the live rows are a contiguous front view of one flat
 buffer of 7 N n floats, allocated once per segment and viewed again at each
@@ -200,9 +204,9 @@ def _advance(field, points, t0, t1, opts, record):
             if np.any(newly):
                 y_all[live[newly]] = y[newly]
                 live, y = live[~newly], y[~newly]
+                first = k[0][~newly]  # a copy: the new views overlap k[0]
                 k, flat = _stage_views(stages, y.shape)
-                if len(y):
-                    k[0] = evaluate_batch(field, t, y)
+                k[0] = first
             if record:
                 y_all[live] = y
                 history.append((t, y_all.copy(), h, err))

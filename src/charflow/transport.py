@@ -11,12 +11,15 @@ Two independent solvers are kept deliberately separate:
 
 * :func:`solve_ot` runs a primal transportation simplex (tree basis,
   Dantzig pricing with a Bland fallback) and recovers the single dual
-  potential from the optimal tree.  The basis tree and the potentials
-  persist across pivots; a pivot re-hangs only the subtree that its leaving
-  arc cuts off and recomputes only that subtree's potentials, each from its
-  parent arc as a fresh walk from the root would, so the potentials are
-  exact at every pivot.  Reduced costs are not kept: each pivot prices the
-  whole cost matrix against the current potentials in one in-place pass.
+  potential from the optimal tree.  Its least-cost greedy start crosses out
+  one row or column per shipment, so it yields the starting spanning tree
+  and its parent pointers directly.  The basis tree and the potentials
+  persist across pivots; one walk fills them for the start, and a pivot
+  re-hangs only the subtree that its leaving arc cuts off and runs the same
+  walk over that subtree alone, each potential from its parent arc as a
+  fresh walk from the root would, so the potentials are exact at every
+  pivot.  Reduced costs are not kept: each pivot prices the whole cost
+  matrix against the current potentials in one in-place pass.
 * :func:`brute_force_ot` never touches that code path: it settles instances
   of up to 7 atoms a side by successive shortest augmenting paths.  It is
   the cross-check, so it shares no assembly, pivoting or labeling logic with
@@ -29,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial.distance import cdist
 
 from .costs import reference_cost
@@ -160,111 +161,78 @@ def _entry_label(index, atom_count):
 
 # -- transportation simplex --------------------------------------------------
 
-def _basis_graph(arcs, m, n):
-    """The arcs (i, j) as a graph on rows 0..m-1 and columns m..m+n-1.
-
-    Each arc is stored both ways, so scipy walks the graph as directed and
-    never builds its transpose, which costs more than the walk itself.
-    """
-    cells = np.array(list(arcs), dtype=np.intp).reshape(-1, 2)
-    rows, cols = cells[:, 0], m + cells[:, 1]
-    return csr_array((np.ones(2 * len(cells)),
-                      (np.concatenate([rows, cols]),
-                       np.concatenate([cols, rows]))),
-                     shape=(m + n, m + n))
-
-
 def _least_cost_start(supplies, demands, costs):
-    """Basic feasible start: ship greedily along globally cheapest arcs.
+    """Basic feasible start and its tree: ship greedily along globally
+    cheapest arcs, crossing out one row or column per shipment.
 
-    Each shipment exhausts at least one endpoint exactly (x - x == 0.0), so
-    every connected component of shipped arcs keeps at most one unexhausted
-    node and the arc set is a forest; zero-flow arcs then splice the
-    components into a single spanning tree.  Greedy matching starts close
-    to optimal on near-diagonal instances, which keeps the pivot count low.
+    A shipment crosses out the line that it exhausts, the row when it
+    exhausts both; the column then stays open at zero remainder until a
+    later zero-mass arc attaches it.  The last open row is kept while
+    columns stay open, and the last open column while rows do: the shipment
+    crosses out its other end instead, so the remaining lines of that kind
+    attach through zero-mass arcs (with exact remainders this happens only
+    to a row exhausted together with its column).  So m + n - 1 shipments
+    leave one line open, each crossed-out line hangs from the other end of
+    the arc that crossed it out, which is crossed out later or never, and
+    the arcs form a spanning tree rooted at the open line.  Greedy matching
+    starts close to optimal on near-diagonal instances, which keeps the
+    pivot count low.
 
-    Fewer than m + n cells can ship, so the sorted cells are walked in
-    doubling blocks of at least m + n, and each block first drops the cells
-    whose row or column was already exhausted when it began.  Remainders
-    only shrink, so the dropped cells are ones the per-cell test would skip:
-    the arcs and their order are those of a scan over every cell.
+    Returns the flows, in shipping order, and each node's parent (-1 at the
+    root); rows are nodes 0..m-1 and columns m..m+n-1.
+
+    Fewer than m + n cells ship, so the sorted cells are walked in doubling
+    blocks of at least m + n, and each block first drops the cells whose row
+    or column was already crossed out when it began.  Lines stay crossed
+    out, so the dropped cells are ones the per-cell test would skip: the
+    arcs and their order are those of a scan over every cell.
     """
     m, n = len(supplies), len(demands)
     rem_s, rem_d = list(supplies), list(demands)
+    open_line = [True] * (m + n)
+    open_rows, open_cols = m, n
     flows = {}
+    parent = [-1] * (m + n)
     order = np.argsort(costs, axis=None, kind="stable")
     start, size = 0, m + n
-    while start < len(order):
-        live_s = np.asarray(rem_s) > 0.0
-        live_d = np.asarray(rem_d) > 0.0
-        if not (live_s.any() and live_d.any()):
-            break
+    while open_rows + open_cols > 1:
         rows, cols = np.divmod(order[start:start + size], n)
-        live = live_s[rows] & live_d[cols]
+        is_open = np.asarray(open_line)
+        live = is_open[rows] & is_open[m + cols]
         for i, j in zip(rows[live].tolist(), cols[live].tolist()):
-            if rem_s[i] <= 0.0 or rem_d[j] <= 0.0:
+            if not (open_line[i] and open_line[m + j]):
                 continue
             q = min(rem_s[i], rem_d[j])
             flows[(i, j)] = q
             rem_s[i] -= q
             rem_d[j] -= q
+            if open_cols > 1 and (open_rows == 1 or rem_s[i] > 0.0):
+                open_line[m + j], parent[m + j] = False, i
+                open_cols -= 1
+            else:
+                open_line[i], parent[i] = False, m + j
+                open_rows -= 1
         start += size
         size *= 2
-
-    _, labels = connected_components(_basis_graph(flows, m, n),
-                                     directed=True, connection="strong")
-    components = {}
-    for node, label in enumerate(labels.tolist()):
-        components.setdefault(label, []).append(node)
-    # splice order: a component holding both sides anchors the tree (any
-    # shipped arc provides one), so every later component finds its
-    # counterpart side already present
-    pending = sorted(components.values(), key=lambda c: (not (
-        any(node < m for node in c) and any(node >= m for node in c)),
-        min(c)))
-    anchor_rows = [p for p in pending[0] if p < m]
-    anchor_cols = [p - m for p in pending[0] if p >= m]
-    for comp in pending[1:]:
-        rows = [p for p in comp if p < m]
-        cols = [p - m for p in comp if p >= m]
-        if cols and anchor_rows:
-            arc = (min(anchor_rows), min(cols))
-        elif rows and anchor_cols:
-            arc = (min(rows), min(anchor_cols))
-        else:
-            raise TransportError("cannot splice the starting basis")
-        flows.setdefault(arc, 0.0)
-        anchor_rows.extend(rows)
-        anchor_cols.extend(cols)
-    return flows
+    return flows, parent
 
 
-def _tree_potentials(arcs, costs, m, n):
-    """Potentials u_i + v_j = costs[i, j] on the basis tree rooted at row 0,
-    and each node's parent (-1 at the root) and depth in that tree.
-
-    The parents come from a breadth-first search of the arcs, and depths and
-    potentials are filled down its order.  Each potential is its parent's
-    subtracted from the cost of the arc between them, so the values depend
-    on the tree alone, not on the order of the walk.
-    """
-    order, parent = breadth_first_order(_basis_graph(arcs, m, n), 0,
-                                        directed=True)
-    if len(order) < m + n:
-        raise TransportError("basis lost connectivity")
-    u = np.zeros(m)
-    v = np.zeros(n)
-    parent = parent.tolist()
-    parent[0] = -1
-    depth = [0] * (m + n)
-    for q in order[1:].tolist():
+def _hang(heads, costs, parent, children, depth, pot, up_cell):
+    """Depths, potentials and parent-arc cells down the subtrees below
+    ``heads``, top-down.  Each potential is its parent's subtracted from the
+    cost of the arc between them, so the values depend on the tree alone,
+    not on the order of the walk; ``up_cell[q - 1]`` is the flat cell of the
+    arc from node q up to its parent."""
+    m, n = costs.shape
+    stack = list(heads)
+    while stack:
+        q = stack.pop()
         p = parent[q]
         depth[q] = depth[p] + 1
-        if p < m:
-            v[q - m] = costs[p, q - m] - u[p]
-        else:
-            u[q] = costs[q, p - m] - v[p - m]
-    return u, v, parent, depth
+        cell = q * n + p - m if q < m else p * n + q - m
+        pot[q] = costs.item(cell) - pot[p]
+        up_cell[q - 1] = cell
+        stack.extend(children[q])
 
 
 def _entering_cell(red, enter_tol, bland):
@@ -287,36 +255,44 @@ def _network_simplex(supplies, demands, costs):
     Bland's rule, which cannot cycle.
 
     The basis tree (parent, depth and children of each node, rooted at row
-    0) and the potentials persist across pivots, seeded by one
-    :func:`_tree_potentials` walk.  Each pivot prices every cell in one
-    in-place pass, (c - u) - v, then sets the m + n - 1 basic cells to inf:
-    a per-node array holds the flat cell of each non-root node's arc to its
-    parent.  The mask is explicit because a basic cell prices to zero only
-    up to the rounding of u_i + v_j, which grows with |u| + |v| and so with
-    the depth of the tree, and must never enter.  The cycle of an entering arc is found by climbing depths from both
-    endpoints.  The leaving arc cuts a subtree off the root; the parent
-    pointers from the entering endpoint up to the cut are reversed, the
-    subtree is re-hung from the entering arc, and only its nodes get new
-    depths, potentials and parent-arc cells.  Each new potential is its new
-    parent's subtracted from the arc cost, top-down, which is the arithmetic
-    of a fresh walk over the whole tree: the potentials stay exact, bit for
-    bit, so no pivot acts on drifted prices and the final u and v equal a
-    fresh walk's.
+    0) and the potentials persist across pivots.  The greedy start hands
+    over its tree; the parent pointers on its path from row 0 up to its
+    root are reversed, as a pivot reverses a path, and one :func:`_hang`
+    from row 0 fills depths, potentials and basic cells for the whole tree.
+    Each pivot prices every cell in one in-place pass, (c - u) - v, then
+    sets the m + n - 1 basic cells to inf: a per-node array holds the flat
+    cell of each non-root node's arc to its parent.  The mask is explicit
+    because a basic cell prices to zero only up to the rounding of
+    u_i + v_j, which grows with |u| + |v| and so with the depth of the tree,
+    and must never enter.  The cycle of an entering arc is found by
+    climbing depths from both endpoints.  The leaving arc cuts a subtree
+    off the root; the parent pointers from the entering endpoint up to the
+    cut are reversed, the subtree is re-hung from the entering arc, and
+    :func:`_hang` refills only its nodes.  That is the arithmetic of a fresh
+    walk over the whole tree: the potentials stay exact, bit for bit, so no
+    pivot acts on drifted prices and the final u and v equal a fresh
+    walk's.
     """
     m, n = len(supplies), len(demands)
     costs = np.ascontiguousarray(costs)  # flat cell indices are row-major
-    flows = _least_cost_start(supplies, demands, costs)
-    u, v, parent, depth = _tree_potentials(flows, costs, m, n)
+    flows, parent = _least_cost_start(supplies, demands, costs)
+    # re-root the start's tree at row 0
+    below, node = -1, 0
+    while node != -1:
+        above = parent[node]
+        parent[node] = below
+        below, node = node, above
     children = [set() for _ in range(m + n)]
     for node in range(1, m + n):
         children[parent[node]].add(node)
     # u_i for rows, then v_j for columns, as Python floats for the walks
-    pot = u.tolist() + v.tolist()
+    pot = [0.0] * (m + n)
+    depth = [0] * (m + n)
     # flat cell of the arc from each non-root node up to its parent: the
     # m + n - 1 basic cells
-    up_cell = np.array([q * n + parent[q] - m if q < m
-                        else parent[q] * n + q - m
-                        for q in range(1, m + n)], dtype=np.intp)
+    up_cell = np.empty(m + n - 1, dtype=np.intp)
+    _hang(children[0], costs, parent, children, depth, pot, up_cell)
+    u, v = np.array(pot[:m]), np.array(pot[m:])
     red = np.empty_like(costs)
 
     total = math.fsum(supplies)
@@ -382,16 +358,7 @@ def _network_simplex(supplies, demands, costs):
         parent[head] = outer
         children[outer].add(head)
 
-        # new depths, potentials and parent-arc cells down the subtree
-        stack = [head]
-        while stack:
-            q = stack.pop()
-            p = parent[q]
-            depth[q] = depth[p] + 1
-            cell = q * n + p - m if q < m else p * n + q - m
-            pot[q] = costs.item(cell) - pot[p]
-            up_cell[q - 1] = cell
-            stack.extend(children[q])
+        _hang([head], costs, parent, children, depth, pot, up_cell)
         u[:] = pot[:m]
         v[:] = pot[m:]
 

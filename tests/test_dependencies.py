@@ -2,8 +2,8 @@
 standard library, ``fields.row_norms`` is its only per-row norm,
 ``scipy.integrate`` serves only the mollifier's kernel-mass audit,
 ``costs`` builds the one Gauss-Legendre rule and the one brentq root
-function, and the brute-force transport route shares no function with the
-simplex it checks."""
+function, the brute-force transport route shares no function with the
+simplex it checks, and the simplex builds no ``scipy.sparse`` graph."""
 
 import ast
 import pathlib
@@ -228,3 +228,41 @@ def test_brute_force_route_shares_no_function_with_the_simplex():
     assert {"_brute_assemble", "_brute_ssp"} <= brute
     assert {"_assemble", "_network_simplex"} <= simplex
     assert not brute & simplex, sorted(brute & simplex)
+
+
+def _sparse_uses(source):
+    """Line numbers of each import from ``scipy.sparse`` and each
+    ``scipy.sparse`` attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.sparse") for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("scipy.sparse") or (
+                    module == "scipy" and
+                    any(a.name == "sparse" for a in node.names)):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and \
+                ast.unparse(node).startswith("scipy.sparse."):
+            yield node.lineno
+
+
+def test_sparse_guard_finds_imports_and_uses():
+    sample = ("from scipy.sparse import csr_array\n"
+              "from scipy.sparse.csgraph import breadth_first_order\n"
+              "import scipy.sparse.csgraph as csgraph\n"
+              "from scipy import sparse\n"
+              "import scipy\n"
+              "g = scipy.sparse.csgraph.connected_components(a)\n"
+              "from scipy.spatial.distance import cdist\n")
+    assert sorted(set(_sparse_uses(sample))) == [1, 2, 3, 4, 6]
+
+
+def test_simplex_builds_no_sparse_graph():
+    # the greedy start hands the simplex its spanning tree as parent
+    # pointers, so no basis graph is built, spliced or searched
+    source = (ROOT / "src" / "charflow" / "transport.py").read_text(
+        encoding="utf-8")
+    lines = sorted(set(_sparse_uses(source)))
+    assert not lines, f"transport.py:{lines} use scipy.sparse"

@@ -21,7 +21,7 @@ from charflow import (ComparisonBoundError, ConcaveCost, TransportError,
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import (DIAMOND, REFERENCE_COST, _assemble,
                                 _check_slackness, _least_cost_start,
-                                _network_simplex, _tree_potentials)
+                                _network_simplex)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +185,7 @@ def test_tied_costs_exercise_the_anticycling_path(cost):
     assert plan.primal_value == pytest.approx(value, rel=1e-10)
     # matching each atom to its right neighbor is optimal here
     assert plan.primal_value == pytest.approx(cost.cost(0.5), rel=1e-10)
-    _assert_same_start(*_assemble(pair, cost)[:3])
+    _assert_tree_start(*_assemble(pair, cost)[:3])
 
 
 def _tied_lattice_pair(rng):
@@ -215,6 +215,29 @@ def test_simplex_agrees_with_brute_force_on_tied_lattices(cost):
     assert min(reservoirs.values()) > 50
 
 
+def _fresh_walk(arcs, costs, m, n):
+    """Potentials u_i + v_j = costs[i, j] on the basis tree of ``arcs``
+    rooted at row 0, and each node's parent (-1 at the root) and depth: a
+    breadth-first walk in plain Python, each potential its tree arc's cost
+    minus its parent's.  Fails unless the arcs reach every node."""
+    neighbours = [[] for _ in range(m + n)]
+    for i, j in arcs:
+        neighbours[i].append(m + j)
+        neighbours[m + j].append(i)
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    order, seen = [0], {0}
+    for p in order:
+        for q in neighbours[p]:
+            if q not in seen:
+                seen.add(q)
+                parent[q], depth[q] = p, depth[p] + 1
+                cell = (q, p - m) if q < m else (p, q - m)
+                pot[q] = float(costs[cell]) - pot[p]
+                order.append(q)
+    assert len(order) == m + n, "arcs do not reach every node"
+    return np.array(pot[:m]), np.array(pot[m:]), parent, depth
+
+
 def _assert_exact_potentials(supplies, demands, costs):
     """The potentials kept across pivots are those of a fresh walk over the
     final basis, bit for bit: each node's is its tree arc's cost minus its
@@ -222,8 +245,8 @@ def _assert_exact_potentials(supplies, demands, costs):
     of that one subtraction."""
     m = len(supplies)
     flows, u, v, pivots = _network_simplex(supplies, demands, costs)
-    fresh_u, fresh_v, parent, depth = _tree_potentials(flows, costs, m,
-                                                       len(demands))
+    fresh_u, fresh_v, parent, depth = _fresh_walk(flows, costs, m,
+                                                  len(demands))
     assert u.tobytes() == fresh_u.tobytes()
     assert v.tobytes() == fresh_v.tobytes()
     potentials = np.concatenate([u, v])
@@ -256,24 +279,6 @@ def test_kept_potentials_equal_a_fresh_walk_on_mollified_pairs(
     assert pivots > 1000
 
 
-def test_tree_potentials_hang_every_node_from_its_tree_parent():
-    # rows are nodes 0-2, columns 3-5; the tree is the path
-    # row 0 - col 1 - row 2 - col 0 - row 1, plus col 2 off row 0
-    arcs = {(0, 1): 0.5, (2, 1): 0.0, (2, 0): 0.25, (1, 0): 0.25, (0, 2): 0.0}
-    costs = np.array([[9.0, 1.0, 4.0], [3.0, 9.0, 9.0], [2.0, 5.0, 9.0]])
-    u, v, parent, depth = _tree_potentials(arcs, costs, 3, 3)
-    assert parent == [-1, 3, 4, 2, 0, 0]
-    assert depth == [0, 4, 2, 3, 1, 1]
-    assert u.tolist() == [0.0, 5.0, 4.0] and v.tolist() == [-2.0, 1.0, 4.0]
-
-
-def test_tree_potentials_reject_a_basis_in_two_pieces():
-    # rows 0 and 1 share column 0; row 2 and column 1 hang apart
-    arcs = {(0, 0): 0.5, (1, 0): 0.25, (2, 1): 0.25}
-    with pytest.raises(TransportError, match="basis lost connectivity"):
-        _tree_potentials(arcs, np.ones((3, 2)), 3, 2)
-
-
 def _watch_the_pricing(monkeypatch, supplies, demands, costs):
     """Run the simplex and check the matrix that each ``_entering_cell``
     call sees: exactly m + n - 1 inf cells, the cells of the current basis,
@@ -284,14 +289,15 @@ def _watch_the_pricing(monkeypatch, supplies, demands, costs):
     basis, rules = [], []
 
     def start(*args, _original=transport._least_cost_start):
-        basis.append(_original(*args))  # the dict that the pivots update
-        return basis[0]
+        flows, parent = _original(*args)
+        basis.append(flows)  # the dict that the pivots update
+        return flows, parent
 
     def entering(red, enter_tol, bland, _original=transport._entering_cell):
         masked = np.isinf(red)
         assert np.count_nonzero(masked) == m + n - 1
-        assert set(map(tuple, np.argwhere(masked).tolist())) == set(basis[0])
-        u, v, _, _ = _tree_potentials(basis[0], costs, m, n)
+        assert set(map(tuple, np.argwhere(masked).tolist())) == set(basis[-1])
+        u, v, _, _ = _fresh_walk(basis[-1], costs, m, n)
         fresh = costs - u[:, None] - v
         assert red[~masked].tobytes() == fresh[~masked].tobytes()
         rules.append(bland)
@@ -312,12 +318,14 @@ def test_each_pivot_prices_against_the_current_basis(monkeypatch, cost):
 
 def test_degenerate_runs_switch_to_blands_rule(monkeypatch):
     """Squared gaps between two aligned 12-atom lattices: the greedy start is
-    already the unique optimum (each atom to its right-hand neighbour), so
+    already the unique optimum (each atom to its left-hand neighbour), so
     every pivot is degenerate and a run of m + n of them hands the choice of
     the entering cell to Bland's rule.  Every pivot prices against the
-    current basis, under either rule."""
+    current basis, under either rule.  (With each atom sent to its
+    right-hand neighbour instead, the start's zero-mass arcs already price
+    optimal and no pivot runs.)"""
     xs = np.arange(12.0)
-    costs = (xs[:, None] - xs[None, :] - 0.5) ** 2
+    costs = (xs[:, None] - xs[None, :] + 0.5) ** 2
     masses = np.full(12, 1.0 / 12)
     flows, rules = _watch_the_pricing(monkeypatch, masses, masses, costs)
     assert sum(rules) > 0
@@ -581,11 +589,12 @@ def test_cost_many_value_does_not_depend_on_its_batch(modulus):
 
 
 def _full_scan_shipments(supplies, demands, costs):
-    """The greedy loop over every sorted cell: the reference the block walk
-    must reproduce arc for arc, in order."""
+    """The greedy loop over every sorted cell, shipping wherever both ends
+    keep mass: the positive shipments that the start must make, in order,
+    and the rows and columns that a shipment exhausted together."""
     n = len(demands)
     rem_s, rem_d = list(supplies), list(demands)
-    flows = {}
+    flows, together = {}, set()
     for index in np.argsort(costs, axis=None, kind="stable"):
         i, j = divmod(int(index), n)
         if rem_s[i] <= 0.0 or rem_d[j] <= 0.0:
@@ -594,19 +603,40 @@ def _full_scan_shipments(supplies, demands, costs):
         flows[(i, j)] = q
         rem_s[i] -= q
         rem_d[j] -= q
-    return flows
+        if rem_s[i] <= 0.0 and rem_d[j] <= 0.0:
+            together |= {("row", i), ("col", j)}
+    return flows, together
 
 
-def _assert_same_start(supplies, demands, costs):
-    flows = _least_cost_start(supplies, demands, costs)
-    shipped = _full_scan_shipments(supplies, demands, costs)
-    items = list(flows.items())
-    assert items[:len(shipped)] == list(shipped.items())
-    # the rest are the zero-flow arcs that splice the forest into a tree
-    assert all(q == 0.0 for _, q in items[len(shipped):])
-    # m + n - 1 arcs that reach every node: a spanning tree
-    assert len(flows) == len(supplies) + len(demands) - 1
-    _tree_potentials(flows, costs, len(supplies), len(demands))
+def _assert_tree_start(supplies, demands, costs, exact=False):
+    """The greedy start is a spanning tree with the full scan's positive
+    shipments.  ``exact`` instances balance to the last bit, so every
+    remainder is exact and each zero-mass arc attaches a line that a
+    shipment exhausted together with the other end."""
+    m, n = len(supplies), len(demands)
+    flows, parent = _least_cost_start(supplies, demands, costs)
+    assert len(flows) == m + n - 1
+    (root,) = [q for q in range(m + n) if parent[q] == -1]
+    for q in range(m + n):
+        # every node but the root climbs to the root along start arcs
+        for _ in range(m + n):
+            if q == root:
+                break
+            p = parent[q]
+            assert ((q, p - m) if q < m else (p, q - m)) in flows
+            q = p
+        assert q == root
+    shipped, together = _full_scan_shipments(supplies, demands, costs)
+    assert [(arc, q) for arc, q in flows.items() if q > 0.0] == \
+        list(shipped.items())
+    if exact:
+        zero = [arc for arc, q in flows.items() if q == 0.0]
+        assert all(("row", i) in together or ("col", j) in together
+                   for i, j in zero)
+        # the last shipment exhausts the last row and column together and
+        # leaves the root; each other such shipment leaves one zero arc
+        assert len(zero) == len(together) // 2 - 1
+    return flows, parent
 
 
 def _random_instance(rng, m, n, dust):
@@ -633,14 +663,58 @@ def test_greedy_start_ships_what_a_full_scan_ships(seed):
     supplies, demands, costs = _random_instance(rng, m, n, dust=seed % 2)
     if seed % 2:
         assert 2.0 ** -40 in supplies and 2.0 ** -40 in demands
-    _assert_same_start(supplies, demands, costs)
+    _assert_tree_start(supplies, demands, costs)
     # a surplus of 0.5 on an absorbing row, then on an absorbing column
     c_infinity = 0.75
     heavier = demands.copy()
     heavier[np.argmax(heavier)] += 0.5
-    _assert_same_start(np.append(supplies, 0.5), heavier,
+    _assert_tree_start(np.append(supplies, 0.5), heavier,
                        np.vstack([costs, np.full(n, c_infinity)]))
     heavier = supplies.copy()
     heavier[np.argmax(heavier)] += 0.5
-    _assert_same_start(heavier, np.append(demands, 0.5),
+    _assert_tree_start(heavier, np.append(demands, 0.5),
                        np.hstack([costs, np.full((m, 1), c_infinity)]))
+
+
+def _dyadic_instance(rng, m, n, dust):
+    """Masses in multiples of 2^-6, with a 2^-40 atom on each side when
+    ``dust``, balanced to the last bit so that every remainder of the greedy
+    scan is exact; few distinct lattice costs, so ties are everywhere."""
+    supplies = rng.integers(1, 64, size=m) / 64.0
+    demands = rng.integers(1, 64, size=n) / 64.0
+    if dust:
+        supplies[-1] = demands[-1] = 2.0 ** -40
+    gap = math.fsum(supplies) - math.fsum(demands)
+    if gap > 0.0:
+        demands[np.argmax(demands)] += gap
+    else:
+        supplies[np.argmax(supplies)] -= gap
+    costs = 0.125 * rng.integers(0, 6, size=(m, n)).astype(float)
+    return supplies, demands, costs
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 9), (9, 1), (6, 13), (13, 6),
+                                 (30, 30)])
+def test_greedy_start_hangs_zero_arcs_only_from_exhausted_pairs(m, n):
+    """On exact instances the start is a spanning tree whose zero-mass arcs
+    each attach a line exhausted together with its counterpart, with and
+    without 2^-40 dust and with a surplus of 0.5 on an absorbing row or
+    column."""
+    rng = np.random.default_rng([m, n])
+    zero_arcs = 0
+    for trial in range(24):
+        supplies, demands, costs = _dyadic_instance(rng, m, n, trial % 2)
+        c_infinity = 0.75
+        heavier_d, heavier_s = demands.copy(), supplies.copy()
+        heavier_d[np.argmax(heavier_d)] += 0.5
+        heavier_s[np.argmax(heavier_s)] += 0.5
+        for instance in [
+                (supplies, demands, costs),
+                (np.append(supplies, 0.5), heavier_d,
+                 np.vstack([costs, np.full(n, c_infinity)])),
+                (heavier_s, np.append(demands, 0.5),
+                 np.hstack([costs, np.full((m, 1), c_infinity)]))]:
+            flows, _ = _assert_tree_start(*instance, exact=True)
+            zero_arcs += sum(q == 0.0 for q in flows.values())
+    if min(m, n) > 1:
+        assert zero_arcs > 0

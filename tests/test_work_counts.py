@@ -5,6 +5,7 @@ The counts are deterministic, so a regression that recomputes a value shows
 here without any timing.
 """
 
+import math
 import sys
 import threading
 import weakref
@@ -69,11 +70,69 @@ def test_solve_ot_evaluates_each_distinct_distance_once(monkeypatch):
     assert batches == [distinct, real]
 
 
-def test_simplex_walks_the_whole_basis_tree_at_most_twice(monkeypatch):
-    """A pivot recomputes only the potentials of the subtree that its
-    leaving arc cuts off, then prices the whole matrix in one pass:
-    ``_tree_potentials`` walks the whole tree to seed the state, never once
-    per pivot, and the pivots stay those of the solver that did."""
+def _rewalking_simplex(supplies, demands, ground):
+    """The pivots of ``transport._network_simplex`` with the whole basis tree
+    walked afresh, from row 0, before every pricing pass: breadth-first,
+    each potential its tree arc's cost minus its parent's.  Returns the
+    final flows and the pivot count."""
+    m, n = ground.shape
+    flows, _ = transport._least_cost_start(supplies, demands, ground)
+    enter_tol = 1e-12 * (1.0 + float(np.max(np.abs(ground))))
+    zero_theta = 1e-15 * max(math.fsum(supplies), 1.0)
+    bland, degenerate_run = False, 0
+    for pivot in range(60 * (m + n) + 3000):
+        neighbours = [[] for _ in range(m + n)]
+        for i, j in flows:
+            neighbours[i].append(m + j)
+            neighbours[m + j].append(i)
+        parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+        order, seen = [0], {0}
+        for p in order:
+            for q in neighbours[p]:
+                if q not in seen:
+                    seen.add(q)
+                    parent[q], depth[q] = p, depth[p] + 1
+                    cell = (q, p - m) if q < m else (p, q - m)
+                    pot[q] = float(ground[cell]) - pot[p]
+                    order.append(q)
+        assert len(order) == m + n
+        red = (ground - np.array(pot[:m])[:, None]) - np.array(pot[m:])
+        red[tuple(np.array(list(flows)).T)] = np.inf
+        entering = transport._entering_cell(red, enter_tol, bland)
+        if entering is None:
+            return flows, pivot
+        ei, ej = entering
+        side_col, side_row = [m + ej], [ei]
+        while depth[side_col[-1]] > depth[side_row[-1]]:
+            side_col.append(parent[side_col[-1]])
+        while depth[side_row[-1]] > depth[side_col[-1]]:
+            side_row.append(parent[side_row[-1]])
+        while side_col[-1] != side_row[-1]:
+            side_col.append(parent[side_col[-1]])
+            side_row.append(parent[side_row[-1]])
+        walk = [ei] + side_col + side_row[-2::-1]
+        hops = list(zip(walk[:-1], walk[1:]))
+        plus = [(p, q - m) for p, q in hops if p < m]
+        minus = [(q, p - m) for p, q in hops if p >= m]
+        theta = min(flows[arc] for arc in minus)
+        leaving = min(arc for arc in minus if flows[arc] <= theta)
+        for arc in plus:
+            flows[arc] = flows.get(arc, 0.0) + theta
+        for arc in minus:
+            flows[arc] = max(flows[arc] - theta, 0.0)
+        del flows[leaving]
+        flows.setdefault((ei, ej), 0.0)
+        degenerate_run = degenerate_run + 1 if theta <= zero_theta else 0
+        bland = bland or degenerate_run >= m + n
+    raise AssertionError("pivot budget exceeded")
+
+
+def test_simplex_walks_the_whole_basis_tree_once(monkeypatch):
+    """The start's tree is walked once from the root; after that a pivot
+    walks only the subtree that its leaving arc cuts off and re-hangs, then
+    prices the whole matrix in one pass.  Pivots and flows are those of a
+    solver that walks the whole tree afresh at every pivot: the kept
+    potentials, so the prices, are bit for bit the same."""
     rng = np.random.default_rng(4)
     spec = MollifierSpec(0.02, 1)
     mu, nu = (mollify(measure_from_arrays(1, rng.uniform(-1.0, 1.0, (20, 1)),
@@ -81,18 +140,30 @@ def test_simplex_walks_the_whole_basis_tree_at_most_twice(monkeypatch):
               for _ in range(2))
     pair = balance_with_reservoir(mu, nu)
     assert (pair.mu.atom_count, pair.nu.atom_count) == (102, 116)
-    walks = []
+    supplies, demands, ground = transport._assemble(
+        pair, ConcaveCost(modulus_log(), 1e-3, 0.5))[:3]
+    nodes = len(supplies) + len(demands)
+    walks = []  # (heads, nodes walked) of each _hang
 
-    def counted(*args, _original=transport._tree_potentials):
-        walks.append(args)
-        return _original(*args)
+    def counted(heads, ground, parent, children, *rest,
+                _original=transport._hang):
+        stack, walked = list(heads), 0
+        while stack:
+            walked += 1
+            stack.extend(children[stack.pop()])
+        walks.append((set(heads), walked))
+        return _original(heads, ground, parent, children, *rest)
 
-    monkeypatch.setattr(transport, "_tree_potentials", counted)
-    plan, _ = solve_ot(pair, ConcaveCost(modulus_log(), 1e-3, 0.5))
-    assert 1 <= len(walks) <= 2
-    # exactly the 95 pivots of a solver that walked the whole tree at
-    # every pivot: the potentials, so the prices, are bit for bit the same
-    assert plan.pivots == 95
+    monkeypatch.setattr(transport, "_hang", counted)
+    flows, _, _, pivots = transport._network_simplex(supplies, demands, ground)
+    assert pivots > 50 and len(walks) == pivots + 1
+    # the seed hangs every subtree of row 0; each pivot hangs one subtree
+    assert walks[0][1] == nodes - 1
+    assert all(len(heads) == 1 and 0 not in heads for heads, _ in walks[1:])
+    assert sum(walked for _, walked in walks[1:]) < pivots * nodes / 4
+    rewalked, rewalked_pivots = _rewalking_simplex(supplies, demands, ground)
+    assert rewalked_pivots == pivots
+    assert list(flows.items()) == list(rewalked.items())
 
 
 @pytest.mark.parametrize("name,parameters", [
@@ -208,19 +279,28 @@ def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
 
     monkeypatch.setattr(flow, "evaluate_batch", recorded)
     current, history = points, []  # every accepted (t, state) of the push
+    starts = set()  # index of each segment's first call
     for t_prev, t_next in zip(times[:-1], times[1:]):
         first = len(batches)
-        current, rows, _ = flow._advance(field, current, t_prev, t_next,
-                                         opts, record=True)
+        starts.add(first)
+        current, rows, (accepted, rejected) = flow._advance(
+            field, current, t_prev, t_next, opts, record=True)
         history += rows
         assert batches[first][1].tobytes() == live_rows(rows[0][1]).tobytes()
+        # the first stage and the initial step size, then six stages per
+        # attempted step: a freeze adds no call
+        assert len(batches) - first == 2 + 6 * (accepted + rejected)
     states = {t: state for t, state, _, _ in history}
-    # the batch shrinks only when atoms freeze, and then to exactly the
-    # live rows of the accepted state where they froze
-    for (_, before), (t, batch) in zip(batches, batches[1:]):
+    # the batch shrinks only when atoms freeze, to the live rows of the
+    # accepted state where they froze; within a segment the compacted last
+    # stage stands in for the first, so no call follows a freeze at its t
+    for index, ((t_before, before), (t, batch)) in enumerate(
+            zip(batches, batches[1:]), 1):
         if len(batch) != len(before):
             assert len(batch) < len(before)
-            assert batch.tobytes() == live_rows(states[t]).tobytes()
+            if index not in starts:
+                assert t > t_before
+                assert len(batch) == len(live_rows(states[t_before]))
     assert {len(batch) for _, batch in batches} == \
         {len(live_rows(state)) for state in states.values()}
     assert all(len(batch) for _, batch in batches)  # no zero-row call
