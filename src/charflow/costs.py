@@ -31,7 +31,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+import scipy
 
 from .errors import CostRangeError, FieldError, QuadratureError
 from .fields import Modulus

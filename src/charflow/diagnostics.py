@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
+import scipy
 
 from .costs import (KnotTable, excess, gauss_legendre, grid_edges,
                     saturation_integral)
@@ -178,6 +177,19 @@ class MollifierSpec:
         return out
 
 
+def _merge_cells(idx):
+    """The distinct rows of an integer array in lexicographic order and the
+    slot of each row among them, as ``np.unique(idx, axis=0,
+    return_inverse=True)`` gives them, by one lexsort of the columns."""
+    order = np.lexsort(idx.T[::-1])
+    ordered = idx[order]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    slot = np.empty(len(idx), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return ordered[first], slot
+
+
 def mollify(measure, spec):
     """Smooth an atomic measure onto the mollifier's lattice.
 
@@ -215,8 +227,8 @@ def mollify(measure, spec):
     shares = measure.weights[:, None] * (kernel / totals[:, None])
 
     nonzero = shares != 0.0
-    cells, slot = np.unique(idx[nonzero], axis=0, return_inverse=True)
-    weights = np.bincount(slot.ravel(), weights=shares[nonzero],
+    cells, slot = _merge_cells(idx[nonzero])
+    weights = np.bincount(slot, weights=shares[nonzero],
                           minlength=len(cells))
     keep = weights != 0.0
     return measure_from_arrays(n, (cells[keep] + 0.5) * h, weights[keep],

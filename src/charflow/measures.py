@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
+import scipy
 
 from .errors import MeasureError
 
@@ -45,17 +43,17 @@ def _merge_colocated(locations, weights):
     ws = weights[order]
     if len(ws) <= 1:
         return locs, ws
-    pairs = cKDTree(locs).query_pairs(DEDUP_TOL, p=np.inf,
-                                      output_type="ndarray")
+    pairs = scipy.spatial.cKDTree(locs).query_pairs(
+        DEDUP_TOL, p=np.inf, output_type="ndarray")
     if len(pairs) == 0:
         return locs, ws
     # each pair stored both ways: the strong components of that directed
     # graph are its groups, and scipy need not transpose it
-    graph = csr_array((np.ones(2 * len(pairs)),
-                       (pairs.ravel(), pairs[:, ::-1].ravel())),
-                      shape=(len(ws), len(ws)))
-    _, label = connected_components(graph, directed=True,
-                                    connection="strong")
+    graph = scipy.sparse.csr_array((np.ones(2 * len(pairs)),
+                                    (pairs.ravel(), pairs[:, ::-1].ravel())),
+                                   shape=(len(ws), len(ws)))
+    _, label = scipy.sparse.csgraph.connected_components(
+        graph, directed=True, connection="strong")
     # the first index of each label is the group's lexicographically first
     # atom, which carries the group's weight
     head = np.zeros(len(ws), dtype=bool)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+import scipy
 
 from .costs import reference_cost
 from .errors import ComparisonBoundError, CostRangeError, TransportError
@@ -89,7 +89,7 @@ def c_transform_extend(potential, points):
         if not potential.include_diamond_base:
             raise TransportError("potential has no generating data")
         return np.full(len(points), potential.cost.c_infinity)
-    dists = cdist(points, potential.nu_locations)
+    dists = scipy.spatial.distance.cdist(points, potential.nu_locations)
     values = potential.cost.cost_many(dists) + potential.nu_values[None, :]
     out = values.min(axis=1)
     if potential.include_diamond_base:
@@ -143,8 +143,8 @@ def _assemble(pair, cost):
     cols = n_atoms + int(diamond_col)
     ground = np.empty((rows, cols))
     if m_atoms and n_atoms:
-        radii, cell_radius = np.unique(
-            cdist(mu.locations, nu.locations).ravel(), return_inverse=True)
+        dists = scipy.spatial.distance.cdist(mu.locations, nu.locations)
+        radii, cell_radius = np.unique(dists.ravel(), return_inverse=True)
         ground[:m_atoms, :n_atoms] = cost.cost_many(radii)[
             cell_radius].reshape(m_atoms, n_atoms)
     if diamond_row:

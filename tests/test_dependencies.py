@@ -1,13 +1,18 @@
 """Source guards: the package imports only numpy, scipy, click and the
-standard library, ``fields.row_norms`` is its only per-row norm,
-``scipy.integrate`` serves only the mollifier's kernel-mass audit,
-``costs`` builds the one Gauss-Legendre rule and the one brentq root
-function, the brute-force transport route shares no function with the
-simplex it checks, and the simplex builds no ``scipy.sparse`` graph."""
+standard library, and of scipy only the top-level package, whose
+submodules load on first use, so a fresh process that imports charflow,
+validates configs and pushes atoms loads none of them;
+``fields.row_norms`` is its only per-row norm, ``scipy.integrate`` serves
+only the mollifier's kernel-mass audit, ``costs`` builds the one
+Gauss-Legendre rule and the one brentq root function, the brute-force
+transport route shares no function with the simplex it checks, and the
+simplex builds no ``scipy.sparse`` graph."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -44,6 +49,70 @@ def test_pyproject_declares_only_the_allowed_packages():
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
              for spec in project["dependencies"]}
     assert names <= ALLOWED, sorted(names - ALLOWED)
+
+
+def _scipy_submodule_imports(source):
+    """Line numbers of each import that names a scipy submodule or pulls a
+    name out of scipy: all but a bare ``import scipy``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.") for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module == "scipy" or module.startswith("scipy."):
+                yield node.lineno
+
+
+def test_scipy_import_guard_finds_submodule_imports():
+    sample = ("import scipy\n"
+              "import scipy.optimize\n"
+              "from scipy.spatial.distance import cdist\n"
+              "from scipy import integrate\n"
+              "import numpy as np, scipy.sparse.csgraph\n"
+              "def f():\n    from scipy.optimize import brentq\n"
+              "x = scipy.optimize.brentq(g, 0.0, 1.0)\n")
+    assert list(_scipy_submodule_imports(sample)) == [2, 3, 4, 5, 7]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sources_import_only_the_scipy_package(path):
+    # scipy loads a submodule on first attribute access; importing one, or
+    # a name from one, loads it (scipy.optimize alone about 550 modules)
+    # into every process, flow-only ones too
+    lines = list(_scipy_submodule_imports(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}:{lines} import a scipy submodule"
+
+
+FRESH_PROCESS = """
+import sys
+import numpy as np
+import charflow
+from charflow import flow, scenarios
+for name in scenarios.builtin_names():
+    scenarios.ScenarioConfig.from_dict(scenarios.builtin_config(name))
+density = scenarios.density_from_config(
+    {"kind": "ring", "radius": 0.28, "width": 0.04})
+points, _ = scenarios.quantize_density(density, 10, "random", 3)
+frames = flow.flow_map(scenarios.build_field("osgood_plane", {}), points,
+                       np.linspace(0.0, 1.0, 3))
+assert frames.shape == (3, 100, 2) and np.all(np.isfinite(frames))
+loaded = sorted(name for name in ("scipy.optimize", "scipy.integrate",
+                                  "scipy.sparse", "scipy.spatial",
+                                  "scipy.linalg") if name in sys.modules)
+assert not loaded, loaded
+import scipy
+assert callable(scipy.optimize.brentq)
+"""
+
+
+def test_flow_and_config_validation_load_no_scipy_submodule():
+    # a subprocess: pytest's filterwarnings has loaded scipy.integrate here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FRESH_PROCESS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _row_norm_calls(source):

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +306,39 @@ def test_resolution_mode_passes_and_is_thread_stable(tmp_path, name, levels):
         assert ((tmp_path / "two" / name_only).read_bytes()
                 == (tmp_path / "one" / name_only).read_bytes())
     assert two.exit_code == 0
+
+
+COLD_RUN = """
+import sys
+from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
+doc = builtin_config("shear_line")
+doc["seed"] = 2
+doc["cutoff_levels"] = [2.0, 3.0, 4.0]
+config = ScenarioConfig.from_dict(doc)
+assert "scipy.optimize" not in sys.modules
+assert "scipy.integrate" not in sys.modules
+sys.exit(run_scenario(config, sys.argv[1], threads=int(sys.argv[2])).exit_code)
+"""
+
+
+def test_cold_threaded_run_matches_the_serial_one(tmp_path):
+    # in a fresh process two workers reach the first brentq and quad, and
+    # with them scipy's lazy import of optimize and integrate, at once
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for threads in (1, 2):
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_RUN, str(tmp_path / str(threads)),
+             str(threads)], env=env, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert len(names) == 4 and names == sorted(os.listdir(tmp_path / "2"))
+    for name in names:
+        assert ((tmp_path / "2" / name).read_bytes()
+                == (tmp_path / "1" / name).read_bytes())
 
 
 def test_resolution_mode_osgood_line_breaks_the_comparison_chain(tmp_path):
