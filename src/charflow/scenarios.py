@@ -85,6 +85,17 @@ def _typed(convert, value, key):
     return out
 
 
+def _run_threads(threads, fmt):
+    """The worker count of a run; a ConfigError for a bad one or for an
+    unknown report format."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError("format must be \"csv\" or \"json\"")
+    threads = _typed(int, threads, "threads")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
 def _array(value):
     return np.asarray(value, dtype=float)
 
@@ -610,11 +621,7 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
     comparison chain closes, differences carry exactly zero signed mass, and
     the weak-form residual stays under the configured tolerance.
     """
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be \"csv\" or \"json\"")
-    threads = int(threads)
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
+    threads = _run_threads(threads, fmt)
     os.makedirs(out_dir, exist_ok=True)
 
     field = build_field(config.field_kind, config.field_params)
@@ -733,15 +740,12 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
     distance by at least 1.8 per rung; Osgood fields must shrink it
     strictly; fields outside the Osgood class only raise a warning flag.
     """
+    rungs = _typed(int, rungs, "rungs")
     if rungs < 3:
         raise ConfigError("a refinement study needs at least three rungs")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be \"csv\" or \"json\"")
+    threads = _run_threads(threads, fmt)
     if config.density["kind"] == "atoms":
         raise ConfigError("a refinement study needs a sampled density")
-    threads = int(threads)
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
     os.makedirs(out_dir, exist_ok=True)
 
     field = build_field(config.field_kind, config.field_params)

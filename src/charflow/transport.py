@@ -13,13 +13,15 @@ Two independent solvers are kept deliberately separate:
   Dantzig pricing with a Bland fallback) and recovers the single dual
   potential from the optimal tree.  Its least-cost greedy start crosses out
   one row or column per shipment, so it yields the starting spanning tree
-  and its parent pointers directly.  The basis tree and the potentials
-  persist across pivots; one walk fills them for the start, and a pivot
-  re-hangs only the subtree that its leaving arc cuts off and runs the same
-  walk over that subtree alone, each potential from its parent arc as a
-  fresh walk from the root would, so the potentials are exact at every
-  pivot.  Reduced costs are not kept: each pivot prices the whole cost
-  matrix against the current potentials in one in-place pass.
+  directly.  The tree holds each basic arc once, at its lower node: the
+  node's parent and the cell and flow of the arc up to it.  The tree and
+  the potentials persist across pivots; one walk fills the potentials for
+  the start, and a pivot re-hangs only the subtree that its leaving arc
+  cuts off, by the same path reversal that re-roots the start, and runs
+  the same walk over that subtree alone, each potential from its parent
+  arc as a fresh walk from the root would, so the potentials are exact at
+  every pivot.  Reduced costs are not kept: each pivot prices the whole
+  cost matrix against the current potentials in one in-place pass.
 * :func:`brute_force_ot` never touches that code path: it settles instances
   of up to 7 atoms a side by successive shortest augmenting paths.  It is
   the cross-check, so it shares no assembly, pivoting or labeling logic with
@@ -76,10 +78,9 @@ class DualPotential:
     cost: object
 
     def dual_value(self, mu, nu):
-        terms = [w * v for w, v in zip(mu.weights, self.mu_values)]
-        terms += [-w * v for w, v in zip(nu.weights, self.nu_values)]
         # reservoir mass sits at the absorbing point where v = 0 exactly
-        return math.fsum(terms)
+        return math.fsum(np.concatenate([mu.weights * self.mu_values,
+                                         -(nu.weights * self.nu_values)]))
 
 
 def c_transform_extend(potential, points):
@@ -155,10 +156,6 @@ def _assemble(pair, cost):
             diamond_row, diamond_col, common)
 
 
-def _entry_label(index, atom_count):
-    return DIAMOND if index >= atom_count else index
-
-
 # -- transportation simplex --------------------------------------------------
 
 def _least_cost_start(supplies, demands, costs):
@@ -178,21 +175,21 @@ def _least_cost_start(supplies, demands, costs):
     starts close to optimal on near-diagonal instances, which keeps the
     pivot count low.
 
-    Returns the flows, in shipping order, and each node's parent (-1 at the
-    root); rows are nodes 0..m-1 and columns m..m+n-1.
+    Returns the tree as three lists over nodes, rows 0..m-1 and then
+    columns m..m+n-1: each node's parent (-1 at the root), and the flat cell
+    and the flow of the arc up to it, which the crossed-out line keeps.
 
     Fewer than m + n cells ship, so the sorted cells are walked in doubling
     blocks of at least m + n, and each block first drops the cells whose row
     or column was already crossed out when it began.  Lines stay crossed
     out, so the dropped cells are ones the per-cell test would skip: the
-    arcs and their order are those of a scan over every cell.
+    arcs are those of a scan over every cell.
     """
     m, n = len(supplies), len(demands)
     rem_s, rem_d = list(supplies), list(demands)
     open_line = [True] * (m + n)
     open_rows, open_cols = m, n
-    flows = {}
-    parent = [-1] * (m + n)
+    parent, up_cell, up_flow = [-1] * (m + n), [-1] * (m + n), [0.0] * (m + n)
     order = np.argsort(costs, axis=None, kind="stable")
     start, size = 0, m + n
     while open_rows + open_cols > 1:
@@ -203,35 +200,45 @@ def _least_cost_start(supplies, demands, costs):
             if not (open_line[i] and open_line[m + j]):
                 continue
             q = min(rem_s[i], rem_d[j])
-            flows[(i, j)] = q
             rem_s[i] -= q
             rem_d[j] -= q
             if open_cols > 1 and (open_rows == 1 or rem_s[i] > 0.0):
-                open_line[m + j], parent[m + j] = False, i
+                lower, upper = m + j, i
                 open_cols -= 1
             else:
-                open_line[i], parent[i] = False, m + j
+                lower, upper = i, m + j
                 open_rows -= 1
+            open_line[lower] = False
+            parent[lower], up_cell[lower], up_flow[lower] = upper, i * n + j, q
         start += size
         size *= 2
-    return flows, parent
+    return parent, up_cell, up_flow
+
+
+def _reverse(path, parent, children, up_cell, up_flow):
+    """Turn a tree path upside down: ``path`` climbs from a node to an
+    ancestor, and each node's parent arc moves down to its old parent, top
+    first, so every node but ``path[0]`` hangs from the one before it.
+    ``path[0]`` keeps its old arc fields for the caller to overwrite."""
+    for lower, upper in zip(path[-2::-1], path[:0:-1]):
+        children[upper].discard(lower)
+        children[lower].add(upper)
+        parent[upper] = lower
+        up_cell[upper] = up_cell[lower]
+        up_flow[upper] = up_flow[lower]
 
 
 def _hang(heads, costs, parent, children, depth, pot, up_cell):
-    """Depths, potentials and parent-arc cells down the subtrees below
-    ``heads``, top-down.  Each potential is its parent's subtracted from the
-    cost of the arc between them, so the values depend on the tree alone,
-    not on the order of the walk; ``up_cell[q - 1]`` is the flat cell of the
-    arc from node q up to its parent."""
-    m, n = costs.shape
+    """Depths and potentials down the subtrees below ``heads``, top-down.
+    Each potential is its parent's subtracted from the cost of the arc
+    between them, the flat cell ``up_cell[q]``, so the values depend on the
+    tree alone, not on the order of the walk."""
     stack = list(heads)
     while stack:
         q = stack.pop()
         p = parent[q]
         depth[q] = depth[p] + 1
-        cell = q * n + p - m if q < m else p * n + q - m
-        pot[q] = costs.item(cell) - pot[p]
-        up_cell[q - 1] = cell
+        pot[q] = costs.item(up_cell[q]) - pot[p]
         stack.extend(children[q])
 
 
@@ -250,50 +257,52 @@ def _entering_cell(red, enter_tol, bland):
 def _network_simplex(supplies, demands, costs):
     """Primal transportation simplex on a dense cost matrix.
 
-    Returns (flows, u, v, pivots) with u_i + v_j = costs[i, j] on the final
-    basis.  Dantzig pricing normally; a run of degenerate pivots switches to
+    Returns (cells, flows, u, v, pivots): the flat cells and flows of the
+    m + n - 1 basic arcs, and u_i + v_j = costs[i, j] on each of them.
+    Dantzig pricing normally; a run of degenerate pivots switches to
     Bland's rule, which cannot cycle.
 
-    The basis tree (parent, depth and children of each node, rooted at row
-    0) and the potentials persist across pivots.  The greedy start hands
-    over its tree; the parent pointers on its path from row 0 up to its
-    root are reversed, as a pivot reverses a path, and one :func:`_hang`
-    from row 0 fills depths, potentials and basic cells for the whole tree.
-    Each pivot prices every cell in one in-place pass, (c - u) - v, then
-    sets the m + n - 1 basic cells to inf: a per-node array holds the flat
-    cell of each non-root node's arc to its parent.  The mask is explicit
-    because a basic cell prices to zero only up to the rounding of
-    u_i + v_j, which grows with |u| + |v| and so with the depth of the tree,
-    and must never enter.  The cycle of an entering arc is found by
-    climbing depths from both endpoints.  The leaving arc cuts a subtree
-    off the root; the parent pointers from the entering endpoint up to the
-    cut are reversed, the subtree is re-hung from the entering arc, and
-    :func:`_hang` refills only its nodes.  That is the arithmetic of a fresh
-    walk over the whole tree: the potentials stay exact, bit for bit, so no
-    pivot acts on drifted prices and the final u and v equal a fresh
+    The basis tree and the potentials persist across pivots.  The tree is
+    held once, per node: parent, depth and children, and the flat cell and
+    flow of the arc up to the parent, which is the only record of a basic
+    arc.  The greedy start hands over its tree; the path from row 0 up to
+    its root is reversed, as a pivot reverses a path, and one :func:`_hang`
+    from row 0 fills depths and potentials for the whole tree.  Each pivot
+    prices every cell in one in-place pass, (c - u) - v, then sets the
+    m + n - 1 basic cells to inf.  The mask is explicit because a basic
+    cell prices to zero only up to the rounding of u_i + v_j, which grows
+    with |u| + |v| and so with the depth of the tree, and must never enter.
+    The cycle of an entering arc is found by climbing depths from both
+    endpoints; its tree arcs are those of the nodes below the apex.  The
+    leaving arc, the smallest cell among the blocking ones, cuts a subtree
+    off the root; the path from the entering endpoint up to the cut is
+    reversed, the subtree is re-hung from the entering arc, and
+    :func:`_hang` refills only its nodes.  That is the arithmetic of a
+    fresh walk over the whole tree: the potentials stay exact, bit for bit,
+    so no pivot acts on drifted prices and the final u and v equal a fresh
     walk's.
     """
     m, n = len(supplies), len(demands)
     costs = np.ascontiguousarray(costs)  # flat cell indices are row-major
-    flows, parent = _least_cost_start(supplies, demands, costs)
-    # re-root the start's tree at row 0
-    below, node = -1, 0
-    while node != -1:
-        above = parent[node]
-        parent[node] = below
-        below, node = node, above
+    parent, up_cell, up_flow = _least_cost_start(supplies, demands, costs)
+    up_cell = np.array(up_cell, dtype=np.intp)
     children = [set() for _ in range(m + n)]
-    for node in range(1, m + n):
-        children[parent[node]].add(node)
+    for node, above in enumerate(parent):
+        if above != -1:
+            children[above].add(node)
+    # re-root the start's tree at row 0
+    path = [0]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    _reverse(path, parent, children, up_cell, up_flow)
+    parent[0] = -1
     # u_i for rows, then v_j for columns, as Python floats for the walks
     pot = [0.0] * (m + n)
     depth = [0] * (m + n)
-    # flat cell of the arc from each non-root node up to its parent: the
-    # m + n - 1 basic cells
-    up_cell = np.empty(m + n - 1, dtype=np.intp)
     _hang(children[0], costs, parent, children, depth, pot, up_cell)
     u, v = np.array(pot[:m]), np.array(pot[m:])
     red = np.empty_like(costs)
+    basic = up_cell[1:]  # a view: row 0 is the root and keeps no arc
 
     total = math.fsum(supplies)
     enter_tol = 1e-12 * (1.0 + float(np.max(np.abs(costs))))
@@ -305,10 +314,10 @@ def _network_simplex(supplies, demands, costs):
     for pivot in range(pivot_cap):
         np.subtract(costs, u[:, None], out=red)
         red -= v
-        red.reshape(-1)[up_cell] = np.inf
+        red.reshape(-1)[basic] = np.inf
         entering = _entering_cell(red, enter_tol, bland)
         if entering is None:
-            return flows, u, v, pivot
+            return basic, np.array(up_flow[1:]), u, v, pivot
         ei, ej = entering
 
         # the tree paths from both endpoints up to where they join
@@ -321,41 +330,28 @@ def _network_simplex(supplies, demands, costs):
             side_col.append(parent[side_col[-1]])
             side_row.append(parent[side_row[-1]])
 
-        # closed walk: entering arc, then the tree path back to the row;
-        # row-to-column hops gain mass, column-to-row hops lose it
-        walk = [ei] + side_col + side_row[-2::-1]
-        plus, minus = [], []
-        for p, q in zip(walk[:-1], walk[1:]):
-            if p < m:
-                plus.append((p, q - m))
-            else:
-                minus.append((q, p - m))
-        theta = min(flows[arc] for arc in minus)
-        leaving = min(arc for arc in minus if flows[arc] <= theta)
-
-        for arc in plus:
-            flows[arc] = flows.get(arc, 0.0) + theta
-        for arc in minus:
-            flows[arc] = max(flows[arc] - theta, 0.0)
-        del flows[leaving]
-        flows.setdefault((ei, ej), 0.0)
+        # the cycle: entering arc, up from the column, down to the row; an
+        # arc loses mass up from a column, or down to a row
+        gain = [q for q in side_col[:-1] if q < m] + \
+            [q for q in side_row[:-1] if q >= m]
+        lose = [q for q in side_col[:-1] if q >= m] + \
+            [q for q in side_row[:-1] if q < m]
+        theta = min(up_flow[q] for q in lose)
+        cut = min((q for q in lose if up_flow[q] <= theta),
+                  key=up_cell.item)
+        for q in gain:
+            up_flow[q] += theta
+        for q in lose:
+            up_flow[q] = max(up_flow[q] - theta, 0.0)
 
         # the leaving arc's lower node heads the subtree cut off the root;
         # the entering endpoint on that side becomes the subtree's new head
-        cut = leaving[0] if parent[leaving[0]] == m + leaving[1] \
-            else m + leaving[1]
-        if cut in side_col:
-            side, outer = side_col, ei
-        else:
-            side, outer = side_row, m + ej
+        side, outer = (side_row, m + ej) if cut < m else (side_col, ei)
         children[parent[cut]].discard(cut)
-        reversed_path = side[:side.index(cut) + 1]
-        for lower, upper in zip(reversed_path[:-1], reversed_path[1:]):
-            children[upper].discard(lower)
-            children[lower].add(upper)
-            parent[upper] = lower
-        head = reversed_path[0]
-        parent[head] = outer
+        path = side[:side.index(cut) + 1]
+        _reverse(path, parent, children, up_cell, up_flow)
+        head = path[0]
+        parent[head], up_cell[head], up_flow[head] = outer, ei * n + ej, theta
         children[outer].add(head)
 
         _hang([head], costs, parent, children, depth, pot, up_cell)
@@ -400,25 +396,25 @@ def solve_ot(pair, cost):
             include_diamond_base=common > 0.0, cost=cost)
         return plan, potential
 
-    flows, u, v, pivots = _network_simplex(supplies, demands, ground)
+    cells, flows, u, v, pivots = _network_simplex(supplies, demands, ground)
 
     # feasibility audit on the returned flows
-    row_tot = np.zeros(len(supplies))
-    col_tot = np.zeros(len(demands))
-    for (i, j), q in flows.items():
-        if q < 0.0:
-            raise TransportError("negative mass in the optimal plan")
-        row_tot[i] += q
-        col_tot[j] += q
+    if np.any(flows < 0.0):
+        raise TransportError("negative mass in the optimal plan")
+    rows, cols = np.divmod(cells, len(demands))
+    row_tot = np.bincount(rows, weights=flows, minlength=len(supplies))
+    col_tot = np.bincount(cols, weights=flows, minlength=len(demands))
     feas_tol = 1e-11 * max(math.fsum(supplies), 1.0)
     if (np.max(np.abs(row_tot - supplies)) > feas_tol
             or np.max(np.abs(col_tot - demands)) > feas_tol):
         raise TransportError("plan does not match its marginals")
 
-    entries = tuple(sorted(
-        (_entry_label(i, m_atoms), _entry_label(j, n_atoms), q)
-        for (i, j), q in flows.items() if q > 0.0))
-    primal = math.fsum(ground[i, j] * q for (i, j), q in flows.items())
+    shipped = flows > 0.0
+    entries = tuple(sorted(zip(
+        np.where(rows < m_atoms, rows, DIAMOND)[shipped].tolist(),
+        np.where(cols < n_atoms, cols, DIAMOND)[shipped].tolist(),
+        flows[shipped].tolist())))
+    primal = math.fsum(ground.ravel()[cells] * flows)
 
     # single potential: phi(x_i) = u_i, phi(y_j) = -v_j, then normalize
     bases = -v[:n_atoms]

@@ -5,8 +5,9 @@ validates configs and pushes atoms loads none of them;
 ``fields.row_norms`` is its only per-row norm, ``scipy.integrate`` serves
 only the mollifier's kernel-mass audit, ``costs`` builds the one
 Gauss-Legendre rule and the one brentq root function, the brute-force
-transport route shares no function with the simplex it checks, and the
-simplex builds no ``scipy.sparse`` graph."""
+transport route shares no function with the simplex it checks, the
+simplex builds no ``scipy.sparse`` graph, and no module keeps a private
+name or an import that nothing uses."""
 
 import ast
 import os
@@ -335,3 +336,78 @@ def test_simplex_builds_no_sparse_graph():
         encoding="utf-8")
     lines = sorted(set(_sparse_uses(source)))
     assert not lines, f"transport.py:{lines} use scipy.sparse"
+
+
+def _leftovers(sources):
+    """(module, name) of each module-level ``_private`` name that no code
+    outside its own definition loads, in any module of ``sources`` (a dict
+    of module name to source), and of each import that its module never
+    loads.  ``__init__`` is exempt from the import rule: it re-exports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loads = {}  # module -> [(name, node)]
+    for module, tree in trees.items():
+        loads[module] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads[module].append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                loads[module].append((node.attr, node))
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                loads[module] += [(alias.name, node) for alias in node.names]
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets
+                         if isinstance(target, ast.Name)]
+            else:
+                continue
+            own = set(map(id, ast.walk(node)))
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and \
+                        not any(used == name and id(use) not in own
+                                for uses in loads.values()
+                                for used, use in uses):
+                    yield module, name
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if not any(used == bound and isinstance(use, ast.Name)
+                               for used, use in loads[module]):
+                        yield module, bound
+
+
+def test_leftover_guard_finds_unused_private_names_and_imports():
+    sample = {
+        "__init__": "from .a import helper\n",
+        "a": ("from __future__ import annotations\n"
+              "import math\n"
+              "import numpy as np\n"
+              "from .b import _shared, _imported_only\n"
+              "_TOL = 1e-9\n"
+              "_SPARE = 2.0\n"
+              "def _entry_label(index, count):\n"
+              "    return -1 if index >= count else index\n"
+              "def _recurse(k):\n"
+              "    return _recurse(k - 1) if k else 0\n"
+              "def helper(x):\n"
+              "    return np.abs(x) < _TOL and _shared(x)\n"),
+        "b": ("def _shared(x):\n    return x\n"
+              "def _imported_only(x):\n    return x\n"
+              "def _reached_as_attribute(x):\n    return x\n"),
+        "c": "from . import b\ny = b._reached_as_attribute(1)\n",
+    }
+    assert sorted(_leftovers(sample)) == [
+        ("a", "_SPARE"), ("a", "_entry_label"), ("a", "_imported_only"),
+        ("a", "_recurse"), ("a", "math")]
+
+
+def test_package_keeps_no_unused_private_name_or_import():
+    leftovers = sorted(_leftovers({path.stem: path.read_text(encoding="utf-8")
+                                   for path in SOURCES}))
+    assert not leftovers, leftovers

@@ -435,6 +435,26 @@ def test_thread_counts_below_one_are_config_errors(tmp_path, threads):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("threads", [2.5, True, "2"])
+def test_thread_counts_must_be_integers(tmp_path, threads):
+    # 2.5 once ran on 2 threads and True on 1
+    with pytest.raises(ConfigError, match="'threads'"):
+        run_scenario(micro_config(), tmp_path / "run", threads=threads)
+    with pytest.raises(ConfigError, match="'threads'"):
+        convergence_study(ScenarioConfig.from_dict(LINE), tmp_path / "study",
+                          rungs=3, threads=threads)
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("rungs", [3.5, "4", True])
+def test_rung_counts_must_be_integers(tmp_path, rungs):
+    # 3.5 and "4" once raised a bare TypeError
+    with pytest.raises(ConfigError, match="'rungs'"):
+        convergence_study(ScenarioConfig.from_dict(LINE), tmp_path,
+                          rungs=rungs)
+    assert not os.listdir(tmp_path)
+
+
 def test_selftest_passes():
     lines = []
     assert selftest(echo=lines.append) == 0

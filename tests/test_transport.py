@@ -238,24 +238,30 @@ def _fresh_walk(arcs, costs, m, n):
     return np.array(pot[:m]), np.array(pot[m:]), parent, depth
 
 
+def _arcs(cells, n):
+    """The (i, j) arcs of flat cells in an m×n matrix."""
+    return [divmod(int(cell), n) for cell in cells]
+
+
 def _assert_exact_potentials(supplies, demands, costs):
     """The potentials kept across pivots are those of a fresh walk over the
     final basis, bit for bit: each node's is its tree arc's cost minus its
     parent's, so u_i + v_j equals c_ij on every basic arc up to the rounding
     of that one subtraction."""
-    m = len(supplies)
-    flows, u, v, pivots = _network_simplex(supplies, demands, costs)
-    fresh_u, fresh_v, parent, depth = _fresh_walk(flows, costs, m,
-                                                  len(demands))
+    m, n = len(supplies), len(demands)
+    cells, flows, u, v, pivots = _network_simplex(supplies, demands, costs)
+    assert len(cells) == len(flows) == m + n - 1
+    arcs = _arcs(cells, n)
+    fresh_u, fresh_v, parent, depth = _fresh_walk(arcs, costs, m, n)
     assert u.tobytes() == fresh_u.tobytes()
     assert v.tobytes() == fresh_v.tobytes()
     potentials = np.concatenate([u, v])
     for q, p in enumerate(parent):
         if p >= 0:
             arc = (q, p - m) if q < m else (p, q - m)
-            assert arc in flows and depth[q] == depth[p] + 1
+            assert arc in arcs and depth[q] == depth[p] + 1
             assert potentials[q] == costs[arc] - potentials[p]
-    rows, cols = np.array(list(flows)).T
+    rows, cols = np.divmod(cells, n)
     basic = costs[rows, cols]
     assert np.all(np.abs(u[rows] + v[cols] - basic) <= np.finfo(float).eps * (
         np.abs(u[rows]) + np.abs(v[cols]) + np.abs(basic)))
@@ -283,31 +289,31 @@ def _watch_the_pricing(monkeypatch, supplies, demands, costs):
     """Run the simplex and check the matrix that each ``_entering_cell``
     call sees: exactly m + n - 1 inf cells, the cells of the current basis,
     and every other cell (c - u) - v under the potentials of a fresh walk
-    over that basis, bit for bit.  Returns the flows and each call's rule
-    flag."""
+    over that basis, bit for bit.  Returns the basic arcs, each with its
+    flow, and each call's rule flag."""
     m, n = len(supplies), len(demands)
     basis, rules = [], []
 
-    def start(*args, _original=transport._least_cost_start):
-        flows, parent = _original(*args)
-        basis.append(flows)  # the dict that the pivots update
-        return flows, parent
+    def hang(*args, _original=transport._hang):
+        basis.append(args[-1])  # the parent-arc cells that the pivots update
+        return _original(*args)
 
     def entering(red, enter_tol, bland, _original=transport._entering_cell):
         masked = np.isinf(red)
         assert np.count_nonzero(masked) == m + n - 1
-        assert set(map(tuple, np.argwhere(masked).tolist())) == set(basis[-1])
-        u, v, _, _ = _fresh_walk(basis[-1], costs, m, n)
+        arcs = _arcs(basis[-1][1:], n)  # row 0 is the root
+        assert set(map(tuple, np.argwhere(masked).tolist())) == set(arcs)
+        u, v, _, _ = _fresh_walk(arcs, costs, m, n)
         fresh = costs - u[:, None] - v
         assert red[~masked].tobytes() == fresh[~masked].tobytes()
         rules.append(bland)
         return _original(red, enter_tol, bland)
 
-    monkeypatch.setattr(transport, "_least_cost_start", start)
+    monkeypatch.setattr(transport, "_hang", hang)
     monkeypatch.setattr(transport, "_entering_cell", entering)
-    flows, _, _, pivots = _network_simplex(supplies, demands, costs)
+    cells, flows, _, _, pivots = _network_simplex(supplies, demands, costs)
     assert len(rules) == pivots + 1
-    return flows, rules
+    return dict(zip(_arcs(cells, n), flows)), rules
 
 
 def test_each_pivot_prices_against_the_current_basis(monkeypatch, cost):
@@ -334,6 +340,45 @@ def test_degenerate_runs_switch_to_blands_rule(monkeypatch):
     value = math.fsum(costs[arc] * q for arc, q in flows.items())
     assert value == pytest.approx(0.25, rel=1e-12)
     _assert_exact_potentials(masses, masses, costs)
+
+
+def _move_the_heaviest_arc(cells, flows, u, v, pivots, shape):
+    m, n = shape
+    cells = cells.copy()
+    k = np.argmax(flows)
+    cells[k] = (cells[k] + n + 1) % (m * n)  # the next row and column
+    return cells, flows, u, v, pivots
+
+
+def _negate_the_heaviest_flow(cells, flows, u, v, pivots, shape):
+    flows = flows.copy()
+    flows[np.argmax(flows)] *= -1.0
+    return cells, flows, u, v, pivots
+
+
+def _raise_a_row_potential(cells, flows, u, v, pivots, shape):
+    u = u.copy()
+    u[0] += 1e-3
+    return cells, flows, u, v, pivots
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_move_the_heaviest_arc, "plan does not match its marginals"),
+    (_negate_the_heaviest_flow, "negative mass in the optimal plan"),
+    (_raise_a_row_potential, "duality gap"),
+])
+def test_solve_ot_audits_the_simplex_result(monkeypatch, cost, tamper,
+                                            message):
+    pair = random_pair(44, 4, 3)
+    solve_ot(pair, cost)  # the untouched result passes every audit
+
+    def tampered(supplies, demands, costs,
+                 _original=transport._network_simplex):
+        return tamper(*_original(supplies, demands, costs), costs.shape)
+
+    monkeypatch.setattr(transport, "_network_simplex", tampered)
+    with pytest.raises(TransportError, match=message):
+        solve_ot(pair, cost)
 
 
 def test_plan_marginals_match(cost):
@@ -614,21 +659,25 @@ def _assert_tree_start(supplies, demands, costs, exact=False):
     remainder is exact and each zero-mass arc attaches a line that a
     shipment exhausted together with the other end."""
     m, n = len(supplies), len(demands)
-    flows, parent = _least_cost_start(supplies, demands, costs)
-    assert len(flows) == m + n - 1
+    parent, up_cell, up_flow = _least_cost_start(supplies, demands, costs)
     (root,) = [q for q in range(m + n) if parent[q] == -1]
+    flows = {divmod(up_cell[q], n): up_flow[q]
+             for q in range(m + n) if q != root}
+    assert len(flows) == m + n - 1
     for q in range(m + n):
         # every node but the root climbs to the root along start arcs
         for _ in range(m + n):
             if q == root:
                 break
             p = parent[q]
-            assert ((q, p - m) if q < m else (p, q - m)) in flows
+            arc = (q, p - m) if q < m else (p, q - m)
+            assert arc in flows and divmod(up_cell[q], n) == arc
             q = p
         assert q == root
     shipped, together = _full_scan_shipments(supplies, demands, costs)
-    assert [(arc, q) for arc, q in flows.items() if q > 0.0] == \
-        list(shipped.items())
+    # the start keeps each arc at its lower node, not in shipping order
+    assert {(arc, q) for arc, q in flows.items() if q > 0.0} == \
+        set(shipped.items())
     if exact:
         zero = [arc for arc, q in flows.items() if q == 0.0]
         assert all(("row", i) in together or ("col", j) in together

@@ -73,10 +73,14 @@ def test_solve_ot_evaluates_each_distinct_distance_once(monkeypatch):
 def _rewalking_simplex(supplies, demands, ground):
     """The pivots of ``transport._network_simplex`` with the whole basis tree
     walked afresh, from row 0, before every pricing pass: breadth-first,
-    each potential its tree arc's cost minus its parent's.  Returns the
-    final flows and the pivot count."""
+    each potential its tree arc's cost minus its parent's.  It keeps its
+    own flows dict keyed by arc.  Returns the final flows and the pivot
+    count."""
     m, n = ground.shape
-    flows, _ = transport._least_cost_start(supplies, demands, ground)
+    parent, up_cell, up_flow = transport._least_cost_start(supplies, demands,
+                                                           ground)
+    flows = {divmod(cell, n): q
+             for p, cell, q in zip(parent, up_cell, up_flow) if p != -1}
     enter_tol = 1e-12 * (1.0 + float(np.max(np.abs(ground))))
     zero_theta = 1e-15 * max(math.fsum(supplies), 1.0)
     bland, degenerate_run = False, 0
@@ -155,7 +159,8 @@ def test_simplex_walks_the_whole_basis_tree_once(monkeypatch):
         return _original(heads, ground, parent, children, *rest)
 
     monkeypatch.setattr(transport, "_hang", counted)
-    flows, _, _, pivots = transport._network_simplex(supplies, demands, ground)
+    cells, flows, _, _, pivots = transport._network_simplex(supplies, demands,
+                                                            ground)
     assert pivots > 50 and len(walks) == pivots + 1
     # the seed hangs every subtree of row 0; each pivot hangs one subtree
     assert walks[0][1] == nodes - 1
@@ -163,7 +168,9 @@ def test_simplex_walks_the_whole_basis_tree_once(monkeypatch):
     assert sum(walked for _, walked in walks[1:]) < pivots * nodes / 4
     rewalked, rewalked_pivots = _rewalking_simplex(supplies, demands, ground)
     assert rewalked_pivots == pivots
-    assert list(flows.items()) == list(rewalked.items())
+    n = ground.shape[1]
+    assert {divmod(int(cell), n): q for cell, q in zip(cells, flows)} == \
+        rewalked
 
 
 @pytest.mark.parametrize("name,parameters", [
