@@ -9,7 +9,14 @@ integrator's freeze guard).
 Every evaluator is pure and vectorized over a leading batch axis, so the flow
 integrator can advance whole atom clouds per call.  The growth envelope is
 re-checked at every sampled point; a violation is a hard error because all
-downstream bounds silently depend on it.
+downstream bounds silently depend on it.  One comparison of each row's speed
+with its cap, the cap held below the largest float, settles a good batch: a
+NaN or infinite speed fails it.  Only a failed batch runs the finiteness test
+and then the envelope test, to raise the error that names the row.
+
+The plane examples send every row through their radial factor and set the
+rows outside 0 < r^2 < 1/4 to zero; the plateau bump runs only on the rows
+past r = 1/4.  A row gets the same bits at every batch size.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 from .errors import EnvelopeViolation, FieldError
 
 _ENVELOPE_SLACK = 1e-9  # relative rounding allowance on the hard check
+_FLOAT_MAX = np.finfo(float).max
 
 
 # -- smooth glue ----------------------------------------------------------
@@ -32,12 +40,18 @@ def smooth_step(u):
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    out = np.heaviside(u - 1.0, 1.0)  # a / (a + b) outside the open band
+    out = np.subtract(u, 1.0)
+    np.heaviside(out, 1.0, out=out)  # a / (a + b) outside the open band
     band = (u > 0.0) & (u < 1.0)
+    b = u[band]  # a copy, so the band's terms are formed in place
     with np.errstate(divide="ignore", over="ignore"):
-        a = np.exp(-1.0 / u[band])
-        b = np.exp(-1.0 / (1.0 - u[band]))
-    out[band] = a / (a + b)
+        a = np.divide(-1.0, b)
+        np.exp(a, out=a)
+        np.subtract(1.0, b, out=b)
+        np.divide(-1.0, b, out=b)
+        np.exp(b, out=b)
+    b += a
+    out[band] = np.divide(a, b, out=a)
     return float(out[0]) if scalar else out
 
 
@@ -60,8 +74,9 @@ def smooth_step_derivative(u):
 
 def plateau_bump(r, r_inner, r_outer):
     """Radial plateau: identically 1 for r <= r_inner, 0 for r >= r_outer."""
-    return smooth_step((r_outer - np.asarray(r, dtype=float))
-                       / (r_outer - r_inner))
+    u = np.subtract(r_outer, r, dtype=float)
+    u /= r_outer - r_inner
+    return smooth_step(u)
 
 
 def plateau_bump_derivative(r, r_inner, r_outer):
@@ -190,7 +205,7 @@ def row_norms(a):
     total = a[:, 0] * a[:, 0]
     for j in range(1, a.shape[1]):
         total += a[:, j] * a[:, j]
-    return np.sqrt(total)
+    return np.sqrt(total, out=total)
 
 
 def _declared(*pairs):
@@ -209,13 +224,18 @@ def evaluate_batch(field, t, points):
         raise FieldError(
             f"field '{field.name}' returned shape {velocities.shape} "
             f"for input {points.shape}")
+    speeds = row_norms(velocities)
+    caps = field.growth_const * field.growth.at_rows(points)
+    # one comparison settles a good batch: a NaN speed fails it, and an
+    # infinite one fails the cap capped at the largest float
+    if np.all(speeds <= np.minimum(caps * (1.0 + _ENVELOPE_SLACK),
+                                   _FLOAT_MAX)):
+        return velocities
     if not np.all(np.isfinite(velocities)):
         bad = int(np.argmax(~np.all(np.isfinite(velocities), axis=1)))
         raise FieldError(
             f"field '{field.name}' returned a non-finite velocity at "
             f"{points[bad].tolist()} (t={t:g})")
-    speeds = row_norms(velocities)
-    caps = field.growth_const * field.growth.at_rows(points)
     over = speeds > caps * (1.0 + _ENVELOPE_SLACK)
     if np.any(over):
         bad = int(np.argmax(over))
@@ -273,7 +293,10 @@ def linear_field(matrix):
 def rotation_field():
     """Planar rigid rotation (-y, x): divergence free, Lipschitz constant 1."""
     def ev(t, pts):
-        return np.column_stack([-pts[:, 1], pts[:, 0]])
+        out = np.empty_like(pts)
+        np.negative(pts[:, 1], out=out[:, 0])
+        out[:, 1] = pts[:, 0]
+        return out
 
     return VectorFieldSpec(
         dimension=2, name="rotation", evaluator=ev,
@@ -319,15 +342,19 @@ _TRUNC_OUTER = 0.5
 def _plane_example_evaluator(radial_factor, flip_y):
     def ev(t, pts):
         x, y = pts[:, 0], pts[:, 1]
-        r2 = x * x + y * y
-        live = (r2 > 0.0) & (r2 < _TRUNC_OUTER**2)
-        factor = np.zeros_like(r2)
-        factor[live] = radial_factor(r2[live])
+        r2 = x * x
+        r2 += y * y
+        # every row through the radial factor (log 0 and the logs of r^2 >= 1
+        # warn), then the rows outside 0 < r^2 < 1/4 set to 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = radial_factor(r2)
+        factor[~((r2 > 0.0) & (r2 < _TRUNC_OUTER**2))] = 0.0
         # the bump is exactly 1 wherever r^2 <= 1/16 (sqrt and 0.5 - r round
         # monotonically, and /0.25 is exact); NaN rows stay in the band
         band = ~(r2 <= _TRUNC_INNER**2)
         if band.any():
-            factor[band] *= plateau_bump(np.sqrt(r2[band]), _TRUNC_INNER,
+            r = r2[band]
+            factor[band] *= plateau_bump(np.sqrt(r, out=r), _TRUNC_INNER,
                                          _TRUNC_OUTER)
         out = np.empty_like(pts)
         np.multiply(x, factor, out=out[:, 0])
@@ -346,7 +373,10 @@ def osgood_plane_field(modulus_constant=9.0):
     """
     def f(r2):
         log_r2 = np.log(r2)
-        return log_r2 * np.log(-log_r2)
+        factor = np.negative(log_r2)
+        np.log(factor, out=factor)
+        factor *= log_r2
+        return factor
 
     return VectorFieldSpec(
         dimension=2, name="osgood_plane", evaluator=_plane_example_evaluator(f, False),

@@ -27,7 +27,11 @@ buffer of 7 N n floats, allocated once per segment and viewed again at each
 freeze.  Each stage sum is therefore one ``np.dot`` of a tableau row with
 the first stages flattened to (s, m n), and nothing is copied.  These sums
 are BLAS calls whose rounding depends on the row count, so a freeze may
-move a live row by an ulp.
+move a live row by an ulp.  The sums, the fifth-order update and the error
+estimate are formed in place: ``np.dot``, then ``*= dt``, then ``+= y``.
+IEEE multiplication and addition commute, so these are the bits of
+``y + dt * np.dot(...)``.  The error norm works in its scale array and the
+freeze test in one offsets array, not in a temporary per operation.
 """
 
 from __future__ import annotations
@@ -106,9 +110,15 @@ class Trajectory:
 
 
 def _scaled_error(err_vec, y_old, y_new, opts):
-    scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y_old),
-                                                     np.abs(y_new))
-    return float(np.max(np.abs(err_vec) / scale, initial=0.0))
+    """max |err_vec| / (abs_tol + rel_tol max(|y_old|, |y_new|)), formed in
+    the scale array and in err_vec, which is overwritten."""
+    scale = np.abs(y_old)
+    np.maximum(scale, np.abs(y_new), out=scale)
+    scale *= opts.rel_tol
+    scale += opts.abs_tol
+    np.abs(err_vec, out=err_vec)
+    err_vec /= scale
+    return float(np.max(err_vec, initial=0.0))
 
 
 def _initial_step(field, t0, y0, f0, d0, direction, span, opts):
@@ -128,10 +138,23 @@ def _initial_step(field, t0, y0, f0, d0, direction, span, opts):
 
 
 def _freeze_mask(points, singular_points, radius):
+    # offsets from each point one column at a time, into one buffer: an
+    # (m, n) - (n,) broadcast runs a short inner loop per row
     mask = np.zeros(len(points), dtype=bool)
+    offsets = np.empty_like(points)
     for p in singular_points:
-        mask |= row_norms(points - np.asarray(p, dtype=float)) <= radius
+        for j, pj in enumerate(np.asarray(p, dtype=float)):
+            np.subtract(points[:, j], pj, out=offsets[:, j])
+        mask |= row_norms(offsets) <= radius
     return mask
+
+
+def _stage_sum(weights, flat, dt, y):
+    """y + dt * (weights . stages), formed in place with the same bits."""
+    total = np.dot(weights, flat).reshape(y.shape)
+    total *= dt
+    total += y
+    return total
 
 
 def _stage_views(stages, shape):
@@ -186,11 +209,12 @@ def _advance(field, points, t0, t1, opts, record):
         h = min(h, remaining)
         dt = direction * h
         for stage in range(1, 6):
-            yi = y + dt * np.dot(_A[stage - 1], flat[:stage]).reshape(y.shape)
+            yi = _stage_sum(_A[stage - 1], flat[:stage], dt, y)
             k[stage] = evaluate_batch(field, t + _C[stage] * dt, yi)
-        y_new = y + dt * np.dot(_A[5], flat[:6]).reshape(y.shape)
+        y_new = _stage_sum(_A[5], flat[:6], dt, y)
         k[6] = evaluate_batch(field, t + dt, y_new)
-        err_vec = dt * np.dot(_ERR, flat).reshape(y.shape)
+        err_vec = np.dot(_ERR, flat).reshape(y.shape)
+        err_vec *= dt
         err = _scaled_error(err_vec, y, y_new, opts)
 
         if err <= 1.0:
@@ -306,12 +330,14 @@ def osgood_envelope(constant, modulus, d0, t_grid, options=None):
     of exactly zero stay zero (that is the uniqueness statement for Osgood
     moduli); the caller compares measured separations against this curve.
     """
-    d0 = float(d0)
-    if d0 < 0.0:
-        raise FlowError("separation must be nonnegative")
+    d0, constant = float(d0), float(constant)
+    if not 0.0 <= d0 < math.inf:
+        raise FlowError(f"separation must be finite and nonnegative "
+                        f"(got {d0!r})")
+    if not math.isfinite(constant):
+        raise FlowError(f"envelope constant must be finite (got {constant!r})")
     if d0 == 0.0:
         return np.zeros(len(t_grid))
-    constant = float(constant)
 
     def speed(t, pts):
         return constant * np.asarray(

@@ -1,6 +1,7 @@
 """Field catalog: envelopes, moduli, and the declared-constant audit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,78 @@ def test_envelope_check_covers_every_row(growth, velocity, row):
     with pytest.raises(EnvelopeViolation) as caught:
         evaluate_batch(liar, 0.0, pts)
     assert str(pts[row].tolist()) in str(caught.value)
+
+
+_GUARD_POINTS = np.arange(5.0).reshape(-1, 1)
+
+
+def _one_bad_row(value, growth_const):
+    """A 1-D field with a constant envelope, as osgood_envelope builds one:
+    speed 0.5 on every row of _GUARD_POINTS but row 2, which gets value."""
+    def ev(t, pts):
+        out = np.full_like(pts, 0.5)
+        out[2] = value
+        return out
+    return VectorFieldSpec(
+        dimension=1, name="one-bad-row", evaluator=ev,
+        growth=growth_constant(), modulus=modulus_linear(),
+        growth_const=growth_const, modulus_constants=((math.inf, 1.0),))
+
+
+@pytest.mark.parametrize("value, growth_const", [
+    (math.inf, math.inf), (-math.inf, math.inf), (math.nan, math.inf),
+    (math.nan, 1.0), (math.inf, 1.0)])
+def test_nonfinite_velocity_fails_under_every_cap(value, growth_const):
+    # an infinite speed passes `speed <= cap` when the cap is infinite too,
+    # so the one comparison of a good batch must still reject it
+    with pytest.raises(FieldError, match="non-finite") as caught:
+        evaluate_batch(_one_bad_row(value, growth_const), 0.0, _GUARD_POINTS)
+    assert type(caught.value) is FieldError
+    assert str(_GUARD_POINTS[2].tolist()) in str(caught.value)
+
+
+@pytest.mark.parametrize("value", [2.0, -3.0, 1e200])
+def test_finite_speed_over_the_cap_names_its_row(value):
+    # 1e200 is finite but its square overflows to an infinite speed
+    with np.errstate(over="ignore"), \
+            pytest.raises(EnvelopeViolation) as caught:
+        evaluate_batch(_one_bad_row(value, 1.0), 0.0, _GUARD_POINTS)
+    assert str(_GUARD_POINTS[2].tolist()) in str(caught.value)
+    assert f"> {1.0:.6g}" in str(caught.value)
+
+
+def test_finite_speed_stays_under_an_infinite_cap():
+    with np.errstate(over="ignore"):
+        got = evaluate_batch(_one_bad_row(1e200, math.inf), 0.0,
+                             _GUARD_POINTS)
+    assert got[2, 0] == 1e200
+
+
+def _ring_rows(count, low, high):
+    rng = np.random.default_rng(5)
+    r = rng.uniform(low, high, count)
+    theta = rng.uniform(0.0, 2.0 * math.pi, count)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+@pytest.mark.parametrize("low, high, arrays", [
+    (0.01, 0.2, 4.25),   # inside the plateau, as on most push steps
+    (0.2, 0.36, 6.5),    # mostly in the bump band, as at a push's start
+])
+def test_plane_evaluation_peak_memory(low, high, arrays):
+    # traced peak of one checked osgood_plane call on 10,000 rows, in arrays
+    # of N floats: 4.13 and 6.35 here, 6.14 and 7.85 when the radial factor
+    # ran on a gathered copy of the live rows and was scattered back
+    pts = _ring_rows(10_000, low, high)
+    f = osgood_plane_field()
+    evaluate_batch(f, 0.0, pts)
+    tracemalloc.start()
+    try:
+        evaluate_batch(f, 0.0, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * len(pts) * pts.itemsize
 
 
 def test_modulus_constant_lookup_prefers_tight_radii():

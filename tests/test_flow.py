@@ -1,5 +1,6 @@
 """Characteristic integrator: closed-form orbits, freezing, reversibility."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +11,8 @@ import charflow.flow as flow
 from charflow import (FlowError, FlowOptions, constant_field, flow_endpoints,
                       flow_map, flow_push, integrate_flow, linear_field, make_measure, measure_from_arrays,
                       modulus_linear, modulus_log, osgood_1d_field,
-                      osgood_envelope, osgood_plane_field, rotation_field)
+                      osgood_envelope, osgood_plane_field, plateau_bump,
+                      rotation_field)
 
 TIGHT = FlowOptions(abs_tol=1e-12, rel_tol=1e-10)
 
@@ -118,9 +120,18 @@ def test_envelope_dominates_measured_separation():
     assert np.all(gaps <= env * (1.0 + 1e-9))
 
 
-def test_envelope_rejects_negative_separation():
-    with pytest.raises(FlowError):
-        osgood_envelope(1.0, modulus_linear(), -1e-3, np.array([0.0, 1.0]))
+def test_envelope_rejects_negative_separation(monkeypatch):
+    # a negative or non-finite separation or a non-finite constant fails
+    # before any field call, not inside the separation field
+    sizes = _record_batch_sizes(monkeypatch)
+    grid = np.array([0.0, 1.0])
+    for constant, d0 in [(1.0, -1e-3), (1.0, -math.inf), (1.0, math.nan),
+                         (1.0, math.inf), (math.inf, 1e-3),
+                         (-math.inf, 1e-3), (math.nan, 1e-3),
+                         (math.nan, 0.0), (math.inf, 0.0)]:
+        with pytest.raises(FlowError, match="separation|constant"):
+            osgood_envelope(constant, modulus_linear(), d0, grid)
+    assert sizes == []
 
 
 def test_trajectory_bookkeeping():
@@ -294,3 +305,46 @@ def test_freezing_push_reuses_one_stage_block(monkeypatch):
     assert len(set(sizes)) > 50
     block = 7 * start.size * start.itemsize
     assert peak <= 2.7 * block
+
+
+def _masked_plane_evaluator(radial_factor):
+    """osgood_plane's evaluator as it was when the radial factor ran only on
+    the rows inside 0 < r^2 < 1/4, gathered and scattered back."""
+    def ev(t, pts):
+        x, y = pts[:, 0], pts[:, 1]
+        r2 = x * x + y * y
+        live = (r2 > 0.0) & (r2 < 0.5**2)
+        factor = np.zeros_like(r2)
+        factor[live] = radial_factor(r2[live])
+        band = ~(r2 <= 0.25**2)
+        if band.any():
+            factor[band] *= plateau_bump(np.sqrt(r2[band]), 0.25, 0.5)
+        return np.column_stack([x * factor, y * factor])
+    return ev
+
+
+def _osgood_plane_factor(r2):
+    log_r2 = np.log(r2)
+    return log_r2 * np.log(-log_r2)
+
+
+def test_plane_push_keeps_the_bits_of_the_masked_evaluator():
+    # a 2,000-atom ring about radius 0.28 at the push tolerances: most atoms
+    # start in the plateau band 1/4 < r < 1/2, and they freeze on many steps
+    # of the last three segments, so band rows and freezes run inside the
+    # stepper, not only in single calls
+    rng = np.random.default_rng(3)
+    radii = 0.28 + 0.04 * rng.standard_normal(2_000)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 2_000)
+    start = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    catalog = osgood_plane_field()
+    oracle = dataclasses.replace(
+        catalog, evaluator=_masked_plane_evaluator(_osgood_plane_factor))
+    opts = FlowOptions(abs_tol=1e-11, rel_tol=1e-9)
+    grid = np.linspace(0.0, 1.0, 5)
+    frames = flow_map(catalog, start, grid, opts)
+    assert frames.tobytes() == flow_map(oracle, start, grid, opts).tobytes()
+    assert np.mean((radii > 0.25) & (radii < 0.5)) > 0.5
+    frozen = [int(np.sum(np.linalg.norm(frame, axis=1) <= opts.freeze_radius))
+              for frame in frames]
+    assert frozen[1] == 0 and 0 < frozen[3] < frozen[4] < len(start)
