@@ -2,11 +2,12 @@
 
 The pipeline takes the signed difference of two candidate solutions,
 localizes it with a growth-adapted cutoff, mollifies it onto a lattice,
-splits it into positive and negative parts balanced through the absorbing
-point, and measures the result with the concave-cost transport functional.
-The same module computes the three-term upper bound for the growth of that
-functional and the parameter schedule that keeps each term below one, which
-is the quantitative heart of the uniqueness argument.
+takes the Jordan split of that one signed measure, balances the parts
+through the absorbing point, and measures the result with the concave-cost
+transport functional.  The same module computes the three-term upper bound
+for the growth of that functional and the parameter schedule that keeps
+each term below one, which is the quantitative heart of the uniqueness
+argument.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .costs import (KnotTable, excess, gauss_legendre, grid_edges,
 from .errors import CutoffError, MollifierError, ScheduleError
 from .fields import (evaluate_batch, plateau_bump, plateau_bump_derivative,
                      row_norms, smooth_step, smooth_step_derivative)
-from .measures import balance_with_reservoir, jordan_decompose, \
-    measure_from_arrays
+from .measures import balance_with_reservoir, measure_from_arrays
 from .transport import solve_ot
 
 _DECADE = math.log(10.0)
@@ -242,13 +242,11 @@ def build_mu_nu(difference, cutoff, mollifier):
     """Localize, smooth, and split a signed difference into a balanced pair.
 
     Order matters: mollify first (the lattice sees the raw atoms), then
-    weight by the cutoff, then take positive and negative parts; whichever
-    side is lighter is topped up through the absorbing point.
+    weight by the cutoff, then take the Jordan split of that one signed
+    measure; whichever part is lighter is topped up through the absorbing
+    point.  The lattice holds each cell once, so nothing merges again.
     """
-    smooth = mollify(difference, mollifier)
-    localized = cutoff.apply(smooth)
-    mu_raw, nu_raw = jordan_decompose(localized)
-    return balance_with_reservoir(mu_raw, nu_raw)
+    return balance_with_reservoir(cutoff.apply(mollify(difference, mollifier)))
 
 
 def D_functional(pair, cost):
@@ -305,7 +303,7 @@ class CostEstimate:
 
 
 def costestimate_bound(field, int_total, int_out, cutoff, cost, alpha,
-                       j_value):
+                       j_value, const):
     """Evaluate the three-term estimate from the variation integrals.
 
     * term1: modulus term, beta * C * integral of total variation;
@@ -319,9 +317,10 @@ def costestimate_bound(field, int_total, int_out, cutoff, cost, alpha,
     one array entry per report time; the terms follow their shape.  J is
     the saturating integral of the reciprocal modified modulus at
     ``cost.delta``; the caller passes it as ``j_value`` (the schedule has
-    already computed it).
+    already computed it).  C is the field's modulus constant on
+    B(0, r_zero + 1); the caller passes it as ``const``, the same value its
+    first-term certificate uses.
     """
-    const = field.modulus_constant_for(cutoff.r_zero + 1.0)
     beta, delta = cost.beta, cost.delta
     j_val = float(j_value)
     g_at_k = float(field.growth(cutoff.k))

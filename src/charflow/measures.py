@@ -10,7 +10,9 @@ shared freely across threads.
 Mass totals are computed with ``math.fsum`` (exactly rounded, permutation
 invariant), which is what makes the exact-balance guarantees of
 :func:`balance_with_reservoir` and the bit-identical bookkeeping of flow
-push-forwards possible.
+push-forwards possible.  Co-located atoms merge once, where a measure is
+built from arrays; a balanced pair is the Jordan split of such a signed
+measure, with the lighter part topped up through the reservoir.
 """
 
 from __future__ import annotations
@@ -229,11 +231,11 @@ def _exact_balance_reservoir(weights, target_total):
 class BalancedPair:
     """Two nonnegative measures with exactly equal total mass.
 
-    Build it with :func:`balance_with_reservoir`, which has already merged
-    co-located atoms across the two sides, so the stored measures are
-    mutually singular on R^n.  Construction checks the shared dimension, the
-    signs, and that the fsum-computed totals (reservoirs included) agree to
-    the last bit.
+    Build it with :func:`balance_with_reservoir`, the Jordan split of one
+    signed measure that holds each location once, so the stored measures
+    are mutually singular on R^n.  Construction checks the shared
+    dimension, the signs, and that the fsum-computed totals (reservoirs
+    included) agree to the last bit.
     """
 
     mu: AtomicSignedMeasure
@@ -257,13 +259,15 @@ class BalancedPair:
         return self.mu.total_mass()
 
 
-def balance_with_reservoir(mu_raw, nu_raw):
-    """Attach reservoir mass to the lighter side so totals match exactly.
+def balance_with_reservoir(signed):
+    """Split a signed measure into its positive and negative parts and
+    attach reservoir mass to the lighter one so totals match exactly.
 
-    Both inputs must be nonnegative with zero reservoir.  Mass the two sides
-    share at co-located atoms cancels first: the signed union mu - nu is
-    merged by :func:`measure_from_arrays` and split by
-    :func:`jordan_decompose`.  The heavier side
+    The input carries no reservoir mass and holds each location once, as
+    :func:`measure_from_arrays` (``merge=True``) and a mollifier lattice
+    give it; mass shared at one point has then already cancelled.  A
+    location held twice still gives a valid pair with the same transport
+    value, since the cost vanishes at distance 0.  The heavier side
     normally keeps reservoir 0; the lighter side receives the (nonnegative)
     mass difference, polished so the fsum totals agree bit-for-bit.
 
@@ -273,16 +277,9 @@ def balance_with_reservoir(mu_raw, nu_raw):
     the target is the only way out, so the heavy side then takes an ulp-sized
     reservoir of its own to flip the target's parity.
     """
-    for name, m in (("mu", mu_raw), ("nu", nu_raw)):
-        if not m.is_nonnegative():
-            raise MeasureError(f"{name} must be nonnegative")
-        if m.reservoir_weight != 0.0:
-            raise MeasureError(f"{name} must carry no reservoir mass yet")
-    if mu_raw.dimension != nu_raw.dimension:
-        raise MeasureError("paired measures must share the dimension")
-    mu_c, nu_c = jordan_decompose(measure_from_arrays(
-        mu_raw.dimension, np.vstack([mu_raw.locations, nu_raw.locations]),
-        np.concatenate([mu_raw.weights, -nu_raw.weights])))
+    if signed.reservoir_weight != 0.0:
+        raise MeasureError("the signed measure must carry no reservoir mass")
+    mu_c, nu_c = jordan_decompose(signed)
     sides = ((mu_c, nu_c, True) if nu_c.atom_mass() >= mu_c.atom_mass()
              else (nu_c, mu_c, False))
     light, heavy, mu_is_light = sides

@@ -27,8 +27,8 @@ from .fields import (FIELD_CATALOG, growth_affine, modulus_linear,
                      rotation_field, row_norms)
 from .fileio import atomic_write_text, write_table
 from .flow import FlowOptions, flow_map, integrate_flow
-from .measures import (balance_with_reservoir, jordan_decompose,
-                       make_measure, measure_from_arrays)
+from .measures import (balance_with_reservoir, make_measure,
+                       measure_from_arrays)
 from .transport import (brute_force_ot, comparison_bound, firstterm_estimate,
                         reference_W, solve_ot)
 
@@ -448,11 +448,15 @@ class ScenarioConfig:
 
         field_params = {k: v for k, v in field_block.items() if k != "kind"}
         # built once here, so that a bad value fails when the config is read
-        build_field(field_block["kind"], field_params)
+        field = build_field(field_block["kind"], field_params)
         if density["kind"] == "atoms":
-            _explicit_atoms(density)
+            density_dim = _explicit_atoms(density)[0].shape[1]
         else:
-            density_from_config(density)
+            density_dim = density_from_config(density).dimension
+        if density_dim != field.dimension:
+            raise ConfigError(
+                f"the {density['kind']} density has dimension {density_dim} "
+                f"but the {field.name} field has dimension {field.dimension}")
         return ScenarioConfig(
             name=name, field_kind=field_block["kind"],
             field_params=field_params, density=dict(density),
@@ -537,7 +541,7 @@ def _difference_measure(dimension, loc_fine, w_fine, loc_coarse, w_coarse):
 
 def _refinement_distance(diff):
     """Benchmark-cost distance between the two sides of a difference."""
-    return reference_W(balance_with_reservoir(*jordan_decompose(diff)))
+    return reference_W(balance_with_reservoir(diff))
 
 
 def _level_job(field, config, level, times, diffs, w_refine, masses):
@@ -568,7 +572,8 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
                          cells_per_alpha=config.cells_per_alpha)
     cost = ConcaveCost(field.modulus, schedule.delta, schedule.beta)
     estimate = costestimate_bound(field, int_total, int_tail, cutoff, cost,
-                                  alpha_used, j_value=schedule.j_value)
+                                  alpha_used, j_value=schedule.j_value,
+                                  const=const)
     terms = np.column_stack([estimate.term1, estimate.term2, estimate.term3,
                              estimate.bound])
 
@@ -629,8 +634,6 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
 
     if config.difference_mode == "tolerance":
         locations, weights = _initial_atoms(config, config.resolution, 0)
-        if locations.shape[1] != field.dimension:
-            raise ConfigError("density dimension does not match the field")
         fine_opts = FlowOptions(abs_tol=config.abs_tol,
                                 rel_tol=config.rel_tol)
         coarse_opts = FlowOptions(
@@ -644,8 +647,6 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
             config, config.resolution, 0)
         loc_fine, weights_fine = _initial_atoms(
             config, 2 * config.resolution, 1)
-        if loc_fine.shape[1] != field.dimension:
-            raise ConfigError("density dimension does not match the field")
         fine_opts = FlowOptions(abs_tol=config.abs_tol,
                                 rel_tol=config.rel_tol)
         frames_fine = flow_map(field, loc_fine, times, fine_opts)
@@ -750,8 +751,6 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
 
     field = build_field(config.field_kind, config.field_params)
     density = density_from_config(config.density)
-    if density.dimension != field.dimension:
-        raise ConfigError("density dimension does not match the field")
     resolutions = [config.resolution * 2 ** j for j in range(rungs)]
     opts = FlowOptions(abs_tol=config.abs_tol, rel_tol=config.rel_tol)
 
@@ -919,9 +918,9 @@ def selftest(echo=print):
         ok = ok and abs(cost.cost(radius) - value) <= 1e-9 * (1.0 + value)
     record("cost-inverse-roundtrip", ok)
 
-    mu_raw = make_measure(1, [((0.0,), 0.4), ((0.7,), 0.35), ((1.4,), 0.25)])
-    nu_raw = make_measure(1, [((0.2,), 0.3), ((1.0,), 0.45)])
-    pair = balance_with_reservoir(mu_raw, nu_raw)
+    pair = balance_with_reservoir(make_measure(
+        1, [((0.0,), 0.4), ((0.7,), 0.35), ((1.4,), 0.25),
+            ((0.2,), -0.3), ((1.0,), -0.45)]))
     plan, _ = solve_ot(pair, cost)
     check, _ = brute_force_ot(pair, cost)
     record("transport-dual-route",

@@ -39,7 +39,9 @@ def draw_pair(rng, m, n, dim):
                              rng.uniform(0.1, 1.0, size=m))
     nu = measure_from_arrays(dim, rng.uniform(-1.0, 1.0, size=(n, dim)),
                              rng.uniform(0.1, 1.0, size=n))
-    return balance_with_reservoir(mu, nu)
+    return balance_with_reservoir(measure_from_arrays(
+        dim, np.vstack([mu.locations, nu.locations]),
+        np.concatenate([mu.weights, -nu.weights])))
 
 
 @pytest.fixture(scope="module")

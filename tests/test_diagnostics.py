@@ -284,7 +284,9 @@ def test_d_functional_two_atoms():
     cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     mu = make_measure(1, [((0.0,), 0.5)])
     nu = make_measure(1, [((0.3,), 0.5)])
-    pair = balance_with_reservoir(mu, nu)
+    pair = balance_with_reservoir(measure_from_arrays(
+        1, np.vstack([mu.locations, nu.locations]),
+        np.concatenate([mu.weights, -nu.weights])))
     plan = D_functional(pair, cost)
     assert plan.primal_value == pytest.approx(0.5 * cost.cost(0.3),
                                               rel=1e-11)
@@ -300,8 +302,9 @@ def test_costestimate_closed_form():
     j = saturation_linear(0.25)
     int_total, int_tail = variation_integrals([(0.0, m), (1.0, m)],
                                               cut.k - 1.0)
+    const = field.modulus_constant_for(cut.r_zero + 1.0)
     est = costestimate_bound(field, int_total[-1], int_tail[-1], cut, cost,
-                             alpha=0.125, j_value=j)
+                             alpha=0.125, j_value=j, const=const)
     assert est.term1 == pytest.approx(2.0 * 1.0 * 0.3, rel=1e-9)
     assert est.term2 == 0.0  # the atom sits inside radius k - 1
     rate = 2.0 / 0.25 + 2.0 * j / 3.0  # beta/delta + beta*J/G(2)
@@ -317,8 +320,9 @@ def test_costestimate_sees_tail_mass():
     j = saturation_linear(0.25)
     int_total, int_tail = variation_integrals([(0.0, far), (1.0, far)],
                                               cut.k - 1.0)
+    const = field.modulus_constant_for(cut.r_zero + 1.0)
     est = costestimate_bound(field, int_total[-1], int_tail[-1], cut, cost,
-                             alpha=0.125, j_value=j)
+                             alpha=0.125, j_value=j, const=const)
     assert est.term2 == pytest.approx(2.0 * 2.0 * 1.0 * j * 0.2, rel=1e-9)
 
 
@@ -330,10 +334,10 @@ def test_variation_integrals_are_the_ones_the_bound_uses():
     j = saturation_linear(0.25)
     snapshots = [(0.0, far), (0.5, far), (1.0, far)]
     int_total, int_tail = variation_integrals(snapshots, cut.k - 1.0)
-    est = costestimate_bound(field, int_total, int_tail, cut, cost,
-                             alpha=0.125, j_value=j)
-    # the bound's own products, in its order: exact equality
     const = field.modulus_constant_for(cut.r_zero + 1.0)
+    est = costestimate_bound(field, int_total, int_tail, cut, cost,
+                             alpha=0.125, j_value=j, const=const)
+    # the bound's own products, in its order: exact equality
     np.testing.assert_array_equal(est.term1, cost.beta * const * int_total)
     np.testing.assert_array_equal(
         est.term2, 2.0 * cost.beta * field.growth_const * j * int_tail)
@@ -342,7 +346,7 @@ def test_variation_integrals_are_the_ones_the_bound_uses():
     # one row per report time, each the bound of that time's integrals
     for i in range(len(snapshots)):
         row = costestimate_bound(field, int_total[i], int_tail[i], cut, cost,
-                                 alpha=0.125, j_value=j)
+                                 alpha=0.125, j_value=j, const=const)
         assert (est.term1[i], est.term2[i], est.term3[i], est.bound[i]) == \
             (row.term1, row.term2, row.term3, row.bound)
     assert est.bound[0] == 0.0

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from charflow import (AtomicSignedMeasure, MeasureError, balance_with_reservoir,
                       empty_measure, jordan_decompose, make_measure,
                       measure_from_arrays)
+from charflow.diagnostics import MollifierSpec, mollify
 from charflow.measures import DEDUP_TOL
+
+
+def difference(mu, nu):
+    """mu - nu as one signed measure, its co-located mass merged."""
+    return measure_from_arrays(mu.dimension,
+                               np.vstack([mu.locations, nu.locations]),
+                               np.concatenate([mu.weights, -nu.weights]))
 
 
 def test_totals_on_a_small_cloud():
@@ -75,7 +83,8 @@ def test_jordan_split_reproduces_the_input():
 def test_balance_cancels_shared_colocated_mass():
     mu = make_measure(1, [((0.0,), 0.5), ((1.0,), 0.25)])
     nu = make_measure(1, [((0.0,), 0.2), ((2.0,), 0.3)])
-    pair = balance_with_reservoir(mu, nu)
+    # the mass shared at 0 cancels where the difference is built
+    pair = balance_with_reservoir(difference(mu, nu))
     assert pair.mu.atom_mass() == 0.55
     assert pair.nu.atom_mass() == 0.3
     assert all(tuple(loc) != (0.0,) for loc in pair.nu.locations)
@@ -151,17 +160,35 @@ def test_merge_rejects_nonfinite_locations(bad):
 def test_balance_attaches_reservoir_to_the_light_side():
     mu = make_measure(1, [((0.0,), 0.4), ((0.7,), 0.35), ((1.4,), 0.25)])
     nu = make_measure(1, [((0.2,), 0.3), ((1.0,), 0.45)])
-    pair = balance_with_reservoir(mu, nu)
+    pair = balance_with_reservoir(difference(mu, nu))
     assert pair.mu.reservoir_weight == 0.0
     assert pair.nu.reservoir_weight == pytest.approx(0.25)
     assert pair.mu.total_mass() == pair.nu.total_mass()
 
 
-def test_balance_rejects_signed_input():
-    mu = make_measure(1, [((0.0,), -0.5)])
-    nu = make_measure(1, [((1.0,), 0.5)])
-    with pytest.raises(MeasureError):
-        balance_with_reservoir(jordan_decompose(mu)[1], mu)
+def test_balance_rejects_reservoir_mass():
+    signed = make_measure(1, [((0.0,), 0.5), ((1.0,), -0.25)],
+                          reservoir_weight=-0.25)
+    with pytest.raises(MeasureError, match="reservoir"):
+        balance_with_reservoir(signed)
+
+
+def test_pair_on_a_lattice_finer_than_the_merge_is_the_jordan_split():
+    # a +/- pair mollified at alpha = 2e-12: the lattice spacing 5e-13 is
+    # below DEDUP_TOL, so a second merge would fuse neighbouring cells
+    spec = MollifierSpec(alpha=2e-12, dimension=1)
+    assert spec.spacing <= DEDUP_TOL
+    smooth = mollify(measure_from_arrays(1, [[0.0], [3e-12]], [0.5, -0.5]),
+                     spec)
+    pos, neg = jordan_decompose(smooth)
+    pair = balance_with_reservoir(smooth)
+    assert smooth.atom_count == 14
+    assert (pair.mu.atom_count, pair.nu.atom_count) == (7, 7)
+    for part, side in ((pos, pair.mu), (neg, pair.nu)):
+        assert side.locations.tobytes() == part.locations.tobytes()
+        assert side.weights.tobytes() == part.weights.tobytes()
+    assert pair.mu.atom_mass() == pytest.approx(0.492, abs=5e-4)
+    assert pair.mu.total_mass() == pair.nu.total_mass()
 
 
 finite_weights = st.lists(
@@ -178,7 +205,7 @@ def test_balance_totals_agree_bitwise(left, right):
     nu = measure_from_arrays(
         1, 1000.0 + np.arange(len(right), dtype=float)[:, None],
         np.array(right))
-    pair = balance_with_reservoir(mu, nu)
+    pair = balance_with_reservoir(difference(mu, nu))
     assert pair.mu.total_mass() == pair.nu.total_mass()
     assert pair.mu.reservoir_weight >= 0.0
     assert pair.nu.reservoir_weight >= 0.0

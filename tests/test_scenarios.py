@@ -122,6 +122,29 @@ def test_config_rejections(patch, needle):
         ScenarioConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("field, density, dims", [
+    ({"kind": "osgood1d"}, {"kind": "ring"}, (2, 1)),
+    ({"kind": "rotation"}, {"kind": "interval"}, (1, 2)),
+    ({"kind": "rotation"},
+     {"kind": "gaussian", "center": [0.0, 0.0, 0.0]}, (3, 2)),
+    ({"kind": "rotation"},
+     {"kind": "atoms", "atoms": [[0.25, 0.5], [0.75, 0.5]]}, (1, 2)),
+    ({"kind": "linear", "matrix": [[1.0]]},
+     {"kind": "atoms", "atoms": [[[0.0, 0.5], 1.0]]}, (2, 1)),
+])
+def test_density_and_field_dimensions_are_checked_at_read(tmp_path, field,
+                                                          density, dims):
+    doc = {**MICRO, "field": field, "density": density}
+    out = tmp_path / "out"
+    want = (rf"the {density['kind']} density has dimension {dims[0]} but "
+            rf"the {field['kind']} field has dimension {dims[1]}")
+    with pytest.raises(ConfigError, match=want):
+        run_scenario(ScenarioConfig.from_dict(doc), str(out))
+    with pytest.raises(ConfigError, match=want):
+        convergence_study(ScenarioConfig.from_dict(doc), str(out))
+    assert not out.exists()
+
+
 def test_resolution_differencing_needs_a_density():
     doc = {**MICRO, "difference_mode": "resolution",
            "density": {"kind": "atoms", "atoms": [[[0.0, 0.0], 1.0]]}}

@@ -24,6 +24,13 @@ from charflow.transport import (DIAMOND, REFERENCE_COST, _assemble,
                                 _network_simplex)
 
 
+def difference(mu, nu):
+    """mu - nu as one signed measure, its co-located mass merged."""
+    return measure_from_arrays(mu.dimension,
+                               np.vstack([mu.locations, nu.locations]),
+                               np.concatenate([mu.weights, -nu.weights]))
+
+
 @pytest.fixture(scope="module")
 def cost():
     return ConcaveCost(modulus_linear(), 0.25, 2.0)
@@ -40,13 +47,14 @@ def random_pair(seed, m, n, dim=2):
                              rng.uniform(0.1, 1.0, size=m))
     nu = measure_from_arrays(dim, rng.uniform(-1.0, 1.0, size=(n, dim)),
                              rng.uniform(0.1, 1.0, size=n))
-    return balance_with_reservoir(mu, nu)
+    return balance_with_reservoir(difference(mu, nu))
 
 
 def test_single_arc_closed_form(cost):
     mu = make_measure(1, [((0.0,), 0.75)])
     nu = make_measure(1, [((0.4,), 0.75)])
-    plan, potential = solve_ot(balance_with_reservoir(mu, nu), cost)
+    plan, potential = solve_ot(balance_with_reservoir(difference(mu, nu)),
+                               cost)
     assert plan.primal_value == pytest.approx(0.75 * cost.cost(0.4),
                                               rel=1e-12)
     assert plan.entries == ((0, 0, 0.75),)
@@ -57,7 +65,7 @@ def test_single_arc_closed_form(cost):
 def test_reservoir_routes_excess_to_the_absorbing_point(cost):
     mu = make_measure(1, [((0.0,), 0.3)])
     nu = make_measure(1, [((0.2,), 0.2)])
-    pair = balance_with_reservoir(mu, nu)
+    pair = balance_with_reservoir(difference(mu, nu))
     plan, _ = solve_ot(pair, cost)
     expected = 0.2 * cost.cost(0.2) + 0.1 * cost.c_infinity
     assert plan.primal_value == pytest.approx(expected, rel=1e-10)
@@ -67,7 +75,7 @@ def test_reservoir_routes_excess_to_the_absorbing_point(cost):
 
 def test_identical_clouds_cost_nothing(cost):
     m = make_measure(2, [((0.0, 0.0), 0.5), ((1.0, 0.5), 0.5)])
-    pair = balance_with_reservoir(m, m)
+    pair = balance_with_reservoir(difference(m, m))
     plan, _ = solve_ot(pair, cost)
     assert plan.primal_value == 0.0
     assert plan.entries == () and plan.pivots == 0  # nothing left to ship
@@ -128,7 +136,8 @@ def test_slackness_audit_names_a_broken_real_entry(cost):
                           ((-0.4, 0.5), 0.5)])
     nu = make_measure(2, [((0.1, 0.0), 0.5), ((0.5, 0.3), 0.25),
                           ((-0.3, 0.2), 0.25)])
-    plan, potential = solve_ot(balance_with_reservoir(mu, nu), cost)
+    plan, potential = solve_ot(balance_with_reservoir(difference(mu, nu)),
+                               cost)
     assert all(DIAMOND not in entry[:2] for entry in plan.entries)
     _check_slackness(plan, potential, cost)
     i, j, _ = plan.entries[-1]
@@ -149,7 +158,8 @@ def test_slackness_audit_names_a_broken_absorbing_entry(cost, excess_on_mu):
     near = make_measure(1, [((0.0,), 0.25)])
     far = make_measure(1, [((0.1,), 0.25), ((5.0,), 0.125)])
     mu, nu = (far, near) if excess_on_mu else (near, far)
-    plan, potential = solve_ot(balance_with_reservoir(mu, nu), cost)
+    plan, potential = solve_ot(balance_with_reservoir(difference(mu, nu)),
+                               cost)
     absorbed = (1, DIAMOND, 0.125) if excess_on_mu else (DIAMOND, 1, 0.125)
     assert absorbed in plan.entries
     _check_slackness(plan, potential, cost)
@@ -165,7 +175,8 @@ def test_slackness_audit_passes_a_plan_with_dyadic_dust(cost):
     dust = 2.0 ** -40
     mu = make_measure(1, [((0.0,), 0.5), ((1.0,), dust)])
     nu = make_measure(1, [((0.1,), 0.5 - dust), ((0.9,), 2.0 * dust)])
-    plan, potential = solve_ot(balance_with_reservoir(mu, nu), cost)
+    plan, potential = solve_ot(balance_with_reservoir(difference(mu, nu)),
+                               cost)
     assert min(q for _, _, q in plan.entries) == dust
     _check_slackness(plan, potential, cost)
     assert (1, 1, dust) in plan.entries
@@ -179,7 +190,7 @@ def test_tied_costs_exercise_the_anticycling_path(cost):
     xs = np.arange(5.0)[:, None]
     mu = measure_from_arrays(1, xs, np.full(5, 0.2))
     nu = measure_from_arrays(1, xs + 0.5, np.full(5, 0.2))
-    pair = balance_with_reservoir(mu, nu)
+    pair = balance_with_reservoir(difference(mu, nu))
     plan, _ = solve_ot(pair, cost)
     value, _ = brute_force_ot(pair, cost)
     assert plan.primal_value == pytest.approx(value, rel=1e-10)
@@ -198,7 +209,7 @@ def _tied_lattice_pair(rng):
         weights = rng.uniform(0.1, 1.0, size=count)
         weights[rng.random(count) < 0.25] = 2.0 ** -40
         sides.append(measure_from_arrays(dim, locations, weights))
-    return balance_with_reservoir(*sides)
+    return balance_with_reservoir(difference(*sides))
 
 
 def test_simplex_agrees_with_brute_force_on_tied_lattices(cost):

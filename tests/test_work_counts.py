@@ -17,6 +17,7 @@ from scipy.spatial.distance import cdist
 import charflow.costs as costs
 import charflow.diagnostics as diagnostics
 import charflow.flow as flow
+import charflow.measures as measures
 import charflow.scenarios as scenarios
 import charflow.transport as transport
 from charflow import (AtomicSignedMeasure, ConcaveCost, FlowOptions,
@@ -26,9 +27,16 @@ from charflow import (AtomicSignedMeasure, ConcaveCost, FlowOptions,
                       modulus_linear, modulus_log, modulus_loglog_squared,
                       mollify, osgood_plane_field, parameter_schedule,
                       rotation_field, solve_ot, weak_solution_residual)
-from charflow.fields import row_norms
+from charflow.fields import VectorFieldSpec, row_norms
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import DIAMOND
+
+
+def difference(mu, nu):
+    """mu - nu as one signed measure, its co-located mass merged."""
+    return measure_from_arrays(mu.dimension,
+                               np.vstack([mu.locations, nu.locations]),
+                               np.concatenate([mu.weights, -nu.weights]))
 
 
 def test_solve_ot_never_takes_the_scalar_cost_path(monkeypatch):
@@ -41,7 +49,7 @@ def test_solve_ot_never_takes_the_scalar_cost_path(monkeypatch):
         raise AssertionError("solve_ot called the scalar cost path")
 
     monkeypatch.setattr(ConcaveCost, "cost", scalar)
-    plan, _ = solve_ot(balance_with_reservoir(mu, nu), cost)
+    plan, _ = solve_ot(balance_with_reservoir(difference(mu, nu)), cost)
     labels = {label for entry in plan.entries for label in entry[:2]}
     assert DIAMOND in labels and len(plan.entries) > 1
 
@@ -59,7 +67,7 @@ def test_solve_ot_evaluates_each_distinct_distance_once(monkeypatch):
         batches.append(int(np.size(radii)))
         return _original(self, radii)
 
-    pair = balance_with_reservoir(mu, nu)
+    pair = balance_with_reservoir(difference(mu, nu))
     monkeypatch.setattr(ConcaveCost, "cost_many", counted)
     plan, _ = solve_ot(pair, cost)
     distinct = len(np.unique(cdist(pair.mu.locations, pair.nu.locations)))
@@ -142,7 +150,7 @@ def test_simplex_walks_the_whole_basis_tree_once(monkeypatch):
     mu, nu = (mollify(measure_from_arrays(1, rng.uniform(-1.0, 1.0, (20, 1)),
                                           rng.uniform(0.1, 0.3, 20)), spec)
               for _ in range(2))
-    pair = balance_with_reservoir(mu, nu)
+    pair = balance_with_reservoir(difference(mu, nu))
     assert (pair.mu.atom_count, pair.nu.atom_count) == (102, 116)
     supplies, demands, ground = transport._assemble(
         pair, ConcaveCost(modulus_log(), 1e-3, 0.5))[:3]
@@ -184,7 +192,8 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     doc["parameters"] = parameters
     config = ScenarioConfig.from_dict(doc)
     counts = {"reference_W": 0, "J inside the bound": 0, "bound": 0,
-              "solve_ot": 0, "certificate field calls": 0}
+              "solve_ot": 0, "certificate field calls": 0,
+              "modulus constant": 0}
     inside_bound = []
     snapshots = []      # the difference measures, in report-time order
     variation_sums = {}  # id of a snapshot -> total_variation calls
@@ -218,6 +227,11 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
             counts["J inside the bound"] += 1
         return _original(modulus, delta)
 
+    def counted_constant(self, radius,
+                         _original=VectorFieldSpec.modulus_constant_for):
+        counts["modulus constant"] += 1
+        return _original(self, radius)
+
     def marked_bound(*args, _original=scenarios.costestimate_bound,
                      **kwargs):
         counts["bound"] += 1
@@ -235,6 +249,8 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     monkeypatch.setattr(diagnostics, "saturation_integral",
                         counted_saturation)
     monkeypatch.setattr(scenarios, "costestimate_bound", marked_bound)
+    monkeypatch.setattr(VectorFieldSpec, "modulus_constant_for",
+                        counted_constant)
     monkeypatch.setattr(scenarios, "_difference_measure",
                         recorded_difference)
     monkeypatch.setattr(AtomicSignedMeasure, "total_variation",
@@ -256,12 +272,57 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     # one bound call per level gives the terms of every report time
     assert counts["bound"] == levels
     assert counts["J inside the bound"] == 0
+    # one modulus constant per level: the schedule, the bound and the
+    # first-term certificate share it
+    assert counts["modulus constant"] == levels
     # the modulus is tabulated once: J and every level's cost share it
     assert tables.builds == 1
     # each snapshot's variation is summed once per level
     assert len(snapshots) == config.time_points
     assert [variation_sums.get(id(m), 0) for m in snapshots] == \
         [levels] * config.time_points
+
+
+def test_scenario_merges_each_difference_once(monkeypatch, tmp_path):
+    """Co-located atoms merge once, where a difference is built; the pairs
+    of the report rows and of the refinement distances are Jordan splits
+    of measures that already hold each location once."""
+    doc = builtin_config("drift_line")
+    doc["cutoff_levels"] = [2.0, 3.0]
+    config = ScenarioConfig.from_dict(doc)
+    merges = []
+    balancing = []
+    inside_balance = []  # measure_from_arrays merge flags within a balance
+
+    def counted_merge(locations, weights,
+                      _original=measures._merge_colocated):
+        merges.append(bool(balancing))
+        return _original(locations, weights)
+
+    def recorded_build(*args, _original=measures.measure_from_arrays,
+                       **kwargs):
+        if balancing:
+            inside_balance.append(kwargs.get("merge", True))
+        return _original(*args, **kwargs)
+
+    def marked_balance(signed, _original=measures.balance_with_reservoir):
+        balancing.append(True)
+        try:
+            return _original(signed)
+        finally:
+            balancing.pop()
+
+    monkeypatch.setattr(measures, "_merge_colocated", counted_merge)
+    monkeypatch.setattr(measures, "measure_from_arrays", recorded_build)
+    for module in (measures, diagnostics, scenarios):
+        monkeypatch.setattr(module, "balance_with_reservoir", marked_balance)
+    run_scenario(config, str(tmp_path))
+
+    # one merge per difference measure, none inside a balance
+    assert merges == [False] * config.time_points
+    # a balance builds only the two sides of its one Jordan split
+    pairs = config.time_points * (len(config.cutoff_levels) + 1)
+    assert inside_balance == [False] * (2 * pairs)
 
 
 def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
