@@ -6,14 +6,13 @@ raised a structured runtime error.  Failures of the last two kinds also
 leave a ``*_error.json`` record in the output directory.
 """
 
-import json
 import os
 import sys
 
 import click
 
 from .errors import CharflowError, ConfigError
-from .fileio import atomic_write_text
+from .fileio import write_json
 from .scenarios import convergence_study, load_config, run_scenario, selftest
 
 
@@ -25,8 +24,7 @@ def _error_record(out_dir, stem, verb, err):
         "error": type(err).__name__,
         "message": str(err),
     }
-    atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True)
-                      + "\n")
+    write_json(path, record)
     return path
 
 

@@ -224,7 +224,8 @@ def evaluate_batch(field, t, points):
         raise FieldError(
             f"field '{field.name}' returned shape {velocities.shape} "
             f"for input {points.shape}")
-    speeds = row_norms(velocities)
+    with np.errstate(over="ignore"):  # a finite square may overflow
+        speeds = row_norms(velocities)
     caps = field.growth_const * field.growth.at_rows(points)
     # one comparison settles a good batch: a NaN speed fails it, and an
     # infinite one fails the cap capped at the largest float
@@ -236,6 +237,11 @@ def evaluate_batch(field, t, points):
         raise FieldError(
             f"field '{field.name}' returned a non-finite velocity at "
             f"{points[bad].tolist()} (t={t:g})")
+    big = np.isinf(speeds)  # finite rows whose squares overflowed
+    if big.any():
+        scale = np.max(np.abs(velocities[big]), axis=1)
+        with np.errstate(over="ignore"):
+            speeds[big] = scale * row_norms(velocities[big] / scale[:, None])
     over = speeds > caps * (1.0 + _ENVELOPE_SLACK)
     if np.any(over):
         bad = int(np.argmax(over))

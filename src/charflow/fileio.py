@@ -27,13 +27,19 @@ def atomic_write_text(path, text):
         raise
 
 
+def write_json(path, obj):
+    """Write obj as JSON with ``indent=2`` and sorted keys, newline-ended:
+    the one form of every summary, JSON table and error record."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def write_table(path, columns, rows, fmt):
     """Write a table of floats as CSV (repr floats) or JSON.
 
-    The JSON form is ``{"columns": [...], "rows": [[...], ...]}`` with
-    ``indent=2`` and sorted keys.  Both forms round-trip every float
-    exactly, so rewriting the same table is byte-identical.  A row whose
-    width differs from the header's is refused before anything is written.
+    The JSON form is ``{"columns": [...], "rows": [[...], ...]}``, written
+    by :func:`write_json`.  Both forms round-trip every float exactly, so
+    rewriting the same table is byte-identical.  A row whose width differs
+    from the header's is refused before anything is written.
     """
     for row in rows:
         if len(row) != len(columns):
@@ -42,9 +48,7 @@ def write_table(path, columns, rows, fmt):
     if fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(repr(float(x)) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        atomic_write_text(path, "\n".join(lines) + "\n")
     else:
-        text = json.dumps({"columns": list(columns),
-                           "rows": [list(map(float, row)) for row in rows]},
-                          indent=2, sort_keys=True) + "\n"
-    atomic_write_text(path, text)
+        write_json(path, {"columns": list(columns),
+                          "rows": [list(map(float, row)) for row in rows]})

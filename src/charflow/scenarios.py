@@ -25,7 +25,7 @@ from .diagnostics import (MollifierSpec, Schedule, build_cutoff, build_mu_nu,
 from .errors import ConfigError, FieldError
 from .fields import (FIELD_CATALOG, growth_affine, modulus_linear,
                      rotation_field, row_norms)
-from .fileio import atomic_write_text, write_table
+from .fileio import write_json, write_table
 from .flow import FlowOptions, flow_map, integrate_flow
 from .measures import (balance_with_reservoir, make_measure,
                        measure_from_arrays)
@@ -335,14 +335,16 @@ _CONFIG_NUMBERS = {"horizon": float, "time_points": int, "resolution": int,
                    "cells_per_alpha": int, "weak_tol": float}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Validated scenario description; every run setting lives here."""
+    """Validated scenario description; every run setting lives here.
+    ``density`` is the parsed datum (a :class:`DensityField` or read-only
+    explicit atoms), compared by identity; the field is built per run."""
 
     name: str
     field_kind: str
     field_params: dict
-    density: dict
+    density: object
     horizon: float
     time_points: int
     resolution: int
@@ -378,9 +380,6 @@ class ScenarioConfig:
         field_block = merged["field"]
         if not isinstance(field_block, dict) or "kind" not in field_block:
             raise ConfigError("field block needs a \"kind\" key")
-        density = merged["density"]
-        if not isinstance(density, dict) or "kind" not in density:
-            raise ConfigError("density block needs a \"kind\" key")
 
         if not merged["horizon"] > 0.0:
             raise ConfigError("horizon must be positive")
@@ -393,10 +392,6 @@ class ScenarioConfig:
         if mode not in ("tolerance", "resolution"):
             raise ConfigError(
                 "difference_mode must be \"tolerance\" or \"resolution\"")
-        if mode == "resolution" and density["kind"] == "atoms":
-            raise ConfigError(
-                "resolution differencing needs a sampled density, "
-                "not explicit atoms")
 
         levels = merged["cutoff_levels"]
         try:
@@ -447,19 +442,28 @@ class ScenarioConfig:
                 f"config key 'seed' must not be negative: {seed}")
 
         field_params = {k: v for k, v in field_block.items() if k != "kind"}
-        # built once here, so that a bad value fails when the config is read
+        # built to fail a bad value at read, then dropped: costs keeps a
+        # modulus's 2.75 MB node table while it lives, and perfbench holds
+        # 35 configs at --seconds 30 (96 MB); each run builds its own
         field = build_field(field_block["kind"], field_params)
-        if density["kind"] == "atoms":
-            density_dim = _explicit_atoms(density)[0].shape[1]
+        block = merged["density"]
+        if isinstance(block, dict) and block.get("kind") == "atoms":
+            density = _explicit_atoms(block)
         else:
-            density_dim = density_from_config(density).dimension
+            density = density_from_config(block)
+        sampled = isinstance(density, DensityField)
+        if mode == "resolution" and not sampled:
+            raise ConfigError(
+                "resolution differencing needs a sampled density, "
+                "not explicit atoms")
+        density_dim = density.dimension if sampled else density[0].shape[1]
         if density_dim != field.dimension:
             raise ConfigError(
-                f"the {density['kind']} density has dimension {density_dim} "
+                f"the {block['kind']} density has dimension {density_dim} "
                 f"but the {field.name} field has dimension {field.dimension}")
         return ScenarioConfig(
             name=name, field_kind=field_block["kind"],
-            field_params=field_params, density=dict(density),
+            field_params=field_params, density=density,
             quantization=quantization, difference_mode=mode,
             cutoff_levels=levels, parameters=parameters,
             seed=seed,
@@ -477,7 +481,7 @@ def load_config(path, seed_override=None):
 
 
 def _explicit_atoms(block):
-    """(locations, weights) of an ``atoms`` density block."""
+    """(locations, weights) of an ``atoms`` density block, read-only."""
     _require(block, ("kind", "atoms"), "atoms density")
     atoms = block.get("atoms")
     if not atoms:
@@ -494,17 +498,17 @@ def _explicit_atoms(block):
         locations = locations[:, None]
     if np.any(weights == 0.0):
         raise ConfigError("explicit atom weights must be nonzero")
+    locations.flags.writeable = weights.flags.writeable = False
     return locations, weights
 
 
 def _initial_atoms(config, resolution, salt):
-    """Atoms for the initial measure at a given resolution."""
-    block = config.density
-    if block["kind"] == "atoms":
-        return _explicit_atoms(block)
-    density = density_from_config(block)
-    return quantize_density(density, resolution, config.quantization,
-                            config.seed + salt)
+    """The datum's atoms: ``config.density`` quantized at ``resolution``
+    with seed ``config.seed + salt``, or its explicit atoms as they are."""
+    if isinstance(config.density, DensityField):
+        return quantize_density(config.density, resolution,
+                                config.quantization, config.seed + salt)
+    return config.density
 
 
 # -- scenario run ----------------------------------------------------------------
@@ -632,30 +636,23 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
     field = build_field(config.field_kind, config.field_params)
     times = np.linspace(0.0, config.horizon, config.time_points)
 
+    loc_coarse, weights_coarse = _initial_atoms(config, config.resolution, 0)
+    fine_opts = coarse_opts = FlowOptions(abs_tol=config.abs_tol,
+                                          rel_tol=config.rel_tol)
     if config.difference_mode == "tolerance":
-        locations, weights = _initial_atoms(config, config.resolution, 0)
-        fine_opts = FlowOptions(abs_tol=config.abs_tol,
-                                rel_tol=config.rel_tol)
+        loc_fine, weights_fine = loc_coarse, weights_coarse
         coarse_opts = FlowOptions(
             abs_tol=config.abs_tol * config.coarse_factor,
             rel_tol=config.rel_tol * config.coarse_factor)
-        frames_fine = flow_map(field, locations, times, fine_opts)
-        frames_coarse = flow_map(field, locations, times, coarse_opts)
-        weights_fine = weights_coarse = weights
     else:
-        loc_coarse, weights_coarse = _initial_atoms(
-            config, config.resolution, 0)
         loc_fine, weights_fine = _initial_atoms(
             config, 2 * config.resolution, 1)
-        fine_opts = FlowOptions(abs_tol=config.abs_tol,
-                                rel_tol=config.rel_tol)
-        frames_fine = flow_map(field, loc_fine, times, fine_opts)
-        frames_coarse = flow_map(field, loc_coarse, times, fine_opts)
+    frames_fine = flow_map(field, loc_fine, times, fine_opts)
+    frames_coarse = flow_map(field, loc_coarse, times, coarse_opts)
 
-    diffs = [_difference_measure(field.dimension, frames_fine[i],
-                                 weights_fine, frames_coarse[i],
+    diffs = [_difference_measure(field.dimension, fine, weights_fine, coarse,
                                  weights_coarse)
-             for i in range(len(times))]
+             for fine, coarse in zip(frames_fine, frames_coarse)]
     solution = [(t, measure_from_arrays(field.dimension, frames_fine[i],
                                         weights_fine, merge=False))
                 for i, t in enumerate(times)]
@@ -710,8 +707,7 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
         "exit_code": exit_code,
     }
     summary_path = os.path.join(out_dir, f"{config.name}_summary.json")
-    atomic_write_text(summary_path,
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(summary_path, summary)
     return ScenarioResult(exit_code=exit_code, summary=summary,
                           levels=tuple(levels), summary_path=summary_path,
                           report_paths=report_paths)
@@ -745,19 +741,16 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
     if rungs < 3:
         raise ConfigError("a refinement study needs at least three rungs")
     threads = _run_threads(threads, fmt)
-    if config.density["kind"] == "atoms":
+    if not isinstance(config.density, DensityField):
         raise ConfigError("a refinement study needs a sampled density")
     os.makedirs(out_dir, exist_ok=True)
 
     field = build_field(config.field_kind, config.field_params)
-    density = density_from_config(config.density)
     resolutions = [config.resolution * 2 ** j for j in range(rungs)]
     opts = FlowOptions(abs_tol=config.abs_tol, rel_tol=config.rel_tol)
 
     def rung(resolution):
-        points, weights = quantize_density(
-            density, resolution, config.quantization,
-            config.seed + resolution)
+        points, weights = _initial_atoms(config, resolution, resolution)
         frames = flow_map(field, points,
                           np.array([0.0, config.horizon]), opts)
         return frames[-1], weights
@@ -769,9 +762,8 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
     for (loc_a, w_a), (loc_b, w_b) in zip(endpoints, endpoints[1:]):
         diff = _difference_measure(field.dimension, loc_b, w_b, loc_a, w_a)
         distances.append(_refinement_distance(diff))
-    ratios = []
-    for a, b in zip(distances, distances[1:]):
-        ratios.append(a / b if b > 0.0 else math.inf)
+    ratios = [a / b if b > 0.0 else math.inf
+              for a, b in zip(distances, distances[1:])]
 
     warning = not field.modulus.osgood
     if field.lipschitz:
@@ -806,8 +798,7 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
         "exit_code": exit_code,
     }
     summary_path = os.path.join(out_dir, f"{config.name}_refinement_summary.json")
-    atomic_write_text(summary_path,
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(summary_path, summary)
     return StudyResult(exit_code=exit_code, resolutions=tuple(resolutions),
                        distances=tuple(distances), ratios=tuple(ratios),
                        warning=warning, passed=passed,

@@ -20,8 +20,7 @@ from charflow import (ConcaveCost, FlowOptions,
 from charflow.diagnostics import parameter_schedule, weak_solution_residual
 from charflow.scenarios import (ScenarioConfig, build_field, builtin_config,
                                 builtin_names, convergence_study,
-                                density_from_config, quantize_density,
-                                run_scenario)
+                                quantize_density, run_scenario)
 
 TIGHT = FlowOptions(abs_tol=1e-12, rel_tol=1e-10)
 
@@ -211,8 +210,7 @@ def test_criterion_07_mass_bookkeeping_everywhere():
     for name in builtin_names():
         cfg = ScenarioConfig.from_dict(builtin_config(name))
         field = build_field(cfg.field_kind, cfg.field_params)
-        density = density_from_config(cfg.density)
-        points, weights = quantize_density(density, cfg.resolution,
+        points, weights = quantize_density(cfg.density, cfg.resolution,
                                            cfg.quantization, cfg.seed)
         m = measure_from_arrays(field.dimension, points, weights,
                                 merge=False, reservoir_weight=0.0625)
@@ -310,8 +308,7 @@ def test_criterion_10_refinement_contraction(tmp_path):
 def test_criterion_11_weak_residual_refinement():
     cfg = ScenarioConfig.from_dict(builtin_config("rotation_ring"))
     field = build_field(cfg.field_kind, cfg.field_params)
-    density = density_from_config(cfg.density)
-    points, weights = quantize_density(density, cfg.resolution,
+    points, weights = quantize_density(cfg.density, cfg.resolution,
                                        cfg.quantization, cfg.seed)
 
     def residual(n_times):

@@ -2,12 +2,13 @@
 standard library, and of scipy only the top-level package, whose
 submodules load on first use, so a fresh process that imports charflow,
 validates configs and pushes atoms loads none of them;
-``fields.row_norms`` is its only per-row norm, ``scipy.integrate`` serves
-only the mollifier's kernel-mass audit, ``costs`` builds the one
-Gauss-Legendre rule and the one brentq root function, the brute-force
-transport route shares no function with the simplex it checks, the
-simplex builds no ``scipy.sparse`` graph, and no module keeps a private
-name or an import that nothing uses."""
+``fields.row_norms`` is its only per-row norm, ``fileio`` alone calls
+``atomic_write_text``, ``scipy.integrate`` serves only the mollifier's
+kernel-mass audit, ``costs`` builds the one Gauss-Legendre rule and the
+one brentq root function, the brute-force transport route shares no
+function with the simplex it checks, the simplex builds no
+``scipy.sparse`` graph, and no module keeps a private name or an import
+that nothing uses."""
 
 import ast
 import os
@@ -138,6 +139,32 @@ def test_row_norms_have_one_owner(path):
     # fields.row_norms gives numpy's bits several times faster
     lines = list(_row_norm_calls(path.read_text(encoding="utf-8")))
     assert not lines, f"{path.name}:{lines} use np.linalg.norm with an axis"
+
+
+def _atomic_write_calls(source):
+    """Line numbers of each ``atomic_write_text`` call."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and \
+                ast.unparse(node.func).split(".")[-1] == "atomic_write_text":
+            yield node.lineno
+
+
+def test_writer_guard_finds_atomic_write_calls():
+    sample = ("atomic_write_text(path, text)\n"
+              "fileio.atomic_write_text(path, json.dumps(doc) + '\\n')\n"
+              "from .fileio import atomic_write_text\n"
+              "write_json(path, doc)\n")
+    assert list(_atomic_write_calls(sample)) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "fileio.py"],
+                         ids=lambda p: p.name)
+def test_files_are_written_through_fileio(path):
+    # summaries, JSON tables and error records share fileio.write_json, so
+    # every JSON file charflow writes has one form
+    lines = list(_atomic_write_calls(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}:{lines} call atomic_write_text"
 
 
 def _quadrature_uses(source):

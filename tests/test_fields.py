@@ -229,19 +229,23 @@ def test_nonfinite_velocity_fails_under_every_cap(value, growth_const):
 
 @pytest.mark.parametrize("value", [2.0, -3.0, 1e200])
 def test_finite_speed_over_the_cap_names_its_row(value):
-    # 1e200 is finite but its square overflows to an infinite speed
-    with np.errstate(over="ignore"), \
-            pytest.raises(EnvelopeViolation) as caught:
+    # 1e200 is finite but its square overflows: the message names its speed
+    with pytest.raises(EnvelopeViolation) as caught:
         evaluate_batch(_one_bad_row(value, 1.0), 0.0, _GUARD_POINTS)
     assert str(_GUARD_POINTS[2].tolist()) in str(caught.value)
-    assert f"> {1.0:.6g}" in str(caught.value)
+    assert f"speed {abs(value):.6g} > {1.0:.6g}" in str(caught.value)
 
 
 def test_finite_speed_stays_under_an_infinite_cap():
-    with np.errstate(over="ignore"):
-        got = evaluate_batch(_one_bad_row(1e200, math.inf), 0.0,
-                             _GUARD_POINTS)
+    got = evaluate_batch(_one_bad_row(1e200, math.inf), 0.0, _GUARD_POINTS)
     assert got[2, 0] == 1e200
+
+
+def test_speed_whose_square_overflows_stays_inside_its_envelope():
+    # |b(1)| = 1e155 against the affine cap 1e155 * (1 + 1) = 2e155; the
+    # square of 1e155 overflows, which must neither warn nor read as inf
+    got = evaluate_batch(linear_field([[1e155]]), 0.0, np.array([[1.0]]))
+    assert got.tolist() == [[1e155]]
 
 
 def _ring_rows(count, low, high):

@@ -152,6 +152,14 @@ def test_resolution_differencing_needs_a_density():
         ScenarioConfig.from_dict(doc)
 
 
+def test_configs_compare_by_identity():
+    # a parsed density holds arrays and a pdf closure, which have no value
+    # equality; comparing two reads of a 2-D config must not raise
+    first, second = (ScenarioConfig.from_dict(builtin_config("rotation_ring"))
+                     for _ in range(2))
+    assert first == first and first != second
+
+
 def test_config_takes_integral_floats_for_int_keys():
     cfg = micro_config(resolution=9.0, time_points=3.0, seed=4.0,
                        cells_per_alpha=5.0)

@@ -5,6 +5,7 @@ The counts are deterministic, so a regression that recomputes a value shows
 here without any timing.
 """
 
+import gc
 import math
 import sys
 import threading
@@ -323,6 +324,118 @@ def test_scenario_merges_each_difference_once(monkeypatch, tmp_path):
     # a balance builds only the two sides of its one Jordan split
     pairs = config.time_points * (len(config.cutoff_levels) + 1)
     assert inside_balance == [False] * (2 * pairs)
+
+
+_ATOMS_DOC = {
+    "name": "two_atoms",
+    "field": {"kind": "linear", "matrix": [[1.0]]},
+    "density": {"kind": "atoms", "atoms": [[[0.3], 0.625], [[0.6], 0.375]]},
+    "horizon": 1.0,
+    "time_points": 3,
+    "seed": 5,
+}
+
+
+def _counted_parsers(monkeypatch):
+    """Route the two density parsers through a recorder; returns the list
+    of (parser, parsed value) calls."""
+    calls = []
+    for name in ("density_from_config", "_explicit_atoms"):
+        def counted(block, _original=getattr(scenarios, name), _name=name):
+            parsed = _original(block)
+            calls.append((_name, parsed))
+            return parsed
+        monkeypatch.setattr(scenarios, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("doc, parser", [
+    (builtin_config("drift_line"), "density_from_config"),
+    (_ATOMS_DOC, "_explicit_atoms"),
+], ids=["sampled", "atoms"])
+def test_config_parses_its_density_block_once(monkeypatch, doc, parser):
+    calls = _counted_parsers(monkeypatch)
+    config = ScenarioConfig.from_dict(doc)
+    assert [name for name, _ in calls] == [parser]
+    # the config keeps what it parsed, not the block
+    assert config.density is calls[0][1]
+
+
+@pytest.mark.parametrize("doc, mode", [
+    (builtin_config("drift_line"), "tolerance"),
+    (builtin_config("drift_line"), "resolution"),
+    (_ATOMS_DOC, "tolerance"),
+], ids=["sampled-tolerance", "sampled-resolution", "atoms-tolerance"])
+def test_runs_and_studies_parse_no_density_block(monkeypatch, tmp_path, doc,
+                                                 mode):
+    config = ScenarioConfig.from_dict({**doc, "difference_mode": mode})
+    calls = _counted_parsers(monkeypatch)
+    quantized = []
+
+    def recorded_quantize(density, *args,
+                          _original=scenarios.quantize_density):
+        quantized.append(density)
+        return _original(density, *args)
+
+    monkeypatch.setattr(scenarios, "quantize_density", recorded_quantize)
+    run_scenario(config, str(tmp_path / "run"))
+    sampled = isinstance(config.density, scenarios.DensityField)
+    if sampled:
+        scenarios.convergence_study(config, str(tmp_path / "study"), rungs=3)
+    assert calls == []
+    # every draw quantizes the config's own density: one per side of a
+    # resolution run, one per tolerance run, one per rung
+    draws = {"tolerance": 1, "resolution": 2}[mode] + 3 if sampled else 0
+    assert len(quantized) == draws
+    assert all(density is config.density for density in quantized)
+
+
+def test_explicit_atom_arrays_are_read_only():
+    config = ScenarioConfig.from_dict(_ATOMS_DOC)
+    locations, weights = config.density
+    assert locations.tolist() == [[0.3], [0.6]]
+    assert weights.tolist() == [0.625, 0.375]
+    for array in (locations, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_runs_of_one_explicit_atom_config_share_its_arrays(monkeypatch,
+                                                           tmp_path):
+    config = ScenarioConfig.from_dict(_ATOMS_DOC)
+    pushed = []
+
+    def recorded_flow_map(field, points, *args, _original=scenarios.flow_map):
+        pushed.append(points)
+        return _original(field, points, *args)
+
+    monkeypatch.setattr(scenarios, "flow_map", recorded_flow_map)
+    written = []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        run_scenario(config, str(out))
+        written.append({path.name: path.read_bytes()
+                        for path in sorted(out.iterdir())})
+    # both sides of both runs push the config's one read-only array
+    assert len(pushed) == 4
+    assert all(points is config.density[0] for points in pushed)
+    assert len(written[0]) == 2  # the report and the summary
+    assert written[0] == written[1]
+
+
+def test_a_finished_run_leaves_no_node_table_behind(monkeypatch, tmp_path):
+    """The config keeps the field's config block, not the field: a field
+    kept there would keep its modulus, and with it the modulus's node table
+    in costs, alive as long as the config."""
+    tables = _CountingTables()
+    monkeypatch.setattr(costs, "_NODE_TABLES", tables)
+    config = ScenarioConfig.from_dict(builtin_config("drift_line"))
+    assert tables.builds == 0
+    run_scenario(config, str(tmp_path))
+    assert tables.builds == 1
+    gc.collect()
+    assert len(tables) == 0
+    assert config.field_kind == "constant"  # the config is still alive
 
 
 def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
