@@ -208,9 +208,14 @@ def row_norms(a):
     return np.sqrt(total, out=total)
 
 
-def _declared(*pairs):
-    return tuple(sorted(((float(r), float(c)) for r, c in pairs),
-                        key=lambda rc: rc[0]))
+def _declared(constant):
+    """``modulus_constants`` of one global constant; a FieldError for a
+    constant below 0, which no modulus of continuity has."""
+    constant = float(constant)
+    if not constant >= 0.0:
+        raise FieldError(
+            f"modulus constant must be at least 0 (got {constant:g})")
+    return ((math.inf, constant),)
 
 
 def evaluate_batch(field, t, points):
@@ -254,8 +259,10 @@ def evaluate_batch(field, t, points):
 
 # -- catalog ----------------------------------------------------------------
 
-def constant_field(velocity):
+def constant_field(velocity=(1.0,)):
     velocity = np.atleast_1d(np.asarray(velocity, dtype=float))
+    if velocity.ndim != 1 or velocity.size == 0:
+        raise FieldError("constant field needs a nonempty velocity vector")
     n = len(velocity)
     speed = float(np.linalg.norm(velocity))
 
@@ -266,7 +273,7 @@ def constant_field(velocity):
         dimension=n, name="constant", evaluator=ev,
         growth=growth_constant(), modulus=modulus_linear(),
         growth_const=max(speed, 1.0),
-        modulus_constants=_declared((math.inf, 0.0)),
+        modulus_constants=_declared(0.0),
         lipschitz=True)
 
 
@@ -292,7 +299,7 @@ def linear_field(matrix):
         dimension=n, name="linear", evaluator=ev,
         growth=growth_affine(), modulus=modulus_linear(),
         growth_const=max(norm, 1e-12),
-        modulus_constants=_declared((math.inf, max(norm, 1e-12))),
+        modulus_constants=_declared(max(norm, 1e-12)),
         lipschitz=True)
 
 
@@ -308,7 +315,7 @@ def rotation_field():
         dimension=2, name="rotation", evaluator=ev,
         growth=growth_affine(), modulus=modulus_linear(),
         growth_const=1.0,
-        modulus_constants=_declared((math.inf, 1.0)),
+        modulus_constants=_declared(1.0),
         lipschitz=True)
 
 
@@ -335,7 +342,7 @@ def osgood_1d_field(modulus_constant=3.0):
         dimension=1, name="osgood1d", evaluator=ev,
         growth=growth_constant(), modulus=modulus_log(),
         growth_const=0.5,
-        modulus_constants=_declared((math.inf, float(modulus_constant))))
+        modulus_constants=_declared(modulus_constant))
 
 
 # Radial truncation shared by the two plane examples: identically 1 on
@@ -388,7 +395,7 @@ def osgood_plane_field(modulus_constant=9.0):
         dimension=2, name="osgood_plane", evaluator=_plane_example_evaluator(f, False),
         growth=growth_constant(), modulus=modulus_loglog(),
         growth_const=1.0,
-        modulus_constants=_declared((math.inf, float(modulus_constant))),
+        modulus_constants=_declared(modulus_constant),
         singular_points=(np.zeros(2),))
 
 
@@ -408,7 +415,7 @@ def nonosgood_plane_field(modulus_constant=11.0):
         evaluator=_plane_example_evaluator(g, True),
         growth=growth_constant(), modulus=modulus_loglog_squared(),
         growth_const=1.5,
-        modulus_constants=_declared((math.inf, float(modulus_constant))),
+        modulus_constants=_declared(modulus_constant),
         singular_points=(np.zeros(2),))
 
 

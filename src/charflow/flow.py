@@ -334,8 +334,9 @@ def osgood_envelope(constant, modulus, d0, t_grid, options=None):
     if not 0.0 <= d0 < math.inf:
         raise FlowError(f"separation must be finite and nonnegative "
                         f"(got {d0!r})")
-    if not math.isfinite(constant):
-        raise FlowError(f"envelope constant must be finite (got {constant!r})")
+    if not 0.0 <= constant < math.inf:
+        raise FlowError(f"envelope constant must be finite and at least 0 "
+                        f"(got {constant!r})")
     if d0 == 0.0:
         return np.zeros(len(t_grid))
 

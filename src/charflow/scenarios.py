@@ -9,6 +9,7 @@ ladder of resolutions and tracks the flat transport distance between
 consecutive rungs.
 """
 
+import inspect
 import json
 import math
 import os
@@ -107,27 +108,59 @@ def _require(params, allowed, kind):
             f"unknown {kind} parameter(s): {', '.join(sorted(extra))}")
 
 
-def _gaussian_density(params):
-    _require(params, ("kind", "center", "spread"), "gaussian density")
-    center = _typed(_array, params.get("center", (0.0, 0.0)), "center")
+# the converter of every field and density parameter, by name
+_PARAM_TYPES = {"velocity": _array, "matrix": _array,
+                "modulus_constant": float, "center": _array,
+                "centers": _array, "spread": float, "radius": float,
+                "width": float, "low": float, "high": float}
+
+
+def _build(make, block, label):
+    """``make(**args)`` for a config block.  The parameters of ``make``'s
+    signature are the keys the block may set, a default is its key's
+    default, and a parameter without one is required.  Every argument is
+    typed through ``_PARAM_TYPES``; a FieldError from ``make`` becomes a
+    ConfigError naming its key (a catalog field takes at most one).  The
+    block may hold its ``kind`` too."""
+    params = inspect.signature(make).parameters
+    _require(block, (*params, "kind"), label)
+    args = {}
+    for key, param in params.items():
+        if key not in block and param.default is param.empty:
+            raise ConfigError(f"{label} needs parameter {key!r}")
+        args[key] = _typed(_PARAM_TYPES[key], block.get(key, param.default),
+                           key)
+    try:
+        return make(**args)
+    except FieldError as err:
+        raise ConfigError(
+            f"config key {', '.join(map(repr, params))}: {err}") from None
+
+
+def _bumps(centers, spread):
+    """Gaussian bumps of width ``spread`` at the rows of ``centers``, summed,
+    on the box four spreads past the centers."""
+    def pdf(points):
+        out = np.zeros(len(points))
+        for c in centers:
+            out += np.exp(-np.sum((points - c) ** 2, axis=1)
+                          / (2.0 * spread * spread))
+        return out
+
+    return DensityField(centers.shape[1], centers.min(axis=0) - 4.0 * spread,
+                        centers.max(axis=0) + 4.0 * spread, pdf,
+                        float(len(centers)))
+
+
+def _gaussian_density(center=(0.0, 0.0), spread=0.15):
     if center.ndim != 1 or center.size == 0:
         raise ConfigError("gaussian center must be a coordinate list")
-    spread = _typed(float, params.get("spread", 0.15), "spread")
     if not spread > 0.0:
         raise ConfigError("gaussian spread must be positive")
-
-    def pdf(points):
-        q = np.sum((points - center) ** 2, axis=1)
-        return np.exp(-q / (2.0 * spread * spread))
-
-    return DensityField(len(center), center - 4.0 * spread,
-                        center + 4.0 * spread, pdf, 1.0)
+    return _bumps(center[None, :], spread)
 
 
-def _ring_density(params):
-    _require(params, ("kind", "radius", "width"), "ring density")
-    radius = _typed(float, params.get("radius", 0.5), "radius")
-    width = _typed(float, params.get("width", 0.06), "width")
+def _ring_density(radius=0.5, width=0.06):
     if not (radius > 0.0 and width > 0.0):
         raise ConfigError("ring radius and width must be positive")
     reach = radius + 4.0 * width
@@ -140,10 +173,7 @@ def _ring_density(params):
                         np.array([reach, reach]), pdf, 1.0)
 
 
-def _interval_density(params):
-    _require(params, ("kind", "low", "high"), "interval density")
-    low = _typed(float, params.get("low", 0.0), "low")
-    high = _typed(float, params.get("high", 1.0), "high")
+def _interval_density(low=0.0, high=1.0):
     if not high > low:
         raise ConfigError("interval density needs low < high")
 
@@ -153,26 +183,12 @@ def _interval_density(params):
     return DensityField(1, np.array([low]), np.array([high]), pdf, 1.0)
 
 
-def _two_bumps_density(params):
-    _require(params, ("kind", "centers", "spread"), "two_bumps density")
-    centers = _typed(_array, params.get("centers", ((-0.4,), (0.4,))),
-                     "centers")
+def _two_bumps_density(centers=((-0.4,), (0.4,)), spread=0.1):
     if centers.ndim != 2 or centers.shape[0] != 2:
         raise ConfigError("two_bumps needs exactly two center coordinates")
-    spread = _typed(float, params.get("spread", 0.1), "spread")
     if not spread > 0.0:
         raise ConfigError("two_bumps spread must be positive")
-
-    def pdf(points):
-        out = np.zeros(len(points))
-        for c in centers:
-            out += np.exp(-np.sum((points - c) ** 2, axis=1)
-                          / (2.0 * spread * spread))
-        return out
-
-    low = centers.min(axis=0) - 4.0 * spread
-    high = centers.max(axis=0) + 4.0 * spread
-    return DensityField(centers.shape[1], low, high, pdf, 2.0)
+    return _bumps(centers, spread)
 
 
 _DENSITY_BUILDERS = {
@@ -190,10 +206,11 @@ def density_from_config(doc):
     kind = doc["kind"]
     if kind == "atoms":
         raise ConfigError("explicit atoms carry no density to sample")
-    if kind not in _DENSITY_BUILDERS:
-        known = ", ".join(sorted([*_DENSITY_BUILDERS, "atoms"]))
-        raise ConfigError(f"unknown density kind {kind!r} (known: {known})")
-    return _DENSITY_BUILDERS[kind](doc)
+    known = sorted([*_DENSITY_BUILDERS, "atoms"])  # as in build_field
+    if kind not in known:
+        raise ConfigError(
+            f"unknown density kind {kind!r} (known: {', '.join(known)})")
+    return _build(_DENSITY_BUILDERS[kind], doc, f"{kind} density")
 
 
 # -- quantization --------------------------------------------------------------
@@ -276,41 +293,13 @@ def quantize_density(density, resolution, mode, seed):
 
 # -- configuration --------------------------------------------------------------
 
-_FIELD_PARAMS = {
-    "constant": ("velocity",),
-    "linear": ("matrix",),
-    "rotation": (),
-    "osgood1d": ("modulus_constant",),
-    "osgood_plane": ("modulus_constant",),
-    "nonosgood_plane": ("modulus_constant",),
-}
-
-
 def build_field(kind, params):
     """Instantiate a catalog field from its config block."""
-    if kind not in FIELD_CATALOG:
-        known = ", ".join(sorted(FIELD_CATALOG))
-        raise ConfigError(f"unknown field kind {kind!r} (known: {known})")
-    _require(dict(params, kind=None), (*_FIELD_PARAMS[kind], "kind"),
-             f"{kind} field")
-    try:
-        if kind == "constant":
-            return FIELD_CATALOG[kind](
-                _typed(_array, params.get("velocity", (1.0,)), "velocity"))
-        if kind == "linear":
-            matrix = _typed(_array, params["matrix"], "matrix")
-            try:
-                return FIELD_CATALOG[kind](matrix)
-            except FieldError as err:
-                raise ConfigError(f"config key 'matrix': {err}") from None
-        if kind == "rotation":
-            return FIELD_CATALOG[kind]()
-        if "modulus_constant" in params:
-            return FIELD_CATALOG[kind](_typed(
-                float, params["modulus_constant"], "modulus_constant"))
-        return FIELD_CATALOG[kind]()
-    except KeyError as missing:
-        raise ConfigError(f"{kind} field needs parameter {missing}") from None
+    known = sorted(FIELD_CATALOG)  # a list: an unhashable kind is unknown
+    if kind not in known:
+        raise ConfigError(
+            f"unknown field kind {kind!r} (known: {', '.join(known)})")
+    return _build(FIELD_CATALOG[kind], params, f"{kind} field")
 
 
 _CONFIG_DEFAULTS = {

@@ -3,7 +3,8 @@ standard library, and of scipy only the top-level package, whose
 submodules load on first use, so a fresh process that imports charflow,
 validates configs and pushes atoms loads none of them;
 ``fields.row_norms`` is its only per-row norm, ``fileio`` alone calls
-``atomic_write_text``, ``scipy.integrate`` serves only the mollifier's
+``atomic_write_text``, ``scenarios`` compares no value with the name of
+a field or density kind, ``scipy.integrate`` serves only the mollifier's
 kernel-mass audit, ``costs`` builds the one Gauss-Legendre rule and the
 one brentq root function, the brute-force transport route shares no
 function with the simplex it checks, the simplex builds no
@@ -165,6 +166,39 @@ def test_files_are_written_through_fileio(path):
     # every JSON file charflow writes has one form
     lines = list(_atomic_write_calls(path.read_text(encoding="utf-8")))
     assert not lines, f"{path.name}:{lines} call atomic_write_text"
+
+
+def _kind_comparisons(source, kinds):
+    """Line numbers of each comparison with a string constant in
+    ``kinds``, on either side and at any depth of its operands."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(leaf, ast.Constant) and leaf.value in kinds
+                for operand in (node.left, *node.comparators)
+                for leaf in ast.walk(operand)):
+            yield node.lineno
+
+
+def test_kind_guard_finds_comparisons_with_a_kind():
+    sample = ("if kind == 'constant':\n    pass\n"
+              "ok = kind in ('ring', 'interval')\n"
+              "same = 'linear' != doc.get('kind')\n"
+              "mode = kind == 'atoms' or mode == 'grid'\n"
+              "block = {'kind': 'ring'}\n")
+    kinds = {"constant", "ring", "interval", "linear"}
+    assert list(_kind_comparisons(sample, kinds)) == [1, 3, 4]
+
+
+def test_scenarios_branch_on_no_catalog_kind():
+    # a catalog constructor's signature declares its block, and one reader
+    # serves every kind, so no kind gets a branch of its own
+    from charflow.fields import FIELD_CATALOG
+    from charflow.scenarios import _DENSITY_BUILDERS
+    source = (ROOT / "src" / "charflow" / "scenarios.py").read_text(
+        encoding="utf-8")
+    lines = list(_kind_comparisons(source,
+                                   {*FIELD_CATALOG, *_DENSITY_BUILDERS}))
+    assert not lines, f"scenarios.py:{lines} compare with a catalog kind"
 
 
 def _quadrature_uses(source):

@@ -121,14 +121,15 @@ def test_envelope_dominates_measured_separation():
 
 
 def test_envelope_rejects_negative_separation(monkeypatch):
-    # a negative or non-finite separation or a non-finite constant fails
-    # before any field call, not inside the separation field
+    # a negative or non-finite separation or constant fails before any
+    # field call, not inside the separation field
     sizes = _record_batch_sizes(monkeypatch)
     grid = np.array([0.0, 1.0])
     for constant, d0 in [(1.0, -1e-3), (1.0, -math.inf), (1.0, math.nan),
                          (1.0, math.inf), (math.inf, 1e-3),
                          (-math.inf, 1e-3), (math.nan, 1e-3),
-                         (math.nan, 0.0), (math.inf, 0.0)]:
+                         (math.nan, 0.0), (math.inf, 0.0),
+                         (-1.0, 1e-3)]:
         with pytest.raises(FlowError, match="separation|constant"):
             osgood_envelope(constant, modulus_linear(), d0, grid)
     assert sizes == []

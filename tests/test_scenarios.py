@@ -1,5 +1,6 @@
 """Scenario configs, quantization, end-to-end runs, and the CLI."""
 
+import inspect
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from charflow import ComparisonBoundError, ConfigError, MollifierError
 from charflow.cli import main as cli_main
+from charflow.fields import FIELD_CATALOG
 from charflow.scenarios import (ScenarioConfig, builtin_config, builtin_names,
                                 build_field, convergence_study,
                                 density_from_config, load_config,
@@ -209,6 +211,7 @@ def test_builtins_all_validate():
 
 @pytest.mark.parametrize("doc, needle", [
     ({"kind": "pyramid"}, "unknown density kind"),
+    ({"kind": ["gaussian"]}, "unknown density kind"),
     ({"kind": "atoms"}, "no density"),
     ({"kind": "gaussian", "spread": -0.1}, "positive"),
     ({"kind": "gaussian", "sigma": 0.1}, "unknown gaussian"),
@@ -229,12 +232,31 @@ def test_density_rejections(doc, needle):
 def test_build_field_guards():
     with pytest.raises(ConfigError, match="unknown field kind"):
         build_field("vortex", {})
+    with pytest.raises(ConfigError, match="unknown field kind"):
+        build_field(["rotation"], {})
     with pytest.raises(ConfigError, match="needs parameter"):
         build_field("linear", {})
     with pytest.raises(ConfigError, match="unknown rotation"):
         build_field("rotation", {"speed": 2.0})
     assert build_field("constant", {"velocity": [0.5, 0.0]}).dimension == 2
     assert build_field("osgood1d", {"modulus_constant": 5.0}).dimension == 1
+
+
+def test_every_catalog_parameter_has_a_type_and_every_kind_a_default():
+    # a constructor's signature declares its block, so a parameter added
+    # without a converter would fail a user's run, not this test
+    makers = [*FIELD_CATALOG.values(), *scenarios._DENSITY_BUILDERS.values()]
+    for make in makers:
+        for name in inspect.signature(make).parameters:
+            assert name in scenarios._PARAM_TYPES, (make.__name__, name)
+    for kind in FIELD_CATALOG:
+        if kind != "linear":
+            assert build_field(kind, {}).name == kind
+    with pytest.raises(ConfigError,
+                       match="^linear field needs parameter 'matrix'$"):
+        build_field("linear", {})
+    for kind in scenarios._DENSITY_BUILDERS:
+        assert density_from_config({"kind": kind}).pdf_sup > 0.0
 
 
 # -- quantization ----------------------------------------------------------------
@@ -679,10 +701,17 @@ def test_cli_config_value_of_the_wrong_type_exits_two_with_record(
 @pytest.mark.parametrize("patch, key", [
     ({"density": {"kind": "atoms", "atoms": [[[0.5]]]}}, "atoms"),
     ({"field": {"kind": "linear", "matrix": [[1.0, 2.0]]}}, "matrix"),
+    ({"field": {"kind": "osgood1d", "modulus_constant": -1.0}},
+     "modulus_constant"),
+    ({"field": {"kind": "osgood_plane", "modulus_constant": -1.0},
+      "density": {"kind": "ring"}}, "modulus_constant"),
+    ({"field": {"kind": "constant", "velocity": [[0.35, 0.1]]}}, "velocity"),
+    ({"field": {"kind": "constant", "velocity": [[0.35]]}}, "velocity"),
 ])
 def test_cli_malformed_config_value_exits_two_with_record(tmp_path, patch,
                                                           key):
-    # an atom without its weight, a matrix that is not square
+    # an atom without its weight, a matrix that is not square, a negative
+    # modulus constant, a velocity that is not a vector
     cfg = _write_config(tmp_path, {**LINE, **patch}, name="shape.json")
     out = tmp_path / "out"
     result = CliRunner().invoke(cli_main, ["run", cfg, "--out", str(out)])
