@@ -264,7 +264,7 @@ def constant_field(velocity=(1.0,)):
     if velocity.ndim != 1 or velocity.size == 0:
         raise FieldError("constant field needs a nonempty velocity vector")
     n = len(velocity)
-    speed = float(np.linalg.norm(velocity))
+    speed = math.hypot(*velocity)  # np.linalg.norm overflows past 1e154
 
     def ev(t, pts):
         return np.broadcast_to(velocity, pts.shape).copy()

@@ -124,9 +124,12 @@ def _scaled_error(err_vec, y_old, y_new, opts):
 def _initial_step(field, t0, y0, f0, d0, direction, span, opts):
     # d0 is taken over the whole batch, y0 and f0 over its live rows
     scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
-    d1 = float(np.max(np.abs(f0) / scale, initial=0.0))
+    with np.errstate(over="ignore"):  # an overflowed d1 is refused below
+        d1 = float(np.max(np.abs(f0) / scale, initial=0.0))
     h0 = 1e-6 if d1 <= 1e-300 or d0 <= 1e-300 else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if not h0 > 0.0:  # d1 overflowed, or d0 / d1 underflowed
+        raise FlowError(f"initial step underflow at t={t0:.6g}")
     y1 = y0 + direction * h0 * f0
     f1 = evaluate_batch(field, t0 + direction * h0, y1)
     d2 = float(np.max(np.abs(f1 - f0) / scale, initial=0.0)) / h0

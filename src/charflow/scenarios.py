@@ -101,35 +101,42 @@ def _array(value):
     return np.asarray(value, dtype=float)
 
 
-def _require(params, allowed, kind):
-    extra = set(params) - set(allowed)
+def _require(block, allowed, label):
+    extra = set(block) - set(allowed)
     if extra:
         raise ConfigError(
-            f"unknown {kind} parameter(s): {', '.join(sorted(extra))}")
+            f"unknown {label} key(s): {', '.join(sorted(extra))}")
 
 
-# the converter of every field and density parameter, by name
+# the converter of every numeric key of a field block, a density block and
+# the config document, by name
 _PARAM_TYPES = {"velocity": _array, "matrix": _array,
                 "modulus_constant": float, "center": _array,
                 "centers": _array, "spread": float, "radius": float,
-                "width": float, "low": float, "high": float}
+                "width": float, "low": float, "high": float,
+                "horizon": float, "seed": int, "time_points": int,
+                "resolution": int, "abs_tol": float, "rel_tol": float,
+                "coarse_factor": float, "cells_per_alpha": int,
+                "weak_tol": float}
 
 
 def _build(make, block, label):
-    """``make(**args)`` for a config block.  The parameters of ``make``'s
+    """``make(**args)`` for a field block, a density block (each without
+    its ``kind``) or the config document.  The parameters of ``make``'s
     signature are the keys the block may set, a default is its key's
-    default, and a parameter without one is required.  Every argument is
-    typed through ``_PARAM_TYPES``; a FieldError from ``make`` becomes a
-    ConfigError naming its key (a catalog field takes at most one).  The
-    block may hold its ``kind`` too."""
+    default, and a parameter without one is required.  A key with a
+    converter in ``_PARAM_TYPES`` is typed through it, any other is passed
+    as it is; a FieldError from ``make`` becomes a ConfigError naming its
+    key (a catalog field takes at most one)."""
     params = inspect.signature(make).parameters
-    _require(block, (*params, "kind"), label)
+    _require(block, params, label)
     args = {}
     for key, param in params.items():
         if key not in block and param.default is param.empty:
-            raise ConfigError(f"{label} needs parameter {key!r}")
-        args[key] = _typed(_PARAM_TYPES[key], block.get(key, param.default),
-                           key)
+            raise ConfigError(f"{label} key {key!r} is required")
+        value = block.get(key, param.default)
+        convert = _PARAM_TYPES.get(key)
+        args[key] = value if convert is None else _typed(convert, value, key)
     try:
         return make(**args)
     except FieldError as err:
@@ -210,7 +217,8 @@ def density_from_config(doc):
     if kind not in known:
         raise ConfigError(
             f"unknown density kind {kind!r} (known: {', '.join(known)})")
-    return _build(_DENSITY_BUILDERS[kind], doc, f"{kind} density")
+    params = {key: value for key, value in doc.items() if key != "kind"}
+    return _build(_DENSITY_BUILDERS[kind], params, f"{kind} density")
 
 
 # -- quantization --------------------------------------------------------------
@@ -242,6 +250,19 @@ def _snap_unit_weights(weights):
     return keep, snapped
 
 
+def _atom_count(resolution, dimension):
+    """The atom count of a ``dimension``-D density at ``resolution``; a
+    ConfigError for a resolution below 2 or a count over the budget."""
+    if resolution < 2:
+        raise ConfigError("resolution must be at least 2")
+    count = resolution ** dimension
+    if count > _ATOM_BUDGET:
+        raise ConfigError(
+            f"resolution {resolution} needs {count} atoms; "
+            f"budget is {_ATOM_BUDGET}")
+    return count
+
+
 def quantize_density(density, resolution, mode, seed):
     """Quantize a density into atoms of exactly unit total mass.
 
@@ -251,13 +272,7 @@ def quantize_density(density, resolution, mode, seed):
     the atom masses fsum to exactly 1.0.
     """
     resolution = int(resolution)
-    if resolution < 2:
-        raise ConfigError("resolution must be at least 2")
-    count = resolution ** density.dimension
-    if count > _ATOM_BUDGET:
-        raise ConfigError(
-            f"resolution {resolution} needs {count} atoms; "
-            f"budget is {_ATOM_BUDGET}")
+    count = _atom_count(resolution, density.dimension)
     if mode == "grid":
         axes = [density.box_low[i] + (np.arange(resolution) + 0.5)
                 * (density.box_high[i] - density.box_low[i]) / resolution
@@ -302,87 +317,51 @@ def build_field(kind, params):
     return _build(FIELD_CATALOG[kind], params, f"{kind} field")
 
 
-_CONFIG_DEFAULTS = {
-    "time_points": 5,
-    "resolution": 9,
-    "quantization": "grid",
-    "difference_mode": "tolerance",
-    "cutoff_levels": (2.0,),
-    "parameters": "schedule",
-    "abs_tol": 1e-11,
-    "rel_tol": 1e-9,
-    "coarse_factor": 100.0,
-    "cells_per_alpha": 4,
-    "weak_tol": 1.0,
-}
-
-_CONFIG_KEYS = ("name", "field", "density", "horizon", "seed",
-                *_CONFIG_DEFAULTS)
-
-_CONFIG_NUMBERS = {"horizon": float, "time_points": int, "resolution": int,
-                   "abs_tol": float, "rel_tol": float, "coarse_factor": float,
-                   "cells_per_alpha": int, "weak_tol": float}
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Validated scenario description; every run setting lives here.
-    ``density`` is the parsed datum (a :class:`DensityField` or read-only
-    explicit atoms), compared by identity; the field is built per run."""
+    """A scenario's config document, checked whole when it is built.  The
+    fields are the document's keys and their defaults, the schema that
+    :meth:`from_dict` reads through ``_build``.  ``field`` is the field
+    block, read through ``field_kind`` and ``field_params``; the field is
+    built here to check it, then again per run.  ``density`` is given the
+    density block and keeps the parsed datum (a :class:`DensityField` or
+    read-only explicit atoms), so configs compare by identity."""
 
     name: str
-    field_kind: str
-    field_params: dict
+    field: dict
     density: object
     horizon: float
-    time_points: int
-    resolution: int
-    quantization: str
-    difference_mode: str
-    cutoff_levels: tuple
-    parameters: object
-    abs_tol: float
-    rel_tol: float
-    coarse_factor: float
-    cells_per_alpha: int
     seed: int
-    weak_tol: float
+    time_points: int = 5
+    resolution: int = 9
+    quantization: str = "grid"
+    difference_mode: str = "tolerance"
+    cutoff_levels: tuple = (2.0,)
+    parameters: object = "schedule"
+    abs_tol: float = 1e-11
+    rel_tol: float = 1e-9
+    coarse_factor: float = 100.0
+    cells_per_alpha: int = 4
+    weak_tol: float = 1.0
 
-    @staticmethod
-    def from_dict(doc, seed_override=None):
-        if not isinstance(doc, dict):
-            raise ConfigError("scenario config must be a JSON object")
-        extra = set(doc) - set(_CONFIG_KEYS)
-        if extra:
-            raise ConfigError(
-                f"unknown config key(s): {', '.join(sorted(extra))}")
-        merged = {**_CONFIG_DEFAULTS, **doc}
-        for key in ("name", "field", "density", "horizon"):
-            if key not in merged:
-                raise ConfigError(f"config key {key!r} is required")
-        for key, convert in _CONFIG_NUMBERS.items():
-            merged[key] = _typed(convert, merged[key], key)
-
-        name = str(merged["name"])
+    def __post_init__(self):
+        name = str(self.name)
         if not name or any(ch in name for ch in "/\\ \t"):
             raise ConfigError("scenario name must be a short filename stem")
-        field_block = merged["field"]
-        if not isinstance(field_block, dict) or "kind" not in field_block:
+        if not isinstance(self.field, dict) or "kind" not in self.field:
             raise ConfigError("field block needs a \"kind\" key")
-
-        if not merged["horizon"] > 0.0:
+        if not self.horizon > 0.0:
             raise ConfigError("horizon must be positive")
-        if merged["time_points"] < 2:
+        if self.time_points < 2:
             raise ConfigError("time grid needs at least two points")
-        quantization = merged["quantization"]
-        if quantization not in ("grid", "random"):
+        if self.quantization not in ("grid", "random"):
             raise ConfigError("quantization must be \"grid\" or \"random\"")
-        mode = merged["difference_mode"]
+        mode = self.difference_mode
         if mode not in ("tolerance", "resolution"):
             raise ConfigError(
                 "difference_mode must be \"tolerance\" or \"resolution\"")
 
-        levels = merged["cutoff_levels"]
+        levels = self.cutoff_levels
         try:
             if any(isinstance(k, (bool, str)) for k in levels):
                 raise TypeError(levels)
@@ -396,7 +375,7 @@ class ScenarioConfig:
         if len(set(levels)) != len(levels):
             raise ConfigError("cutoff levels must be distinct")
 
-        parameters = merged["parameters"]
+        parameters = self.parameters
         if parameters != "schedule":
             if not isinstance(parameters, dict) or \
                     set(parameters) != {"beta", "delta", "alpha"}:
@@ -410,32 +389,25 @@ class ScenarioConfig:
             if not 0.0 < parameters["alpha"] < 1.0:
                 raise ConfigError("alpha must lie in (0, 1)")
 
-        if merged["abs_tol"] <= 0.0 or merged["rel_tol"] <= 0.0:
+        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ConfigError("integrator tolerances must be positive")
-        if mode == "tolerance" and not merged["coarse_factor"] > 1.0:
+        if mode == "tolerance" and not self.coarse_factor > 1.0:
             raise ConfigError(
                 "coarse_factor must exceed 1 for tolerance differencing")
-        if merged["cells_per_alpha"] < 4:
+        if self.cells_per_alpha < 4:
             raise ConfigError("cells_per_alpha must be at least 4")
-        if not merged["weak_tol"] > 0.0:
+        if not self.weak_tol > 0.0:
             raise ConfigError("weak_tol must be positive")
-
-        seed = seed_override if seed_override is not None \
-            else merged.get("seed")
-        if seed is None:
+        if self.seed < 0:
             raise ConfigError(
-                "a seed is required (config key \"seed\" or --seed)")
-        seed = _typed(int, seed, "seed")
-        if seed < 0:
-            raise ConfigError(
-                f"config key 'seed' must not be negative: {seed}")
+                f"config key 'seed' must not be negative: {self.seed}")
 
-        field_params = {k: v for k, v in field_block.items() if k != "kind"}
-        # built to fail a bad value at read, then dropped: costs keeps a
-        # modulus's 2.75 MB node table while it lives, and perfbench holds
-        # 35 configs at --seconds 30 (96 MB); each run builds its own
-        field = build_field(field_block["kind"], field_params)
-        block = merged["density"]
+        # the block is copied, so a later change to it skips no check; the
+        # field is built to check it, then dropped: its modulus's 2.75 MB
+        # node table would live as long as the config (35 in perfbench)
+        object.__setattr__(self, "field", dict(self.field))
+        field = build_field(self.field_kind, self.field_params)
+        block = self.density
         if isinstance(block, dict) and block.get("kind") == "atoms":
             density = _explicit_atoms(block)
         else:
@@ -450,13 +422,33 @@ class ScenarioConfig:
             raise ConfigError(
                 f"the {block['kind']} density has dimension {density_dim} "
                 f"but the {field.name} field has dimension {field.dimension}")
-        return ScenarioConfig(
-            name=name, field_kind=field_block["kind"],
-            field_params=field_params, density=density,
-            quantization=quantization, difference_mode=mode,
-            cutoff_levels=levels, parameters=parameters,
-            seed=seed,
-            **{key: merged[key] for key in _CONFIG_NUMBERS})
+        if sampled:  # every run quantizes at resolution, and 2 resolution
+            _atom_count(self.resolution, density_dim)
+            if mode == "resolution":
+                _atom_count(2 * self.resolution, density_dim)
+
+        for key, value in (("name", name), ("cutoff_levels", levels),
+                           ("parameters", parameters), ("density", density)):
+            object.__setattr__(self, key, value)
+
+    @property
+    def field_kind(self):
+        return self.field["kind"]
+
+    @property
+    def field_params(self):
+        return {key: value for key, value in self.field.items()
+                if key != "kind"}
+
+    @staticmethod
+    def from_dict(doc, seed_override=None):
+        if not isinstance(doc, dict):
+            raise ConfigError("scenario config must be a JSON object")
+        if seed_override is not None:
+            doc = {**doc, "seed": seed_override}
+        elif "seed" not in doc:
+            raise ConfigError("config key 'seed' is required (or --seed)")
+        return _build(ScenarioConfig, doc, "config")
 
 
 def load_config(path, seed_override=None):
@@ -732,10 +724,12 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
     threads = _run_threads(threads, fmt)
     if not isinstance(config.density, DensityField):
         raise ConfigError("a refinement study needs a sampled density")
+    resolutions = [config.resolution * 2 ** j for j in range(rungs)]
+    for resolution in resolutions:  # before any rung flows
+        _atom_count(resolution, config.density.dimension)
     os.makedirs(out_dir, exist_ok=True)
 
     field = build_field(config.field_kind, config.field_params)
-    resolutions = [config.resolution * 2 ** j for j in range(rungs)]
     opts = FlowOptions(abs_tol=config.abs_tol, rel_tol=config.rel_tol)
 
     def rung(resolution):

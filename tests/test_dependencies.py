@@ -4,7 +4,8 @@ submodules load on first use, so a fresh process that imports charflow,
 validates configs and pushes atoms loads none of them;
 ``fields.row_norms`` is its only per-row norm, ``fileio`` alone calls
 ``atomic_write_text``, ``scenarios`` compares no value with the name of
-a field or density kind, ``scipy.integrate`` serves only the mollifier's
+a field or density kind and declares the config's keys only in
+``ScenarioConfig``, ``scipy.integrate`` serves only the mollifier's
 kernel-mass audit, ``costs`` builds the one Gauss-Legendre rule and the
 one brentq root function, the brute-force transport route shares no
 function with the simplex it checks, the simplex builds no
@@ -199,6 +200,53 @@ def test_scenarios_branch_on_no_catalog_kind():
     lines = list(_kind_comparisons(source,
                                    {*FIELD_CATALOG, *_DENSITY_BUILDERS}))
     assert not lines, f"scenarios.py:{lines} compare with a catalog kind"
+
+
+def _key_tables(source, keys):
+    """Names of the module-level tables that name a string in ``keys`` as
+    one of their own entries: a key or a value of a dict, or an element of
+    a tuple, list or set.  Entries of a nested table do not count, so a
+    table of whole config documents names none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            table = node.value
+            if isinstance(table, ast.Dict):
+                entries = [*table.keys, *table.values]
+            elif isinstance(table, (ast.Tuple, ast.List, ast.Set)):
+                entries = table.elts
+            else:
+                continue
+            if any(isinstance(e, ast.Constant) and e.value in keys
+                   for e in entries):
+                yield from (t.id for t in node.targets
+                            if isinstance(t, ast.Name))
+
+
+def test_key_table_guard_finds_tables_that_name_a_key():
+    sample = ("_DEFAULTS = {'horizon': 1.0, 'resolution': 9}\n"
+              "_KEYS = ('name', 'field', *_DEFAULTS)\n"
+              "_NUMBERS = ['coarse_factor']\n"
+              "_TYPES = {'horizon': float}\n"
+              "_CANNED = {'ring': {'name': 'ring', 'horizon': 1.0}}\n"
+              "COLUMNS = ('t', 'D', 'bound')\n"
+              "LABEL = 'horizon'\n"
+              "def f():\n    local = ('horizon',)\n")
+    keys = {"name", "field", "horizon", "resolution", "coarse_factor"}
+    assert list(_key_tables(sample, keys)) == [
+        "_DEFAULTS", "_KEYS", "_NUMBERS", "_TYPES"]
+
+
+def test_config_keys_are_declared_only_by_the_config_class():
+    # ScenarioConfig's fields are the document's keys and defaults, and
+    # _PARAM_TYPES types its numbers; a second table of keys would drift
+    import dataclasses
+    from charflow.scenarios import ScenarioConfig
+    source = (ROOT / "src" / "charflow" / "scenarios.py").read_text(
+        encoding="utf-8")
+    keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    tables = [name for name in _key_tables(source, keys)
+              if name != "_PARAM_TYPES"]
+    assert not tables, f"scenarios.py tables {tables} name a config key"
 
 
 def _quadrature_uses(source):

@@ -128,6 +128,10 @@ def test_constant_field_is_constant():
     np.testing.assert_array_equal(evaluate_batch(f, 3.0, np.array([[-4.0]])),
                                   [[0.35]])
     assert f.modulus_constant_for(100.0) == 0.0
+    # a speed whose square overflows once declared an infinite envelope
+    assert constant_field([1e300]).growth_const == 1e300
+    assert constant_field([3.0 * 2.0**800, 4.0 * 2.0**800]).growth_const \
+        == 5.0 * 2.0**800
 
 
 def test_rotation_quarter_positions():

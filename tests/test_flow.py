@@ -157,6 +157,10 @@ def test_flow_error_paths():
         FlowOptions(abs_tol=0.0)
     with pytest.raises(FlowError):
         FlowOptions(max_steps=0)
+    # a speed over the tolerance scale overflows to an infinite d1, and
+    # 0.01 d0 / d1 to a zero first step, which once divided d2
+    with pytest.raises(FlowError, match="^initial step underflow at t=0"):
+        flow_endpoints(linear_field([[1e300]]), [[0.5]], 0.0, 1.0, TIGHT)
 
 
 @pytest.mark.parametrize("fields, needle", [

@@ -1,5 +1,6 @@
 """Scenario configs, quantization, end-to-end runs, and the CLI."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -55,8 +56,8 @@ def micro_config(**overrides):
 # -- config validation ---------------------------------------------------------
 
 @pytest.mark.parametrize("patch, needle", [
-    ({"name": None}, "required"),
-    ({"horizon": None}, "required"),
+    ({"name": None}, "^config key 'name' is required$"),
+    ({"horizon": None}, "^config key 'horizon' is required$"),
     ({"horizon": 0.0}, "horizon"),
     ({"name": "two words"}, "filename stem"),
     ({"field": {"dimension": 2}}, "kind"),
@@ -75,8 +76,10 @@ def micro_config(**overrides):
     ({"coarse_factor": 1.0}, "coarse_factor"),
     ({"cells_per_alpha": 2}, "at least 4"),
     ({"weak_tol": 0.0}, "weak_tol"),
-    ({"seed": None}, "seed"),
-    ({"banana": 1}, "unknown config key"),
+    ({"seed": None}, r"^config key 'seed' is required \(or --seed\)$"),
+    ({"banana": 1}, r"^unknown config key\(s\): banana$"),
+    # a kind belongs to a field or density block, not to the document
+    ({"kind": "rotation"}, r"^unknown config key\(s\): kind$"),
     ({"parameters": {"beta": math.nan, "delta": 0.1, "alpha": 0.5}},
      "finite"),
     ({"parameters": {"beta": 1.0, "delta": math.inf, "alpha": 0.5}},
@@ -143,6 +146,47 @@ def test_density_and_field_dimensions_are_checked_at_read(tmp_path, field,
     with pytest.raises(ConfigError, match=want):
         run_scenario(ScenarioConfig.from_dict(doc), str(out))
     with pytest.raises(ConfigError, match=want):
+        convergence_study(ScenarioConfig.from_dict(doc), str(out))
+    assert not out.exists()
+
+
+def test_a_directly_built_config_is_checked():
+    # the dataclass is the schema, so its constructor checks what from_dict
+    # reads; only the typing of values is from_dict's
+    given = {"name": "direct", "field": {"kind": "rotation"},
+             "density": dict(MICRO["density"]), "horizon": 0.5, "seed": 3}
+    config = ScenarioConfig(**given)
+    assert (config.field_kind, config.field_params) == ("rotation", {})
+    assert (config.resolution, config.cutoff_levels) == (9, (2.0,))
+    assert config.density.dimension == 2
+    for patch, needle in [
+            ({"horizon": 0.0}, "horizon must be positive"),
+            ({"seed": -1}, "'seed' must not be negative"),
+            ({"resolution": 1}, "resolution must be at least 2"),
+            ({"cutoff_levels": [0.5]}, "at least 1"),
+            ({"field": {"kind": "vortex"}}, "unknown field kind"),
+            ({"field": {"kind": "rotation", "speed": 2.0}},
+             "unknown rotation field key"),
+            ({"density": {"kind": "ring", "radius": -1.0}}, "positive")]:
+        with pytest.raises(ConfigError, match=needle):
+            ScenarioConfig(**{**given, **patch})
+
+
+@pytest.mark.parametrize("patch, needle", [
+    ({"resolution": 1}, "^resolution must be at least 2$"),
+    ({"resolution": 200}, "^resolution 200 needs 40000 atoms; budget is"),
+    ({"resolution": 100, "difference_mode": "resolution"},
+     "^resolution 200 needs 40000 atoms; budget is 20000$"),
+])
+def test_resolutions_a_run_refuses_are_refused_at_read(tmp_path, patch,
+                                                      needle):
+    # quantize_density would refuse them only after the run made its output
+    # directory
+    doc = {**builtin_config("rotation_ring"), **patch}
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=needle):
+        run_scenario(ScenarioConfig.from_dict(doc), str(out))
+    with pytest.raises(ConfigError, match=needle):
         convergence_study(ScenarioConfig.from_dict(doc), str(out))
     assert not out.exists()
 
@@ -234,9 +278,10 @@ def test_build_field_guards():
         build_field("vortex", {})
     with pytest.raises(ConfigError, match="unknown field kind"):
         build_field(["rotation"], {})
-    with pytest.raises(ConfigError, match="needs parameter"):
+    with pytest.raises(ConfigError, match="key 'matrix' is required"):
         build_field("linear", {})
-    with pytest.raises(ConfigError, match="unknown rotation"):
+    with pytest.raises(ConfigError,
+                       match=r"^unknown rotation field key\(s\): speed$"):
         build_field("rotation", {"speed": 2.0})
     assert build_field("constant", {"velocity": [0.5, 0.0]}).dimension == 2
     assert build_field("osgood1d", {"modulus_constant": 5.0}).dimension == 1
@@ -244,16 +289,23 @@ def test_build_field_guards():
 
 def test_every_catalog_parameter_has_a_type_and_every_kind_a_default():
     # a constructor's signature declares its block, so a parameter added
-    # without a converter would fail a user's run, not this test
+    # without a converter would fail a user's run, not this test; the
+    # config's numeric keys are read through the same map, and a key
+    # without a converter would reach a run untyped
     makers = [*FIELD_CATALOG.values(), *scenarios._DENSITY_BUILDERS.values()]
     for make in makers:
         for name in inspect.signature(make).parameters:
             assert name in scenarios._PARAM_TYPES, (make.__name__, name)
+    numeric = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)
+               if f.type in (int, float)}
+    assert len(numeric) == 9, sorted(numeric)
+    for name, kind in numeric.items():
+        assert scenarios._PARAM_TYPES.get(name) is kind, name
     for kind in FIELD_CATALOG:
         if kind != "linear":
             assert build_field(kind, {}).name == kind
     with pytest.raises(ConfigError,
-                       match="^linear field needs parameter 'matrix'$"):
+                       match="^linear field key 'matrix' is required$"):
         build_field("linear", {})
     for kind in scenarios._DENSITY_BUILDERS:
         assert density_from_config({"kind": kind}).pdf_sup > 0.0
@@ -475,6 +527,20 @@ def test_refinement_study_guards(tmp_path):
         **LINE, "density": {"kind": "atoms", "atoms": [[[0.5], 1.0]]}})
     with pytest.raises(ConfigError, match="sampled density"):
         convergence_study(atoms, tmp_path, rungs=3)
+
+
+def test_study_checks_every_rung_before_it_flows(tmp_path, monkeypatch):
+    # rotation_ring's sixth rung, resolution 288, and its fifth, 144, are
+    # over the atom budget; the first four once flowed before 144 raised
+    calls = []
+    monkeypatch.setattr(scenarios, "flow_map",
+                        lambda *args: calls.append(args))
+    config = ScenarioConfig.from_dict(builtin_config("rotation_ring"))
+    out = tmp_path / "study"
+    with pytest.raises(ConfigError,
+                       match="^resolution 144 needs 20736 atoms; budget"):
+        convergence_study(config, out, rungs=6)
+    assert not calls and not out.exists()
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -731,6 +797,22 @@ def test_cli_runtime_failure_exits_three_with_record(tmp_path):
     record = json.loads((out / "stall_error.json").read_text())
     assert record["error"] == "FlowError"
     assert record["verb"] == "run"
+
+
+@pytest.mark.parametrize("field", [
+    {"kind": "constant", "velocity": [1e300]},
+    {"kind": "linear", "matrix": [[1e300]]},
+])
+def test_cli_speed_past_the_tolerance_scale_exits_three(tmp_path, field):
+    # both once raised a ZeroDivisionError: the speed over the tolerance
+    # scale overflowed and the first step divided by the zero step that made
+    cfg = _write_config(tmp_path, {**LINE, "field": field}, name="fast.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["run", cfg, "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    record = json.loads((out / "fast_error.json").read_text())
+    assert record["error"] == "FlowError"
+    assert record["message"] == "initial step underflow at t=0"
 
 
 @pytest.mark.filterwarnings("error")
