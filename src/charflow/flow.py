@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlowError
+from .errors import FieldError, FlowError
 from .fields import (VectorFieldSpec, evaluate_batch, growth_constant,
                      row_norms)
 from .measures import measure_from_arrays
@@ -124,8 +124,7 @@ def _scaled_error(err_vec, y_old, y_new, opts):
 def _initial_step(field, t0, y0, f0, d0, direction, span, opts):
     # d0 is taken over the whole batch, y0 and f0 over its live rows
     scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
-    with np.errstate(over="ignore"):  # an overflowed d1 is refused below
-        d1 = float(np.max(np.abs(f0) / scale, initial=0.0))
+    d1 = float(np.max(np.abs(f0) / scale, initial=0.0))
     h0 = 1e-6 if d1 <= 1e-300 or d0 <= 1e-300 else 0.01 * d0 / d1
     h0 = min(h0, span)
     if not h0 > 0.0:  # d1 overflowed, or d0 / d1 underflowed
@@ -167,12 +166,13 @@ def _stage_views(stages, shape):
     return k, k.reshape(7, -1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is refused
 def _advance(field, points, t0, t1, opts, record):
     """Core stepper on the live rows y = y_all[live].  Returns
     (final_points, history, stats)."""
     y_all = np.array(points, dtype=float)
-    if y_all.ndim != 2:
-        raise FlowError("expected an (N, n) batch of start points")
+    if y_all.ndim != 2 or not np.all(np.isfinite(y_all)):
+        raise FlowError("expected an (N, n) batch of finite start points")
     t0, t1 = float(t0), float(t1)
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise FlowError(f"flow times must be finite (t0={t0}, t1={t1})")
@@ -211,11 +211,16 @@ def _advance(field, points, t0, t1, opts, record):
             break
         h = min(h, remaining)
         dt = direction * h
-        for stage in range(1, 6):
-            yi = _stage_sum(_A[stage - 1], flat[:stage], dt, y)
-            k[stage] = evaluate_batch(field, t + _C[stage] * dt, yi)
-        y_new = _stage_sum(_A[5], flat[:6], dt, y)
-        k[6] = evaluate_batch(field, t + dt, y_new)
+        try:  # the last stage sum is the fifth-order update
+            for stage in range(1, 7):
+                y_new = _stage_sum(_A[stage - 1], flat[:stage], dt, y)
+                k[stage] = evaluate_batch(field, t + _C[stage] * dt, y_new)
+        except FieldError:
+            if np.all(np.isfinite(y_new)):
+                raise
+            raise FlowError(f"non-finite stage state at t={t:.6g}",
+                            trajectory=_pack_history(history, accepted,
+                                                     rejected)) from None
         err_vec = np.dot(_ERR, flat).reshape(y.shape)
         err_vec *= dt
         err = _scaled_error(err_vec, y, y_new, opts)

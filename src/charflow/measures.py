@@ -123,18 +123,17 @@ class AtomicSignedMeasure:
     # -- algebra ---------------------------------------------------------
 
     def with_reservoir(self, reservoir_weight):
-        return AtomicSignedMeasure(
-            self.dimension, self.locations.copy(), self.weights.copy(),
-            float(reservoir_weight))
+        # the arrays are read-only, so the new measure shares them
+        return AtomicSignedMeasure(self.dimension, self.locations,
+                                   self.weights, float(reservoir_weight))
 
     def scaled_weights(self, factors):
         """Multiply atom weights pointwise; zero products are dropped."""
         factors = np.asarray(factors, dtype=float)
         w = self.weights * factors
         keep = w != 0.0
-        return AtomicSignedMeasure(
-            self.dimension, self.locations[keep].copy(), w[keep],
-            self.reservoir_weight)
+        return AtomicSignedMeasure(self.dimension, self.locations[keep],
+                                   w[keep], self.reservoir_weight)
 
 
 def measure_from_arrays(dimension, locations, weights, reservoir_weight=0.0,

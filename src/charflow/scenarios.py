@@ -101,35 +101,45 @@ def _array(value):
     return np.asarray(value, dtype=float)
 
 
-def _require(block, allowed, label):
-    extra = set(block) - set(allowed)
-    if extra:
+def _atom_rows(atoms):
+    """An ``atoms`` block's [location, weight] entries as the rows of one
+    array: a location's coordinates, then its weight."""
+    try:
+        locations = [entry[0] for entry in atoms]
+        weights = [entry[1] for entry in atoms]
+    except (LookupError, TypeError):
         raise ConfigError(
-            f"unknown {label} key(s): {', '.join(sorted(extra))}")
+            "config key 'atoms' needs [location, weight] entries") from None
+    # a list for a weight makes a 3-D column, which column_stack refuses
+    return np.column_stack([_array(locations), _array(weights)[:, None]])
 
 
-# the converter of every numeric key of a field block, a density block and
-# the config document, by name
+# the converter of every numeric key of a field or density block, the
+# pinned parameters and the config document, by name
 _PARAM_TYPES = {"velocity": _array, "matrix": _array,
                 "modulus_constant": float, "center": _array,
                 "centers": _array, "spread": float, "radius": float,
                 "width": float, "low": float, "high": float,
-                "horizon": float, "seed": int, "time_points": int,
-                "resolution": int, "abs_tol": float, "rel_tol": float,
-                "coarse_factor": float, "cells_per_alpha": int,
-                "weak_tol": float}
+                "atoms": _atom_rows, "beta": float, "delta": float,
+                "alpha": float, "horizon": float, "seed": int,
+                "time_points": int, "resolution": int, "abs_tol": float,
+                "rel_tol": float, "coarse_factor": float,
+                "cells_per_alpha": int, "weak_tol": float}
 
 
 def _build(make, block, label):
-    """``make(**args)`` for a field block, a density block (each without
-    its ``kind``) or the config document.  The parameters of ``make``'s
-    signature are the keys the block may set, a default is its key's
-    default, and a parameter without one is required.  A key with a
-    converter in ``_PARAM_TYPES`` is typed through it, any other is passed
-    as it is; a FieldError from ``make`` becomes a ConfigError naming its
-    key (a catalog field takes at most one)."""
+    """``make(**args)`` for a field or density block (each without its
+    ``kind``), the pinned ``parameters`` block or the config document.  The
+    parameters of ``make``'s signature are the keys the block may set, a
+    default is its key's default, and a parameter without one is required.
+    A key with a converter in ``_PARAM_TYPES`` is typed through it by
+    ``_typed``, any other is passed as it is; a FieldError from ``make``
+    becomes a ConfigError naming its key (a field takes at most one)."""
     params = inspect.signature(make).parameters
-    _require(block, params, label)
+    extra = set(block) - set(params)
+    if extra:
+        raise ConfigError(
+            f"unknown {label} key(s): {', '.join(sorted(extra))}")
     args = {}
     for key, param in params.items():
         if key not in block and param.default is param.empty:
@@ -198,22 +208,34 @@ def _two_bumps_density(centers=((-0.4,), (0.4,)), spread=0.1):
     return _bumps(centers, spread)
 
 
+def _atoms_density(atoms):
+    """Explicit atoms, pushed as they are: read-only (locations, weights),
+    not a density to sample."""
+    if not len(atoms):
+        raise ConfigError("explicit atoms list is empty")
+    locations, weights = atoms[:, :-1].copy(), atoms[:, -1].copy()
+    if np.any(weights == 0.0):
+        raise ConfigError("explicit atom weights must be nonzero")
+    locations.flags.writeable = weights.flags.writeable = False
+    return locations, weights
+
+
 _DENSITY_BUILDERS = {
     "gaussian": _gaussian_density,
     "ring": _ring_density,
     "interval": _interval_density,
     "two_bumps": _two_bumps_density,
+    "atoms": _atoms_density,
 }
 
 
 def density_from_config(doc):
-    """Build the density named by a config block (kind plus parameters)."""
+    """The datum of a density block, read by ``_build``: a
+    :class:`DensityField`, or the read-only (locations, weights) of atoms."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("density block needs a \"kind\" key")
     kind = doc["kind"]
-    if kind == "atoms":
-        raise ConfigError("explicit atoms carry no density to sample")
-    known = sorted([*_DENSITY_BUILDERS, "atoms"])  # as in build_field
+    known = sorted(_DENSITY_BUILDERS)  # as in build_field
     if kind not in known:
         raise ConfigError(
             f"unknown density kind {kind!r} (known: {', '.join(known)})")
@@ -317,6 +339,15 @@ def build_field(kind, params):
     return _build(FIELD_CATALOG[kind], params, f"{kind} field")
 
 
+def _pinned_parameters(beta, delta, alpha):
+    """The ``parameters`` block that pins a run's beta, delta and alpha."""
+    if not (beta > 0.0 and delta > 0.0):
+        raise ConfigError("beta and delta must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError("alpha must lie in (0, 1)")
+    return {"beta": beta, "delta": delta, "alpha": alpha}
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """A scenario's config document, checked whole when it is built.  The
@@ -324,8 +355,9 @@ class ScenarioConfig:
     :meth:`from_dict` reads through ``_build``.  ``field`` is the field
     block, read through ``field_kind`` and ``field_params``; the field is
     built here to check it, then again per run.  ``density`` is given the
-    density block and keeps the parsed datum (a :class:`DensityField` or
-    read-only explicit atoms), so configs compare by identity."""
+    density block and keeps its datum from :func:`density_from_config`, so
+    configs compare by identity; ``parameters`` is read by ``_build`` too,
+    and ``cutoff_levels`` is typed by ``_typed``, then sorted."""
 
     name: str
     field: dict
@@ -361,33 +393,20 @@ class ScenarioConfig:
             raise ConfigError(
                 "difference_mode must be \"tolerance\" or \"resolution\"")
 
-        levels = self.cutoff_levels
-        try:
-            if any(isinstance(k, (bool, str)) for k in levels):
-                raise TypeError(levels)
-            levels = tuple(sorted(float(k) for k in levels))
-        except (TypeError, ValueError):
-            raise ConfigError("cutoff_levels must be a list of radii") \
-                from None
-        if not levels or not all(1.0 <= k < math.inf for k in levels):
+        levels = tuple(sorted(_typed(lambda ks: [float(k) for k in ks],
+                                     self.cutoff_levels, "cutoff_levels")))
+        if not levels or levels[0] < 1.0:
             raise ConfigError(
-                "config key 'cutoff_levels' needs finite radii of at least 1")
+                "config key 'cutoff_levels' needs radii of at least 1")
         if len(set(levels)) != len(levels):
             raise ConfigError("cutoff levels must be distinct")
 
         parameters = self.parameters
         if parameters != "schedule":
-            if not isinstance(parameters, dict) or \
-                    set(parameters) != {"beta", "delta", "alpha"}:
+            if not isinstance(parameters, dict):
                 raise ConfigError(
-                    "parameters must be \"schedule\" or an object with "
-                    "exactly beta, delta, alpha")
-            parameters = {key: _typed(float, value, key)
-                          for key, value in parameters.items()}
-            if not (parameters["beta"] > 0.0 and parameters["delta"] > 0.0):
-                raise ConfigError("beta and delta must be positive")
-            if not 0.0 < parameters["alpha"] < 1.0:
-                raise ConfigError("alpha must lie in (0, 1)")
+                    "parameters must be \"schedule\" or an object")
+            parameters = _build(_pinned_parameters, parameters, "parameters")
 
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ConfigError("integrator tolerances must be positive")
@@ -407,11 +426,7 @@ class ScenarioConfig:
         # node table would live as long as the config (35 in perfbench)
         object.__setattr__(self, "field", dict(self.field))
         field = build_field(self.field_kind, self.field_params)
-        block = self.density
-        if isinstance(block, dict) and block.get("kind") == "atoms":
-            density = _explicit_atoms(block)
-        else:
-            density = density_from_config(block)
+        density = density_from_config(self.density)
         sampled = isinstance(density, DensityField)
         if mode == "resolution" and not sampled:
             raise ConfigError(
@@ -420,7 +435,7 @@ class ScenarioConfig:
         density_dim = density.dimension if sampled else density[0].shape[1]
         if density_dim != field.dimension:
             raise ConfigError(
-                f"the {block['kind']} density has dimension {density_dim} "
+                f"the {self.density['kind']} density has dimension {density_dim} "
                 f"but the {field.name} field has dimension {field.dimension}")
         if sampled:  # every run quantizes at resolution, and 2 resolution
             _atom_count(self.resolution, density_dim)
@@ -459,28 +474,6 @@ def load_config(path, seed_override=None):
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     return ScenarioConfig.from_dict(doc, seed_override=seed_override)
-
-
-def _explicit_atoms(block):
-    """(locations, weights) of an ``atoms`` density block, read-only."""
-    _require(block, ("kind", "atoms"), "atoms density")
-    atoms = block.get("atoms")
-    if not atoms:
-        raise ConfigError("explicit atoms list is empty")
-    try:
-        locations = [entry[0] for entry in atoms]
-        weights = [entry[1] for entry in atoms]
-    except (LookupError, TypeError):
-        raise ConfigError(
-            "config key 'atoms' needs [location, weight] entries") from None
-    locations = _typed(_array, locations, "atoms")
-    weights = _typed(_array, weights, "atoms")
-    if locations.ndim == 1:
-        locations = locations[:, None]
-    if np.any(weights == 0.0):
-        raise ConfigError("explicit atom weights must be nonzero")
-    locations.flags.writeable = weights.flags.writeable = False
-    return locations, weights
 
 
 def _initial_atoms(config, resolution, salt):

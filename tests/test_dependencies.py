@@ -192,13 +192,14 @@ def test_kind_guard_finds_comparisons_with_a_kind():
 
 def test_scenarios_branch_on_no_catalog_kind():
     # a catalog constructor's signature declares its block, and one reader
-    # serves every kind, so no kind gets a branch of its own
+    # serves every kind, so no kind gets a branch of its own; explicit
+    # atoms are named too, for they are a density kind like any other
     from charflow.fields import FIELD_CATALOG
     from charflow.scenarios import _DENSITY_BUILDERS
     source = (ROOT / "src" / "charflow" / "scenarios.py").read_text(
         encoding="utf-8")
-    lines = list(_kind_comparisons(source,
-                                   {*FIELD_CATALOG, *_DENSITY_BUILDERS}))
+    kinds = {*FIELD_CATALOG, *_DENSITY_BUILDERS, "atoms"}
+    lines = list(_kind_comparisons(source, kinds))
     assert not lines, f"scenarios.py:{lines} compare with a catalog kind"
 
 

@@ -207,6 +207,22 @@ def test_non_finite_times_fail_before_any_step(monkeypatch, t0, t1):
             call()
 
 
+@pytest.mark.parametrize("field, start", [
+    (rotation_field(), [[math.nan, 0.0]]),
+    (constant_field([1.0]), [[math.inf]]),
+])
+def test_non_finite_start_points_fail_before_any_step(monkeypatch, field,
+                                                      start):
+    # the rotation once blamed the field for the NaN point, and the constant
+    # field pushed the infinite one to an infinite endpoint
+    def no_step(*args):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(flow, "evaluate_batch", no_step)
+    with pytest.raises(FlowError, match="batch of finite start points"):
+        flow_map(field, start, [0.0, 1.0])
+
+
 def test_flow_error_carries_partial_trajectory():
     f = rotation_field()
     with pytest.raises(FlowError) as info:

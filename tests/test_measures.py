@@ -231,3 +231,14 @@ def test_weights_are_frozen():
     m = make_measure(1, [((0.0,), 1.0)])
     with pytest.raises(ValueError):
         m.weights[0] = 2.0
+
+
+def test_a_new_reservoir_shares_the_read_only_arrays():
+    m = make_measure(2, [((0.0, 1.0), 0.5), ((1.0, 0.0), -0.25)])
+    moved = m.with_reservoir(0.75)
+    assert moved.locations is m.locations and moved.weights is m.weights
+    assert (moved.reservoir_weight, m.reservoir_weight) == (0.75, 0.0)
+    kept = m.scaled_weights([2.0, 0.0])
+    assert kept.locations.tolist() == [[0.0, 1.0]]
+    assert kept.weights.tolist() == [1.0]
+    assert not kept.locations.flags.writeable

@@ -336,29 +336,27 @@ _ATOMS_DOC = {
 }
 
 
-def _counted_parsers(monkeypatch):
-    """Route the two density parsers through a recorder; returns the list
-    of (parser, parsed value) calls."""
+def _counted_parser(monkeypatch):
+    """Route the density parser, which reads every kind, through a
+    recorder; returns the list of the values it parsed."""
     calls = []
-    for name in ("density_from_config", "_explicit_atoms"):
-        def counted(block, _original=getattr(scenarios, name), _name=name):
-            parsed = _original(block)
-            calls.append((_name, parsed))
-            return parsed
-        monkeypatch.setattr(scenarios, name, counted)
+
+    def counted(block, _original=scenarios.density_from_config):
+        calls.append(_original(block))
+        return calls[-1]
+
+    monkeypatch.setattr(scenarios, "density_from_config", counted)
     return calls
 
 
-@pytest.mark.parametrize("doc, parser", [
-    (builtin_config("drift_line"), "density_from_config"),
-    (_ATOMS_DOC, "_explicit_atoms"),
-], ids=["sampled", "atoms"])
-def test_config_parses_its_density_block_once(monkeypatch, doc, parser):
-    calls = _counted_parsers(monkeypatch)
+@pytest.mark.parametrize("doc", [builtin_config("drift_line"), _ATOMS_DOC],
+                         ids=["sampled", "atoms"])
+def test_config_parses_its_density_block_once(monkeypatch, doc):
+    calls = _counted_parser(monkeypatch)
     config = ScenarioConfig.from_dict(doc)
-    assert [name for name, _ in calls] == [parser]
+    assert len(calls) == 1
     # the config keeps what it parsed, not the block
-    assert config.density is calls[0][1]
+    assert config.density is calls[0]
 
 
 @pytest.mark.parametrize("doc, mode", [
@@ -369,7 +367,7 @@ def test_config_parses_its_density_block_once(monkeypatch, doc, parser):
 def test_runs_and_studies_parse_no_density_block(monkeypatch, tmp_path, doc,
                                                  mode):
     config = ScenarioConfig.from_dict({**doc, "difference_mode": mode})
-    calls = _counted_parsers(monkeypatch)
+    calls = _counted_parser(monkeypatch)
     quantized = []
 
     def recorded_quantize(density, *args,
