@@ -24,11 +24,11 @@ from .fields import (FIELD_CATALOG, GrowthEnvelope, Modulus, VectorFieldSpec,
                      osgood_1d_field, osgood_plane_field,
                      plateau_bump, rotation_field, smooth_step,
                      smooth_step_derivative)
-from .flow import (FlowOptions, Trajectory, flow_endpoints, flow_map,
-                   flow_push, integrate_flow, osgood_envelope)
+from .flow import (FlowOptions, flow_endpoints, flow_map, flow_push,
+                   osgood_envelope)
 from .measures import (AtomicSignedMeasure, BalancedPair,
-                       balance_with_reservoir, empty_measure,
-                       jordan_decompose, make_measure, measure_from_arrays)
+                       balance_with_reservoir, jordan_decompose,
+                       make_measure, measure_from_arrays)
 from .scenarios import (ScenarioConfig, ScenarioResult, StudyResult,
                         builtin_config, builtin_names, convergence_study,
                         density_from_config, load_config, quantize_density,

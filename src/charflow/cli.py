@@ -36,16 +36,13 @@ def _stem(config_path):
 def _run_guarded(verb, config_path, out, action):
     try:
         result = action()
-    except ConfigError as err:
-        path = _error_record(out, _stem(config_path), verb, err)
-        click.echo(f"config error: {err}", err=True)
-        click.echo(f"error record: {path}", err=True)
-        sys.exit(2)
     except CharflowError as err:
         path = _error_record(out, _stem(config_path), verb, err)
-        click.echo(f"{type(err).__name__}: {err}", err=True)
+        config = isinstance(err, ConfigError)
+        label = "config error" if config else type(err).__name__
+        click.echo(f"{label}: {err}", err=True)
         click.echo(f"error record: {path}", err=True)
-        sys.exit(3)
+        sys.exit(2 if config else 3)
     sys.exit(result)
 
 

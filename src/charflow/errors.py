@@ -26,11 +26,8 @@ class CostRangeError(CharflowError):
 
 
 class FlowError(CharflowError):
-    """Characteristic-flow integration failure; carries the partial trajectory."""
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """Characteristic-flow failure: refused options, times or start points,
+    or a stepper that underflowed, ran out of steps or left the float range."""
 
 
 class TransportError(CharflowError):

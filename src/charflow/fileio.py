@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .errors import CharflowError
@@ -37,9 +38,11 @@ def write_table(path, columns, rows, fmt):
     """Write a table of floats as CSV (repr floats) or JSON.
 
     The JSON form is ``{"columns": [...], "rows": [[...], ...]}``, written
-    by :func:`write_json`.  Both forms round-trip every float exactly, so
-    rewriting the same table is byte-identical.  A row whose width differs
-    from the header's is refused before anything is written.
+    by :func:`write_json`.  A NaN cell, such as a refinement study's missing
+    first ratio, is ``null`` in JSON, which has no NaN token, and ``nan`` in
+    CSV.  Both forms round-trip every other float exactly, so rewriting the
+    same table is byte-identical.  A row whose width differs from the
+    header's is refused before anything is written.
     """
     for row in rows:
         if len(row) != len(columns):
@@ -51,4 +54,6 @@ def write_table(path, columns, rows, fmt):
         atomic_write_text(path, "\n".join(lines) + "\n")
     else:
         write_json(path, {"columns": list(columns),
-                          "rows": [list(map(float, row)) for row in rows]})
+                          "rows": [[None if math.isnan(x) else x
+                                    for x in map(float, row)]
+                                   for row in rows]})

@@ -92,23 +92,6 @@ class FlowOptions:
             raise FlowError("freeze_radius must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One atom's recorded path: accepted times, states, steps, and scaled
-    error estimates (both zero on the initial row)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    steps: np.ndarray
-    errors: np.ndarray
-    n_accepted: int
-    n_rejected: int
-
-    @property
-    def final_state(self):
-        return self.states[-1]
-
-
 def _scaled_error(err_vec, y_old, y_new, opts):
     """max |err_vec| / (abs_tol + rel_tol max(|y_old|, |y_new|)), formed in
     the scale array and in err_vec, which is overwritten."""
@@ -167,9 +150,10 @@ def _stage_views(stages, shape):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state is refused
-def _advance(field, points, t0, t1, opts, record):
+def _advance(field, points, t0, t1, opts):
     """Core stepper on the live rows y = y_all[live].  Returns
-    (final_points, history, stats)."""
+    (end_points, (accepted, rejected)): the batch at t1 and the controller's
+    accepted and rejected step counts."""
     y_all = np.array(points, dtype=float)
     if y_all.ndim != 2 or not np.all(np.isfinite(y_all)):
         raise FlowError("expected an (N, n) batch of finite start points")
@@ -177,9 +161,8 @@ def _advance(field, points, t0, t1, opts, record):
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise FlowError(f"flow times must be finite (t0={t0}, t1={t1})")
     span = abs(t1 - t0)
-    history = [(t0, y_all.copy(), 0.0, 0.0)] if record else None
     if span == 0.0:
-        return y_all, history, (0, 0)
+        return y_all, (0, 0)
 
     direction = 1.0 if t1 > t0 else -1.0
     live = np.flatnonzero(~_freeze_mask(y_all, field.singular_points,
@@ -206,8 +189,6 @@ def _advance(field, points, t0, t1, opts, record):
             break
         if not len(y):  # every atom is frozen: one step to t1, no field call
             accepted, t = accepted + 1, t1
-            if record:
-                history.append((t, y_all.copy(), remaining, 0.0))
             break
         h = min(h, remaining)
         dt = direction * h
@@ -218,9 +199,7 @@ def _advance(field, points, t0, t1, opts, record):
         except FieldError:
             if np.all(np.isfinite(y_new)):
                 raise
-            raise FlowError(f"non-finite stage state at t={t:.6g}",
-                            trajectory=_pack_history(history, accepted,
-                                                     rejected)) from None
+            raise FlowError(f"non-finite stage state at t={t:.6g}") from None
         err_vec = np.dot(_ERR, flat).reshape(y.shape)
         err_vec *= dt
         err = _scaled_error(err_vec, y, y_new, opts)
@@ -237,9 +216,6 @@ def _advance(field, points, t0, t1, opts, record):
                 first = k[0][~newly]  # a copy: the new views overlap k[0]
                 k, flat = _stage_views(stages, y.shape)
                 k[0] = first
-            if record:
-                y_all[live] = y
-                history.append((t, y_all.copy(), h, err))
             fac = _SAFETY * err**(-_EXPO) * fac_old**_PI_BETA \
                 if err > 0.0 else _FAC_MAX
             if just_rejected:
@@ -256,45 +232,21 @@ def _advance(field, points, t0, t1, opts, record):
             if h < min_step:
                 raise FlowError(
                     f"step size underflow at t={t:.6g} "
-                    f"(needed below {min_step:.3g})",
-                    trajectory=_pack_history(history, accepted, rejected))
+                    f"(needed below {min_step:.3g})")
     else:
         raise FlowError(
             f"flow did not reach t={t1:g} within {opts.max_steps} steps "
-            f"(stopped at t={t:.6g})",
-            trajectory=_pack_history(history, accepted, rejected))
+            f"(stopped at t={t:.6g})")
 
     y_all[live] = y
-    return y_all, history, (accepted, rejected)
-
-
-def _pack_history(history, accepted, rejected):
-    if not history:
-        return None
-    times = np.array([row[0] for row in history])
-    states = np.array([row[1][0] for row in history])
-    steps = np.array([row[2] for row in history])
-    errors = np.array([row[3] for row in history])
-    return Trajectory(times=times, states=states, steps=steps, errors=errors,
-                      n_accepted=accepted, n_rejected=rejected)
-
-
-def integrate_flow(field, x0, t0, t1, options=None):
-    """Integrate one characteristic, recording every accepted step."""
-    opts = options or FlowOptions()
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (field.dimension,):
-        raise FlowError(f"start point must have dimension {field.dimension}")
-    _, history, stats = _advance(field, x0.reshape(1, -1), t0, t1, opts,
-                                 record=True)
-    return _pack_history(history, *stats)
+    return y_all, (accepted, rejected)
 
 
 def flow_endpoints(field, points, t0, t1, options=None):
     """Push an (N, n) batch of points from t0 to t1; returns the endpoints."""
     opts = options or FlowOptions()
     points = np.asarray(points, dtype=float)
-    final, _, _ = _advance(field, points, t0, t1, opts, record=False)
+    final, _ = _advance(field, points, t0, t1, opts)
     return final
 
 
@@ -316,17 +268,22 @@ def flow_push(field, measure, t0, t1, options=None):
 
 
 def flow_map(field, points, t_grid, options=None):
-    """Snapshots of a point batch along a time grid (first entry is t_grid[0]
-    verbatim).  Returns an array of shape (len(t_grid), N, n)."""
+    """Snapshots of a point batch along a time grid, shape (len(t_grid), N, n).
+
+    The frames are one array, allocated once: frame 0 is the batch verbatim,
+    and each later frame is the :func:`flow_endpoints` of the one before it
+    over its segment of the grid.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise FlowError("need a one-dimensional, nonempty time grid")
-    current = np.asarray(points, dtype=float)
-    frames = [current.copy()]
-    for t_prev, t_next in zip(t_grid[:-1], t_grid[1:]):
-        current = flow_endpoints(field, current, t_prev, t_next, options)
-        frames.append(current.copy())
-    return np.array(frames)
+    points = np.asarray(points, dtype=float)
+    frames = np.empty((len(t_grid),) + points.shape)
+    frames[0] = points
+    for i, (t_prev, t_next) in enumerate(zip(t_grid[:-1], t_grid[1:]), 1):
+        frames[i] = flow_endpoints(field, frames[i - 1], t_prev, t_next,
+                                   options)
+    return frames
 
 
 def osgood_envelope(constant, modulus, d0, t_grid, options=None):

@@ -183,10 +183,6 @@ def make_measure(dimension, atoms, reservoir_weight=0.0):
                                np.array(weights), reservoir_weight)
 
 
-def empty_measure(dimension):
-    return measure_from_arrays(dimension, np.zeros((0, dimension)), np.zeros(0))
-
-
 # -- operations -----------------------------------------------------------
 
 

@@ -27,7 +27,7 @@ from .errors import ConfigError, FieldError
 from .fields import (FIELD_CATALOG, growth_affine, modulus_linear,
                      rotation_field, row_norms)
 from .fileio import write_json, write_table
-from .flow import FlowOptions, flow_map, integrate_flow
+from .flow import FlowOptions, flow_endpoints, flow_map
 from .measures import (balance_with_reservoir, make_measure,
                        measure_from_arrays)
 from .transport import (brute_force_ot, comparison_bound, firstterm_estimate,
@@ -894,8 +894,8 @@ def selftest(echo=print):
            abs(plan.primal_value - check) <= 1e-9 * (1.0 + abs(check)),
            f"simplex={plan.primal_value!r} ssp={check!r}")
 
-    end = integrate_flow(rotation_field(), (1.0, 0.0),
-                         0.0, math.pi / 2.0).final_state
+    end = flow_endpoints(rotation_field(), [[1.0, 0.0]],
+                         0.0, math.pi / 2.0)[0]
     record("rotation-quarter-turn",
            abs(end[0]) <= 1e-8 and abs(end[1] - 1.0) <= 1e-8,
            f"end={end!r}")

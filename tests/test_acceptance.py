@@ -11,8 +11,8 @@ import pytest
 
 from charflow import (ConcaveCost, FlowOptions,
                       balance_with_reservoir, c_transform_extend,
-                      comparison_bound, brute_force_ot, flow_map, flow_push,
-                      integrate_flow, linear_field, measure_from_arrays,
+                      comparison_bound, brute_force_ot, flow_endpoints,
+                      flow_map, flow_push, linear_field, measure_from_arrays,
                       modulus_linear, modulus_log, modulus_loglog_squared,
                       osgood_envelope, osgood_plane_field,
                       osgood_1d_field, reference_W, rotation_field,
@@ -166,16 +166,16 @@ def test_criterion_04_comparison_bound():
 
 
 def test_criterion_05_closed_form_flows():
-    grow = integrate_flow(linear_field(np.array([[1.0]])), (1.0,),
-                          0.0, 1.0, TIGHT).final_state
+    grow = flow_endpoints(linear_field(np.array([[1.0]])), [[1.0]],
+                          0.0, 1.0, TIGHT)[0]
     assert abs(grow[0] - math.e) <= 1e-8
 
-    shrink = integrate_flow(osgood_1d_field(), (0.5,), 0.0, 1.0,
-                            TIGHT).final_state
+    shrink = flow_endpoints(osgood_1d_field(), [[0.5]], 0.0, 1.0,
+                            TIGHT)[0]
     assert abs(shrink[0] - 0.5 ** (1.0 / math.e)) <= 1e-6
 
-    quarter = integrate_flow(rotation_field(), (1.0, 0.0), 0.0,
-                             math.pi / 2.0, TIGHT).final_state
+    quarter = flow_endpoints(rotation_field(), [[1.0, 0.0]], 0.0,
+                             math.pi / 2.0, TIGHT)[0]
     assert abs(quarter[0]) <= 1e-8 and abs(quarter[1] - 1.0) <= 1e-8
 
 

@@ -9,10 +9,12 @@ a field or density kind and declares the config's keys only in
 kernel-mass audit, ``costs`` builds the one Gauss-Legendre rule and the
 one brentq root function, the brute-force transport route shares no
 function with the simplex it checks, the simplex builds no
-``scipy.sparse`` graph, and no module keeps a private name or an import
-that nothing uses."""
+``scipy.sparse`` graph, no module keeps a private name or an import
+that nothing uses, and every exported function or class is reached from
+the package or the acceptance battery."""
 
 import ast
+import inspect
 import os
 import pathlib
 import re
@@ -521,3 +523,43 @@ def test_package_keeps_no_unused_private_name_or_import():
     leftovers = sorted(_leftovers({path.stem: path.read_text(encoding="utf-8")
                                    for path in SOURCES}))
     assert not leftovers, leftovers
+
+
+def _unreached(exports, sources):
+    """Each name of ``exports`` that no ``Name`` or ``Attribute`` node of
+    ``sources`` (source texts) uses; an import or a definition is no use."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(set(exports) - used)
+
+
+def test_export_guard_finds_names_nothing_uses():
+    sources = [
+        "from .b import spare\n"
+        "def helper(x):\n    return x\n"
+        "def spare(x):\n    return helper(x)\n",
+        "from . import a\nclass Kind:\n    pass\ny = a.Other()\n",
+    ]
+    assert _unreached(["helper", "spare", "Kind", "Other"], sources) == \
+        ["Kind", "spare"]
+
+
+def test_every_exported_function_and_class_is_reached():
+    """Each function or class in ``charflow.__all__`` is used by another
+    module of the package or by the acceptance battery, not only exported
+    and unit-tested."""
+    import charflow
+    exports = [name for name in charflow.__all__
+               if inspect.isfunction(getattr(charflow, name))
+               or inspect.isclass(getattr(charflow, name))]
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES
+               if path.name != "__init__.py"]
+    sources.append((ROOT / "tests" / "test_acceptance.py").read_text(
+        encoding="utf-8"))
+    unreached = _unreached(exports, sources)
+    assert not unreached, unreached

@@ -564,6 +564,22 @@ def test_report_roundtrip_and_width_guard(tmp_path):
         assert not (tmp_path / f"bad.{fmt}").exists()
 
 
+def test_a_nan_cell_is_null_in_a_json_table(tmp_path):
+    # a refinement study leaves rung 0's ratio and the last rung's distance
+    # NaN; JSON has no NaN token, so a strict reader once refused the table
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    rows = [(0.0, 24.0, 0.125, math.nan), (1.0, 48.0, math.nan, math.nan)]
+    write_table(tmp_path / "table.json", ("a", "b", "c", "d"), rows, "json")
+    doc = json.loads((tmp_path / "table.json").read_text(),
+                     parse_constant=refuse)
+    assert doc["rows"] == [[0.0, 24.0, 0.125, None], [1.0, 48.0, None, None]]
+    write_table(tmp_path / "table.csv", ("a", "b", "c", "d"), rows, "csv")
+    assert (tmp_path / "table.csv").read_text().splitlines()[1:] == \
+        ["0.0,24.0,0.125,nan", "1.0,48.0,nan,nan"]
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["022", "077"])
 def test_written_files_honour_the_umask(tmp_path, umask, mode):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import charflow.flow as flow
-from charflow import (FlowError, FlowOptions, constant_field, flow_endpoints,
-                      flow_map, flow_push, integrate_flow, linear_field, make_measure, measure_from_arrays,
+from charflow import (FieldError, FlowError, FlowOptions, constant_field,
+                      flow_endpoints, flow_map, flow_push, linear_field,
+                      make_measure, measure_from_arrays,
                       modulus_linear, modulus_log, osgood_1d_field,
                       osgood_envelope, osgood_plane_field, plateau_bump,
                       rotation_field)
@@ -135,21 +136,10 @@ def test_envelope_rejects_negative_separation(monkeypatch):
     assert sizes == []
 
 
-def test_trajectory_bookkeeping():
-    traj = integrate_flow(rotation_field(), [1.0, 0.0], 0.0, 1.0, TIGHT)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == 1.0
-    assert traj.steps[0] == 0.0 and traj.errors[0] == 0.0
-    assert traj.n_accepted == len(traj.times) - 1
-    assert np.all(np.diff(traj.times) > 0.0)
-    np.testing.assert_allclose(traj.final_state,
-                               [math.cos(1.0), math.sin(1.0)], atol=1e-9)
-
-
 def test_flow_error_paths():
     f = rotation_field()
-    with pytest.raises(FlowError):
-        integrate_flow(f, [1.0], 0.0, 1.0)  # wrong dimension
+    with pytest.raises(FieldError, match=r"expected points of shape \(N, 2\)"):
+        flow_endpoints(f, [[1.0]], 0.0, 1.0)  # wrong dimension
     with pytest.raises(FlowError, match="did not reach"):
         flow_endpoints(f, [[1.0, 0.0]], 0.0, 50.0,
                        FlowOptions(max_steps=3))
@@ -198,7 +188,6 @@ def test_non_finite_times_fail_before_any_step(monkeypatch, t0, t1):
     f = rotation_field()
     calls = [
         lambda: flow_endpoints(f, [[1.0, 0.0]], t0, t1),
-        lambda: integrate_flow(f, [1.0, 0.0], t0, t1),
         lambda: flow_map(f, [[1.0, 0.0]], [t0, t1]),
         lambda: flow_push(f, make_measure(2, [((1.0, 0.0), 1.0)]), t0, t1),
     ]
@@ -223,31 +212,20 @@ def test_non_finite_start_points_fail_before_any_step(monkeypatch, field,
         flow_map(field, start, [0.0, 1.0])
 
 
-def test_flow_error_carries_partial_trajectory():
-    f = rotation_field()
-    with pytest.raises(FlowError) as info:
-        flow_endpoints(f, [[1.0, 0.0]], 0.0, 50.0, FlowOptions(max_steps=2))
-    assert info.value.trajectory is None  # record=False path keeps nothing
-    with pytest.raises(FlowError) as info:
-        integrate_flow(f, [1.0, 0.0], 0.0, 50.0, FlowOptions(max_steps=2))
-    traj = info.value.trajectory
-    assert traj is not None and len(traj.times) == 3
-
-
-@pytest.mark.parametrize("field,start,max_steps,accepted,rejected", [
-    (osgood_1d_field(), (0.999,), 6, 5, 1),
-    # the atom freezes at the 74th accepted step; one more step ends the
-    # segment, so 79 steps stop one short of t1
-    (osgood_plane_field(), (0.3, 0.0), 79, 74, 5),
-], ids=["osgood_1d", "osgood_plane"])
-def test_flow_error_trajectory_counts_its_rejected_steps(
-        field, start, max_steps, accepted, rejected):
-    with pytest.raises(FlowError, match="did not reach") as info:
-        integrate_flow(field, start, 0.0, 1.0,
-                       FlowOptions(max_steps=max_steps))
-    traj = info.value.trajectory
-    assert (traj.n_accepted, traj.n_rejected) == (accepted, rejected)
-    assert len(traj.times) == accepted + 1
+@pytest.mark.parametrize("field,start,accepted,rejected", [
+    (osgood_1d_field(), [[0.999]], 6, 1),
+    # the atom freezes at the 74th accepted step; one more step with no
+    # live row ends the segment
+    (osgood_plane_field(), [[0.3, 0.0]], 75, 5),
+    # no live row from the start: one step to t1
+    (osgood_plane_field(), [[0.0, 0.0], [1e-9, 0.0], [3e-9, 4e-9]], 1, 0),
+], ids=["osgood_1d", "osgood_plane", "starts_frozen"])
+def test_step_controller_counts(field, start, accepted, rejected):
+    # every attempted step counts against max_steps, so exactly that many
+    # reach t1
+    opts = FlowOptions(max_steps=accepted + rejected)
+    _, counts = flow._advance(field, start, 0.0, 1.0, opts)
+    assert counts == (accepted, rejected)
 
 
 def _record_batch_sizes(monkeypatch):
@@ -268,11 +246,6 @@ def test_batch_that_starts_frozen_returns_its_input(monkeypatch):
     frames = flow_map(f, start, [0.0, 0.5, 1.0])
     for frame in frames:
         assert frame.tobytes() == start.tobytes()
-    traj = integrate_flow(f, start[1], 0.0, 1.0)
-    assert traj.times[-1] == 1.0 and traj.n_rejected == 0
-    assert traj.n_accepted == len(traj.times) - 1
-    assert traj.states.tobytes() == np.tile(start[1], (len(traj.times), 1)
-                                            ).tobytes()
     # a segment with no live row ends at t1 without a field call
     assert sizes == []
 
@@ -290,15 +263,6 @@ def test_last_live_atom_freezes_mid_segment(monkeypatch):
     for frame in frames[2:]:
         assert frame.tobytes() == frames[2].tobytes()
     assert frames[:, 0].tobytes() == np.zeros((4, 2)).tobytes()
-
-    traj = integrate_flow(f, start[1], 0.0, 1.0, opts)
-    assert traj.times[-1] == 1.0
-    assert traj.n_accepted == len(traj.times) - 1
-    frozen = np.linalg.norm(traj.states, axis=1) <= opts.freeze_radius
-    first = int(np.argmax(frozen))
-    assert 0.25 < traj.times[first] < 0.5 and frozen[first:].all()
-    assert traj.states[first:].tobytes() == np.tile(
-        traj.states[first], (len(traj.times) - first, 1)).tobytes()
     assert sizes and 0 not in sizes  # no zero-row call
 
 

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charflow import (AtomicSignedMeasure, MeasureError, balance_with_reservoir,
-                      empty_measure, jordan_decompose, make_measure,
-                      measure_from_arrays)
+                      jordan_decompose, make_measure, measure_from_arrays)
 from charflow.diagnostics import MollifierSpec, mollify
 from charflow.measures import DEDUP_TOL
 
@@ -60,7 +59,7 @@ def test_merge_false_preserves_the_multiset():
 
 
 def test_empty_measure_is_well_formed():
-    m = empty_measure(3)
+    m = make_measure(3, [])
     assert m.atom_count == 0
     assert m.total_mass() == 0.0
     assert m.total_variation() == 0.0

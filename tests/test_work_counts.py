@@ -23,8 +23,8 @@ import charflow.scenarios as scenarios
 import charflow.transport as transport
 from charflow import (AtomicSignedMeasure, ConcaveCost, FlowOptions,
                       Modulus, MollifierSpec, ScheduleError,
-                      balance_with_reservoir,
-                      integrate_flow, make_measure, measure_from_arrays,
+                      balance_with_reservoir, flow_endpoints,
+                      make_measure, measure_from_arrays,
                       modulus_linear, modulus_log, modulus_loglog_squared,
                       mollify, osgood_plane_field, parameter_schedule,
                       rotation_field, solve_ot, weak_solution_residual)
@@ -456,20 +456,42 @@ def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
         batches.append((t, points.copy()))
         return _original(field, t, points)
 
+    tests = []  # (time of the last field call, tested rows, freeze mask)
+
+    def freeze_test(points, singular_points, radius,
+                    _original=flow._freeze_mask):
+        mask = _original(points, singular_points, radius)
+        tests.append((batches[-1][0] if batches else None, points.copy(),
+                      mask))
+        return mask
+
     monkeypatch.setattr(flow, "evaluate_batch", recorded)
+    monkeypatch.setattr(flow, "_freeze_mask", freeze_test)
     current, history = points, []  # every accepted (t, state) of the push
     starts = set()  # index of each segment's first call
     for t_prev, t_next in zip(times[:-1], times[1:]):
-        first = len(batches)
+        first, tested = len(batches), len(tests)
         starts.add(first)
-        current, rows, (accepted, rejected) = flow._advance(
-            field, current, t_prev, t_next, opts, record=True)
-        history += rows
-        assert batches[first][1].tobytes() == live_rows(rows[0][1]).tobytes()
+        end, (accepted, rejected) = flow._advance(field, current, t_prev,
+                                                  t_next, opts)
+        # the whole start batch is tested, then the live rows after each
+        # accepted step (at the time of its last stage); rebuild the states
+        (_, start, mask), *steps = tests[tested:]
+        assert start.tobytes() == current.tobytes()
+        assert len(steps) == accepted
+        state, live = current.copy(), np.flatnonzero(~mask)
+        history.append((t_prev, state.copy()))
+        for t, rows, newly in steps:
+            state[live] = rows
+            history.append((t, state.copy()))
+            live = live[~newly]
+        assert state.tobytes() == end.tobytes()
+        assert batches[first][1].tobytes() == live_rows(current).tobytes()
         # the first stage and the initial step size, then six stages per
         # attempted step: a freeze adds no call
         assert len(batches) - first == 2 + 6 * (accepted + rejected)
-    states = {t: state for t, state, _, _ in history}
+        current = end
+    states = {t: state for t, state in history}
     # the batch shrinks only when atoms freeze, to the live rows of the
     # accepted state where they froze; within a segment the compacted last
     # stage stands in for the first, so no call follows a freeze at its t
@@ -492,12 +514,12 @@ def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
     assert np.sum(frozen) == 7
     assert min(len(batch) for _, batch in batches) == len(points) - 7
     for i in np.flatnonzero(frozen):
-        at_freeze = next(s[i] for _, s, _, _ in history
+        at_freeze = next(s[i] for _, s in history
                          if np.linalg.norm(s[i]) <= opts.freeze_radius)
         assert frames[-1, i].tobytes() == at_freeze.tobytes()
     for i in np.flatnonzero(~frozen):
-        alone = integrate_flow(field, points[i], times[0], times[-1],
-                               opts).final_state
+        alone = flow_endpoints(field, points[i:i + 1], times[0], times[-1],
+                               opts)[0]
         tol = opts.abs_tol + opts.rel_tol * np.abs(alone)
         assert np.all(np.abs(frames[-1, i] - alone) <= 100.0 * tol)
 
