@@ -232,7 +232,6 @@ def mollify(measure, spec):
                           minlength=len(cells))
     keep = weights != 0.0
     return measure_from_arrays(n, (cells[keep] + 0.5) * h, weights[keep],
-                               reservoir_weight=measure.reservoir_weight,
                                merge=False)
 
 
@@ -262,9 +261,9 @@ def variation_integrals(snapshots, radius):
 
     Returns (int_total, int_tail), two arrays with one entry per snapshot:
     entry i integrates, over the first i + 1 snapshots, the total variation
-    and the variation at distance >= ``radius`` from the origin, reservoir
-    included.  Entry 0 is 0.0.  The parameter schedule reads the last
-    entries; the three-term bound reads all of them.
+    and the variation at distance >= ``radius`` from the origin.  Entry 0
+    is 0.0.  The parameter schedule reads the last entries; the three-term
+    bound reads all of them.
     """
     snapshots = list(snapshots)
     if len(snapshots) < 2:
@@ -279,7 +278,7 @@ def variation_integrals(snapshots, radius):
         totals.append(m.total_variation())
         radii = row_norms(m.locations)
         far = np.abs(m.weights[radii >= radius])
-        tails.append(math.fsum([*far, abs(m.reservoir_weight)]))
+        tails.append(math.fsum(far))
 
     def prefixes(values):
         return np.array([trapezoid_rule(values[:i + 1], times[:i + 1])

@@ -38,9 +38,10 @@ def write_table(path, columns, rows, fmt):
     """Write a table of floats as CSV (repr floats) or JSON.
 
     The JSON form is ``{"columns": [...], "rows": [[...], ...]}``, written
-    by :func:`write_json`.  A NaN cell, such as a refinement study's missing
-    first ratio, is ``null`` in JSON, which has no NaN token, and ``nan`` in
-    CSV.  Both forms round-trip every other float exactly, so rewriting the
+    by :func:`write_json`.  A non-finite cell, such as a refinement study's
+    missing first ratio (NaN) or the ratio over a zero distance (infinity),
+    is ``null`` in JSON, which has no token for either, and its ``repr`` in
+    CSV.  Both forms round-trip every finite float exactly, so rewriting the
     same table is byte-identical.  A row whose width differs from the
     header's is refused before anything is written.
     """
@@ -54,6 +55,6 @@ def write_table(path, columns, rows, fmt):
         atomic_write_text(path, "\n".join(lines) + "\n")
     else:
         write_json(path, {"columns": list(columns),
-                          "rows": [[None if math.isnan(x) else x
+                          "rows": [[x if math.isfinite(x) else None
                                     for x in map(float, row)]
                                    for row in rows]})

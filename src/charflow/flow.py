@@ -263,7 +263,6 @@ def flow_push(field, measure, t0, t1, options=None):
         return measure
     final = flow_endpoints(field, measure.locations, t0, t1, options)
     return measure_from_arrays(measure.dimension, final, measure.weights,
-                               reservoir_weight=measure.reservoir_weight,
                                merge=False)
 
 
@@ -291,9 +290,10 @@ def osgood_envelope(constant, modulus, d0, t_grid, options=None):
 
     The separation is one atom that :func:`flow_map` pushes along the 1-D
     field C * omega(max(d, 0)); its growth constant is infinite, so the
-    envelope check of ``evaluate_batch`` never binds.  Starting separations
-    of exactly zero stay zero (that is the uniqueness statement for Osgood
-    moduli); the caller compares measured separations against this curve.
+    envelope check of ``evaluate_batch`` never binds.  A starting
+    separation of exactly zero stays zero, since the modulus vanishes at 0
+    (that is the uniqueness statement for Osgood moduli); the caller
+    compares measured separations against this curve.
     """
     d0, constant = float(d0), float(constant)
     if not 0.0 <= d0 < math.inf:
@@ -302,8 +302,6 @@ def osgood_envelope(constant, modulus, d0, t_grid, options=None):
     if not 0.0 <= constant < math.inf:
         raise FlowError(f"envelope constant must be finite and at least 0 "
                         f"(got {constant!r})")
-    if d0 == 0.0:
-        return np.zeros(len(t_grid))
 
     def speed(t, pts):
         return constant * np.asarray(

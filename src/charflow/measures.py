@@ -1,18 +1,19 @@
-"""Finite signed atomic measures on R^n extended by an isolated reservoir point.
+"""Finite signed atomic measures on R^n and balanced pairs of their parts.
 
-A measure is a finite cloud of weighted atoms in R^n together with an optional
-scalar mass sitting at a reserved point "diamond" that is infinitely far from
-every point of R^n.  The reservoir never carries a coordinate vector; it is
-addressed symbolically (index -1 in transport plans).  All values are
-immutable after construction and every operation is pure, so instances can be
-shared freely across threads.
+A measure is a finite cloud of weighted atoms in R^n and nothing else.  The
+absorbing point "diamond", infinitely far from every point of R^n, belongs
+to a :class:`BalancedPair` alone: each side of a pair may hold a reservoir
+mass there, so two parts of unequal mass can be compared by transport.  The
+reservoir never carries a coordinate vector; transport plans address it as
+index -1.  All values are immutable after construction and every operation
+is pure, so instances can be shared freely across threads.
 
 Mass totals are computed with ``math.fsum`` (exactly rounded, permutation
 invariant), which is what makes the exact-balance guarantees of
 :func:`balance_with_reservoir` and the bit-identical bookkeeping of flow
 push-forwards possible.  Co-located atoms merge once, where a measure is
 built from arrays; a balanced pair is the Jordan split of such a signed
-measure, with the lighter part topped up through the reservoir.
+measure, with the lighter part topped up through its reservoir.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _merge_colocated(locations, weights):
 
 @dataclass(frozen=True)
 class AtomicSignedMeasure:
-    """Weighted atom cloud plus reservoir mass.
+    """Weighted atom cloud in R^n.
 
     Do not call the constructor with unsanitized data; use
     :func:`make_measure` / :func:`measure_from_arrays`, which validate, merge
@@ -82,7 +83,6 @@ class AtomicSignedMeasure:
     dimension: int
     locations: np.ndarray  # shape (m, dimension)
     weights: np.ndarray    # shape (m,), no exact zeros
-    reservoir_weight: float = 0.0
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -95,8 +95,6 @@ class AtomicSignedMeasure:
             raise MeasureError("atom weights must be finite")
         if np.any(self.weights == 0.0):
             raise MeasureError("zero-weight atoms are not representable")
-        if not math.isfinite(self.reservoir_weight):
-            raise MeasureError("reservoir weight must be finite")
         self.locations.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -106,26 +104,13 @@ class AtomicSignedMeasure:
     def atom_count(self):
         return len(self.weights)
 
-    def atom_mass(self):
-        """Signed mass carried on R^n (reservoir excluded)."""
+    def total_mass(self):
         return math.fsum(self.weights)
 
-    def total_mass(self):
-        """Signed mass including the reservoir."""
-        return math.fsum([*self.weights, self.reservoir_weight])
-
     def total_variation(self):
-        return math.fsum([*np.abs(self.weights), abs(self.reservoir_weight)])
-
-    def is_nonnegative(self):
-        return bool(np.all(self.weights > 0.0)) and self.reservoir_weight >= 0.0
+        return math.fsum(np.abs(self.weights))
 
     # -- algebra ---------------------------------------------------------
-
-    def with_reservoir(self, reservoir_weight):
-        # the arrays are read-only, so the new measure shares them
-        return AtomicSignedMeasure(self.dimension, self.locations,
-                                   self.weights, float(reservoir_weight))
 
     def scaled_weights(self, factors):
         """Multiply atom weights pointwise; zero products are dropped."""
@@ -133,11 +118,10 @@ class AtomicSignedMeasure:
         w = self.weights * factors
         keep = w != 0.0
         return AtomicSignedMeasure(self.dimension, self.locations[keep],
-                                   w[keep], self.reservoir_weight)
+                                   w[keep])
 
 
-def measure_from_arrays(dimension, locations, weights, reservoir_weight=0.0,
-                        merge=True):
+def measure_from_arrays(dimension, locations, weights, merge=True):
     """Build a measure from coordinate/weight arrays.
 
     ``merge=False`` skips co-location merging (the arrays must already be
@@ -167,20 +151,19 @@ def measure_from_arrays(dimension, locations, weights, reservoir_weight=0.0,
     else:
         locations = locations.copy()
         weights = weights.copy()
-    return AtomicSignedMeasure(dimension, locations, weights,
-                               float(reservoir_weight))
+    return AtomicSignedMeasure(dimension, locations, weights)
 
 
-def make_measure(dimension, atoms, reservoir_weight=0.0):
+def make_measure(dimension, atoms):
     """Build a measure from an iterable of (location, weight) pairs."""
     atoms = list(atoms)
     if not atoms:
         return measure_from_arrays(dimension, np.zeros((0, dimension)),
-                                   np.zeros(0), reservoir_weight)
+                                   np.zeros(0))
     locations = [np.atleast_1d(np.asarray(loc, dtype=float)) for loc, _ in atoms]
     weights = [float(w) for _, w in atoms]
     return measure_from_arrays(dimension, np.array(locations),
-                               np.array(weights), reservoir_weight)
+                               np.array(weights))
 
 
 # -- operations -----------------------------------------------------------
@@ -189,16 +172,13 @@ def make_measure(dimension, atoms, reservoir_weight=0.0):
 def jordan_decompose(m):
     """Split into mutually singular nonnegative parts (pos, neg).
 
-    pos - neg reproduces the input atom-by-atom; a signed reservoir goes to
-    the matching side.
+    pos - neg reproduces the input atom-by-atom.
     """
     pos_mask = m.weights > 0.0
-    pos = measure_from_arrays(
-        m.dimension, m.locations[pos_mask], m.weights[pos_mask],
-        max(m.reservoir_weight, 0.0), merge=False)
-    neg = measure_from_arrays(
-        m.dimension, m.locations[~pos_mask], -m.weights[~pos_mask],
-        max(-m.reservoir_weight, 0.0), merge=False)
+    pos = measure_from_arrays(m.dimension, m.locations[pos_mask],
+                              m.weights[pos_mask], merge=False)
+    neg = measure_from_arrays(m.dimension, m.locations[~pos_mask],
+                              -m.weights[~pos_mask], merge=False)
     return pos, neg
 
 
@@ -224,24 +204,32 @@ def _exact_balance_reservoir(weights, target_total):
 
 @dataclass(frozen=True)
 class BalancedPair:
-    """Two nonnegative measures with exactly equal total mass.
+    """Two nonnegative measures on R^n, each with a reservoir mass at the
+    absorbing point, with exactly equal total mass.
 
     Build it with :func:`balance_with_reservoir`, the Jordan split of one
     signed measure that holds each location once, so the stored measures
     are mutually singular on R^n.  Construction checks the shared
-    dimension, the signs, and that the fsum-computed totals (reservoirs
-    included) agree to the last bit.
+    dimension, the signs of the atoms, that each reservoir is finite and
+    nonnegative, and that the fsum-computed totals, reservoirs included,
+    agree to the last bit.
     """
 
     mu: AtomicSignedMeasure
     nu: AtomicSignedMeasure
+    mu_reservoir: float = 0.0
+    nu_reservoir: float = 0.0
 
     def __post_init__(self):
         if self.mu.dimension != self.nu.dimension:
             raise MeasureError("paired measures must share the dimension")
-        if not (self.mu.is_nonnegative() and self.nu.is_nonnegative()):
-            raise MeasureError("balanced pairs require nonnegative measures")
-        if self.mu.total_mass() != self.nu.total_mass():
+        for side, r in ((self.mu, self.mu_reservoir),
+                        (self.nu, self.nu_reservoir)):
+            if not (np.all(side.weights > 0.0) and 0.0 <= r < math.inf):
+                raise MeasureError("balanced pairs require nonnegative "
+                                   "atoms and finite nonnegative reservoirs")
+        if self.total_mass() != math.fsum([*self.nu.weights,
+                                           self.nu_reservoir]):
             raise MeasureError(
                 "pair masses differ; route construction through "
                 "balance_with_reservoir")
@@ -251,18 +239,18 @@ class BalancedPair:
         return self.mu.dimension
 
     def total_mass(self):
-        return self.mu.total_mass()
+        return math.fsum([*self.mu.weights, self.mu_reservoir])
 
 
 def balance_with_reservoir(signed):
     """Split a signed measure into its positive and negative parts and
-    attach reservoir mass to the lighter one so totals match exactly.
+    give the lighter one reservoir mass so the pair's totals match exactly.
 
-    The input carries no reservoir mass and holds each location once, as
-    :func:`measure_from_arrays` (``merge=True``) and a mollifier lattice
-    give it; mass shared at one point has then already cancelled.  A
-    location held twice still gives a valid pair with the same transport
-    value, since the cost vanishes at distance 0.  The heavier side
+    The input holds each location once, as :func:`measure_from_arrays`
+    (``merge=True``) and a mollifier lattice give it; mass shared at one
+    point has then already cancelled.  A location held twice still gives a
+    valid pair with the same transport value, since the cost vanishes at
+    distance 0.  The heavier side
     normally keeps reservoir 0; the lighter side receives the (nonnegative)
     mass difference, polished so the fsum totals agree bit-for-bit.
 
@@ -272,36 +260,34 @@ def balance_with_reservoir(signed):
     the target is the only way out, so the heavy side then takes an ulp-sized
     reservoir of its own to flip the target's parity.
     """
-    if signed.reservoir_weight != 0.0:
-        raise MeasureError("the signed measure must carry no reservoir mass")
     mu_c, nu_c = jordan_decompose(signed)
-    sides = ((mu_c, nu_c, True) if nu_c.atom_mass() >= mu_c.atom_mass()
+    sides = ((mu_c, nu_c, True) if nu_c.total_mass() >= mu_c.total_mass()
              else (nu_c, mu_c, False))
     light, heavy, mu_is_light = sides
-    step = math.ulp(math.fsum(heavy.weights))
+    step = math.ulp(heavy.total_mass())
     last_error = None
     for bump in (0.0, step, 2.0 * step, 3.0 * step, 4.0 * step):
         lo, hv, lo_is_mu = light, heavy, mu_is_light
-        hv_b = hv.with_reservoir(bump) if bump > 0.0 else hv
         try:
-            r = _exact_balance_reservoir(lo.weights, hv_b.total_mass())
+            r = _exact_balance_reservoir(lo.weights,
+                                         math.fsum([*hv.weights, bump]))
         except MeasureError as exc:
             last_error = exc
             continue
         if r < 0.0 and bump == 0.0:
             # Tie resolved the wrong way by rounding; balance the other side.
             lo, hv, lo_is_mu = hv, lo, not lo_is_mu
-            hv_b = hv
             try:
-                r = _exact_balance_reservoir(lo.weights, hv_b.total_mass())
+                r = _exact_balance_reservoir(lo.weights, hv.total_mass())
             except MeasureError as exc:
                 last_error = exc
                 continue
         if r < 0.0:
             last_error = MeasureError("balancing produced a negative reservoir")
             continue
-        lo_b = lo.with_reservoir(r)
-        mu_b, nu_b = (lo_b, hv_b) if lo_is_mu else (hv_b, lo_b)
-        return BalancedPair(mu_b, nu_b)
+        # the heavy side's reservoir is the bump, 0.0 after a swap
+        if lo_is_mu:
+            return BalancedPair(lo, hv, r, bump)
+        return BalancedPair(hv, lo, bump, r)
     raise MeasureError(
         "could not balance masses exactly at double precision") from last_error

@@ -766,7 +766,8 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
         "seed": config.seed,
         "resolutions": resolutions,
         "distances": distances,
-        "ratios": ratios,
+        # a zero distance gives an infinite ratio, which JSON cannot hold
+        "ratios": [r if math.isfinite(r) else None for r in ratios],
         "lipschitz": bool(field.lipschitz),
         "osgood": bool(field.modulus.osgood),
         "warning_non_osgood": warning,

@@ -1,11 +1,13 @@
 """Discrete optimal transport between balanced atomic measures.
 
-The ground space is Euclidean space plus one absorbing point; moving mass to
-or from the absorbing point costs the saturation value of the concave cost,
-and mass may only sit there when the pair carries a reservoir.  Because the
-cost is concave with c(0) = 0 it is subadditive, the induced ground distance
-is a metric, and the dual collapses to a single potential v with
-v(x) - v(y) <= c(|x - y|) and v pinned to 0 at the absorbing point.
+The ground space is Euclidean space plus one absorbing point.  The measures
+of a balanced pair are atoms on R^n alone; the pair itself holds the mass at
+the absorbing point, as one reservoir per side, and mass may only sit there
+when a reservoir is positive.  Moving mass to or from the absorbing point
+costs the saturation value of the concave cost.  Because the cost is concave
+with c(0) = 0 it is subadditive, the induced ground distance is a metric,
+and the dual collapses to a single potential v with v(x) - v(y) <= c(|x - y|)
+and v pinned to 0 at the absorbing point.
 
 Two independent solvers are kept deliberately separate:
 
@@ -113,9 +115,9 @@ def _assemble(pair, cost):
     batch, so every cell gets the same bits as a full-matrix call.
     """
     mu, nu = pair.mu, pair.nu
-    common = min(mu.reservoir_weight, nu.reservoir_weight)
-    extra_mu = mu.reservoir_weight - common
-    extra_nu = nu.reservoir_weight - common
+    common = min(pair.mu_reservoir, pair.nu_reservoir)
+    extra_mu = pair.mu_reservoir - common
+    extra_nu = pair.nu_reservoir - common
 
     supplies = list(mu.weights)
     demands = list(nu.weights)
@@ -476,9 +478,9 @@ def _brute_assemble(pair, cost):
     """Assembly for the cross-check route, written independently: plain
     loops, scalar cost calls, no shared helpers."""
     mu, nu = pair.mu, pair.nu
-    common = min(mu.reservoir_weight, nu.reservoir_weight)
-    left_over_mu = mu.reservoir_weight - common
-    left_over_nu = nu.reservoir_weight - common
+    common = min(pair.mu_reservoir, pair.nu_reservoir)
+    left_over_mu = pair.mu_reservoir - common
+    left_over_nu = pair.nu_reservoir - common
     supplies = [float(w) for w in mu.weights]
     demands = [float(w) for w in nu.weights]
     if left_over_mu > 0.0:

@@ -213,12 +213,11 @@ def test_criterion_07_mass_bookkeeping_everywhere():
         points, weights = quantize_density(cfg.density, cfg.resolution,
                                            cfg.quantization, cfg.seed)
         m = measure_from_arrays(field.dimension, points, weights,
-                                merge=False, reservoir_weight=0.0625)
+                                merge=False)
         out = flow_push(field, m, 0.0, cfg.horizon)
         assert math.fsum(out.weights) == math.fsum(m.weights), name
         assert (math.fsum(np.abs(out.weights))
                 == math.fsum(np.abs(m.weights))), name
-        assert out.reservoir_weight == m.reservoir_weight, name
         assert out.atom_count == m.atom_count, name
 
 

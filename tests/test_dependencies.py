@@ -10,8 +10,9 @@ kernel-mass audit, ``costs`` builds the one Gauss-Legendre rule and the
 one brentq root function, the brute-force transport route shares no
 function with the simplex it checks, the simplex builds no
 ``scipy.sparse`` graph, no module keeps a private name or an import
-that nothing uses, and every exported function or class is reached from
-the package or the acceptance battery."""
+that nothing uses, every exported function or class is reached from
+the package or the acceptance battery, and the absorbing point's mass is
+read only from a balanced pair, by ``measures`` and ``transport``."""
 
 import ast
 import inspect
@@ -563,3 +564,42 @@ def test_every_exported_function_and_class_is_reached():
         encoding="utf-8"))
     unreached = _unreached(exports, sources)
     assert not unreached, unreached
+
+
+_PAIR_RESERVOIRS = {"mu_reservoir", "nu_reservoir"}
+
+
+def _reservoir_names(source):
+    """(line, name) of each line that holds ``reservoir_weight``, comments
+    included, and of each read of a ``mu_reservoir`` or ``nu_reservoir``
+    attribute."""
+    for lineno, line in enumerate(source.splitlines(), 1):
+        if "reservoir_weight" in line:
+            yield lineno, "reservoir_weight"
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _PAIR_RESERVOIRS:
+            yield node.lineno, node.attr
+
+
+def test_reservoir_guard_finds_measure_reservoirs_and_pair_reads():
+    sample = ("pair = BalancedPair(mu, nu, mu_reservoir=r)\n"
+              "r = pair.mu_reservoir + other.nu_reservoir\n"
+              "w = m.reservoir_weight\n"
+              "# a reservoir_weight in a comment\n"
+              "reservoir = 0.0\n")
+    assert sorted(_reservoir_names(sample)) == [
+        (2, "mu_reservoir"), (2, "nu_reservoir"),
+        (3, "reservoir_weight"), (4, "reservoir_weight")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_absorbing_point_belongs_to_the_balanced_pair(path):
+    # a signed measure is atoms on R^n alone; the pair that balances its
+    # Jordan parts holds the reservoirs, and only its own module and the
+    # transport assembly read them
+    allowed = (_PAIR_RESERVOIRS if path.name in ("measures.py", "transport.py")
+               else set())
+    found = [(line, name) for line, name
+             in _reservoir_names(path.read_text(encoding="utf-8"))
+             if name not in allowed]
+    assert not found, f"{path.name}: {found}"

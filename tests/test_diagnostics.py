@@ -167,14 +167,12 @@ def test_kernel_support_is_the_alpha_ball():
 def test_mollify_conserves_mass_and_stays_local():
     rng = np.random.default_rng(11)
     m = measure_from_arrays(2, rng.uniform(-1, 1, size=(7, 2)),
-                            rng.uniform(0.05, 0.3, size=7),
-                            reservoir_weight=0.125)
+                            rng.uniform(0.05, 0.3, size=7))
     spec = MollifierSpec(alpha=0.2, dimension=2)
     out = mollify(m, spec)
-    assert out.reservoir_weight == 0.125
     assert out.atom_count > m.atom_count
     assert out.total_mass() == pytest.approx(m.total_mass(), abs=1e-13)
-    assert out.is_nonnegative()
+    assert np.all(out.weights > 0.0)
     # every smoothed atom sits within alpha + one cell of a source atom
     from scipy.spatial.distance import cdist
     nearest = cdist(out.locations, m.locations).min(axis=1)
@@ -185,7 +183,7 @@ def test_mollify_guards():
     spec = MollifierSpec(alpha=0.2, dimension=2)
     with pytest.raises(MollifierError):
         mollify(make_measure(1, [((0.0,), 1.0)]), spec)
-    empty = make_measure(2, [], reservoir_weight=0.5)
+    empty = make_measure(2, [])
     assert mollify(empty, spec) is empty
 
 
@@ -220,14 +218,12 @@ def test_mollify_matches_the_per_atom_loop(dimension, count, alpha):
     locations = rng.uniform(-0.6, 0.6, size=(count, dimension))
     weights = rng.uniform(0.05, 0.3, size=count) \
         * rng.choice([-1.0, 1.0], size=count)
-    m = measure_from_arrays(dimension, locations, weights,
-                            reservoir_weight=-0.375, merge=False)
+    m = measure_from_arrays(dimension, locations, weights, merge=False)
     spec = MollifierSpec(alpha=alpha, dimension=dimension)
     out = mollify(m, spec)
     want_locations, want_weights = _mollify_reference(m, spec)
     assert out.locations.tobytes() == want_locations.tobytes()
     assert out.weights.tobytes() == want_weights.tobytes()
-    assert out.reservoir_weight == -0.375
 
 
 @pytest.mark.parametrize("rows", [
@@ -253,11 +249,10 @@ def test_merge_cells_matches_the_row_wise_unique(rows):
 
 def test_mollify_cancels_opposite_atoms_to_the_empty_measure():
     m = measure_from_arrays(2, [[0.3, -0.1], [0.3, -0.1]], [0.25, -0.25],
-                            reservoir_weight=0.5, merge=False)
+                            merge=False)
     out = mollify(m, MollifierSpec(alpha=0.2, dimension=2))
     assert out.atom_count == 0
     assert out.locations.shape == (0, 2)
-    assert out.reservoir_weight == 0.5
 
 
 def test_mollify_refuses_a_lattice_too_fine_for_its_atoms():
@@ -274,9 +269,10 @@ def test_build_mu_nu_balances_split_parts():
                                merge=False)
     cut = build_cutoff(growth_affine(), 4.0)  # both atoms deep inside
     pair = build_mu_nu(diff, cut, MollifierSpec(alpha=0.1, dimension=2))
-    assert pair.mu.total_mass() == pair.nu.total_mass()
-    assert pair.mu.total_mass() == pytest.approx(0.6, rel=1e-9)
-    assert pair.mu.is_nonnegative() and pair.nu.is_nonnegative()
+    assert pair.total_mass() == math.fsum([*pair.nu.weights,
+                                           pair.nu_reservoir])
+    assert pair.total_mass() == pytest.approx(0.6, rel=1e-9)
+    assert np.all(pair.mu.weights > 0.0) and np.all(pair.nu.weights > 0.0)
 
 
 def test_d_functional_two_atoms():
@@ -352,18 +348,17 @@ def test_variation_integrals_are_the_ones_the_bound_uses():
     assert est.bound[0] == 0.0
 
 
-def test_variation_integrals_count_the_reservoir_and_the_far_atoms():
+def test_variation_integrals_count_the_far_atoms():
     inside = ((0.5, 0.0), 0.25)
     outside = ((0.0, -3.0), -0.125)
-    first = make_measure(2, [inside, outside], reservoir_weight=0.5)
-    second = make_measure(2, [inside], reservoir_weight=-0.0625)
-    empty = measure_from_arrays(2, np.zeros((0, 2)), np.zeros(0),
-                                reservoir_weight=0.25)
+    first = make_measure(2, [inside, outside])
+    second = make_measure(2, [inside])
+    empty = measure_from_arrays(2, np.zeros((0, 2)), np.zeros(0))
     snapshots = [(0.0, first), (0.5, second), (1.5, empty)]
     int_total, int_tail = variation_integrals(snapshots, 1.0)
-    assert int_total[-1] == trapezoid_rule([0.875, 0.3125, 0.25],
+    assert int_total[-1] == trapezoid_rule([0.375, 0.25, 0.0],
                                            [0.0, 0.5, 1.5])
-    assert int_tail[-1] == trapezoid_rule([0.625, 0.0625, 0.25],
+    assert int_tail[-1] == trapezoid_rule([0.125, 0.0, 0.0],
                                           [0.0, 0.5, 1.5])
     with pytest.raises(ScheduleError):
         variation_integrals(snapshots[:1], 1.0)
@@ -386,8 +381,7 @@ def test_variation_integrals_hold_every_prefix_exactly():
     rng = np.random.default_rng(5)
     times = np.cumsum(rng.uniform(0.05, 0.3, size=12))
     snapshots = [(float(t), measure_from_arrays(
-        2, rng.uniform(-2.0, 2.0, size=(5, 2)), rng.normal(size=5),
-        reservoir_weight=float(rng.normal())))
+        2, rng.uniform(-2.0, 2.0, size=(5, 2)), rng.normal(size=5)))
         for t in times]
     int_total, int_tail = variation_integrals(snapshots, 1.0)
     assert len(int_total) == len(int_tail) == len(snapshots)
@@ -495,7 +489,6 @@ def test_mass_balance_is_exact():
     m = measure_from_arrays(1, [[0.0], [1.0], [2.0]], [0.5, -0.25, -0.25],
                             merge=False)
     assert m.total_mass() == 0.0
-    assert m.with_reservoir(0.125).total_mass() == 0.125
 
 
 # -- weak residual --------------------------------------------------------------
@@ -564,20 +557,23 @@ def test_report_roundtrip_and_width_guard(tmp_path):
         assert not (tmp_path / f"bad.{fmt}").exists()
 
 
-def test_a_nan_cell_is_null_in_a_json_table(tmp_path):
+def test_a_non_finite_cell_is_null_in_a_json_table(tmp_path):
     # a refinement study leaves rung 0's ratio and the last rung's distance
-    # NaN; JSON has no NaN token, so a strict reader once refused the table
+    # NaN, and the ratio over a zero distance is infinite; JSON has no token
+    # for either, so a strict reader once refused the table
     def refuse(token):
         raise ValueError(f"non-standard JSON token {token}")
 
-    rows = [(0.0, 24.0, 0.125, math.nan), (1.0, 48.0, math.nan, math.nan)]
+    rows = [(0.0, 24.0, 0.125, math.nan), (1.0, 48.0, math.nan, math.nan),
+            (2.0, 1e308, math.inf, -math.inf)]
     write_table(tmp_path / "table.json", ("a", "b", "c", "d"), rows, "json")
     doc = json.loads((tmp_path / "table.json").read_text(),
                      parse_constant=refuse)
-    assert doc["rows"] == [[0.0, 24.0, 0.125, None], [1.0, 48.0, None, None]]
+    assert doc["rows"] == [[0.0, 24.0, 0.125, None], [1.0, 48.0, None, None],
+                           [2.0, 1e308, None, None]]
     write_table(tmp_path / "table.csv", ("a", "b", "c", "d"), rows, "csv")
     assert (tmp_path / "table.csv").read_text().splitlines()[1:] == \
-        ["0.0,24.0,0.125,nan", "1.0,48.0,nan,nan"]
+        ["0.0,24.0,0.125,nan", "1.0,48.0,nan,nan", "2.0,1e+308,inf,-inf"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

@@ -53,19 +53,18 @@ def test_backward_time_inverts_the_drift():
 def test_flow_push_keeps_weights_and_multiplicity():
     f = constant_field([1.0])
     m = measure_from_arrays(1, [[0.0], [0.0], [1.0]], [0.25, 0.5, 0.25],
-                            reservoir_weight=0.125, merge=False)
+                            merge=False)
     out = flow_push(f, m, 0.0, 1.0, TIGHT)
     # co-located atoms stay separate entries; the weight multiset is reused
     assert out.atom_count == 3
     np.testing.assert_array_equal(out.weights, m.weights)
-    assert out.reservoir_weight == m.reservoir_weight
     np.testing.assert_allclose(np.sort(out.locations[:, 0]),
                                [1.0, 1.0, 2.0], rtol=1e-12)
 
 
 def test_flow_push_empty_measure_is_a_noop():
     f = constant_field([1.0])
-    m = make_measure(1, [], reservoir_weight=0.5)
+    m = make_measure(1, [])
     assert flow_push(f, m, 0.0, 1.0) is m
 
 
@@ -151,6 +150,13 @@ def test_flow_error_paths():
     # 0.01 d0 / d1 to a zero first step, which once divided d2
     with pytest.raises(FlowError, match="^initial step underflow at t=0"):
         flow_endpoints(linear_field([[1e300]]), [[0.5]], 0.0, 1.0, TIGHT)
+    # a zero separation once returned before its grid was read: a scalar
+    # grid raised a bare TypeError and a nan time gave zeros
+    for d0 in (0.0, 1e-3):
+        with pytest.raises(FlowError, match="one-dimensional, nonempty"):
+            osgood_envelope(3.0, modulus_log(), d0, 0.5)
+        with pytest.raises(FlowError, match="flow times must be finite"):
+            osgood_envelope(3.0, modulus_log(), d0, [0.0, math.nan])
 
 
 @pytest.mark.parametrize("fields, needle", [

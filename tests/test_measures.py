@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charflow import (AtomicSignedMeasure, MeasureError, balance_with_reservoir,
-                      jordan_decompose, make_measure, measure_from_arrays)
+from charflow import (AtomicSignedMeasure, BalancedPair, MeasureError,
+                      balance_with_reservoir, jordan_decompose, make_measure,
+                      measure_from_arrays)
 from charflow.diagnostics import MollifierSpec, mollify
 from charflow.measures import DEDUP_TOL
 
@@ -20,13 +21,17 @@ def difference(mu, nu):
                                np.concatenate([mu.weights, -nu.weights]))
 
 
+def nu_total(pair):
+    """The target side's total, its reservoir included."""
+    return math.fsum([*pair.nu.weights, pair.nu_reservoir])
+
+
 def test_totals_on_a_small_cloud():
     m = make_measure(2, [((0.0, 0.0), 0.5), ((1.0, 0.0), -0.25),
-                         ((0.0, 1.0), 0.125)], reservoir_weight=-0.0625)
+                         ((0.0, 1.0), 0.125)])
     assert m.atom_count == 3
-    assert m.atom_mass() == 0.375
-    assert m.total_mass() == 0.3125
-    assert m.total_variation() == 0.9375
+    assert m.total_mass() == 0.375
+    assert m.total_variation() == 0.875
 
 
 def test_zero_weights_are_rejected():
@@ -66,14 +71,11 @@ def test_empty_measure_is_well_formed():
 
 
 def test_jordan_split_reproduces_the_input():
-    m = make_measure(1, [((0.0,), 0.75), ((1.0,), -0.5), ((2.0,), 0.25)],
-                     reservoir_weight=-0.125)
+    m = make_measure(1, [((0.0,), 0.75), ((1.0,), -0.5), ((2.0,), 0.25)])
     pos, neg = jordan_decompose(m)
-    assert pos.is_nonnegative() and neg.is_nonnegative()
-    assert pos.atom_mass() == 1.0
-    assert neg.atom_mass() == 0.5
-    assert pos.reservoir_weight == 0.0
-    assert neg.reservoir_weight == 0.125
+    assert np.all(pos.weights > 0.0) and np.all(neg.weights > 0.0)
+    assert pos.total_mass() == 1.0
+    assert neg.total_mass() == 0.5
     # mutual singularity: no shared locations
     shared = set(map(tuple, pos.locations)) & set(map(tuple, neg.locations))
     assert not shared
@@ -84,8 +86,8 @@ def test_balance_cancels_shared_colocated_mass():
     nu = make_measure(1, [((0.0,), 0.2), ((2.0,), 0.3)])
     # the mass shared at 0 cancels where the difference is built
     pair = balance_with_reservoir(difference(mu, nu))
-    assert pair.mu.atom_mass() == 0.55
-    assert pair.nu.atom_mass() == 0.3
+    assert pair.mu.total_mass() == 0.55
+    assert pair.nu.total_mass() == 0.3
     assert all(tuple(loc) != (0.0,) for loc in pair.nu.locations)
 
 
@@ -160,16 +162,27 @@ def test_balance_attaches_reservoir_to_the_light_side():
     mu = make_measure(1, [((0.0,), 0.4), ((0.7,), 0.35), ((1.4,), 0.25)])
     nu = make_measure(1, [((0.2,), 0.3), ((1.0,), 0.45)])
     pair = balance_with_reservoir(difference(mu, nu))
-    assert pair.mu.reservoir_weight == 0.0
-    assert pair.nu.reservoir_weight == pytest.approx(0.25)
-    assert pair.mu.total_mass() == pair.nu.total_mass()
+    assert pair.mu_reservoir == 0.0
+    assert pair.nu_reservoir == pytest.approx(0.25)
+    assert pair.total_mass() == nu_total(pair)
 
 
-def test_balance_rejects_reservoir_mass():
-    signed = make_measure(1, [((0.0,), 0.5), ((1.0,), -0.25)],
-                          reservoir_weight=-0.25)
-    with pytest.raises(MeasureError, match="reservoir"):
-        balance_with_reservoir(signed)
+def test_pair_checks_its_signs_reservoirs_and_totals():
+    mu = make_measure(1, [((0.0,), 0.5)])
+    nu = make_measure(1, [((1.0,), 0.25)])
+    BalancedPair(mu, nu, 0.0, 0.25)  # well formed
+    for reservoirs in [(-0.25, 0.0), (0.0, -0.25), (math.inf, math.inf),
+                       (math.nan, 0.25)]:
+        with pytest.raises(MeasureError, match="nonnegative reservoirs"):
+            BalancedPair(mu, nu, *reservoirs)
+    with pytest.raises(MeasureError, match="nonnegative atoms"):
+        BalancedPair(make_measure(1, [((0.0,), -0.5)]), nu, 0.0, 0.25)
+    with pytest.raises(MeasureError, match="share the dimension"):
+        BalancedPair(make_measure(2, [((0.0, 0.0), 0.5)]), nu, 0.0, 0.25)
+    # totals one ulp of 0.5 apart through a reservoir
+    for reservoirs in [(0.0, 0.25 + math.ulp(0.5)), (math.ulp(0.5), 0.25)]:
+        with pytest.raises(MeasureError, match="pair masses differ"):
+            BalancedPair(mu, nu, *reservoirs)
 
 
 def test_pair_on_a_lattice_finer_than_the_merge_is_the_jordan_split():
@@ -186,8 +199,8 @@ def test_pair_on_a_lattice_finer_than_the_merge_is_the_jordan_split():
     for part, side in ((pos, pair.mu), (neg, pair.nu)):
         assert side.locations.tobytes() == part.locations.tobytes()
         assert side.weights.tobytes() == part.weights.tobytes()
-    assert pair.mu.atom_mass() == pytest.approx(0.492, abs=5e-4)
-    assert pair.mu.total_mass() == pair.nu.total_mass()
+    assert pair.mu.total_mass() == pytest.approx(0.492, abs=5e-4)
+    assert pair.total_mass() == nu_total(pair)
 
 
 finite_weights = st.lists(
@@ -205,9 +218,9 @@ def test_balance_totals_agree_bitwise(left, right):
         1, 1000.0 + np.arange(len(right), dtype=float)[:, None],
         np.array(right))
     pair = balance_with_reservoir(difference(mu, nu))
-    assert pair.mu.total_mass() == pair.nu.total_mass()
-    assert pair.mu.reservoir_weight >= 0.0
-    assert pair.nu.reservoir_weight >= 0.0
+    assert pair.total_mass() == nu_total(pair)
+    assert pair.mu_reservoir >= 0.0
+    assert pair.nu_reservoir >= 0.0
 
 
 @settings(max_examples=120, deadline=None)
@@ -232,11 +245,8 @@ def test_weights_are_frozen():
         m.weights[0] = 2.0
 
 
-def test_a_new_reservoir_shares_the_read_only_arrays():
+def test_scaled_weights_drop_zero_products_and_stay_read_only():
     m = make_measure(2, [((0.0, 1.0), 0.5), ((1.0, 0.0), -0.25)])
-    moved = m.with_reservoir(0.75)
-    assert moved.locations is m.locations and moved.weights is m.weights
-    assert (moved.reservoir_weight, m.reservoir_weight) == (0.75, 0.0)
     kept = m.scaled_weights([2.0, 0.0])
     assert kept.locations.tolist() == [[0.0, 1.0]]
     assert kept.weights.tolist() == [1.0]

@@ -538,6 +538,35 @@ def test_refinement_study_contracts(tmp_path):
     assert summary["passed"] is True and summary["lipschitz"] is True
 
 
+def test_an_infinite_ratio_is_null_in_the_study_files(tmp_path,
+                                                     monkeypatch):
+    # a zero distance on the last rung makes the ratio over it infinite;
+    # both files once held the non-standard token Infinity
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    distances = []
+
+    def last_is_zero(diff, _original=scenarios._refinement_distance):
+        distances.append(_original(diff) if not distances else 0.0)
+        return distances[-1]
+
+    monkeypatch.setattr(scenarios, "_refinement_distance", last_is_zero)
+    cfg = ScenarioConfig.from_dict(LINE)
+    result = convergence_study(cfg, tmp_path, rungs=3, fmt="json")
+    assert result.distances == (distances[0], 0.0) and distances[0] > 0.0
+    assert result.ratios == (math.inf,) and result.passed
+    table = json.loads((tmp_path / "micro_shear_refinement.json").read_text(),
+                       parse_constant=refuse)
+    assert [row[3] for row in table["rows"]] == [None, None, None]
+    assert [row[2] for row in table["rows"]] == [distances[0], 0.0, None]
+    summary = json.loads(
+        (tmp_path / "micro_shear_refinement_summary.json").read_text(),
+        parse_constant=refuse)
+    assert summary["ratios"] == [None]
+    assert summary["distances"] == [distances[0], 0.0]
+
+
 def test_refinement_study_guards(tmp_path):
     cfg = ScenarioConfig.from_dict(LINE)
     with pytest.raises(ConfigError, match="three rungs"):
