@@ -316,9 +316,8 @@ def costestimate_bound(field, int_total, int_out, cutoff, cost, alpha,
     one array entry per report time; the terms follow their shape.  J is
     the saturating integral of the reciprocal modified modulus at
     ``cost.delta``; the caller passes it as ``j_value`` (the schedule has
-    already computed it).  C is the field's modulus constant on
-    B(0, r_zero + 1); the caller passes it as ``const``, the same value its
-    first-term certificate uses.
+    already computed it).  C is the field's modulus constant; the caller
+    passes it as ``const``, the same value its first-term certificate uses.
     """
     beta, delta = cost.beta, cost.delta
     j_val = float(j_value)
@@ -350,7 +349,7 @@ class Schedule:
 
 def parameter_schedule(k, variation_integral, variation_floor,
                        modulus_constant, growth_constant, modulus,
-                       growth_at_k=1.0):
+                       growth_at_k):
     """Choose beta, delta, alpha at level k so each bound term stays small.
 
     With I the time-integrated total variation and I_k its tail counterpart
@@ -361,7 +360,8 @@ def parameter_schedule(k, variation_integral, variation_floor,
       caps term2 once the tail variation is below I_k;
     * alpha is the largest power of 1/2 with
       omega(alpha) * (beta/delta + beta*J/G(k)) * (C*I + 1) <= 1, capping
-      term3.  Any smaller alpha keeps the inequality.
+      term3, where ``growth_at_k`` is G(k).  Any smaller alpha keeps the
+      inequality.
 
     Fails honestly when no delta >= 1e-280 reaches the target (J converges
     for a non-Osgood modulus, the non-uniqueness regime, and may diverge

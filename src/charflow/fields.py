@@ -2,9 +2,9 @@
 
 A field is packaged with the analytic control data the diagnostics need: a
 growth envelope G with ``|b(t,x)| <= C_G * G(|x|)``, a modulus of continuity
-omega with ``|b(t,x)-b(t,y)| <= C * omega(|x-y|)`` inside declared radii, and
-the list of points where the field is merely log-Lipschitz (used by the
-integrator's freeze guard).
+omega with ``|b(t,x)-b(t,y)| <= C * omega(|x-y|)`` for all x and y, with one
+declared constant C, and the list of points where the field is merely
+log-Lipschitz (used by the integrator's freeze guard).
 
 Every evaluator is pure and vectorized over a leading batch axis, so the flow
 integrator can advance whole atom clouds per call.  The growth envelope is
@@ -12,7 +12,9 @@ re-checked at every sampled point; a violation is a hard error because all
 downstream bounds silently depend on it.  One comparison of each row's speed
 with its cap, the cap held below the largest float, settles a good batch: a
 NaN or infinite speed fails it.  Only a failed batch runs the finiteness test
-and then the envelope test, to raise the error that names the row.
+and then the envelope test, to raise the error that names the row; the
+envelope test measures a finite row whose square overflowed again, scaled
+by its largest component.
 
 The plane examples send every row through their radial factor and set the
 rows outside 0 < r^2 < 1/4 to zero; the plateau bump runs only on the rows
@@ -119,10 +121,9 @@ class Modulus:
         return self.evaluator(np.asarray(s, dtype=float))
 
 
-def growth_constant(level=1.0):
-    level = float(level)
-    return GrowthEnvelope(lambda r: np.full_like(np.asarray(r, dtype=float),
-                                                 level), level=level)
+def growth_constant():
+    return GrowthEnvelope(lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                          level=1.0)
 
 
 def growth_affine():
@@ -169,9 +170,9 @@ def modulus_loglog_squared():
 class VectorFieldSpec:
     """Evaluable velocity field plus its declared analytic control data.
 
-    ``modulus_constants`` maps ball radii to constants valid for pairs inside
-    that ball; lookups pick the smallest declared radius covering the request.
-    ``math.inf`` declares a global constant.
+    ``modulus_constant`` is the one constant C of the modulus bound, valid
+    for every pair of points; a FieldError refuses one below 0 or NaN, which
+    no modulus of continuity has.
     """
 
     dimension: int
@@ -180,17 +181,16 @@ class VectorFieldSpec:
     growth: GrowthEnvelope
     modulus: Modulus
     growth_const: float
-    modulus_constants: tuple  # ((radius, constant), ...) sorted by radius
+    modulus_constant: float
     singular_points: tuple = ()
     lipschitz: bool = False
 
-    def modulus_constant_for(self, radius):
-        for declared_radius, const in self.modulus_constants:
-            if declared_radius >= radius:
-                return const
-        raise FieldError(
-            f"field '{self.name}' declares no modulus constant covering "
-            f"radius {radius:g}")
+    def __post_init__(self):
+        constant = float(self.modulus_constant)
+        if not constant >= 0.0:
+            raise FieldError(
+                f"modulus constant must be at least 0 (got {constant:g})")
+        object.__setattr__(self, "modulus_constant", constant)
 
 
 def row_norms(a):
@@ -206,16 +206,6 @@ def row_norms(a):
     for j in range(1, a.shape[1]):
         total += a[:, j] * a[:, j]
     return np.sqrt(total, out=total)
-
-
-def _declared(constant):
-    """``modulus_constants`` of one global constant; a FieldError for a
-    constant below 0, which no modulus of continuity has."""
-    constant = float(constant)
-    if not constant >= 0.0:
-        raise FieldError(
-            f"modulus constant must be at least 0 (got {constant:g})")
-    return ((math.inf, constant),)
 
 
 def evaluate_batch(field, t, points):
@@ -273,7 +263,7 @@ def constant_field(velocity=(1.0,)):
         dimension=n, name="constant", evaluator=ev,
         growth=growth_constant(), modulus=modulus_linear(),
         growth_const=max(speed, 1.0),
-        modulus_constants=_declared(0.0),
+        modulus_constant=0.0,
         lipschitz=True)
 
 
@@ -299,7 +289,7 @@ def linear_field(matrix):
         dimension=n, name="linear", evaluator=ev,
         growth=growth_affine(), modulus=modulus_linear(),
         growth_const=max(norm, 1e-12),
-        modulus_constants=_declared(max(norm, 1e-12)),
+        modulus_constant=max(norm, 1e-12),
         lipschitz=True)
 
 
@@ -315,7 +305,7 @@ def rotation_field():
         dimension=2, name="rotation", evaluator=ev,
         growth=growth_affine(), modulus=modulus_linear(),
         growth_const=1.0,
-        modulus_constants=_declared(1.0),
+        modulus_constant=1.0,
         lipschitz=True)
 
 
@@ -342,7 +332,7 @@ def osgood_1d_field(modulus_constant=3.0):
         dimension=1, name="osgood1d", evaluator=ev,
         growth=growth_constant(), modulus=modulus_log(),
         growth_const=0.5,
-        modulus_constants=_declared(modulus_constant))
+        modulus_constant=modulus_constant)
 
 
 # Radial truncation shared by the two plane examples: identically 1 on
@@ -395,7 +385,7 @@ def osgood_plane_field(modulus_constant=9.0):
         dimension=2, name="osgood_plane", evaluator=_plane_example_evaluator(f, False),
         growth=growth_constant(), modulus=modulus_loglog(),
         growth_const=1.0,
-        modulus_constants=_declared(modulus_constant),
+        modulus_constant=modulus_constant,
         singular_points=(np.zeros(2),))
 
 
@@ -415,7 +405,7 @@ def nonosgood_plane_field(modulus_constant=11.0):
         evaluator=_plane_example_evaluator(g, True),
         growth=growth_constant(), modulus=modulus_loglog_squared(),
         growth_const=1.5,
-        modulus_constants=_declared(modulus_constant),
+        modulus_constant=modulus_constant,
         singular_points=(np.zeros(2),))
 
 

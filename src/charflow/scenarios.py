@@ -524,7 +524,7 @@ def _refinement_distance(diff):
 
 def _level_job(field, config, level, times, diffs, w_refine, masses):
     cutoff = build_cutoff(field.growth, level)
-    const = field.modulus_constant_for(cutoff.r_zero + 1.0)
+    const = field.modulus_constant
     int_total, int_tail = variation_integrals(zip(times, diffs), level - 1.0)
     var_integral = float(int_total[-1])
     var_floor = max(float(int_tail[-1]), 1.0 / level)

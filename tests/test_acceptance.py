@@ -192,7 +192,7 @@ def test_criterion_06_separation_envelope(make_field, make_starts):
     rng = np.random.default_rng(61)
     base, gaps = make_starts(rng)
     grid = np.linspace(0.0, 1.0, 9)
-    const = field.modulus_constant_for(2.0)
+    const = field.modulus_constant
     violations = 0
     for x0, d0 in zip(base, gaps):
         direction = rng.normal(size=x0.shape)

@@ -11,8 +11,10 @@ one brentq root function, the brute-force transport route shares no
 function with the simplex it checks, the simplex builds no
 ``scipy.sparse`` graph, no module keeps a private name or an import
 that nothing uses, every exported function or class is reached from
-the package or the acceptance battery, and the absorbing point's mass is
-read only from a balanced pair, by ``measures`` and ``transport``."""
+the package or the acceptance battery, the absorbing point's mass is
+read only from a balanced pair, by ``measures`` and ``transport``, and no
+source names a retired setting: the modulus-constant table and its lookup,
+or a step-cap option."""
 
 import ast
 import inspect
@@ -602,4 +604,35 @@ def test_the_absorbing_point_belongs_to_the_balanced_pair(path):
     found = [(line, name) for line, name
              in _reservoir_names(path.read_text(encoding="utf-8"))
              if name not in allowed]
+    assert not found, f"{path.name}: {found}"
+
+
+_RETIRED_SETTINGS = re.compile(
+    r"\b(modulus_constants|modulus_constant_for|_declared|max_steps)\b")
+
+
+def _retired_settings(source):
+    """(line, name) of each whole-word use of a retired setting's name,
+    comments and strings included."""
+    for lineno, line in enumerate(source.splitlines(), 1):
+        for match in _RETIRED_SETTINGS.finditer(line):
+            yield lineno, match.group(1)
+
+
+def test_settings_guard_finds_the_retired_names():
+    sample = ("spec = VectorFieldSpec(modulus_constants=((inf, 1.0),))\n"
+              "c = spec.modulus_constant_for(2.0)\n"
+              "# _declared(c) and FlowOptions(max_steps=3)\n"
+              "c = spec.modulus_constant  # declared once\n"
+              "steps = _MAX_STEPS\n")
+    assert list(_retired_settings(sample)) == [
+        (1, "modulus_constants"), (2, "modulus_constant_for"),
+        (3, "_declared"), (3, "max_steps")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_settings_no_caller_varies_are_constants(path):
+    # a field declares one modulus constant, and the stepper's step cap is
+    # the module constant _MAX_STEPS
+    found = list(_retired_settings(path.read_text(encoding="utf-8")))
     assert not found, f"{path.name}: {found}"

@@ -298,7 +298,7 @@ def test_costestimate_closed_form():
     j = saturation_linear(0.25)
     int_total, int_tail = variation_integrals([(0.0, m), (1.0, m)],
                                               cut.k - 1.0)
-    const = field.modulus_constant_for(cut.r_zero + 1.0)
+    const = field.modulus_constant
     est = costestimate_bound(field, int_total[-1], int_tail[-1], cut, cost,
                              alpha=0.125, j_value=j, const=const)
     assert est.term1 == pytest.approx(2.0 * 1.0 * 0.3, rel=1e-9)
@@ -316,7 +316,7 @@ def test_costestimate_sees_tail_mass():
     j = saturation_linear(0.25)
     int_total, int_tail = variation_integrals([(0.0, far), (1.0, far)],
                                               cut.k - 1.0)
-    const = field.modulus_constant_for(cut.r_zero + 1.0)
+    const = field.modulus_constant
     est = costestimate_bound(field, int_total[-1], int_tail[-1], cut, cost,
                              alpha=0.125, j_value=j, const=const)
     assert est.term2 == pytest.approx(2.0 * 2.0 * 1.0 * j * 0.2, rel=1e-9)
@@ -330,7 +330,7 @@ def test_variation_integrals_are_the_ones_the_bound_uses():
     j = saturation_linear(0.25)
     snapshots = [(0.0, far), (0.5, far), (1.0, far)]
     int_total, int_tail = variation_integrals(snapshots, cut.k - 1.0)
-    const = field.modulus_constant_for(cut.r_zero + 1.0)
+    const = field.modulus_constant
     est = costestimate_bound(field, int_total, int_tail, cut, cost,
                              alpha=0.125, j_value=j, const=const)
     # the bound's own products, in its order: exact equality
@@ -451,7 +451,8 @@ def test_schedule_and_cutoff_free_their_inputs_without_the_collector():
     try:
         parameter_schedule(k=2.0, variation_integral=1.0,
                            variation_floor=0.5, modulus_constant=1.0,
-                           growth_constant=1.0, modulus=modulus)
+                           growth_constant=1.0, modulus=modulus,
+                           growth_at_k=1.0)
         build_cutoff(growth, 2.0)
         assert cost.cost_inverse(0.5 * cost.c_infinity) > 0.0
         del modulus, growth, cost
@@ -466,7 +467,7 @@ def test_schedule_fails_honestly_outside_the_osgood_class():
         parameter_schedule(k=50.0, variation_integral=1.0,
                            variation_floor=0.02, modulus_constant=1.0,
                            growth_constant=1.0,
-                           modulus=modulus_loglog_squared())
+                           modulus=modulus_loglog_squared(), growth_at_k=1.0)
 
 
 def test_schedule_names_an_osgood_integral_too_slow_for_the_target():
@@ -475,14 +476,14 @@ def test_schedule_names_an_osgood_integral_too_slow_for_the_target():
     with pytest.raises(ScheduleError,
                        match=r"J\(1e-280\) = 645\.7 stays below the target "
                              r"5e\+08;.* integral diverges too slowly$"):
-        parameter_schedule(1e9, 1.0, 1e-9, 1.0, 1.0, modulus_linear())
+        parameter_schedule(1e9, 1.0, 1e-9, 1.0, 1.0, modulus_linear(), 1.0)
 
 
 def test_schedule_argument_guards():
     with pytest.raises(ScheduleError):
-        parameter_schedule(1.0, -0.5, 0.5, 1.0, 1.0, modulus_linear())
+        parameter_schedule(1.0, -0.5, 0.5, 1.0, 1.0, modulus_linear(), 1.0)
     with pytest.raises(ScheduleError):
-        parameter_schedule(1.0, 0.5, 0.0, 1.0, 1.0, modulus_linear())
+        parameter_schedule(1.0, 0.5, 0.0, 1.0, 1.0, modulus_linear(), 1.0)
 
 
 def test_mass_balance_is_exact():

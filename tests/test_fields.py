@@ -127,7 +127,7 @@ def test_constant_field_is_constant():
                                   [[0.35]])
     np.testing.assert_array_equal(evaluate_batch(f, 3.0, np.array([[-4.0]])),
                                   [[0.35]])
-    assert f.modulus_constant_for(100.0) == 0.0
+    assert f.modulus_constant == 0.0
     # a speed whose square overflows once declared an infinite envelope
     assert constant_field([1e300]).growth_const == 1e300
     assert constant_field([3.0 * 2.0**800, 4.0 * 2.0**800]).growth_const \
@@ -152,7 +152,7 @@ def test_nonfinite_velocity_is_an_error():
     bad = VectorFieldSpec(
         dimension=1, name="bad", evaluator=lambda t, p: p * np.nan,
         growth=rotation_field().growth, modulus=modulus_linear(),
-        growth_const=1.0, modulus_constants=((math.inf, 1.0),))
+        growth_const=1.0, modulus_constant=1.0)
     with pytest.raises(FieldError, match="non-finite"):
         evaluate_batch(bad, 0.0, np.array([[1.0]]))
 
@@ -163,7 +163,7 @@ def test_envelope_violation_is_hard():
         dimension=1, name="liar", evaluator=lambda t, p: p.copy(),
         growth=GrowthEnvelope(lambda r: np.ones_like(r)),
         modulus=modulus_linear(), growth_const=1.0,
-        modulus_constants=((math.inf, 1.0),))
+        modulus_constant=1.0)
     evaluate_batch(lying, 0.0, np.array([[0.5]]))  # inside the cap: fine
     with pytest.raises(EnvelopeViolation):
         evaluate_batch(lying, 0.0, np.array([[2.0]]))
@@ -192,11 +192,11 @@ def test_envelope_check_covers_every_row(growth, velocity, row):
     liar = VectorFieldSpec(
         dimension=2, name="liar", evaluator=_lying_on_one_row(velocity, row),
         growth=growth, modulus=modulus_linear(), growth_const=1.0,
-        modulus_constants=((math.inf, 1.0),))
+        modulus_constant=1.0)
     honest = VectorFieldSpec(
         dimension=2, name="honest", evaluator=lambda t, p: velocity(p),
         growth=growth, modulus=modulus_linear(), growth_const=1.0,
-        modulus_constants=((math.inf, 1.0),))
+        modulus_constant=1.0)
     evaluate_batch(honest, 0.0, pts)
     with pytest.raises(EnvelopeViolation) as caught:
         evaluate_batch(liar, 0.0, pts)
@@ -216,7 +216,7 @@ def _one_bad_row(value, growth_const):
     return VectorFieldSpec(
         dimension=1, name="one-bad-row", evaluator=ev,
         growth=growth_constant(), modulus=modulus_linear(),
-        growth_const=growth_const, modulus_constants=((math.inf, 1.0),))
+        growth_const=growth_const, modulus_constant=1.0)
 
 
 @pytest.mark.parametrize("value, growth_const", [
@@ -279,21 +279,14 @@ def test_plane_evaluation_peak_memory(low, high, arrays):
     assert peak <= arrays * len(pts) * pts.itemsize
 
 
-def test_modulus_constant_lookup_prefers_tight_radii():
-    f = VectorFieldSpec(
-        dimension=1, name="tiered", evaluator=lambda t, p: 0.0 * p,
-        growth=GrowthEnvelope(lambda r: np.ones_like(r)),
-        modulus=modulus_linear(), growth_const=1.0,
-        modulus_constants=((1.0, 2.0), (math.inf, 5.0)))
-    assert f.modulus_constant_for(0.5) == 2.0
-    assert f.modulus_constant_for(1.0) == 2.0
-    assert f.modulus_constant_for(3.0) == 5.0
-    capped = VectorFieldSpec(
-        dimension=1, name="capped", evaluator=lambda t, p: 0.0 * p,
-        growth=f.growth, modulus=modulus_linear(), growth_const=1.0,
-        modulus_constants=((1.0, 2.0),))
-    with pytest.raises(FieldError):
-        capped.modulus_constant_for(2.0)
+@pytest.mark.parametrize("constant", [-1.0, math.nan])
+def test_a_hand_built_spec_refuses_a_bad_modulus_constant(constant):
+    # the spec checks its own constant, not only the catalog constructors
+    with pytest.raises(FieldError, match="must be at least 0"):
+        VectorFieldSpec(
+            dimension=1, name="bad-constant", evaluator=lambda t, p: 0.0 * p,
+            growth=growth_constant(), modulus=modulus_linear(),
+            growth_const=1.0, modulus_constant=constant)
 
 
 # -- catalog values ----------------------------------------------------------
@@ -431,7 +424,7 @@ def test_declared_modulus_constants_dominate_empirical(name):
     """The advertised constants must bound a dense seeded pair sample."""
     f = _CATALOG_INSTANCES[name]()
     for radius in (0.5, 2.0):
-        declared = f.modulus_constant_for(radius)
+        declared = f.modulus_constant
         est = _empirical_modulus_constant(f, radius, 3, 4000, seed=101)
         assert est <= declared * (1.0 + 1e-12)
 
@@ -448,7 +441,7 @@ def test_linear_estimate_approaches_the_spectral_norm():
     matrix = [[0.6, 1.0], [0.0, 0.4]]
     f = linear_field(matrix)
     declared = float(np.linalg.norm(np.asarray(matrix), 2))
-    assert f.modulus_constant_for(1.0) == declared
+    assert f.modulus_constant == declared
     est = _empirical_modulus_constant(f, 1.0, 1, 8000, seed=3)
     assert 0.9 * declared <= est <= declared
 

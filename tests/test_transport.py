@@ -463,7 +463,7 @@ def test_firstterm_estimate_orders(cost):
     field = rotation_field()
     pair = random_pair(60, 4, 4)
     plan, _ = solve_ot(pair, cost)
-    const = field.modulus_constant_for(3.0)
+    const = field.modulus_constant
     lhs, rhs = firstterm_estimate(field, 0.0, plan, cost, const)
     assert 0.0 <= lhs <= rhs * (1.0 + 1e-9) + 1e-15
     shipped = pair.total_mass()
@@ -477,7 +477,7 @@ def test_firstterm_estimate_is_sharp_on_the_unit_shear(cost):
     plan, _ = solve_ot(random_pair(61, 5, 4, dim=1), cost)
     assert any(DIAMOND not in entry[:2] for entry in plan.entries)
     lhs, rhs = firstterm_estimate(field, 0.0, plan, cost,
-                                  field.modulus_constant_for(math.inf))
+                                  field.modulus_constant)
     assert rhs > 0.0
     assert lhs == pytest.approx(rhs, rel=1e-12)
 

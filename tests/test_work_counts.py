@@ -193,8 +193,7 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     doc["parameters"] = parameters
     config = ScenarioConfig.from_dict(doc)
     counts = {"reference_W": 0, "J inside the bound": 0, "bound": 0,
-              "solve_ot": 0, "certificate field calls": 0,
-              "modulus constant": 0}
+              "solve_ot": 0, "certificate field calls": 0}
     inside_bound = []
     snapshots = []      # the difference measures, in report-time order
     variation_sums = {}  # id of a snapshot -> total_variation calls
@@ -228,11 +227,6 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
             counts["J inside the bound"] += 1
         return _original(modulus, delta)
 
-    def counted_constant(self, radius,
-                         _original=VectorFieldSpec.modulus_constant_for):
-        counts["modulus constant"] += 1
-        return _original(self, radius)
-
     def marked_bound(*args, _original=scenarios.costestimate_bound,
                      **kwargs):
         counts["bound"] += 1
@@ -250,8 +244,6 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     monkeypatch.setattr(diagnostics, "saturation_integral",
                         counted_saturation)
     monkeypatch.setattr(scenarios, "costestimate_bound", marked_bound)
-    monkeypatch.setattr(VectorFieldSpec, "modulus_constant_for",
-                        counted_constant)
     monkeypatch.setattr(scenarios, "_difference_measure",
                         recorded_difference)
     monkeypatch.setattr(AtomicSignedMeasure, "total_variation",
@@ -273,9 +265,6 @@ def test_scenario_level_loop_computes_each_value_once(monkeypatch, tmp_path,
     # one bound call per level gives the terms of every report time
     assert counts["bound"] == levels
     assert counts["J inside the bound"] == 0
-    # one modulus constant per level: the schedule, the bound and the
-    # first-term certificate share it
-    assert counts["modulus constant"] == levels
     # the modulus is tabulated once: J and every level's cost share it
     assert tables.builds == 1
     # each snapshot's variation is summed once per level
@@ -563,7 +552,7 @@ def _record_j(monkeypatch):
 def test_schedule_evaluates_j_once_per_delta(monkeypatch, ivar, floor,
                                              modulus):
     deltas = _record_j(monkeypatch)
-    sched = parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
+    sched = parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus, 1.0)
     assert len(deltas) == len(set(deltas))
     assert sched.delta in deltas
 
@@ -574,7 +563,7 @@ def test_non_osgood_schedule_fails_within_twelve_evaluations(monkeypatch):
         parameter_schedule(k=50.0, variation_integral=1.0,
                            variation_floor=0.02, modulus_constant=1.0,
                            growth_constant=1.0,
-                           modulus=modulus_loglog_squared())
+                           modulus=modulus_loglog_squared(), growth_at_k=1.0)
     assert len(deltas) <= 12
     assert min(deltas) == pytest.approx(1e-280, rel=1e-12)
 
@@ -611,11 +600,11 @@ def test_schedule_builds_the_j_node_table_at_most_once(monkeypatch, ivar,
         return _original(s)
 
     modulus = Modulus(counted, osgood=modulus.osgood)
-    sched = parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
+    sched = parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus, 1.0)
     assert len(deltas) > 3
     assert tables.builds == 1
     # the table lives as long as its modulus
-    parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus)
+    parameter_schedule(2.0, ivar, floor, 1.0, 1.0, modulus, 1.0)
     assert tables.builds == 1
     # a cost on the same modulus sums the table's terms: no modulus value
     evaluations.clear()
