@@ -31,7 +31,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import CostRangeError, FieldError, QuadratureError
 from .fields import Modulus
@@ -40,6 +39,7 @@ from .fields import Modulus
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(4)
 _NODE_TABLES = weakref.WeakKeyDictionary()
 _NODE_LOCK = threading.Lock()  # level jobs on threads share one build
+_BRENT_ITERATIONS = 100
 
 
 def grid_edges(first=-300 * 128):
@@ -98,12 +98,84 @@ class KnotTable:
 
 
 def excess(x, f, target):
-    """f(x) - target, the package's one root function for brentq.  brentq
-    keeps its callable in a self-referencing closure; passing this one with
-    ``args`` keeps the caller's objects (a modulus and its node table, a
-    cutoff table, a cost) out of that cycle, so they are freed when the
-    caller drops them."""
+    """f(x) - target, the package's one root function: :func:`brentq`
+    brackets its sign change."""
     return float(f(x)) - target
+
+
+def brentq(f, target, a, b, xtol, rtol, disp=True):
+    """The x in [a, b] where f(x) = target, by Brent's method on
+    :func:`excess` (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4).
+
+    A step-for-step port of the C ``brentq`` of the reference
+    implementation, whose floats and errors the tests compare bit for bit:
+    a ValueError for a NaN value or for equal signs at the ends, and a
+    RuntimeError after 100 iterations without convergence, which
+    ``disp=False`` turns into returning the last iterate.  ``xtol`` must be
+    positive and ``rtol`` at least 4 eps.
+    """
+    xpre, xcur = float(a), float(b)
+    xtol, rtol = float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre = _finite_excess(xpre, f, target)
+    fcur = _finite_excess(xcur, f, target)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # C's infinite or NaN step, refused below
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _finite_excess(xcur, f, target)
+    if disp:
+        raise RuntimeError(
+            f"Failed to converge after {_BRENT_ITERATIONS} iterations.")
+    return xcur
+
+
+def _finite_excess(x, f, target):
+    """:func:`excess` at x; a ValueError where it is NaN."""
+    value = excess(x, f, target)
+    if math.isnan(value):
+        raise ValueError(f"The function value at x={x} is NaN; "
+                         "solver cannot continue.")
+    return value
 
 
 def tail_modify(mod):
@@ -292,9 +364,9 @@ class ConcaveCost:
         else:
             # the knots on either side of v bracket its root
             pos = int(np.searchsorted(values, v))
-            r = scipy.optimize.brentq(
-                excess, knots[pos - 1], knots[pos], args=(self.cost, v),
-                xtol=1e-300, rtol=4.0 * np.finfo(float).eps, disp=False)
+            r = brentq(self.cost, v, knots[pos - 1], knots[pos],
+                       xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+                       disp=False)
         if abs(self.cost(r) - v) <= tol:
             return r
         raise CostRangeError(

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import MeasureError
 
@@ -46,29 +45,83 @@ def _merge_colocated(locations, weights):
     ws = weights[order]
     if len(ws) <= 1:
         return locs, ws
-    pairs = scipy.spatial.cKDTree(locs).query_pairs(
-        DEDUP_TOL, p=np.inf, output_type="ndarray")
-    if len(pairs) == 0:
+    heads, tails = _colocated_pairs(locs)
+    if len(heads) == 0:
         return locs, ws
-    # each pair stored both ways: the strong components of that directed
-    # graph are its groups, and scipy need not transpose it
-    graph = scipy.sparse.csr_array((np.ones(2 * len(pairs)),
-                                    (pairs.ravel(), pairs[:, ::-1].ravel())),
-                                   shape=(len(ws), len(ws)))
-    _, label = scipy.sparse.csgraph.connected_components(
-        graph, directed=True, connection="strong")
-    # the first index of each label is the group's lexicographically first
+    label = _component_labels(len(ws), heads, tails)
+    # the label of an atom is its group's first, lexicographically first
     # atom, which carries the group's weight
-    head = np.zeros(len(ws), dtype=bool)
-    head[np.unique(label, return_index=True)[1]] = True
-    members = np.unique(pairs)
+    members = np.unique(np.concatenate([heads, tails]))
     members = members[np.argsort(label[members], kind="stable")]
-    starts = np.flatnonzero(np.diff(label[members], prepend=-1))
+    bounds = [*np.flatnonzero(np.diff(label[members], prepend=-1)).tolist(),
+              len(members)]
+    values = ws[members].tolist()
     merged = ws.copy()
-    for group in np.split(members, starts[1:]):
-        merged[group[0]] = math.fsum(ws[group])
-    keep = head & (merged != 0.0)
+    merged[members[bounds[:-1]]] = [math.fsum(values[lo:hi])
+                                    for lo, hi in zip(bounds, bounds[1:])]
+    keep = (label == np.arange(len(ws))) & (merged != 0.0)
     return locs[keep], merged[keep]
+
+
+def _colocated_pairs(locs):
+    """(i, j) for every two rows of ``locs`` within DEDUP_TOL in max-norm,
+    as two index arrays.
+
+    Sorted along one coordinate, two such rows are never parted by a gap
+    wider than 2 * DEDUP_TOL (widened against rounding), so cutting the
+    rows at those gaps, coordinate by coordinate, keeps every such pair in
+    one block; on a lattice the blocks shrink to its twins.  Within a
+    block, sorted by first coordinate, j then lies in the window of rows
+    at most 2 * DEDUP_TOL above row i in that coordinate.  One pass per
+    offset tests every row whose window reaches that far, and the exact
+    max-norm test keeps the pairs.
+    """
+    block = np.zeros(len(locs), dtype=np.intp)
+    for axis in reversed(range(locs.shape[1])):
+        order = np.lexsort((locs[:, axis], block))
+        coord, owner = locs[order, axis], block[order]
+        cut = (owner[1:] != owner[:-1]) | \
+            (coord[1:] - coord[:-1] > 2.0 * DEDUP_TOL)
+        block[order] = np.concatenate([[0], np.cumsum(cut)])
+    # the last cut was along the first coordinate: ``order`` sorts the rows
+    # by block, then by first coordinate
+    owner, first = block[order], locs[order, 0]
+    rows = np.arange(len(locs))
+    heads, tails = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    offset = 1
+    while True:
+        rows = rows[rows + offset < len(locs)]
+        rows = rows[(owner[rows + offset] == owner[rows]) &
+                    (first[rows + offset] - first[rows] <= 2.0 * DEDUP_TOL)]
+        if len(rows) == 0:
+            break
+        head, tail = order[rows], order[rows + offset]
+        near = np.abs(locs[head] - locs[tail]).max(axis=1) <= DEDUP_TOL
+        heads.append(head[near])
+        tails.append(tail[near])
+        offset += 1
+    return np.concatenate(heads), np.concatenate(tails)
+
+
+def _component_labels(count, heads, tails):
+    """The smallest index in each of ``count`` nodes' connected component
+    of the graph with edges (heads[e], tails[e]).
+
+    Min-label propagation with pointer jumping: each pass gives both ends
+    of every edge the smaller of their labels, then replaces each label by
+    its own label.  Labels only fall and stay members of their component,
+    so they settle on the component's smallest index.
+    """
+    label = np.arange(count)
+    while True:
+        low = np.minimum(label[heads], label[tails])
+        settled = label.copy()
+        np.minimum.at(settled, heads, low)
+        np.minimum.at(settled, tails, low)
+        settled = settled[settled]
+        if np.array_equal(settled, label):
+            return label
+        label = settled
 
 
 @dataclass(frozen=True)
@@ -141,7 +194,7 @@ def measure_from_arrays(dimension, locations, weights, merge=True):
     if weights.shape != (locations.shape[0],):
         raise MeasureError("one weight per atom location is required")
     if merge:
-        # the tree search and sums of the merge need finite input
+        # the window search and sums of the merge need finite input
         if not np.all(np.isfinite(locations)):
             raise MeasureError("atom locations must be finite")
         if not np.all(np.isfinite(weights)):

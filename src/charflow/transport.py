@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .costs import reference_cost
 from .errors import ComparisonBoundError, CostRangeError, TransportError
@@ -92,12 +91,27 @@ def c_transform_extend(potential, points):
         if not potential.include_diamond_base:
             raise TransportError("potential has no generating data")
         return np.full(len(points), potential.cost.c_infinity)
-    dists = scipy.spatial.distance.cdist(points, potential.nu_locations)
+    if points.shape[1] != potential.nu_locations.shape[1]:
+        raise TransportError("points and the potential's support differ "
+                             "in dimension")
+    dists = _distances(points, potential.nu_locations)
     values = potential.cost.cost_many(dists) + potential.nu_values[None, :]
     out = values.min(axis=1)
     if potential.include_diamond_base:
         out = np.minimum(out, potential.cost.c_infinity)
     return out
+
+
+def _distances(xs, ys):
+    """Euclidean distance from each row of ``xs`` to each row of ``ys``:
+    the squared differences summed one coordinate at a time, then the
+    square root, which gives the reference ``cdist``'s bits."""
+    total = np.subtract.outer(xs[:, 0], ys[:, 0])
+    total *= total
+    for axis in range(1, xs.shape[1]):
+        diff = np.subtract.outer(xs[:, axis], ys[:, axis])
+        total += np.multiply(diff, diff, out=diff)
+    return np.sqrt(total, out=total)
 
 
 # -- problem assembly --------------------------------------------------------
@@ -146,7 +160,7 @@ def _assemble(pair, cost):
     cols = n_atoms + int(diamond_col)
     ground = np.empty((rows, cols))
     if m_atoms and n_atoms:
-        dists = scipy.spatial.distance.cdist(mu.locations, nu.locations)
+        dists = _distances(mu.locations, nu.locations)
         radii, cell_radius = np.unique(dists.ravel(), return_inverse=True)
         ground[:m_atoms, :n_atoms] = cost.cost_many(radii)[
             cell_radius].reshape(m_atoms, n_atoms)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from charflow import (ConcaveCost, CostRangeError, FieldError, Modulus,
                       modulus_linear, modulus_log, modulus_loglog,
                       modulus_loglog_squared, reference_cost,
                       saturation_integral, tail_modify)
-from charflow.costs import gauss_legendre
+from charflow import costs, diagnostics, scenarios
+from charflow.costs import brentq, excess, gauss_legendre
 
 
 def linear_closed_form(r, delta, beta):
@@ -456,3 +458,138 @@ def test_cost_properties_hold_across_parameters(delta, beta, a, b):
     assert 0.0 <= c_lo <= c_hi * (1.0 + 1e-12) + 1e-15
     assert c_hi <= c.c_infinity * (1.0 + 1e-12)
     assert c.cost(lo + hi) <= c_lo + c_hi + 1e-10 * (1.0 + c_hi)
+
+
+# -- the root finder against scipy's brentq -----------------------------------
+
+EPS4 = 4.0 * np.finfo(float).eps
+
+
+def _scipy_root(f, target, a, b, xtol, rtol, disp=True):
+    return scipy.optimize.brentq(excess, a, b, args=(f, target), xtol=xtol,
+                                 rtol=rtol, disp=disp)
+
+
+def assert_same_root(f, target, a, b, xtol, rtol, disp=True):
+    """The port and scipy give the same float, or the same error."""
+    try:
+        want = _scipy_root(f, target, a, b, xtol, rtol, disp)
+    except (ValueError, RuntimeError) as error:
+        with pytest.raises(type(error)) as caught:
+            brentq(f, target, a, b, xtol=xtol, rtol=rtol, disp=disp)
+        assert str(caught.value) == str(error)
+        return None
+    got = brentq(f, target, a, b, xtol=xtol, rtol=rtol, disp=disp)
+    assert type(got) is float and got.hex() == want.hex(), (a, b, target)
+    return got
+
+
+@pytest.mark.parametrize("make", [modulus_linear, modulus_log,
+                                  modulus_loglog])
+@pytest.mark.parametrize("delta,beta", [(0.25, 2.0), (1e-7, 1.0),
+                                        (1e-13, 0.01)])
+def test_brentq_matches_scipy_on_the_cost_inverse_sweep(make, delta, beta):
+    cost = ConcaveCost(make(), delta, beta)
+    knots, values = cost._table.knots, cost._table.values
+    targets = np.concatenate([
+        cost.c_infinity * np.geomspace(1e-9, 0.999, 40),
+        values[1:-1:997] * (1.0 + 1e-13)])
+    for v in targets[(targets > 1e-12) & (targets < values[-1])]:
+        pos = int(np.searchsorted(values, v))
+        r = assert_same_root(cost.cost, float(v), knots[pos - 1],
+                             knots[pos], 1e-300, EPS4, disp=False)
+        assert cost.cost_inverse(v) == r
+
+
+@pytest.mark.parametrize("growth", [growth_affine, growth_constant])
+def test_brentq_matches_scipy_on_the_cutoff_radii(growth):
+    g = growth()
+    for k in range(1, 17):
+        cut = build_cutoff(g, float(k))
+        table = cut._h_table
+        r = assert_same_root(table.value, 1.0, table.knots[-2],
+                             table.knots[-1], 1e-300, EPS4)
+        assert cut.r_zero == r
+
+
+def test_brentq_matches_scipy_on_every_canned_schedule(monkeypatch,
+                                                       tmp_path):
+    # every root of a canned run (schedule deltas in log-delta, cutoff
+    # radii, cost inverses) is found twice, by the port and by scipy
+    seen = []
+
+    def both(f, target, a, b, xtol, rtol, disp=True):
+        seen.append((a, b))
+        return assert_same_root(f, target, a, b, xtol, rtol, disp)
+
+    monkeypatch.setattr(diagnostics, "brentq", both)
+    monkeypatch.setattr(costs, "brentq", both)
+    names = [n for n in scenarios.builtin_names() if n != "mixing_disc"]
+    for name in names:
+        config = scenarios.ScenarioConfig.from_dict(
+            scenarios.builtin_config(name))
+        assert scenarios.run_scenario(config, tmp_path / name).exit_code == 0
+    assert len(seen) >= 3 * len(names)
+
+
+TEXTBOOK = [
+    (lambda x: x * x - 1.0, 0.0, 2.0),
+    (lambda x: x * x - 1.0, -2.0, 0.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 2.0, -10.0, 10.0),
+    (lambda x: math.tan(x) - x, 4.0, 4.6),
+    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
+    (lambda x: (x - 1.0) ** 9, -5.0, 1.5),
+    (lambda x: 1e-200 * (x - 0.3), -1.0, 2.0),
+    # the extrapolation's denominator underflows to 0: C takes an infinite
+    # or NaN step and bisects
+    (lambda x: 1e-170 * ((x - 0.3) ** 3 + (x - 0.3)), -1.0, 2.0),
+    (lambda x: math.atan(1e6 * (x - 1e-3)), -1.0, 1.0),
+    (lambda x: 1.0 if x > 0.25 else -1.0, 0.0, 1.0),
+    (lambda x: x, -1.0, 1.0),
+    (lambda x: x, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("f,a,b", TEXTBOOK)
+@pytest.mark.parametrize("xtol,rtol", [(2e-12, 8.881784197001252e-16),
+                                       (1e-300, EPS4), (1e-3, 1e-6)])
+def test_brentq_matches_scipy_on_textbook_brackets(f, a, b, xtol, rtol):
+    for lo, hi in ((a, b), (b, a)):
+        assert_same_root(f, 0.0, lo, hi, xtol, rtol)
+    assert_same_root(f, 0.125, a, b, xtol, rtol, disp=False)
+
+
+def _nan_at(bad):
+    def f(x):
+        return math.nan if x == bad else x - 0.5
+    return f
+
+
+def _nan_inside(x):
+    return math.nan if 0.1 < x < 0.9 else x - 0.5
+
+
+def _same_sign_underflowing(x):
+    return 1e-200 * (x + 5.0)  # the product of the end values underflows
+
+
+def _step(x):
+    return 1.0 if x > 1e-300 else -1.0
+
+
+def test_brentq_raises_scipys_errors():
+    for f in (_nan_at(0.0), _nan_at(1.0), _nan_inside):
+        with pytest.raises(ValueError, match="is NaN"):
+            _scipy_root(f, 0.0, 0.0, 1.0, 2e-12, EPS4)
+        assert_same_root(f, 0.0, 0.0, 1.0, 2e-12, EPS4)
+    for f in (_same_sign_underflowing, math.exp, lambda x: -1.0):
+        with pytest.raises(ValueError, match="different signs"):
+            _scipy_root(f, 0.0, -1.0, 2.0, 2e-12, EPS4)
+        assert_same_root(f, 0.0, -1.0, 2.0, 2e-12, EPS4)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        _scipy_root(_step, 0.0, -1e300, 1e300, 1e-300, EPS4)
+    assert_same_root(_step, 0.0, -1e300, 1e300, 1e-300, EPS4)
+    assert assert_same_root(_step, 0.0, -1e300, 1e300, 1e-300, EPS4,
+                            disp=False) > 1e200

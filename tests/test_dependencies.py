@@ -1,20 +1,18 @@
-"""Source guards: the package imports only numpy, scipy, click and the
-standard library, and of scipy only the top-level package, whose
-submodules load on first use, so a fresh process that imports charflow,
-validates configs and pushes atoms loads none of them;
+"""Source guards: the package imports only numpy, click and the standard
+library and names no scipy, so no run loads it (a fresh process that
+validates configs, pushes atoms, runs every passing canned scenario, a
+refinement study and the selftest holds no scipy module);
 ``fields.row_norms`` is its only per-row norm, ``fileio`` alone calls
 ``atomic_write_text``, ``scenarios`` compares no value with the name of
 a field or density kind and declares the config's keys only in
-``ScenarioConfig``, ``scipy.integrate`` serves only the mollifier's
-kernel-mass audit, ``costs`` builds the one Gauss-Legendre rule and the
-one brentq root function, the brute-force transport route shares no
-function with the simplex it checks, the simplex builds no
-``scipy.sparse`` graph, no module keeps a private name or an import
-that nothing uses, every exported function or class is reached from
-the package or the acceptance battery, the absorbing point's mass is
-read only from a balanced pair, by ``measures`` and ``transport``, and no
-source names a retired setting: the modulus-constant table and its lookup,
-or a step-cap option."""
+``ScenarioConfig``, ``costs`` builds the one Gauss-Legendre rule and the
+one root finder with its one root function, the brute-force transport
+route shares no function with the simplex it checks, no module keeps a
+private name or an import that nothing uses, every exported function or
+class is reached from the package or the acceptance battery, the
+absorbing point's mass is read only from a balanced pair, by ``measures``
+and ``transport``, and no source names a retired setting: the
+modulus-constant table and its lookup, or a step-cap option."""
 
 import ast
 import inspect
@@ -26,7 +24,7 @@ import sys
 
 import pytest
 
-ALLOWED = {"numpy", "scipy", "click"}
+ALLOWED = {"numpy", "click"}
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "charflow").glob("*.py"))
 
@@ -60,44 +58,41 @@ def test_pyproject_declares_only_the_allowed_packages():
     assert names <= ALLOWED, sorted(names - ALLOWED)
 
 
-def _scipy_submodule_imports(source):
-    """Line numbers of each import that names a scipy submodule or pulls a
-    name out of scipy: all but a bare ``import scipy``."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            if any(a.name.startswith("scipy.") for a in node.names):
-                yield node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module == "scipy" or module.startswith("scipy."):
-                yield node.lineno
+_SCIPY = re.compile(r"scipy", re.IGNORECASE)
 
 
-def test_scipy_import_guard_finds_submodule_imports():
-    sample = ("import scipy\n"
-              "import scipy.optimize\n"
+def _scipy_names(source):
+    """Line numbers of each line that names scipy, in any case, comments
+    and strings included."""
+    return [lineno for lineno, line in enumerate(source.splitlines(), 1)
+            if _SCIPY.search(line)]
+
+
+def test_scipy_guard_finds_every_mention():
+    sample = ("import numpy as np\n"
+              "import scipy\n"
               "from scipy.spatial.distance import cdist\n"
-              "from scipy import integrate\n"
-              "import numpy as np, scipy.sparse.csgraph\n"
-              "def f():\n    from scipy.optimize import brentq\n"
-              "x = scipy.optimize.brentq(g, 0.0, 1.0)\n")
-    assert list(_scipy_submodule_imports(sample)) == [2, 3, 4, 5, 7]
+              "x = scipy.optimize.brentq(g, 0.0, 1.0)\n"
+              "# as SciPy's brentq gives it\n"
+              "y = np.sqrt(total)\n")
+    assert _scipy_names(sample) == [2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_sources_import_only_the_scipy_package(path):
-    # scipy loads a submodule on first attribute access; importing one, or
-    # a name from one, loads it (scipy.optimize alone about 550 modules)
-    # into every process, flow-only ones too
-    lines = list(_scipy_submodule_imports(path.read_text(encoding="utf-8")))
-    assert not lines, f"{path.name}:{lines} import a scipy submodule"
+def test_sources_name_no_scipy(path):
+    # distances, co-location groups, roots and the kernel-mass audit are
+    # numpy code; a scipy submodule brings scipy.linalg and its own BLAS,
+    # 22-52 MB of resident memory, into every run
+    lines = _scipy_names(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name}:{lines} name scipy"
 
 
 FRESH_PROCESS = """
-import sys
+import json, os, sys, tempfile
 import numpy as np
-import charflow
+from click.testing import CliRunner
 from charflow import flow, scenarios
+from charflow.cli import main
 for name in scenarios.builtin_names():
     scenarios.ScenarioConfig.from_dict(scenarios.builtin_config(name))
 density = scenarios.density_from_config(
@@ -106,21 +101,31 @@ points, _ = scenarios.quantize_density(density, 10, "random", 3)
 frames = flow.flow_map(scenarios.build_field("osgood_plane", {}), points,
                        np.linspace(0.0, 1.0, 3))
 assert frames.shape == (3, 100, 2) and np.all(np.isfinite(frames))
-loaded = sorted(name for name in ("scipy.optimize", "scipy.integrate",
-                                  "scipy.sparse", "scipy.spatial",
-                                  "scipy.linalg") if name in sys.modules)
+runs = [["run", name] for name in scenarios.builtin_names()
+        if name != "mixing_disc"]
+runs += [["converge", "drift_line", "--ladder", "3"], ["selftest"]]
+with tempfile.TemporaryDirectory() as tmp:
+    for verb, *rest in runs:
+        args = [verb]
+        if rest:
+            name, *flags = rest
+            config = os.path.join(tmp, name + ".json")
+            with open(config, "w", encoding="utf-8") as handle:
+                json.dump(scenarios.builtin_config(name), handle)
+            args += [config, "--out", os.path.join(tmp, verb + name), *flags]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
-import scipy
-assert callable(scipy.optimize.brentq)
 """
 
 
-def test_flow_and_config_validation_load_no_scipy_submodule():
+def test_runs_studies_and_selftest_load_no_scipy():
     # a subprocess: pytest's filterwarnings has loaded scipy.integrate here
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", FRESH_PROCESS], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
 
 
@@ -255,61 +260,6 @@ def test_config_keys_are_declared_only_by_the_config_class():
     assert not tables, f"scenarios.py tables {tables} name a config key"
 
 
-def _quadrature_uses(source):
-    """(kind, line) of each ``scipy.integrate`` import ("import") and each
-    ``scipy.integrate`` attribute or ``quad`` call ("use")."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            if any(a.name.startswith("scipy.integrate") for a in node.names):
-                yield "import", node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").startswith("scipy.integrate"):
-                yield "import", node.lineno
-        elif isinstance(node, ast.Attribute) and \
-                ast.unparse(node).startswith("scipy.integrate."):
-            yield "use", node.lineno
-        elif isinstance(node, ast.Call) and \
-                ast.unparse(node.func).split(".")[-1] == "quad":
-            yield "use", node.lineno
-
-
-def test_quadrature_guard_finds_integrate_uses():
-    sample = ("import scipy.integrate\n"
-              "from scipy.integrate import quad\n"
-              "v, _ = quad(f, 0.0, 1.0)\n"
-              "w, _ = scipy.integrate.quad_vec(f, 0.0, 1.0)\n"
-              "x = np.sum(f(s))\n")
-    assert sorted(set(_quadrature_uses(sample))) == [
-        ("import", 1), ("import", 2), ("use", 3), ("use", 4)]
-
-
-def _mollifier_audit_lines(source):
-    """Line numbers of ``MollifierSpec.__post_init__``, the kernel-mass
-    audit, or an empty range where the source has none."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and node.name == "MollifierSpec":
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and \
-                        item.name == "__post_init__":
-                    return range(item.lineno, item.end_lineno + 1)
-    return range(0)
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_quadrature_has_one_owner(path):
-    # the integrals run on costs.gauss_legendre's fixed rule; only the
-    # kernel-mass audit of MollifierSpec keeps quad, as an independent check
-    source = path.read_text(encoding="utf-8")
-    audit = _mollifier_audit_lines(source)
-    found = set(_quadrature_uses(source))
-    stray = sorted(line for kind, line in found
-                   if kind == "use" and line not in audit)
-    assert not stray, f"{path.name}:{stray} use scipy.integrate"
-    imports = sorted(line for kind, line in found if kind == "import")
-    assert not imports or any(kind == "use" for kind, _ in found), \
-        f"{path.name}:{imports} import scipy.integrate without the audit"
-
-
 def _leggauss_calls(source):
     """(line, node-count argument) of each ``leggauss`` call."""
     for node in ast.walk(ast.parse(source)):
@@ -334,44 +284,40 @@ def test_one_gauss_legendre_rule():
         {"costs.py": ["4"]}
 
 
-def _brentq_calls(source):
-    """(line, callable, passes ``args``) of each ``brentq`` call."""
+def _root_calls(source):
+    """(line, callee) of each call of a ``brentq`` or an ``excess``, bare
+    or as an attribute."""
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and \
-                ast.unparse(node.func).split(".")[-1] == "brentq":
-            func = node.args[0] if node.args else next(
-                (k.value for k in node.keywords if k.arg == "f"), None)
-            yield (node.lineno, ast.unparse(func) if func else "",
-                   any(k.arg == "args" for k in node.keywords))
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if callee.split(".")[-1] in ("brentq", "excess"):
+                yield node.lineno, callee
 
 
 def test_root_guard_finds_brentq_calls():
     sample = ("r = scipy.optimize.brentq(excess, a, b, args=(g, 1.0))\n"
-              "s = brentq(lambda x: g(x) - 1.0, a, b)\n"
-              "t = optimize.brentq(self.cost, a, b, args=(v,))\n"
-              "u = brentq(f=excess, a=a, b=b)\n"
-              "w = np.sum(excess(a, g, 1.0))\n")
-    assert list(_brentq_calls(sample)) == [
-        (1, "excess", True), (2, "lambda x: g(x) - 1.0", False),
-        (3, "self.cost", True), (4, "excess", False)]
+              "s = brentq(g, 1.0, a, b, xtol=1e-12, rtol=1e-15)\n"
+              "t = costs.excess(a, g, 1.0)\n"
+              "u = bisect(excess, a, b)\n"
+              "w = np.sum(g(a))\n")
+    assert list(_root_calls(sample)) == [
+        (1, "scipy.optimize.brentq"), (2, "brentq"), (3, "costs.excess")]
 
 
 def test_every_root_is_found_through_the_one_excess_function():
-    # brentq keeps its callable in a closure that refers to itself: a
-    # lambda or bound method there keeps what it holds (a modulus and its
-    # node table, a cost) alive until the cyclic collector runs, while
-    # objects passed through ``args`` are freed with the call
-    calls = [(path.name, line, func, args) for path in SOURCES
-             for line, func, args in _brentq_calls(
-                 path.read_text(encoding="utf-8"))]
-    assert len(calls) == 3, calls  # cost_inverse, the cutoff, the schedule
-    stray = [call for call in calls if call[2:] != ("excess", True)]
-    assert not stray, stray
-    owners = [path.name for path in SOURCES
+    # costs.brentq is the one root finder and evaluates costs.excess, the
+    # one root function; the cost inverse, the cutoff radius and the
+    # schedule's delta call it by name
+    calls = [(path.name, callee) for path in SOURCES
+             for _, callee in _root_calls(path.read_text(encoding="utf-8"))]
+    assert sorted(calls) == [("costs.py", "brentq"), ("costs.py", "excess"),
+                             ("diagnostics.py", "brentq"),
+                             ("diagnostics.py", "brentq")], calls
+    owners = [(path.name, node.name) for path in SOURCES
               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
               if isinstance(node, ast.FunctionDef) and
-              node.name.lstrip("_") == "excess"]
-    assert owners == ["costs.py"]
+              node.name.lstrip("_") in ("brentq", "excess")]
+    assert sorted(owners) == [("costs.py", "brentq"), ("costs.py", "excess")]
 
 
 def _reachable_functions(source, root):
@@ -413,44 +359,6 @@ def test_brute_force_route_shares_no_function_with_the_simplex():
     assert {"_brute_assemble", "_brute_ssp"} <= brute
     assert {"_assemble", "_network_simplex"} <= simplex
     assert not brute & simplex, sorted(brute & simplex)
-
-
-def _sparse_uses(source):
-    """Line numbers of each import from ``scipy.sparse`` and each
-    ``scipy.sparse`` attribute."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            if any(a.name.startswith("scipy.sparse") for a in node.names):
-                yield node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module.startswith("scipy.sparse") or (
-                    module == "scipy" and
-                    any(a.name == "sparse" for a in node.names)):
-                yield node.lineno
-        elif isinstance(node, ast.Attribute) and \
-                ast.unparse(node).startswith("scipy.sparse."):
-            yield node.lineno
-
-
-def test_sparse_guard_finds_imports_and_uses():
-    sample = ("from scipy.sparse import csr_array\n"
-              "from scipy.sparse.csgraph import breadth_first_order\n"
-              "import scipy.sparse.csgraph as csgraph\n"
-              "from scipy import sparse\n"
-              "import scipy\n"
-              "g = scipy.sparse.csgraph.connected_components(a)\n"
-              "from scipy.spatial.distance import cdist\n")
-    assert sorted(set(_sparse_uses(sample))) == [1, 2, 3, 4, 6]
-
-
-def test_simplex_builds_no_sparse_graph():
-    # the greedy start hands the simplex its spanning tree as parent
-    # pointers, so no basis graph is built, spliced or searched
-    source = (ROOT / "src" / "charflow" / "transport.py").read_text(
-        encoding="utf-8")
-    lines = sorted(set(_sparse_uses(source)))
-    assert not lines, f"transport.py:{lines} use scipy.sparse"
 
 
 def _leftovers(sources):

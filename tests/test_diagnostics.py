@@ -439,11 +439,10 @@ def test_schedule_caps_every_term(seed):
 
 
 def test_schedule_and_cutoff_free_their_inputs_without_the_collector():
-    """brentq holds its callable in a closure that refers to itself, so a
-    root function that closes over the modulus or the cutoff table would
-    keep them, and the modulus's node table, alive until the cyclic
-    collector runs.  The same holds for the cost that ``cost_inverse``
-    hands to brentq."""
+    """A reference cycle through the root finder, the schedule's cached
+    J or the cutoff table would keep the modulus, the modulus's node table
+    or the growth envelope alive until the cyclic collector runs.  The
+    same holds for the cost that ``cost_inverse`` hands to brentq."""
     modulus, growth = modulus_log(), growth_affine()
     cost = ConcaveCost(modulus_linear(), 0.25, 2.0)
     refs = weakref.ref(modulus), weakref.ref(growth), weakref.ref(cost)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +14,8 @@ from charflow import (AtomicSignedMeasure, BalancedPair, MeasureError,
                       balance_with_reservoir, jordan_decompose, make_measure,
                       measure_from_arrays)
 from charflow.diagnostics import MollifierSpec, mollify
-from charflow.measures import DEDUP_TOL
+from charflow.measures import (DEDUP_TOL, _colocated_pairs,
+                               _component_labels, _merge_colocated)
 
 
 def difference(mu, nu):
@@ -150,6 +154,80 @@ def test_merge_groups_are_the_chains_of_close_atoms(steps, seed):
     want = sorted((min(map(tuple, locs[group == g])),
                    math.fsum(weights[group == g])) for g in set(group.tolist()))
     assert [(tuple(loc), w) for loc, w in zip(m.locations, m.weights)] == want
+
+
+def _tree_partition(locs):
+    """Component label of each row of ``locs`` in the graph of rows within
+    DEDUP_TOL in max-norm, by a k-d tree's pair search and a sparse
+    connected-components pass: the reference for the package's window
+    search and label propagation."""
+    pairs = scipy.spatial.cKDTree(locs).query_pairs(
+        DEDUP_TOL, p=np.inf, output_type="ndarray")
+    graph = scipy.sparse.csr_array(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+        shape=(len(locs), len(locs)))
+    return scipy.sparse.csgraph.connected_components(graph,
+                                                     directed=False)[1]
+
+
+def _first_member_labels(labels):
+    """Labels renamed to the first row that carries each, so that two
+    labelings of one partition compare equal."""
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    return first[inverse]
+
+
+def _tree_merge(locations, weights):
+    """The merge on the reference partition: each group at its
+    lexicographically first atom with the fsum of its weights."""
+    order = np.lexsort(locations.T[::-1])
+    locs, ws = locations[order], weights[order]
+    label = _first_member_labels(_tree_partition(locs))
+    head = label == np.arange(len(ws))
+    merged = np.array([math.fsum(ws[label == g]) for g in range(len(ws))])
+    keep = head & (merged != 0.0)
+    return locs[keep], merged[keep]
+
+
+def _clouds():
+    """(name, locations) of the clouds the merge is checked on."""
+    rng = np.random.default_rng(2024)
+    for dim in (1, 2, 3):
+        base = rng.uniform(-1.0, 1.0, size=(300, dim))
+        twins = base[rng.integers(0, 300, size=150)]
+        near = base[rng.integers(0, 300, size=150)] + rng.uniform(
+            -1.5, 1.5, size=(150, dim)) * DEDUP_TOL
+        yield f"twins-{dim}d", np.vstack([base, twins, near])
+        steps = rng.choice([-0.9, 0.9], size=(400, dim)) * DEDUP_TOL
+        yield f"zigzag-{dim}d", np.vstack([np.cumsum(steps, axis=0),
+                                           base[:50]])
+        on_grid = rng.integers(-4, 5, size=(200, dim)) * DEDUP_TOL
+        yield f"tol-apart-{dim}d", np.vstack([on_grid, 1.0 + on_grid])
+        axes = [(np.arange(12) + 0.5) / 12] * dim
+        lattice = np.stack([g.ravel() for g in np.meshgrid(
+            *axes, indexing="ij")], axis=1)
+        yield f"lattice-{dim}d", np.vstack([lattice, lattice])
+    chain = 0.9 * DEDUP_TOL * np.arange(2000)
+    yield "chain-2000", np.stack([chain, chain[::-1] % 3e-12], axis=1)
+
+
+@pytest.mark.parametrize("name,locations", list(_clouds()),
+                         ids=[name for name, _ in _clouds()])
+def test_merge_partition_matches_a_tree_search(name, locations):
+    rng = np.random.default_rng(len(locations))
+    locs = locations[np.lexsort(locations.T[::-1])]
+    label = _component_labels(len(locs), *_colocated_pairs(locs))
+    want = _first_member_labels(_tree_partition(locs))
+    assert np.array_equal(label, want)
+    assert len(np.unique(want)) < len(locs)  # the cloud has groups
+    order = rng.permutation(len(locations))
+    weights = rng.integers(-8, 9, size=len(locations)) / 8.0
+    weights[weights == 0.0] = 0.5
+    got_locs, got_ws = _merge_colocated(locations[order], weights[order])
+    want_locs, want_ws = _tree_merge(locations[order], weights[order])
+    assert np.array_equal(got_locs, want_locs)
+    assert np.array_equal(got_ws, want_ws)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -439,15 +439,13 @@ doc = builtin_config("shear_line")
 doc["seed"] = 2
 doc["cutoff_levels"] = [2.0, 3.0, 4.0]
 config = ScenarioConfig.from_dict(doc)
-assert "scipy.optimize" not in sys.modules
-assert "scipy.integrate" not in sys.modules
 sys.exit(run_scenario(config, sys.argv[1], threads=int(sys.argv[2])).exit_code)
 """
 
 
 def test_cold_threaded_run_matches_the_serial_one(tmp_path):
-    # in a fresh process two workers reach the first brentq and quad, and
-    # with them scipy's lazy import of optimize and integrate, at once
+    # in a fresh process two workers reach the first node tables, cutoffs
+    # and kernel-mass audits at once
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -427,6 +427,28 @@ def test_potential_extension_is_cost_lipschitz(cost):
             assert abs(vals[a] - vals[b]) <= cost.cost(gap) * (1 + 1e-9) + 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distances_equal_cdist_bit_for_bit(dim):
+    # scales from 1e-14 to 1e3, rows repeated and rows 1e-13 apart, and
+    # empty sides
+    rng = np.random.default_rng(dim)
+    for trial in range(60):
+        scale = 10.0 ** rng.integers(-14, 4)
+        xs = rng.standard_normal((rng.integers(0, 30), dim)) * scale
+        ys = rng.standard_normal((rng.integers(0, 30), dim)) * scale
+        if trial % 3 == 0:
+            ys = np.vstack([ys, xs[:4], xs[:4] + 1e-13])
+        got = transport._distances(xs, ys)
+        assert got.shape == (len(xs), len(ys))
+        assert np.array_equal(got, cdist(xs, ys)), trial
+
+
+def test_potential_extension_rejects_points_of_another_dimension(cost):
+    _, potential = solve_ot(random_pair(45, 5, 4), cost)
+    with pytest.raises(TransportError, match="dimension"):
+        c_transform_extend(potential, np.zeros((3, 3)))
+
+
 def test_comparison_bound_closed_form(cost):
     value, eps, mass = 0.1, 0.05, 1.0
     # invert 2*log((r+1/4)/(1/4)) = value/eps by hand
