@@ -50,8 +50,6 @@ def _common_options(command):
     decorators = [
         click.option("--out", type=click.Path(file_okay=False), default=".",
                      show_default=True, help="Output directory."),
-        click.option("--threads", type=int, default=1, show_default=True,
-                     help="Worker threads for independent sub-tasks."),
         click.option("--seed", type=int, default=None,
                      help="Override the config seed."),
         click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
@@ -73,12 +71,12 @@ def main():
 @click.argument("config_path", metavar="CONFIG",
                 type=click.Path(exists=True, dir_okay=False))
 @_common_options
-def run(config_path, out, threads, seed, fmt):
+def run(config_path, out, seed, fmt):
     """Run the scenario described by CONFIG and write its reports."""
 
     def action():
         config = load_config(config_path, seed_override=seed)
-        result = run_scenario(config, out, threads=threads, fmt=fmt)
+        result = run_scenario(config, out, fmt=fmt)
         for level, name in sorted(result.report_paths.items()):
             click.echo(f"level {level}: {name}")
         click.echo(f"summary: {os.path.basename(result.summary_path)}")
@@ -95,13 +93,12 @@ def run(config_path, out, threads, seed, fmt):
 @click.option("--ladder", type=int, default=4, show_default=True,
               help="Number of refinement rungs (resolution doubles each).")
 @_common_options
-def converge(config_path, ladder, out, threads, seed, fmt):
+def converge(config_path, ladder, out, seed, fmt):
     """Run a resolution-refinement study for CONFIG."""
 
     def action():
         config = load_config(config_path, seed_override=seed)
-        result = convergence_study(config, out, rungs=ladder,
-                                   threads=threads, fmt=fmt)
+        result = convergence_study(config, out, rungs=ladder, fmt=fmt)
         for j, (res, dist) in enumerate(zip(result.resolutions,
                                             (*result.distances, None))):
             tail = "" if dist is None else f"  W_refine={dist!r}"

@@ -26,7 +26,6 @@ r * density(r), and beyond the last one the closed-form floor tail.
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ from .fields import Modulus
 # the one Gauss-Legendre rule on [-1, 1], for every table and residual
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(4)
 _NODE_TABLES = weakref.WeakKeyDictionary()
-_NODE_LOCK = threading.Lock()  # level jobs on threads share one build
 _BRENT_ITERATIONS = 100
 
 
@@ -204,16 +202,15 @@ def _raised_tail(mod, omega_one, s):
 def _node_table(mod):
     """(edges, rule weight of each node, omega' at each node, omega(1)) on
     the node grid of ``mod``, built once per live modulus."""
-    with _NODE_LOCK:
-        table = _NODE_TABLES.get(mod)
-        if table is None:
-            edges = grid_edges()
-            nodes, half = _rule_nodes(edges[:-1], edges[1:])
-            modified = tail_modify(mod)
-            table = _NODE_TABLES[mod] = (
-                edges, (half[:, None] * _WEIGHTS).ravel(),
-                np.asarray(modified(nodes.ravel()), dtype=float),
-                float(modified(1.0)))
+    table = _NODE_TABLES.get(mod)
+    if table is None:
+        edges = grid_edges()
+        nodes, half = _rule_nodes(edges[:-1], edges[1:])
+        modified = tail_modify(mod)
+        table = _NODE_TABLES[mod] = (
+            edges, (half[:, None] * _WEIGHTS).ravel(),
+            np.asarray(modified(nodes.ravel()), dtype=float),
+            float(modified(1.0)))
     return table
 
 

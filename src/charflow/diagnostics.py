@@ -23,7 +23,8 @@ from .costs import (KnotTable, brentq, gauss_legendre, grid_edges,
 from .errors import CutoffError, MollifierError, ScheduleError
 from .fields import (evaluate_batch, plateau_bump, plateau_bump_derivative,
                      row_norms, smooth_step, smooth_step_derivative)
-from .measures import balance_with_reservoir, measure_from_arrays
+from .measures import (_distinct_rows, balance_with_reservoir,
+                       measure_from_arrays)
 from .transport import solve_ot
 
 _DECADE = math.log(10.0)
@@ -177,19 +178,6 @@ class MollifierSpec:
         return out
 
 
-def _merge_cells(idx):
-    """The distinct rows of an integer array in lexicographic order and the
-    slot of each row among them, as ``np.unique(idx, axis=0,
-    return_inverse=True)`` gives them, by one lexsort of the columns."""
-    order = np.lexsort(idx.T[::-1])
-    ordered = idx[order]
-    first = np.ones(len(idx), dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    slot = np.empty(len(idx), dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    return ordered[first], slot
-
-
 def mollify(measure, spec):
     """Smooth an atomic measure onto the mollifier's lattice.
 
@@ -227,7 +215,7 @@ def mollify(measure, spec):
     shares = measure.weights[:, None] * (kernel / totals[:, None])
 
     nonzero = shares != 0.0
-    cells, slot = _merge_cells(idx[nonzero])
+    cells, slot = _distinct_rows(idx[nonzero])
     weights = np.bincount(slot, weights=shares[nonzero],
                           minlength=len(cells))
     keep = weights != 0.0

@@ -6,7 +6,7 @@ to a :class:`BalancedPair` alone: each side of a pair may hold a reservoir
 mass there, so two parts of unequal mass can be compared by transport.  The
 reservoir never carries a coordinate vector; transport plans address it as
 index -1.  All values are immutable after construction and every operation
-is pure, so instances can be shared freely across threads.
+is pure.
 
 Mass totals are computed with ``math.fsum`` (exactly rounded, permutation
 invariant), which is what makes the exact-balance guarantees of
@@ -32,6 +32,22 @@ from .errors import MeasureError
 DEDUP_TOL = 1e-12
 
 
+def _distinct_rows(rows):
+    """The distinct rows of a 2-D array in lexicographic order and each
+    row's slot among them, as ``np.unique(rows, axis=0, return_inverse=True)``
+    gives them, without the ``numpy.ma`` import of a first ``np.unique``.
+    Rows that tie are equal, so the sort need not be stable, and one column
+    takes numpy's default sort, which is faster than lexsort's stable one."""
+    order = (np.argsort(rows[:, 0]) if rows.shape[1] == 1
+             else np.lexsort(rows.T[::-1]))
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    slot = np.empty(len(rows), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return ordered[first], slot
+
+
 def _merge_colocated(locations, weights):
     """Merge every group of co-located atoms into one atom.
 
@@ -51,7 +67,9 @@ def _merge_colocated(locations, weights):
     label = _component_labels(len(ws), heads, tails)
     # the label of an atom is its group's first, lexicographically first
     # atom, which carries the group's weight
-    members = np.unique(np.concatenate([heads, tails]))
+    member = np.zeros(len(ws), dtype=bool)
+    member[heads] = member[tails] = True
+    members = np.flatnonzero(member)
     members = members[np.argsort(label[members], kind="stable")]
     bounds = [*np.flatnonzero(np.diff(label[members], prepend=-1)).tolist(),
               len(members)]

@@ -6,14 +6,14 @@ discretizations of the same datum through the characteristic flow, measures
 their difference at the report times, and checks the contraction machinery
 at each cutoff level.  :func:`convergence_study` quantizes one datum on a
 ladder of resolutions and tracks the flat transport distance between
-consecutive rungs.
+consecutive rungs.  Levels and rungs run in turn on the calling thread: the
+simplex's pivot loop holds the GIL, so worker threads overlapped no work.
 """
 
 import inspect
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +86,13 @@ def _typed(convert, value, key):
     return out
 
 
-def _run_threads(threads, fmt):
-    """The worker count of a run; a ConfigError for a bad one or for an
-    unknown report format."""
+def _check_format(threads, fmt):
+    """A ConfigError for an unknown report format, or for a ``threads``
+    other than 1: runs and studies work on the calling thread."""
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be \"csv\" or \"json\"")
-    threads = _typed(int, threads, "threads")
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-    return threads
+    if _typed(int, threads, "threads") != 1:
+        raise ConfigError(f"threads must be 1, got {threads!r}")
 
 
 def _array(value):
@@ -603,8 +601,10 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
     parameters keep each term at most 1 and the functional at most 3, the
     comparison chain closes, differences carry exactly zero signed mass, and
     the weak-form residual stays under the configured tolerance.
+    ``threads`` accepts only 1; it stays while the benchmark workloads
+    pass ``threads=1``, and goes once they stop.
     """
-    threads = _run_threads(threads, fmt)
+    _check_format(threads, fmt)
     os.makedirs(out_dir, exist_ok=True)
 
     field = build_field(config.field_kind, config.field_params)
@@ -636,12 +636,9 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
     mass_ok = all(mass == 0.0 for mass in masses)
     residual = weak_solution_residual(field, solution)
 
-    def job(level):
-        return _level_job(field, config, level, times, diffs, w_refine,
-                          masses)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        levels = list(pool.map(job, config.cutoff_levels))
+    levels = [_level_job(field, config, level, times, diffs, w_refine,
+                         masses)
+              for level in config.cutoff_levels]
 
     report_paths = {}
     for result in levels:
@@ -710,11 +707,12 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
     consecutive rungs lands in the table.  Lipschitz fields must shrink the
     distance by at least 1.8 per rung; Osgood fields must shrink it
     strictly; fields outside the Osgood class only raise a warning flag.
+    ``threads`` accepts only 1, and stays as in :func:`run_scenario`.
     """
     rungs = _typed(int, rungs, "rungs")
     if rungs < 3:
         raise ConfigError("a refinement study needs at least three rungs")
-    threads = _run_threads(threads, fmt)
+    _check_format(threads, fmt)
     if not isinstance(config.density, DensityField):
         raise ConfigError("a refinement study needs a sampled density")
     resolutions = [config.resolution * 2 ** j for j in range(rungs)]
@@ -725,14 +723,12 @@ def convergence_study(config, out_dir, rungs=4, threads=1, fmt="csv"):
     field = build_field(config.field_kind, config.field_params)
     opts = FlowOptions(abs_tol=config.abs_tol, rel_tol=config.rel_tol)
 
-    def rung(resolution):
+    endpoints = []
+    for resolution in resolutions:
         points, weights = _initial_atoms(config, resolution, resolution)
         frames = flow_map(field, points,
                           np.array([0.0, config.horizon]), opts)
-        return frames[-1], weights
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        endpoints = list(pool.map(rung, resolutions))
+        endpoints.append((frames[-1], weights))
 
     distances = []
     for (loc_a, w_a), (loc_b, w_b) in zip(endpoints, endpoints[1:]):

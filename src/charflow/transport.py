@@ -40,6 +40,7 @@ import numpy as np
 from .costs import reference_cost
 from .errors import ComparisonBoundError, CostRangeError, TransportError
 from .fields import evaluate_batch, row_norms
+from .measures import _distinct_rows
 
 DIAMOND = -1  # entry index marking the absorbing point
 
@@ -161,8 +162,8 @@ def _assemble(pair, cost):
     ground = np.empty((rows, cols))
     if m_atoms and n_atoms:
         dists = _distances(mu.locations, nu.locations)
-        radii, cell_radius = np.unique(dists.ravel(), return_inverse=True)
-        ground[:m_atoms, :n_atoms] = cost.cost_many(radii)[
+        radii, cell_radius = _distinct_rows(dists.reshape(-1, 1))
+        ground[:m_atoms, :n_atoms] = cost.cost_many(radii[:, 0])[
             cell_radius].reshape(m_atoms, n_atoms)
     if diamond_row:
         ground[m_atoms, :] = cost.c_infinity

@@ -1,7 +1,9 @@
 """Source guards: the package imports only numpy, click and the standard
 library and names no scipy, so no run loads it (a fresh process that
 validates configs, pushes atoms, runs every passing canned scenario, a
-refinement study and the selftest holds no scipy module);
+refinement study and the selftest holds no scipy module, and no
+``numpy.ma``); no module imports ``threading``, ``concurrent.futures`` or
+``multiprocessing``;
 ``fields.row_norms`` is its only per-row norm, ``fileio`` alone calls
 ``atomic_write_text``, ``scenarios`` compares no value with the name of
 a field or density kind and declares the config's keys only in
@@ -117,6 +119,9 @@ with tempfile.TemporaryDirectory() as tmp:
         assert result.exit_code == 0, (args, result.output)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
+masked = sorted(name for name in sys.modules
+                if name.split(".")[:2] == ["numpy", "ma"])
+assert not masked, masked
 """
 
 
@@ -127,6 +132,43 @@ def test_runs_studies_and_selftest_load_no_scipy():
     done = subprocess.run([sys.executable, "-c", FRESH_PROCESS], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+_CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+def _concurrency_imports(source):
+    """(line, module) of each import of ``threading``, ``concurrent`` or
+    ``multiprocessing``, or of a submodule or a name of one."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        yield from ((node.lineno, module) for module in modules
+                    if module.split(".")[0] in _CONCURRENCY)
+
+
+def test_concurrency_guard_finds_thread_and_process_imports():
+    sample = ("import threading\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "import multiprocessing.pool as pool\n"
+              "import os, concurrent.futures\n"
+              "from .threading_notes import spawn\n"
+              "import weakref\n")
+    assert list(_concurrency_imports(sample)) == [
+        (1, "threading"), (2, "concurrent.futures"),
+        (3, "multiprocessing.pool"), (4, "concurrent.futures")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sources_import_no_threads_or_processes(path):
+    # the simplex's pivot loop holds the GIL, so worker threads overlapped
+    # no work; levels and rungs run in plain loops on the calling thread
+    found = list(_concurrency_imports(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: {found}"
 
 
 def _row_norm_calls(source):

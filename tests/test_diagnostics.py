@@ -19,8 +19,7 @@ from charflow import (CharflowError, ConcaveCost, CutoffError, MollifierError,
                       parameter_schedule, rotation_field,
                       saturation_integral, weak_solution_residual)
 from charflow.costs import grid_edges
-from charflow.diagnostics import (_merge_cells, trapezoid_rule,
-                                  variation_integrals)
+from charflow.diagnostics import trapezoid_rule, variation_integrals
 from charflow.fileio import atomic_write_text, write_table
 from charflow.fields import smooth_step, smooth_step_derivative
 
@@ -224,27 +223,6 @@ def test_mollify_matches_the_per_atom_loop(dimension, count, alpha):
     want_locations, want_weights = _mollify_reference(m, spec)
     assert out.locations.tobytes() == want_locations.tobytes()
     assert out.weights.tobytes() == want_weights.tobytes()
-
-
-@pytest.mark.parametrize("rows", [
-    np.array([[3], [-2], [3], [0], [-2], [-7]]),
-    np.array([[1, -1], [0, 5], [1, -2], [0, 5], [-4, 9], [1, -1]]),
-    np.array([[-3, 4]]),
-    np.array([[6, -6]] * 5),
-    np.array([[-2]] * 4),
-    np.random.default_rng(4).integers(-3, 3, size=(400, 2)),
-    np.random.default_rng(5).integers(-2**40, 2**40, size=(50, 1)),
-], ids=["1d", "2d", "single", "all-equal-2d", "all-equal-1d",
-        "random-2d", "far-1d"])
-def test_merge_cells_matches_the_row_wise_unique(rows):
-    # mollify sums its shares into these slots with bincount, so equal
-    # cells and slots keep every bit of the old row-wise unique's sums
-    cells, slot = _merge_cells(rows.astype(np.int64))
-    want_cells, want_slot = np.unique(rows.astype(np.int64), axis=0,
-                                      return_inverse=True)
-    assert cells.dtype == np.int64 and slot.dtype == np.intp
-    np.testing.assert_array_equal(cells, want_cells)
-    np.testing.assert_array_equal(slot, want_slot.ravel())
 
 
 def test_mollify_cancels_opposite_atoms_to_the_empty_measure():

@@ -15,7 +15,8 @@ from charflow import (AtomicSignedMeasure, BalancedPair, MeasureError,
                       measure_from_arrays)
 from charflow.diagnostics import MollifierSpec, mollify
 from charflow.measures import (DEDUP_TOL, _colocated_pairs,
-                               _component_labels, _merge_colocated)
+                               _component_labels, _distinct_rows,
+                               _merge_colocated)
 
 
 def difference(mu, nu):
@@ -329,3 +330,26 @@ def test_scaled_weights_drop_zero_products_and_stay_read_only():
     assert kept.locations.tolist() == [[0.0, 1.0]]
     assert kept.weights.tolist() == [1.0]
     assert not kept.locations.flags.writeable
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[3], [-2], [3], [0], [-2], [-7]]),
+    np.array([[1, -1], [0, 5], [1, -2], [0, 5], [-4, 9], [1, -1]]),
+    np.array([[-3, 4]]),
+    np.array([[6, -6]] * 5),
+    np.array([[-2]] * 4),
+    np.random.default_rng(4).integers(-3, 3, size=(400, 2)),
+    np.random.default_rng(5).integers(-2**40, 2**40, size=(50, 1)),
+], ids=["1d", "2d", "single", "all-equal-2d", "all-equal-1d",
+        "random-2d", "far-1d"])
+def test_distinct_rows_match_the_row_wise_unique(rows):
+    # mollify sums its shares into these slots with bincount, and the
+    # ground-cost assembly scatters each distinct distance's cost back
+    # through them, so equal rows and slots keep every bit of the old
+    # row-wise unique's results
+    cells, slot = _distinct_rows(rows.astype(np.int64))
+    want_cells, want_slot = np.unique(rows.astype(np.int64), axis=0,
+                                      return_inverse=True)
+    assert cells.dtype == np.int64 and slot.dtype == np.intp
+    np.testing.assert_array_equal(cells, want_cells)
+    np.testing.assert_array_equal(slot, want_slot.ravel())

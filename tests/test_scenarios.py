@@ -6,8 +6,7 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
+import threading
 
 import numpy as np
 import pytest
@@ -401,7 +400,7 @@ def test_runs_are_byte_reproducible(tmp_path):
     out_a, out_b, out_c = (tmp_path / s for s in ("a", "b", "c"))
     run_scenario(micro_config(), out_a)
     run_scenario(micro_config(), out_b)
-    run_scenario(micro_config(), out_c, threads=3)
+    run_scenario(micro_config(), out_c)
     for name in ("micro_spin_k2.csv", "micro_spin_summary.json"):
         blob = (out_a / name).read_bytes()
         assert (out_b / name).read_bytes() == blob
@@ -413,54 +412,39 @@ def test_runs_are_byte_reproducible(tmp_path):
     # level 3 of rotation_ring aborts like osgood_line below
     ("rotation_ring", [2.0]),
 ])
-def test_resolution_mode_passes_and_is_thread_stable(tmp_path, name, levels):
+def test_resolution_mode_passes(tmp_path, name, levels):
     doc = builtin_config(name)
     doc["difference_mode"] = "resolution"
     doc["cutoff_levels"] = levels
     config = ScenarioConfig.from_dict(doc)
     one = run_scenario(config, tmp_path / "one")
-    two = run_scenario(config, tmp_path / "two", threads=2)
     assert one.exit_code == 0
     inv = one.summary["invariants"]
     assert inv["mass_zero"] and inv["weak_residual"]
     assert len(inv["levels"]) == len(levels)
     assert all(all(block.values()) for block in inv["levels"].values())
-    for path in (one.summary_path, *one.report_paths.values()):
-        name_only = os.path.basename(path)
-        assert ((tmp_path / "two" / name_only).read_bytes()
-                == (tmp_path / "one" / name_only).read_bytes())
-    assert two.exit_code == 0
 
 
-COLD_RUN = """
-import sys
-from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
-doc = builtin_config("shear_line")
-doc["seed"] = 2
-doc["cutoff_levels"] = [2.0, 3.0, 4.0]
-config = ScenarioConfig.from_dict(doc)
-sys.exit(run_scenario(config, sys.argv[1], threads=int(sys.argv[2])).exit_code)
-"""
+def test_levels_and_rungs_run_on_the_main_thread(tmp_path, monkeypatch):
+    # no pool hides the level job from a profiler on the main thread
+    seen = []
 
+    def on_caller(label, original):
+        def wrapped(*args):
+            seen.append((label, threading.current_thread()
+                         is threading.main_thread()))
+            return original(*args)
+        return wrapped
 
-def test_cold_threaded_run_matches_the_serial_one(tmp_path):
-    # in a fresh process two workers reach the first node tables, cutoffs
-    # and kernel-mass audits at once
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for threads in (1, 2):
-        done = subprocess.run(
-            [sys.executable, "-c", COLD_RUN, str(tmp_path / str(threads)),
-             str(threads)], env=env, capture_output=True, text=True,
-            timeout=300)
-        assert done.returncode == 0, done.stderr
-    names = sorted(os.listdir(tmp_path / "1"))
-    assert len(names) == 4 and names == sorted(os.listdir(tmp_path / "2"))
-    for name in names:
-        assert ((tmp_path / "2" / name).read_bytes()
-                == (tmp_path / "1" / name).read_bytes())
+    monkeypatch.setattr(scenarios, "_level_job",
+                        on_caller("level", scenarios._level_job))
+    monkeypatch.setattr(scenarios, "flow_map",
+                        on_caller("flow", scenarios.flow_map))
+    run_scenario(micro_config(cutoff_levels=[2.0, 3.0]), tmp_path / "run")
+    convergence_study(ScenarioConfig.from_dict(LINE), tmp_path / "study",
+                      rungs=3)
+    assert seen == [("flow", True)] * 2 + [("level", True)] * 2 + \
+        [("flow", True)] * 3
 
 
 def test_resolution_mode_osgood_line_breaks_the_comparison_chain(tmp_path):
@@ -589,23 +573,14 @@ def test_study_checks_every_rung_before_it_flows(tmp_path, monkeypatch):
     assert not calls and not out.exists()
 
 
-@pytest.mark.parametrize("threads", [0, -3])
-def test_thread_counts_below_one_are_config_errors(tmp_path, threads):
-    # both once clamped the count to 1 without a word
-    with pytest.raises(ConfigError, match="threads must be at least 1"):
+@pytest.mark.parametrize("threads", [0, -3, 2, 2.5, True, "2"],
+                         ids=["zero", "negative", "two", "fraction", "bool",
+                              "string"])
+def test_threads_other_than_one_are_config_errors(tmp_path, threads):
+    # runs and studies work on the calling thread, so 1 is the one count
+    with pytest.raises(ConfigError, match="threads"):
         run_scenario(micro_config(), tmp_path / "run", threads=threads)
-    with pytest.raises(ConfigError, match="threads must be at least 1"):
-        convergence_study(ScenarioConfig.from_dict(LINE), tmp_path / "study",
-                          rungs=3, threads=threads)
-    assert not os.listdir(tmp_path)
-
-
-@pytest.mark.parametrize("threads", [2.5, True, "2"])
-def test_thread_counts_must_be_integers(tmp_path, threads):
-    # 2.5 once ran on 2 threads and True on 1
-    with pytest.raises(ConfigError, match="'threads'"):
-        run_scenario(micro_config(), tmp_path / "run", threads=threads)
-    with pytest.raises(ConfigError, match="'threads'"):
+    with pytest.raises(ConfigError, match="threads"):
         convergence_study(ScenarioConfig.from_dict(LINE), tmp_path / "study",
                           rungs=3, threads=threads)
     assert not os.listdir(tmp_path)
@@ -704,15 +679,17 @@ def test_cli_negative_seed_exits_two_with_record(tmp_path, doc_seed, flags):
     assert "'seed'" in record["message"]
 
 
-def test_cli_zero_threads_exits_two_with_record(tmp_path):
+@pytest.mark.parametrize("verb", ["run", "converge"])
+@pytest.mark.parametrize("count", ["0", "1", "2"])
+def test_cli_threads_option_is_a_usage_error(tmp_path, verb, count):
     cfg = _write_config(tmp_path, MICRO, name="idle.json")
     out = tmp_path / "out"
     result = CliRunner().invoke(
-        cli_main, ["run", cfg, "--out", str(out), "--threads", "0"])
+        cli_main, [verb, cfg, "--out", str(out), "--threads", count])
     assert result.exit_code == 2, result.output
-    record = json.loads((out / "idle_error.json").read_text())
-    assert record["error"] == "ConfigError"
-    assert "threads" in record["message"]
+    assert "no such option" in result.output.lower()
+    assert "--threads" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["beta", "delta"])

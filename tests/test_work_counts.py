@@ -7,8 +7,6 @@ here without any timing.
 
 import gc
 import math
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -611,33 +609,3 @@ def test_schedule_builds_the_j_node_table_at_most_once(monkeypatch, ivar,
     cost = ConcaveCost(modulus, sched.delta, sched.beta)
     assert tables.builds == 1 and evaluations == []
     assert cost.c_infinity == sched.beta * sched.j_value
-
-
-def test_threads_share_one_node_table_build(monkeypatch):
-    """Level jobs on threads ask for J on one modulus at once; the lock
-    around the table lets one build it and the others read it."""
-    tables = _CountingTables()
-    monkeypatch.setattr(costs, "_NODE_TABLES", tables)
-    modulus = modulus_log()
-    deltas = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0]
-    start = threading.Barrier(len(deltas))
-    results = {}
-
-    def job(delta):
-        start.wait(timeout=10.0)
-        results[delta] = costs.saturation_integral(modulus, delta)
-
-    workers = [threading.Thread(target=job, args=(d,)) for d in deltas]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert tables.builds == 1
-    assert results == {d: costs.saturation_integral(modulus, d)
-                       for d in deltas}
