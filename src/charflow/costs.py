@@ -11,16 +11,20 @@ nonincreasing.  c(0) = 0 and subadditivity follow, which is what lets the
 cost act as a metric on measures with mass parked at the absorbing point.
 
 Evaluation strategy: one rule, 4-node Gauss-Legendre, on one geometric
-grid (:func:`grid_edges`).  omega' is tabulated once per live modulus at
-the rule's nodes in each grid interval from 1e-300 to 1e13.  J(delta), the
-total of the integral above over beta, is one weighted sum over that node
-table plus the tail beyond 1e13 in closed form on the quadratic floor.  A
-cost sums the same terms per interval into its knot table and takes its
-ceiling c_infinity = beta * J(delta) from them, so a cost built on a
-modulus that J has seen evaluates no modulus.  A query adds to the value at
-the nearest knot the 4-node residual of :class:`KnotTable`, which also
-holds the cutoff window in diagnostics; below the first knot the cost is
-r * density(r), and beyond the last one the closed-form floor tail.
+grid (:func:`grid_edges`), evaluated by one blocked evaluator
+(:func:`_rule_blocks`) a block of ``_BLOCK`` intervals at a time, so no
+quadrature holds more than one block of nodes, whatever the grid or the
+batch.  omega' is tabulated once per live modulus at the rule's nodes in
+each grid interval from 1e-300 to 1e13.  J(delta), the total of the
+integral above over beta, is one weighted sum over that node table plus
+the tail beyond 1e13 in closed form on the quadratic floor.  A cost sums
+the same terms per interval into its knot table and takes its ceiling
+c_infinity = beta * J(delta) from them, so a cost built on a modulus that
+J has seen evaluates no modulus.  A query adds to the value at the nearest
+knot the 4-node residual of :class:`KnotTable`, a block of points at a
+time, which also holds the cutoff window in diagnostics; below the first
+knot the cost is r * density(r), and beyond the last one the closed-form
+floor tail.  Each value takes the same bits in any block or batch.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .fields import Modulus
 # the one Gauss-Legendre rule on [-1, 1], for every table and residual
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(4)
 _NODE_TABLES = weakref.WeakKeyDictionary()
+# intervals (or points) per block of every 4-node quadrature: its
+# temporaries stay a few hundred KiB, whatever the grid or the batch
+_BLOCK = 2048
 _BRENT_ITERATIONS = 100
 
 
@@ -46,6 +53,12 @@ def grid_edges(first=-300 * 128):
     return 10.0 ** (np.arange(first, 13 * 128 + 1) / 128)
 
 
+def _blocks(count):
+    """Slices of at most ``_BLOCK`` consecutive items that cover
+    range(count), in order."""
+    return (slice(start, start + _BLOCK) for start in range(0, count, _BLOCK))
+
+
 def _rule_nodes(lo, hi):
     """Nodes of the 4-node rule on each [lo, hi], and half-widths."""
     half = 0.5 * (hi - lo)
@@ -53,17 +66,32 @@ def _rule_nodes(lo, hi):
     return mid[..., None] + half[..., None] * _NODES, half
 
 
+def _rule_blocks(density, lo, hi):
+    """``density`` on the rule nodes of the intervals [lo, hi] of two flat
+    arrays of one length, a block of at most ``_BLOCK`` intervals at a time.
+
+    Yields each block's slice, the density on its nodes (one row of 4 per
+    interval) and its half-widths; ``density`` is called once per block, on
+    the flat array of the block's nodes.
+    """
+    for part in _blocks(len(lo)):
+        nodes, half = _rule_nodes(lo[part], hi[part])
+        vals = np.asarray(density(nodes.ravel()), dtype=float)
+        yield part, vals.reshape(nodes.shape), half
+
+
 def gauss_legendre(density, lo, hi):
     """4-node Gauss-Legendre integrals of ``density`` over each [lo, hi].
 
-    ``lo`` and ``hi`` are arrays that broadcast together; ``density`` is
-    called once on every node of every interval and must accept a flat
-    array.
+    ``lo`` and ``hi`` are flat arrays of one length; ``density`` must
+    accept a flat array and is called once per block of at most ``_BLOCK``
+    intervals, on every node of the block.  Each integral takes the same
+    bits in any block.
     """
-    nodes, half = _rule_nodes(lo, hi)
-    vals = np.asarray(density(nodes.ravel()),
-                      dtype=float).reshape(nodes.shape)
-    return (vals * _WEIGHTS).sum(axis=-1) * half
+    out = np.empty(len(lo))
+    for part, vals, half in _rule_blocks(density, lo, hi):
+        out[part] = (vals * _WEIGHTS).sum(axis=-1) * half
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,9 +118,16 @@ class KnotTable:
         return self.knots[idx], self.values[idx]
 
     def value(self, r):
-        """Integral from the first knot to each r: table plus residual."""
-        base_r, base_v = self.base(r)
-        return base_v + gauss_legendre(self.density, base_r, r)
+        """Integral from the first knot to each r: table plus residual,
+        ``_BLOCK`` points at a time."""
+        r = np.asarray(r, dtype=float)
+        out = np.empty(r.shape)
+        flat_r, flat = r.reshape(-1), out.reshape(-1)
+        for part in _blocks(flat.size):
+            base_r, base_v = self.base(flat_r[part])
+            flat[part] = base_v + gauss_legendre(self.density, base_r,
+                                                 flat_r[part])
+        return out
 
 
 def excess(x, f, target):
@@ -205,12 +240,14 @@ def _node_table(mod):
     table = _NODE_TABLES.get(mod)
     if table is None:
         edges = grid_edges()
-        nodes, half = _rule_nodes(edges[:-1], edges[1:])
+        weights = np.empty((len(edges) - 1, len(_WEIGHTS)))
+        omega = np.empty_like(weights)
         modified = tail_modify(mod)
-        table = _NODE_TABLES[mod] = (
-            edges, (half[:, None] * _WEIGHTS).ravel(),
-            np.asarray(modified(nodes.ravel()), dtype=float),
-            float(modified(1.0)))
+        for part, vals, half in _rule_blocks(modified, edges[:-1], edges[1:]):
+            omega[part] = vals
+            np.multiply(half[:, None], _WEIGHTS, out=weights[part])
+        table = _NODE_TABLES[mod] = (edges, weights.ravel(), omega.ravel(),
+                                     float(modified(1.0)))
     return table
 
 
@@ -218,7 +255,8 @@ def _saturation_terms(mod, delta):
     """J's terms w / (omega' + delta), one per node, and J: their sum plus
     the floor tail beyond the last edge."""
     edges, weights, omega, omega_one = _node_table(mod)
-    terms = weights / (omega + delta)
+    terms = np.add(omega, delta)
+    np.divide(weights, terms, out=terms)
     return terms, float(np.sum(terms)) + float(
         _floor_tail(omega_one, delta, edges[-1]))
 
@@ -323,7 +361,7 @@ class ConcaveCost:
         if past.any():
             out[past] = self.c_infinity - self.beta * _floor_tail(
                 self._omega_one, self.delta, flat[past])
-        out = np.minimum(out, self.c_infinity)
+        np.minimum(out, self.c_infinity, out=out)
         return out.reshape(radii.shape) if radii.ndim else float(out[0])
 
     cost = cost_many

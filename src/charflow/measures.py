@@ -43,9 +43,13 @@ def _distinct_rows(rows):
     ordered = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    distinct = ordered[first]
+    del ordered
+    ranks = np.cumsum(first, dtype=np.intp)
+    ranks -= 1
     slot = np.empty(len(rows), dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    return ordered[first], slot
+    slot[order] = ranks
+    return distinct, slot
 
 
 def _merge_colocated(locations, weights):

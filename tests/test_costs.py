@@ -1,6 +1,7 @@
 """Concave saturating costs: closed forms, concavity, table vs quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,11 +193,13 @@ def test_four_node_residual_matches_32_nodes_on_cutoffs(growth, k):
     assert _residual_rules_disagree(cut._h_table, radii) <= 4.4e-16
 
 
-def test_cost_many_takes_4_nodes_inside_a_positive_knot_interval():
+def test_cost_many_takes_4_nodes_inside_a_positive_knot_interval(
+        monkeypatch):
     """4 modulus values per radius inside the table, one below its first
     positive knot (r * density(r)), and none beyond its last knot, where
     the floor tail is in closed form; a build on a tabulated modulus takes
-    none."""
+    none.  A batch of several blocks is still one ``cost_many`` call, with
+    one modulus call per block."""
     points = []
 
     def counted(s, _original=modulus_log()):
@@ -217,6 +220,111 @@ def test_cost_many_takes_4_nodes_inside_a_positive_knot_interval():
     points.clear()
     cost.cost_many(beyond)
     assert points == []
+
+    calls = []
+
+    def once(self, radii, _original=ConcaveCost.cost_many):
+        calls.append(np.size(radii))
+        return _original(self, radii)
+
+    monkeypatch.setattr(ConcaveCost, "cost_many", once)
+    many = np.geomspace(knots[1], knots[-1], 2 * costs._BLOCK + 3)
+    cost.cost_many(many)
+    assert calls == [len(many)]
+    assert points == [4 * costs._BLOCK] * 2 + [4 * 3]
+
+
+def _traced_peak(call):
+    """Peak traced bytes while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_node_table_build_peak_memory():
+    # traced peak of one node-table build beyond the 2.75 MiB table: 0.36
+    # MiB here, 4.1 MiB when omega' and the rule nodes were formed on the
+    # whole grid at once
+    mod = modulus_log()
+    peak = _traced_peak(lambda: costs._node_table(mod))
+    table = sum(a.nbytes for a in costs._node_table(mod)[:3])
+    assert peak <= table + 2**20
+
+
+def test_cost_many_peak_memory():
+    # traced peak of cost_many on 50,000 radii inside the knot table, in
+    # arrays of 50,000 floats: 4.2 here, 21.9 when the residual ran on
+    # every radius at once
+    cost = ConcaveCost(modulus_log(), 1e-3, 0.5)
+    radii = np.geomspace(cost._table.knots[1], cost._table.knots[-1], 50_000)
+    cost.cost_many(radii)
+    assert _traced_peak(lambda: cost.cost_many(radii)) <= 6 * radii.nbytes
+
+
+def test_saturation_integral_peak_memory():
+    # traced peak of one J in node-grid arrays (160,256 floats): 1.0 here,
+    # 2.0 when omega' + delta and its quotient were two arrays
+    mod = modulus_log()
+    saturation_integral(mod, 1e-3)
+    omega = costs._node_table(mod)[2]
+    peak = _traced_peak(lambda: saturation_integral(mod, 1e-3))
+    assert peak <= 1.1 * omega.nbytes
+
+
+BLOCK_EDGE_SIZES = (costs._BLOCK - 1, costs._BLOCK, costs._BLOCK + 1,
+                    3 * costs._BLOCK + 5)
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+def test_cost_many_keeps_its_bits_across_block_edges(size):
+    # head, table and floor-tail radii, each equal to its one-radius call
+    cost = ConcaveCost(modulus_loglog(), 1e-3, 0.5)
+    radii = np.geomspace(1e-305, 1e15, size)
+    alone = [cost.cost_many(radii[k:k + 1])[0] for k in range(size)]
+    np.testing.assert_array_equal(cost.cost_many(radii), alone)
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+def test_gauss_legendre_keeps_its_bits_across_block_edges(size):
+    calls = []
+
+    def density(s, _omega=tail_modify(modulus_log())):
+        calls.append(np.size(s))
+        return 1.0 / (_omega(s) + 1e-3)
+
+    edges = np.geomspace(1e-12, 1e6, size + 1)
+    whole = gauss_legendre(density, edges[:-1], edges[1:])
+    assert calls == [4 * min(costs._BLOCK, size - k)
+                     for k in range(0, size, costs._BLOCK)]
+    alone = [gauss_legendre(density, edges[k:k + 1], edges[k + 1:k + 2])[0]
+             for k in range(size)]
+    np.testing.assert_array_equal(whole, alone)
+
+
+# J recorded before the node table and J's terms were formed in blocks and
+# in place, as repr'd floats: neither may move a bit
+SATURATION_DELTAS = (1.0, 1e-4, 1e-9, 1e-280)
+SATURATION_BITS = {
+    "modulus_linear": (1.4785453439573937, 10.210407035643039,
+                       21.723265837613077, 645.7238260383328),
+    "modulus_log": (1.2225983043818553, 3.6508887392185785,
+                    4.382167972134681, 7.690558073846679),
+    "modulus_loglog": (0.9779137256597874, 2.2235917542972543,
+                       2.4543760777626904, 3.147214889749504),
+    "modulus_loglog_squared": (0.7661384645110655, 1.384280399744882,
+                               1.454523878331801, 1.6030201604911651),
+}
+
+
+@pytest.mark.parametrize("make", CANNED_MODULI)
+def test_saturation_integral_keeps_its_recorded_bits(make):
+    mod = make()
+    assert tuple(saturation_integral(mod, delta)
+                 for delta in SATURATION_DELTAS) == \
+        SATURATION_BITS[make.__name__]
 
 
 @pytest.mark.parametrize("make", CANNED_MODULI)

@@ -7,8 +7,9 @@ refinement study and the selftest holds no scipy module, and no
 ``fields.row_norms`` is its only per-row norm, ``fileio`` alone calls
 ``atomic_write_text``, ``scenarios`` compares no value with the name of
 a field or density kind and declares the config's keys only in
-``ScenarioConfig``, ``costs`` builds the one Gauss-Legendre rule and the
-one root finder with its one root function, the brute-force transport
+``ScenarioConfig``, ``costs`` builds the one Gauss-Legendre rule, forms
+its nodes only in the one blocked evaluator, and builds the one root
+finder with its one root function, the brute-force transport
 route shares no function with the simplex it checks, no module keeps a
 private name or an import that nothing uses, every exported function or
 class is reached from the package or the acceptance battery, the
@@ -324,6 +325,39 @@ def test_one_gauss_legendre_rule():
         path.read_text(encoding="utf-8"))] for path in SOURCES}
     assert {name: args for name, args in calls.items() if args} == \
         {"costs.py": ["4"]}
+
+
+def _callers(source, callee):
+    """(enclosing function, line) of each call of ``callee``, bare or as an
+    attribute; module-level calls have the function ``None``."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and \
+                    ast.unparse(child.func).split(".")[-1] == callee:
+                yield owner, child.lineno
+            yield from walk(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+    return list(walk(ast.parse(source), None))
+
+
+def test_caller_guard_finds_rule_node_calls():
+    sample = ("nodes = _rule_nodes(a, b)\n"
+              "def blocks(lo, hi):\n"
+              "    def inner():\n"
+              "        return costs._rule_nodes(lo, hi)\n"
+              "    return _rule_nodes(lo, hi), rule_nodes(lo, hi)\n")
+    assert sorted(_callers(sample, "_rule_nodes"), key=lambda c: c[1]) == [
+        (None, 1), ("inner", 4), ("blocks", 5)]
+
+
+def test_rule_nodes_are_formed_only_in_blocks():
+    # every 4-node quadrature (the node table, J, costs, the cutoff window
+    # and the kernel-mass audit) forms its nodes through the one blocked
+    # evaluator, so none holds more than a block of them
+    calls = [(path.name, owner) for path in SOURCES
+             for owner, _ in _callers(path.read_text(encoding="utf-8"),
+                                      "_rule_nodes")]
+    assert calls == [("costs.py", "_rule_blocks")]
 
 
 def _root_calls(source):

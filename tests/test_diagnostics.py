@@ -18,7 +18,7 @@ from charflow import (CharflowError, ConcaveCost, CutoffError, MollifierError,
                       modulus_log, modulus_loglog_squared, mollify,
                       parameter_schedule, rotation_field,
                       saturation_integral, weak_solution_residual)
-from charflow.costs import grid_edges
+from charflow.costs import _BLOCK, grid_edges
 from charflow.diagnostics import trapezoid_rule, variation_integrals
 from charflow.fileio import atomic_write_text, write_table
 from charflow.fields import smooth_step, smooth_step_derivative
@@ -83,6 +83,16 @@ def test_cutoff_table_matches_the_window_integral_near_r_zero():
                                      rel=1e-9, abs=1e-300)
         assert 0.0 <= grad <= 2.0 / float(growth(r))
     assert cut.value(rs[0]) > 0.0 and cut.gradient_norm(rs[0]) > 0.0
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                  3 * _BLOCK + 5])
+def test_cutoff_value_keeps_its_bits_across_block_edges(size):
+    # the window's knot table is read a block of radii at a time
+    cut = build_cutoff(growth_affine(), 2.0)
+    rs = np.linspace(cut.k - 0.5, cut.r_zero + 0.5, size)
+    alone = [cut.value(r) for r in rs]
+    np.testing.assert_array_equal(cut.value(rs), alone)
 
 
 def test_cutoff_apply_reweights_and_drops():

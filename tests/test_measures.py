@@ -1,6 +1,7 @@
 """Atomic signed measures: exactness of mass bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,3 +354,21 @@ def test_distinct_rows_match_the_row_wise_unique(rows):
     assert cells.dtype == np.int64 and slot.dtype == np.intp
     np.testing.assert_array_equal(cells, want_cells)
     np.testing.assert_array_equal(slot, want_slot.ravel())
+
+
+def test_distinct_rows_peak_memory():
+    # traced peak on the 147,840-cell distance column of two lattice clouds,
+    # in columns: 3.1 here (4.1 with every distance distinct), 5.1 when the
+    # sorted copy lived on beside the ranks and cumsum(first) - 1 was a
+    # second array
+    rng = np.random.default_rng(3)
+    xs, ys = (rng.integers(0, 40, (k, 2)) * 0.05 for k in (385, 384))
+    col = scipy.spatial.distance.cdist(xs, ys).reshape(-1, 1)
+    _distinct_rows(col)
+    tracemalloc.start()
+    try:
+        _distinct_rows(col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * col.nbytes
