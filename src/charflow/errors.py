@@ -31,7 +31,7 @@ class FlowError(CharflowError):
 
 
 class TransportError(CharflowError):
-    """Transport LP infeasibility, size-cap breach, or pivot-cycle guard."""
+    """Transport LP infeasibility, size-cap breach, or pivot-budget guard."""
 
 
 class ComparisonBoundError(CharflowError):

@@ -11,19 +11,19 @@ and v pinned to 0 at the absorbing point.
 
 Two independent solvers are kept deliberately separate:
 
-* :func:`solve_ot` runs a primal transportation simplex (tree basis,
-  Dantzig pricing with a Bland fallback) and recovers the single dual
+* :func:`solve_ot` runs a primal transportation simplex (strongly
+  feasible tree basis, Dantzig pricing) and recovers the single dual
   potential from the optimal tree.  Its least-cost greedy start crosses out
   one row or column per shipment, so it yields the starting spanning tree
-  directly.  The tree holds each basic arc once, at its lower node: the
-  node's parent and the cell and flow of the arc up to it.  The tree and
-  the potentials persist across pivots; one walk fills the potentials for
-  the start, and a pivot re-hangs only the subtree that its leaving arc
-  cuts off, by the same path reversal that re-roots the start, and runs
-  the same walk over that subtree alone, each potential from its parent
-  arc as a fresh walk from the root would, so the potentials are exact at
-  every pivot.  Reduced costs are not kept: each pivot prices the whole
-  cost matrix against the current potentials in one in-place pass.
+  directly, rooted at a row.  The tree holds each basic arc once, at its
+  lower node: the node's parent and the cell and flow of the arc up to it.
+  The tree and the potentials persist across pivots; one walk fills the
+  potentials for the start, and a pivot re-hangs only the subtree that its
+  leaving arc cuts off, by a path reversal, and runs the same walk over
+  that subtree alone, each potential from its parent arc as a fresh walk
+  from the root would, so the potentials are exact at every pivot.
+  Reduced costs are not kept: each pivot prices the whole cost matrix
+  against the current potentials in one in-place pass.
 * :func:`brute_force_ot` never touches that code path: it settles instances
   of up to 7 atoms a side by successive shortest augmenting paths.  It is
   the cross-check, so it shares no assembly, pivoting or labeling logic with
@@ -181,16 +181,16 @@ def _least_cost_start(supplies, demands, costs):
 
     A shipment crosses out the line that it exhausts, the row when it
     exhausts both; the column then stays open at zero remainder until a
-    later zero-mass arc attaches it.  The last open row is kept while
-    columns stay open, and the last open column while rows do: the shipment
-    crosses out its other end instead, so the remaining lines of that kind
-    attach through zero-mass arcs (with exact remainders this happens only
-    to a row exhausted together with its column).  So m + n - 1 shipments
-    leave one line open, each crossed-out line hangs from the other end of
-    the arc that crossed it out, which is crossed out later or never, and
-    the arcs form a spanning tree rooted at the open line.  Greedy matching
-    starts close to optimal on near-diagonal instances, which keeps the
-    pivot count low.
+    later zero-mass arc hangs it below a row.  The last open row is kept to
+    the end, and the last open column while rows stay open: the shipment
+    crosses out its other end instead.  So m + n - 1 shipments leave one row
+    open, each crossed-out line hangs from the other end of the arc that
+    crossed it out, which is crossed out later or never, and the arcs form a
+    spanning tree rooted at that row.  Every zero-mass arc hangs a column
+    below a row, so the tree is strongly feasible: a row that meets the
+    emptied last column still holds a rounding residue, and ships it there.
+    Greedy matching starts close to optimal on near-diagonal instances,
+    which keeps the pivot count low.
 
     Returns the tree as three lists over nodes, rows 0..m-1 and then
     columns m..m+n-1: each node's parent (-1 at the root), and the flat cell
@@ -219,12 +219,14 @@ def _least_cost_start(supplies, demands, costs):
             q = min(rem_s[i], rem_d[j])
             rem_s[i] -= q
             rem_d[j] -= q
-            if open_cols > 1 and (open_rows == 1 or rem_s[i] > 0.0):
+            if open_rows == 1 or (open_cols > 1 and rem_s[i] > 0.0):
                 lower, upper = m + j, i
                 open_cols -= 1
             else:
                 lower, upper = i, m + j
                 open_rows -= 1
+                if q == 0.0:  # a residue meets the emptied last column
+                    q = rem_s[i]
             open_line[lower] = False
             parent[lower], up_cell[lower], up_flow[lower] = upper, i * n + j, q
         start += size
@@ -259,14 +261,10 @@ def _hang(heads, costs, parent, children, depth, pot, up_cell):
         stack.extend(children[q])
 
 
-def _entering_cell(red, enter_tol, bland):
+def _entering_cell(red, enter_tol):
     """The cell that enters the basis, or None when none prices below
-    -enter_tol: the most negative reduced cost (Dantzig's rule, first in
-    row-major order on ties), or under Bland's rule the first offender in
-    row-major order."""
-    if bland:
-        offenders = np.argwhere(red < -enter_tol)
-        return tuple(map(int, offenders[0])) if len(offenders) else None
+    -enter_tol: the most negative reduced cost (Dantzig's rule), first in
+    row-major order on ties."""
     i, j = divmod(int(np.argmin(red)), red.shape[1])
     return (i, j) if red[i, j] < -enter_tol else None
 
@@ -276,65 +274,62 @@ def _network_simplex(supplies, demands, costs):
 
     Returns (cells, flows, u, v, pivots): the flat cells and flows of the
     m + n - 1 basic arcs, and u_i + v_j = costs[i, j] on each of them.
-    Dantzig pricing normally; a run of degenerate pivots switches to
-    Bland's rule, which cannot cycle.
+
+    The basis tree is strongly feasible (Cunningham 1976; Ahuja, Magnanti
+    and Orlin, *Network Flows*, section 11.5): its root is a row and each
+    zero-flow arc hangs a column below a row.  The greedy start hands over
+    such a tree, and the leaving arc keeps it so: the first blocking arc met
+    from the cycle's apex, down to the entering row, across and up from the
+    entering column.  No basis then repeats, so the entering cell needs no
+    rule but Dantzig's, the most negative reduced cost.
 
     The basis tree and the potentials persist across pivots.  The tree is
     held once, per node: parent, depth and children, and the flat cell and
     flow of the arc up to the parent, which is the only record of a basic
-    arc.  The greedy start hands over its tree; the path from row 0 up to
-    its root is reversed, as a pivot reverses a path, and one :func:`_hang`
-    from row 0 fills depths and potentials for the whole tree.  Each pivot
-    prices every cell in one in-place pass, (c - u) - v, then sets the
-    m + n - 1 basic cells to inf.  The mask is explicit because a basic
-    cell prices to zero only up to the rounding of u_i + v_j, which grows
-    with |u| + |v| and so with the depth of the tree, and must never enter.
-    The cycle of an entering arc is found by climbing depths from both
-    endpoints; its tree arcs are those of the nodes below the apex.  The
-    leaving arc, the smallest cell among the blocking ones, cuts a subtree
-    off the root; the path from the entering endpoint up to the cut is
-    reversed, the subtree is re-hung from the entering arc, and
-    :func:`_hang` refills only its nodes.  That is the arithmetic of a
-    fresh walk over the whole tree: the potentials stay exact, bit for bit,
-    so no pivot acts on drifted prices and the final u and v equal a fresh
-    walk's.
+    arc.  The simplex keeps the start's root, and one :func:`_hang` from it
+    fills depths and potentials for the whole tree.  Each pivot prices
+    every cell in one in-place pass, (c - u) - v, then sets the m + n - 1
+    basic cells to inf, and the root's slot past the cells.  The mask is
+    explicit because a basic cell prices to zero only up to the rounding of
+    u_i + v_j, which grows with |u| + |v| and so with the depth of the tree,
+    and must never enter.  The cycle of an entering arc is found by climbing
+    depths from both endpoints; its tree arcs are those of the nodes below
+    the apex.  The leaving arc cuts a subtree off the root; the path from
+    the entering endpoint up to the cut is reversed, the subtree is re-hung
+    from the entering arc, and :func:`_hang` refills only its nodes.  That
+    is the arithmetic of a fresh walk over the whole tree: the potentials
+    stay exact, bit for bit, so no pivot acts on drifted prices and the
+    final u and v equal a fresh walk's.
     """
     m, n = len(supplies), len(demands)
     costs = np.ascontiguousarray(costs)  # flat cell indices are row-major
     parent, up_cell, up_flow = _least_cost_start(supplies, demands, costs)
+    root = parent.index(-1)
+    up_cell[root] = m * n  # the spare slot past ``red``'s cells
     up_cell = np.array(up_cell, dtype=np.intp)
     children = [set() for _ in range(m + n)]
     for node, above in enumerate(parent):
         if above != -1:
             children[above].add(node)
-    # re-root the start's tree at row 0
-    path = [0]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    _reverse(path, parent, children, up_cell, up_flow)
-    parent[0] = -1
     # u_i for rows, then v_j for columns, as Python floats for the walks
     pot = [0.0] * (m + n)
     depth = [0] * (m + n)
-    _hang(children[0], costs, parent, children, depth, pot, up_cell)
+    _hang(children[root], costs, parent, children, depth, pot, up_cell)
     u, v = np.array(pot[:m]), np.array(pot[m:])
-    red = np.empty_like(costs)
-    basic = up_cell[1:]  # a view: row 0 is the root and keeps no arc
+    slots = np.empty(m * n + 1)
+    red = slots[:-1].reshape(m, n)
 
-    total = math.fsum(supplies)
     enter_tol = 1e-12 * (1.0 + float(np.max(np.abs(costs))))
-    zero_theta = 1e-15 * max(total, 1.0)
     pivot_cap = 60 * (m + n) + 3000
-    bland = False
-    degenerate_run = 0
 
     for pivot in range(pivot_cap):
         np.subtract(costs, u[:, None], out=red)
         red -= v
-        red.reshape(-1)[basic] = np.inf
-        entering = _entering_cell(red, enter_tol, bland)
+        slots[up_cell] = np.inf
+        entering = _entering_cell(red, enter_tol)
         if entering is None:
-            return basic, np.array(up_flow[1:]), u, v, pivot
+            return (np.delete(up_cell, root), np.delete(up_flow, root), u, v,
+                    pivot)
         ei, ej = entering
 
         # the tree paths from both endpoints up to where they join
@@ -348,18 +343,18 @@ def _network_simplex(supplies, demands, costs):
             side_row.append(parent[side_row[-1]])
 
         # the cycle: entering arc, up from the column, down to the row; an
-        # arc loses mass up from a column, or down to a row
+        # arc loses mass up from a column, or down to a row.  The first
+        # blocking arc met from the apex leaves.
         gain = [q for q in side_col[:-1] if q < m] + \
             [q for q in side_row[:-1] if q >= m]
-        lose = [q for q in side_col[:-1] if q >= m] + \
-            [q for q in side_row[:-1] if q < m]
-        theta = min(up_flow[q] for q in lose)
-        cut = min((q for q in lose if up_flow[q] <= theta),
-                  key=up_cell.item)
+        lose = [q for q in side_row[-2::-1] if q < m] + \
+            [q for q in side_col[:-1] if q >= m]
+        cut = min(lose, key=up_flow.__getitem__)
+        theta = up_flow[cut]
         for q in gain:
             up_flow[q] += theta
         for q in lose:
-            up_flow[q] = max(up_flow[q] - theta, 0.0)
+            up_flow[q] -= theta
 
         # the leaving arc's lower node heads the subtree cut off the root;
         # the entering endpoint on that side becomes the subtree's new head
@@ -374,13 +369,6 @@ def _network_simplex(supplies, demands, costs):
         _hang([head], costs, parent, children, depth, pot, up_cell)
         u[:] = pot[:m]
         v[:] = pot[m:]
-
-        if theta <= zero_theta:
-            degenerate_run += 1
-            if degenerate_run >= m + n:
-                bland = True
-        else:
-            degenerate_run = 0
 
     raise TransportError(f"simplex exceeded its pivot budget ({pivot_cap})")
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charflow import (ConcaveCost, CostRangeError, FieldError, Modulus,
-                      build_cutoff, growth_affine, growth_constant,
+                      QuadratureError, build_cutoff, growth_affine, growth_constant,
                       modulus_linear, modulus_log, modulus_loglog,
                       modulus_loglog_squared, reference_cost,
                       saturation_integral, tail_modify)
@@ -524,6 +524,47 @@ def test_tail_modify_rejects_degenerate_modulus():
                    osgood=False)
     with pytest.raises(FieldError):
         tail_modify(dead)
+
+
+def _shallow_dip(s):
+    """s, less 1e-8 spread over the decade [1e-12, 1e-11]: omega goes
+    slightly negative, so the cost's slope climbs about 1e-8 above beta/delta
+    in steps of under 1e-10, which the concavity check tolerates."""
+    s = np.asarray(s, dtype=float)
+    return s - 1e-8 * np.clip(np.log10(np.clip(s, 1e-300, None)) + 12.0,
+                              0.0, 1.0)
+
+
+def _drop_at_half(s):
+    """s up to 0.5, then 0.25: nonnegative, so the slope never passes
+    beta/delta, but it jumps up at 0.5."""
+    s = np.asarray(s, dtype=float)
+    return np.where(s <= 0.5, s, 0.25)
+
+
+@pytest.mark.parametrize("evaluator,message", [
+    (_shallow_dip, "cost slope exceeded beta/delta"),
+    (_drop_at_half, "cost table lost concavity"),
+])
+def test_cost_table_audit_rejects_a_bad_modulus(evaluator, message):
+    # each modulus fails that one of the three audits and passes the others
+    with pytest.raises(QuadratureError, match=message):
+        ConcaveCost(Modulus(evaluator, osgood=True), 1.0, 1.0)
+
+
+def test_cost_table_audit_rejects_a_negative_increment(monkeypatch):
+    # negative rule weights on the last interval of the node table give one
+    # negative increment at the end: the slope falls below 0 there, so it
+    # stays under beta/delta and concave
+    mod = modulus_linear()
+    edges, weights, omega, omega_one = costs._node_table(mod)
+    weights = weights.copy()
+    weights[-len(costs._WEIGHTS):] *= -1.0
+    monkeypatch.setitem(costs._NODE_TABLES, mod,
+                        (edges, weights, omega, omega_one))
+    with pytest.raises(QuadratureError,
+                       match="cost increments must be nonnegative"):
+        ConcaveCost(mod, 1.0, 1.0)
 
 
 def test_nonosgood_modulus_still_yields_a_finite_saturating_cost():

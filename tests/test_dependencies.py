@@ -592,7 +592,8 @@ def test_the_absorbing_point_belongs_to_the_balanced_pair(path):
 
 
 _RETIRED_SETTINGS = re.compile(
-    r"\b(modulus_constants|modulus_constant_for|_declared|max_steps)\b")
+    r"\b(modulus_constants|modulus_constant_for|_declared|max_steps|bland"
+    r"|degenerate_run|zero_theta)\b")
 
 
 def _retired_settings(source):
@@ -608,15 +609,18 @@ def test_settings_guard_finds_the_retired_names():
               "c = spec.modulus_constant_for(2.0)\n"
               "# _declared(c) and FlowOptions(max_steps=3)\n"
               "c = spec.modulus_constant  # declared once\n"
-              "steps = _MAX_STEPS\n")
+              "steps = _MAX_STEPS\n"
+              "bland, degenerate_run = False, 0  # under zero_theta\n"
+              "blandness = \"Bland's rule\"\n")
     assert list(_retired_settings(sample)) == [
         (1, "modulus_constants"), (2, "modulus_constant_for"),
-        (3, "_declared"), (3, "max_steps")]
+        (3, "_declared"), (3, "max_steps"), (6, "bland"),
+        (6, "degenerate_run"), (6, "zero_theta")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_settings_no_caller_varies_are_constants(path):
-    # a field declares one modulus constant, and the stepper's step cap is
-    # the module constant _MAX_STEPS
+    # a field declares one modulus constant, the stepper's step cap is the
+    # module constant _MAX_STEPS, and the simplex has one pivot rule
     found = list(_retired_settings(path.read_text(encoding="utf-8")))
     assert not found, f"{path.name}: {found}"

@@ -226,17 +226,18 @@ def test_simplex_agrees_with_brute_force_on_tied_lattices(cost):
     assert min(reservoirs.values()) > 50
 
 
-def _fresh_walk(arcs, costs, m, n):
+def _fresh_walk(arcs, costs, m, n, root):
     """Potentials u_i + v_j = costs[i, j] on the basis tree of ``arcs``
-    rooted at row 0, and each node's parent (-1 at the root) and depth: a
-    breadth-first walk in plain Python, each potential its tree arc's cost
-    minus its parent's.  Fails unless the arcs reach every node."""
+    rooted at node ``root`` (rows 0..m-1, then columns), and each node's
+    parent (-1 at the root) and depth: a breadth-first walk in plain Python,
+    each potential its tree arc's cost minus its parent's.  Fails unless the
+    arcs reach every node."""
     neighbours = [[] for _ in range(m + n)]
     for i, j in arcs:
         neighbours[i].append(m + j)
         neighbours[m + j].append(i)
     parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
-    order, seen = [0], {0}
+    order, seen = [root], {root}
     for p in order:
         for q in neighbours[p]:
             if q not in seen:
@@ -256,14 +257,15 @@ def _arcs(cells, n):
 
 def _assert_exact_potentials(supplies, demands, costs):
     """The potentials kept across pivots are those of a fresh walk over the
-    final basis, bit for bit: each node's is its tree arc's cost minus its
-    parent's, so u_i + v_j equals c_ij on every basic arc up to the rounding
-    of that one subtraction."""
+    final basis from the simplex's root, the start's, bit for bit: each
+    node's is its tree arc's cost minus its parent's, so u_i + v_j equals
+    c_ij on every basic arc up to the rounding of that one subtraction."""
     m, n = len(supplies), len(demands)
     cells, flows, u, v, pivots = _network_simplex(supplies, demands, costs)
     assert len(cells) == len(flows) == m + n - 1
     arcs = _arcs(cells, n)
-    fresh_u, fresh_v, parent, depth = _fresh_walk(arcs, costs, m, n)
+    root = _least_cost_start(supplies, demands, costs)[0].index(-1)
+    fresh_u, fresh_v, parent, depth = _fresh_walk(arcs, costs, m, n, root)
     assert u.tobytes() == fresh_u.tobytes()
     assert v.tobytes() == fresh_v.tobytes()
     potentials = np.concatenate([u, v])
@@ -300,57 +302,132 @@ def _watch_the_pricing(monkeypatch, supplies, demands, costs):
     """Run the simplex and check the matrix that each ``_entering_cell``
     call sees: exactly m + n - 1 inf cells, the cells of the current basis,
     and every other cell (c - u) - v under the potentials of a fresh walk
-    over that basis, bit for bit.  Returns the basic arcs, each with its
-    flow, and each call's rule flag."""
+    over that basis from the simplex's root, bit for bit.  Returns the
+    basic arcs, each with its flow, and the number of pricing passes."""
     m, n = len(supplies), len(demands)
-    basis, rules = [], []
+    trees, entered = [], []
 
     def hang(*args, _original=transport._hang):
-        basis.append(args[-1])  # the parent-arc cells that the pivots update
+        # the parents and parent-arc cells that the pivots update
+        trees.append((args[2], args[-1]))
         return _original(*args)
 
-    def entering(red, enter_tol, bland, _original=transport._entering_cell):
+    def entering(red, enter_tol, _original=transport._entering_cell):
         masked = np.isinf(red)
         assert np.count_nonzero(masked) == m + n - 1
-        arcs = _arcs(basis[-1][1:], n)  # row 0 is the root
+        parent, up_cell = trees[-1]
+        root = parent.index(-1)
+        arcs = _arcs(np.delete(up_cell, root), n)  # the root keeps no arc
         assert set(map(tuple, np.argwhere(masked).tolist())) == set(arcs)
-        u, v, _, _ = _fresh_walk(arcs, costs, m, n)
+        u, v, _, _ = _fresh_walk(arcs, costs, m, n, root)
         fresh = costs - u[:, None] - v
         assert red[~masked].tobytes() == fresh[~masked].tobytes()
-        rules.append(bland)
-        return _original(red, enter_tol, bland)
+        entered.append(_original(red, enter_tol))
+        return entered[-1]
 
     monkeypatch.setattr(transport, "_hang", hang)
     monkeypatch.setattr(transport, "_entering_cell", entering)
     cells, flows, _, _, pivots = _network_simplex(supplies, demands, costs)
-    assert len(rules) == pivots + 1
-    return dict(zip(_arcs(cells, n), flows)), rules
+    assert len(entered) == pivots + 1 and entered[-1] is None
+    return dict(zip(_arcs(cells, n), flows)), len(entered)
 
 
 def test_each_pivot_prices_against_the_current_basis(monkeypatch, cost):
     supplies, demands, costs = _assemble(random_pair(9, 40, 30), cost)[:3]
-    _, rules = _watch_the_pricing(monkeypatch, supplies, demands, costs)
-    assert len(rules) > 10 and not any(rules)  # Dantzig's rule throughout
+    _, pricings = _watch_the_pricing(monkeypatch, supplies, demands, costs)
+    assert pricings > 10
 
 
-def test_degenerate_runs_switch_to_blands_rule(monkeypatch):
+def test_degenerate_instance_ends_under_dantzigs_rule(monkeypatch):
     """Squared gaps between two aligned 12-atom lattices: the greedy start is
     already the unique optimum (each atom to its left-hand neighbour), so
-    every pivot is degenerate and a run of m + n of them hands the choice of
-    the entering cell to Bland's rule.  Every pivot prices against the
-    current basis, under either rule.  (With each atom sent to its
-    right-hand neighbour instead, the start's zero-mass arcs already price
-    optimal and no pivot runs.)"""
+    every pivot is degenerate, and the strongly feasible basis ends the run
+    under Dantzig's rule alone (27 pivots).  Every pivot prices against the
+    current basis.  (With each atom sent to its right-hand neighbour
+    instead, the start's zero-mass arcs already price optimal and no pivot
+    runs.)"""
     xs = np.arange(12.0)
     costs = (xs[:, None] - xs[None, :] + 0.5) ** 2
     masses = np.full(12, 1.0 / 12)
-    flows, rules = _watch_the_pricing(monkeypatch, masses, masses, costs)
-    assert sum(rules) > 0
+    flows, pricings = _watch_the_pricing(monkeypatch, masses, masses, costs)
+    assert pricings > 1
     shipped = {arc for arc, q in flows.items() if q > 0.0}
     assert shipped == {(k, k) for k in range(12)}
     value = math.fsum(costs[arc] * q for arc, q in flows.items())
     assert value == pytest.approx(0.25, rel=1e-12)
     _assert_exact_potentials(masses, masses, costs)
+
+
+def _watch_strong_feasibility(monkeypatch):
+    """Check the basis tree at each ``_hang``, so the start's and every
+    pivot's: its root is a row and every node whose parent arc carries zero
+    flow is a column, so positive mass can be sent from the root to every
+    node.  The start's parent and flow lists are the ones that the pivots
+    update.  Returns the counts of trees checked and of zero-flow arcs
+    seen."""
+    seen = {"trees": 0, "zero arcs": 0}
+    tree = []
+
+    def start(supplies, demands, costs,
+              _original=transport._least_cost_start):
+        parent, up_cell, up_flow = _original(supplies, demands, costs)
+        tree[:] = [len(supplies), parent, up_flow]
+        return parent, up_cell, up_flow
+
+    def hang(*args, _original=transport._hang):
+        m, parent, up_flow = tree
+        (root,) = [q for q, p in enumerate(parent) if p == -1]
+        zero = [q for q, p in enumerate(parent)
+                if p != -1 and up_flow[q] == 0.0]
+        assert root < m and all(q >= m for q in zero), (root, zero)
+        seen["trees"] += 1
+        seen["zero arcs"] += len(zero)
+        return _original(*args)
+
+    monkeypatch.setattr(transport, "_least_cost_start", start)
+    monkeypatch.setattr(transport, "_hang", hang)
+    return seen
+
+
+def test_every_basis_tree_is_strongly_feasible(monkeypatch, cost,
+                                               mollified_pairs):
+    """Tied random and exact dyadic instances, with and without 2^-40 dust,
+    the tied lattice pairs of the brute-force comparison and the mollified
+    pairs of two scenarios."""
+    seen = _watch_strong_feasibility(monkeypatch)
+    rng = np.random.default_rng(36)
+    for trial in range(16):
+        m, n = (int(k) for k in rng.integers(10, 40, size=2))
+        _network_simplex(*_random_instance(rng, m, n, dust=trial % 2))
+        _network_simplex(*_dyadic_instance(rng, m, n, trial % 2))
+    for trial in range(200):
+        solve_ot(_tied_lattice_pair(rng), cost if trial % 2 else
+                 REFERENCE_COST)
+    for pair, ground in mollified_pairs:
+        if pair.mu.atom_count and pair.nu.atom_count:
+            _network_simplex(*_assemble(pair, ground)[:3])
+    assert seen["trees"] > 2000 and seen["zero arcs"] > 400, seen
+
+
+def test_a_residue_meeting_the_emptied_last_column_ships_there(
+        monkeypatch):
+    """Demands one ulp short leave rows 0 and 1 a residue each once columns
+    0 and 1 are full, and row 2 empties column 2, the last open one.  Row
+    0's residue ships to column 2, so no row hangs from it by a zero-flow
+    arc; row 1 is the root, and column 2 hangs below it at zero flow."""
+    supplies = np.array([0.3, 0.2, 0.5])
+    demands = np.array([np.nextafter(0.3, 0.0), np.nextafter(0.2, 0.0), 0.5])
+    costs = np.array([[0.0, 1.0, 0.5], [1.0, 0.125, 0.625],
+                      [1.0, 1.0, 0.25]])
+    parent, up_cell, up_flow = _least_cost_start(supplies, demands, costs)
+    assert parent == [5, -1, 5, 0, 1, 1]
+    assert up_flow[0] == 0.3 - demands[0] > 0.0 and up_flow[5] == 0.0
+    seen = _watch_strong_feasibility(monkeypatch)
+    cells, flows, _, _, _ = _network_simplex(supplies, demands, costs)
+    assert seen["trees"] >= 1
+    assert np.all(flows >= 0.0)
+    shipped = np.bincount(cells // 3, weights=flows, minlength=3)
+    assert np.allclose(shipped, supplies, rtol=0.0, atol=1e-15)
 
 
 def _move_the_heaviest_arc(cells, flows, u, v, pivots, shape):

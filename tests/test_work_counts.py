@@ -6,7 +6,6 @@ here without any timing.
 """
 
 import gc
-import math
 import weakref
 
 import numpy as np
@@ -79,25 +78,25 @@ def test_solve_ot_evaluates_each_distinct_distance_once(monkeypatch):
 
 def _rewalking_simplex(supplies, demands, ground):
     """The pivots of ``transport._network_simplex`` with the whole basis tree
-    walked afresh, from row 0, before every pricing pass: breadth-first,
-    each potential its tree arc's cost minus its parent's.  It keeps its
-    own flows dict keyed by arc.  Returns the final flows and the pivot
-    count."""
+    walked afresh, from the start's root, before every pricing pass:
+    breadth-first, each potential its tree arc's cost minus its parent's.
+    Dantzig's rule picks the entering cell, and the first blocking arc met
+    on the cycle from its apex leaves.  It keeps its own flows dict keyed
+    by arc.  Returns the final flows and the pivot count."""
     m, n = ground.shape
     parent, up_cell, up_flow = transport._least_cost_start(supplies, demands,
                                                            ground)
+    root = parent.index(-1)
     flows = {divmod(cell, n): q
              for p, cell, q in zip(parent, up_cell, up_flow) if p != -1}
     enter_tol = 1e-12 * (1.0 + float(np.max(np.abs(ground))))
-    zero_theta = 1e-15 * max(math.fsum(supplies), 1.0)
-    bland, degenerate_run = False, 0
     for pivot in range(60 * (m + n) + 3000):
         neighbours = [[] for _ in range(m + n)]
         for i, j in flows:
             neighbours[i].append(m + j)
             neighbours[m + j].append(i)
         parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
-        order, seen = [0], {0}
+        order, seen = [root], {root}
         for p in order:
             for q in neighbours[p]:
                 if q not in seen:
@@ -109,7 +108,7 @@ def _rewalking_simplex(supplies, demands, ground):
         assert len(order) == m + n
         red = (ground - np.array(pot[:m])[:, None]) - np.array(pot[m:])
         red[tuple(np.array(list(flows)).T)] = np.inf
-        entering = transport._entering_cell(red, enter_tol, bland)
+        entering = transport._entering_cell(red, enter_tol)
         if entering is None:
             return flows, pivot
         ei, ej = entering
@@ -121,20 +120,19 @@ def _rewalking_simplex(supplies, demands, ground):
         while side_col[-1] != side_row[-1]:
             side_col.append(parent[side_col[-1]])
             side_row.append(parent[side_row[-1]])
-        walk = [ei] + side_col + side_row[-2::-1]
+        # the cycle from the apex: down to the row, across, up the column
+        walk = side_row[::-1] + side_col
         hops = list(zip(walk[:-1], walk[1:]))
         plus = [(p, q - m) for p, q in hops if p < m]
         minus = [(q, p - m) for p, q in hops if p >= m]
         theta = min(flows[arc] for arc in minus)
-        leaving = min(arc for arc in minus if flows[arc] <= theta)
+        leaving = next(arc for arc in minus if flows[arc] <= theta)
         for arc in plus:
             flows[arc] = flows.get(arc, 0.0) + theta
         for arc in minus:
             flows[arc] = max(flows[arc] - theta, 0.0)
         del flows[leaving]
         flows.setdefault((ei, ej), 0.0)
-        degenerate_run = degenerate_run + 1 if theta <= zero_theta else 0
-        bland = bland or degenerate_run >= m + n
     raise AssertionError("pivot budget exceeded")
 
 
@@ -169,9 +167,11 @@ def test_simplex_walks_the_whole_basis_tree_once(monkeypatch):
     cells, flows, _, _, pivots = transport._network_simplex(supplies, demands,
                                                             ground)
     assert pivots > 50 and len(walks) == pivots + 1
-    # the seed hangs every subtree of row 0; each pivot hangs one subtree
+    # the seed hangs every subtree of the root; each pivot hangs one subtree
+    root = transport._least_cost_start(supplies, demands, ground)[0].index(-1)
     assert walks[0][1] == nodes - 1
-    assert all(len(heads) == 1 and 0 not in heads for heads, _ in walks[1:])
+    assert all(len(heads) == 1 and root not in heads
+               for heads, _ in walks[1:])
     assert sum(walked for _, walked in walks[1:]) < pivots * nodes / 4
     rewalked, rewalked_pivots = _rewalking_simplex(supplies, demands, ground)
     assert rewalked_pivots == pivots
