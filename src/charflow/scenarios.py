@@ -31,7 +31,7 @@ from .flow import FlowOptions, flow_endpoints, flow_map
 from .measures import (balance_with_reservoir, make_measure,
                        measure_from_arrays)
 from .transport import (brute_force_ot, comparison_bound, firstterm_estimate,
-                        reference_W, solve_ot)
+                        reference_cost_of, reference_W, solve_ot)
 
 _ATOM_BUDGET = 20000
 _SNAP_GRAIN = 2.0 ** -40
@@ -554,8 +554,7 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
                              estimate.bound])
 
     rows = []
-    final_pair = None
-    final_value = 0.0
+    final_pair = final_plan = None
     worst_gap = -math.inf
     first_term_ok = True
     for i, t in enumerate(times):
@@ -568,7 +567,7 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
         worst_gap = max(worst_gap, value - row[5] * (1.0 + _BOUND_SLACK))
         lhs, rhs = firstterm_estimate(field, t, plan, cost, const)
         first_term_ok = first_term_ok and lhs <= rhs * (1.0 + 1e-9) + 1e-15
-        final_pair, final_value = pair, value
+        final_pair, final_plan = pair, plan
 
     last = rows[-1]
     invariants = {"first_term": bool(first_term_ok)}
@@ -578,12 +577,17 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
         invariants["schedule_terms"] = bool(
             max(last[2], last[3], last[4]) <= 1.0 + _TERM_SLACK)
         invariants["d_le_three"] = bool(
-            final_value <= 3.0 * (1.0 + _BOUND_SLACK))
+            final_plan.primal_value <= 3.0 * (1.0 + _BOUND_SLACK))
+    # W <= rhs at each epsilon.  The D plan's cost under min(r, 1) bounds W
+    # from above, so it closes an epsilon by itself; it is one-sided, so
+    # where it does not, the exact W is solved (once) and decides.
     chain_ok = True
-    lhs = reference_W(final_pair)
+    lhs, exact = reference_cost_of(final_plan), False
+    mass = final_pair.total_mass()
     for eps in (0.1, 0.01):
-        rhs = comparison_bound(cost, final_value, eps,
-                               final_pair.total_mass())
+        rhs = comparison_bound(cost, final_plan.primal_value, eps, mass)
+        if not exact and lhs > rhs * (1.0 + 1e-9) + 1e-12:
+            lhs, exact = reference_W(final_pair), True
         chain_ok = chain_ok and lhs <= rhs * (1.0 + 1e-9) + 1e-12
     invariants["comparison_chain"] = bool(chain_ok)
 
@@ -600,7 +604,11 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
     first-term estimate with the declared modulus constant, scheduled
     parameters keep each term at most 1 and the functional at most 3, the
     comparison chain closes, differences carry exactly zero signed mass, and
-    the weak-form residual stays under the configured tolerance.
+    the weak-form residual stays under the configured tolerance.  The chain
+    holds W, the last row's distance under min(r, 1), to
+    :func:`comparison_bound` of its D at epsilon 0.1 and 0.01; the cost of
+    D's plan under min(r, 1) bounds W, and W is solved exactly only where
+    that bound does not decide.
     ``threads`` accepts only 1; it stays while the benchmark workloads
     pass ``threads=1``, and goes once they stop.
     """

@@ -448,22 +448,30 @@ def solve_ot(pair, cost):
     return plan, potential
 
 
+def _entry_arrays(plan):
+    """A plan's entries as arrays: rows, columns and masses, the mask of
+    the real entries (neither end at the absorbing point, ``DIAMOND``), and
+    the gaps x_i - y_j of the real entries with their ``row_norms``."""
+    table = np.array(plan.entries, dtype=float).reshape(-1, 3)
+    rows, cols = table[:, 0].astype(int), table[:, 1].astype(int)
+    real = (rows != DIAMOND) & (cols != DIAMOND)
+    gaps = plan.mu_locations[rows[real]] - plan.nu_locations[cols[real]]
+    return rows, cols, table[:, 2], real, gaps, row_norms(gaps)
+
+
 def _check_slackness(plan, potential, cost):
     """Every plan entry must ship along a tight edge: v(x) - v(y) = c(x, y).
 
     The costs of all real entries come from one vectorized evaluation;
     entries touching the absorbing point cost ``c_infinity``.
     """
-    rows, cols = np.array([(i, j) for i, j, _ in plan.entries],
-                          dtype=int).reshape(-1, 2).T
+    rows, cols, _, real, _, dists = _entry_arrays(plan)
     mu_values = np.append(potential.mu_values, 0.0)
     nu_values = np.append(potential.nu_values, 0.0)
     drops = mu_values[rows] - nu_values[cols]  # index -1 reads the 0.0
     costs = np.full(len(rows), float(cost.c_infinity))
-    real = (rows != DIAMOND) & (cols != DIAMOND)
     if np.any(real):
-        gaps = plan.mu_locations[rows[real]] - plan.nu_locations[cols[real]]
-        costs[real] = cost.cost_many(row_norms(gaps))
+        costs[real] = cost.cost_many(dists)
     bad = np.abs(drops - costs) > _SLACK_TOL * (1.0 + np.abs(costs))
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -664,6 +672,22 @@ def reference_W(pair):
     return plan.primal_value
 
 
+def reference_cost_of(plan):
+    """Cost of ``plan`` under the benchmark cost min(r, 1).
+
+    Any plan of a balanced pair couples it feasibly for the W problem, so
+    the result is an upper bound on :func:`reference_W` of the pair the
+    plan couples; on ``reference_W``'s own plan it is that value, bit for
+    bit.  Real entries cost ``REFERENCE_COST.cost_many`` of their gap
+    lengths, the evaluator of ``reference_W``'s assembly, and entries at
+    the absorbing point cost ``c_infinity``.
+    """
+    _, _, masses, real, _, dists = _entry_arrays(plan)
+    costs = np.full(len(masses), REFERENCE_COST.c_infinity)
+    costs[real] = REFERENCE_COST.cost_many(dists)
+    return math.fsum(masses * costs)
+
+
 def comparison_bound(cost, transport_value, epsilon, total_mass):
     """Convert a concave-cost transport value into a benchmark-cost bound.
 
@@ -702,15 +726,12 @@ def firstterm_estimate(field, t, plan, cost, const):
     mass) because the slope saturates the modulus.  Entries at the absorbing
     point or of zero length contribute to neither side.  Returns (|lhs|, rhs).
     """
-    entries = np.array(plan.entries, dtype=float).reshape(-1, 3)
-    entries = entries[(entries[:, 0] != DIAMOND) & (entries[:, 1] != DIAMOND)]
-    rows, cols = entries[:, 0].astype(int), entries[:, 1].astype(int)
-    gaps = plan.mu_locations[rows] - plan.nu_locations[cols]
-    dists = row_norms(gaps)
+    rows, cols, masses, real, gaps, dists = _entry_arrays(plan)
     live = dists > 0.0
     if not np.any(live):
         return 0.0, 0.0
-    rows, cols, masses = rows[live], cols[live], entries[live, 2]
+    keep = np.flatnonzero(real)[live]
+    rows, cols, masses = rows[keep], cols[keep], masses[keep]
     gaps, dists = gaps[live], dists[live]
     vel_gaps = (evaluate_batch(field, t, plan.mu_locations)[rows]
                 - evaluate_batch(field, t, plan.nu_locations)[cols])

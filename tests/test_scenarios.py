@@ -456,6 +456,61 @@ def test_resolution_mode_osgood_line_breaks_the_comparison_chain(tmp_path):
         run_scenario(ScenarioConfig.from_dict(doc), tmp_path)
 
 
+def _reference_W_callers(monkeypatch):
+    """The name of the function behind each ``reference_W`` call of a run."""
+    callers = []
+
+    def counted(pair, _original=scenarios.reference_W):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return _original(pair)
+
+    monkeypatch.setattr(scenarios, "reference_W", counted)
+    return callers
+
+
+def _output_bytes(out_dir):
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+def test_the_d_plan_decides_the_comparison_chain(monkeypatch, tmp_path):
+    # the last D plan's cost under min(r, 1) closes the chain by itself:
+    # W is solved only for the W_refine column
+    callers = _reference_W_callers(monkeypatch)
+    config = micro_config(cutoff_levels=[2.0, 3.0])
+    result = run_scenario(config, tmp_path)
+    assert result.exit_code == 0
+    assert all(block["comparison_chain"]
+               for block in result.summary["invariants"]["levels"].values())
+    assert callers == ["_refinement_distance"] * config.time_points
+
+
+def test_the_exact_w_decides_where_the_d_plan_does_not(monkeypatch,
+                                                       tmp_path):
+    config = micro_config(cutoff_levels=[2.0, 3.0])
+    run_scenario(config, tmp_path / "plain")
+    callers = _reference_W_callers(monkeypatch)
+    monkeypatch.setattr(scenarios, "reference_cost_of", lambda plan: math.inf)
+    result = run_scenario(config, tmp_path / "patched")
+    # one exact solve per level decides both epsilons, and the chain holds
+    assert callers.count("_level_job") == len(config.cutoff_levels)
+    assert result.exit_code == 0
+    assert _output_bytes(tmp_path / "patched") == \
+        _output_bytes(tmp_path / "plain")
+
+
+def test_the_chain_fails_when_the_exact_w_exceeds_the_bound(monkeypatch,
+                                                            tmp_path):
+    # the micro run's final pair is at W > 0, over a right side of 0
+    callers = _reference_W_callers(monkeypatch)
+    monkeypatch.setattr(scenarios, "comparison_bound", lambda *args: 0.0)
+    result = run_scenario(micro_config(), tmp_path)
+    assert callers.count("_level_job") == 1
+    verdicts = result.summary["invariants"]["levels"]["2"]
+    assert verdicts.pop("comparison_chain") is False
+    assert all(verdicts.values())
+    assert result.exit_code == 1
+
+
 def test_canned_run_certifies_the_first_term(tmp_path):
     # shear_line's unit shear meets the certificate with equality
     result = run_scenario(ScenarioConfig.from_dict(builtin_config(

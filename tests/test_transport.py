@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import charflow.scenarios as scenarios
@@ -19,9 +21,10 @@ from charflow import (ComparisonBoundError, ConcaveCost, TransportError,
                       modulus_loglog, modulus_loglog_squared, reference_W,
                       rotation_field, solve_ot)
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
-from charflow.transport import (DIAMOND, REFERENCE_COST, _assemble,
-                                _check_slackness, _least_cost_start,
-                                _network_simplex)
+from charflow.transport import (DIAMOND, REFERENCE_COST, TransportPlan,
+                                _assemble, _check_slackness,
+                                _least_cost_start, _network_simplex,
+                                reference_cost_of)
 
 
 def difference(mu, nu):
@@ -556,6 +559,50 @@ def test_comparison_bound_dominates_reference_distance(cost):
         for scale in (1.05, 2.0, 4.0):
             eps = scale * value / cost.c_infinity
             assert w_ref <= comparison_bound(cost, value, eps, mass) + 1e-12
+
+
+# -- the D plan's bound on W --------------------------------------------------
+
+# the simplex settles a value to its entering tolerance, so a feasible plan
+# may cost a rounding less than the solved optimum
+def _at_least(bound, value):
+    return bound >= value * (1.0 - 1e-9) - 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       m=st.integers(min_value=1, max_value=6),
+       n=st.integers(min_value=1, max_value=6),
+       dim=st.integers(min_value=1, max_value=3),
+       sharp=st.booleans())
+def test_a_concave_plan_bounds_the_reference_distance(cost, sharp_cost, seed,
+                                                      m, n, dim, sharp):
+    pair = random_pair(seed, m, n, dim)
+    plan, _ = solve_ot(pair, sharp_cost if sharp else cost)
+    assert _at_least(reference_cost_of(plan), reference_W(pair))
+
+
+@pytest.mark.parametrize("seed,m,n,dim", [
+    (70, 1, 1, 1), (71, 3, 5, 1), (72, 6, 4, 2), (73, 9, 9, 2),
+    (74, 12, 7, 3)])
+def test_the_reference_plan_costs_its_own_value_bit_for_bit(seed, m, n, dim):
+    # row_norms and _distances sum the same squares in the same order
+    plan, _ = solve_ot(random_pair(seed, m, n, dim), REFERENCE_COST)
+    assert any(DIAMOND in entry[:2] for entry in plan.entries)
+    assert reference_cost_of(plan) == plan.primal_value
+
+
+@pytest.mark.parametrize("m,n,seed", _SIZES)
+def test_a_concave_plan_bounds_the_brute_force_distance(cost, m, n, seed):
+    pair = random_pair(seed, m, n)
+    value, entries = brute_force_ot(pair, REFERENCE_COST)
+    assert _at_least(reference_cost_of(solve_ot(pair, cost)[0]), value)
+    # the brute-force plan costs its own value under the same evaluator
+    brute = TransportPlan(entries=entries, primal_value=value,
+                          mu_locations=pair.mu.locations,
+                          nu_locations=pair.nu.locations, pivots=0)
+    assert reference_cost_of(brute) == pytest.approx(value, rel=1e-12,
+                                                     abs=1e-15)
 
 
 def test_firstterm_estimate_orders(cost):
