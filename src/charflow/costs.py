@@ -14,8 +14,10 @@ Evaluation strategy: one rule, 4-node Gauss-Legendre, on one geometric
 grid (:func:`grid_edges`), evaluated by one blocked evaluator
 (:func:`_rule_blocks`) a block of ``_BLOCK`` intervals at a time, so no
 quadrature holds more than one block of nodes, whatever the grid or the
-batch.  omega' is tabulated once per live modulus at the rule's nodes in
-each grid interval from 1e-300 to 1e13.  J(delta), the total of the
+batch.  omega' is tabulated at the rule's nodes in each grid interval
+from 1e-300 to 1e13, once per modulus: the table lives as long as the
+modulus, or until a scenario run that has built all its costs drops it
+(:func:`_drop_node_table`).  J(delta), the total of the
 integral above over beta, is one weighted sum over that node table plus
 the tail beyond 1e13 in closed form on the quadratic floor.  A cost sums
 the same terms per interval into its knot table and takes its ceiling
@@ -41,8 +43,9 @@ from .fields import Modulus
 # the one Gauss-Legendre rule on [-1, 1], for every table and residual
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(4)
 _NODE_TABLES = weakref.WeakKeyDictionary()
-# intervals (or points) per block of every 4-node quadrature: its
-# temporaries stay a few hundred KiB, whatever the grid or the batch
+# intervals (or points) per block of every 4-node quadrature, and cells per
+# block of the transport assembly's passes: their temporaries stay a few
+# hundred KiB, whatever the grid, the batch or the pair
 _BLOCK = 2048
 _BRENT_ITERATIONS = 100
 
@@ -249,6 +252,13 @@ def _node_table(mod):
         table = _NODE_TABLES[mod] = (edges, weights.ravel(), omega.ravel(),
                                      float(modified(1.0)))
     return table
+
+
+def _drop_node_table(mod):
+    """Drop ``mod``'s node table before its modulus dies.  Only J and a
+    cost's construction read it, so a run that has built its costs ends
+    its 2.75 MiB here, before the transport solves."""
+    _NODE_TABLES.pop(mod, None)
 
 
 def _saturation_terms(mod, delta):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import ConcaveCost, saturation_integral
+from .costs import ConcaveCost, _drop_node_table, saturation_integral
 from .diagnostics import (MollifierSpec, Schedule, build_cutoff, build_mu_nu,
                           costestimate_bound, D_functional, mollify,
                           parameter_schedule, variation_integrals,
@@ -520,7 +520,11 @@ def _refinement_distance(diff):
     return reference_W(balance_with_reservoir(diff))
 
 
-def _level_job(field, config, level, times, diffs, w_refine, masses):
+def _level_setup(field, config, level, times, diffs):
+    """What one level needs before its solves, the ``setup`` of
+    :func:`_level_job`: (level, cutoff, schedule, mollifier spec, cost,
+    the three-term bound's terms at every report time).  Of a run, only
+    this step reads the modulus's node table."""
     cutoff = build_cutoff(field.growth, level)
     const = field.modulus_constant
     int_total, int_tail = variation_integrals(zip(times, diffs), level - 1.0)
@@ -531,7 +535,6 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
         schedule = parameter_schedule(
             level, var_integral, var_floor, const, field.growth_const,
             field.modulus, growth_at_k=float(field.growth(level)))
-        scheduled = True
     else:
         given = config.parameters
         j_value = saturation_integral(field.modulus, given["delta"])
@@ -540,7 +543,6 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
             variation_floor=var_floor, beta=given["beta"],
             delta=given["delta"], alpha=given["alpha"], j_target=j_value,
             j_value=j_value)
-        scheduled = False
 
     # the bound only improves for smaller alpha; keep the lattice workable
     alpha_used = min(schedule.alpha, 0.5)
@@ -552,7 +554,17 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
                                   const=const)
     terms = np.column_stack([estimate.term1, estimate.term2, estimate.term3,
                              estimate.bound])
+    return level, cutoff, schedule, spec, cost, terms
 
+
+def _level_job(field, config, setup, times, diffs, w_refine, masses):
+    """One level's transport solves and verdicts: D and its first-term
+    certificate at every report time, the invariants and the comparison
+    chain.  A run sets up every level first, then ends the modulus's node
+    table, then runs the refinement distances and these solves, none of
+    which reads that table."""
+    level, cutoff, schedule, spec, cost, terms = setup
+    const = field.modulus_constant
     rows = []
     final_pair = final_plan = None
     worst_gap = -math.inf
@@ -573,7 +585,7 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
     invariants = {"first_term": bool(first_term_ok)}
     if config.difference_mode == "tolerance":
         invariants["d_le_bound"] = bool(worst_gap <= 1e-15)
-    if scheduled:
+    if config.parameters == "schedule":
         invariants["schedule_terms"] = bool(
             max(last[2], last[3], last[4]) <= 1.0 + _TERM_SLACK)
         invariants["d_le_three"] = bool(
@@ -591,7 +603,7 @@ def _level_job(field, config, level, times, diffs, w_refine, masses):
         chain_ok = chain_ok and lhs <= rhs * (1.0 + 1e-9) + 1e-12
     invariants["comparison_chain"] = bool(chain_ok)
 
-    return LevelResult(level=level, schedule=schedule, alpha_used=alpha_used,
+    return LevelResult(level=level, schedule=schedule, alpha_used=spec.alpha,
                        rows=tuple(rows), invariants=invariants)
 
 
@@ -640,13 +652,19 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
                 for i, t in enumerate(times)]
 
     masses = [m.total_mass() for m in diffs]
-    w_refine = [_refinement_distance(m) for m in diffs]
     mass_ok = all(mass == 0.0 for mass in masses)
     residual = weak_solution_residual(field, solution)
 
-    levels = [_level_job(field, config, level, times, diffs, w_refine,
-                         masses)
+    # every level's cost is built before the first transport solve; no
+    # solve reads the modulus's node table, so it ends here, not with the
+    # modulus at the end of the run
+    setups = [_level_setup(field, config, level, times, diffs)
               for level in config.cutoff_levels]
+    _drop_node_table(field.modulus)
+    w_refine = [_refinement_distance(m) for m in diffs]
+    levels = [_level_job(field, config, setup, times, diffs, w_refine,
+                         masses)
+              for setup in setups]
 
     report_paths = {}
     for result in levels:

@@ -14,7 +14,9 @@ route shares no function with the simplex it checks, no module keeps a
 private name or an import that nothing uses, every exported function or
 class is reached from the package or the acceptance battery, the
 absorbing point's mass is read only from a balanced pair, by ``measures``
-and ``transport``, and no source names a retired setting: the
+and ``transport``, ``costs`` alone names the node-table cache and a run
+drops its table from one call site, ``measures._distinct_rows`` serves the
+mollifier alone, and no source names a retired setting: the
 modulus-constant table and its lookup, or a step-cap option."""
 
 import ast
@@ -358,6 +360,72 @@ def test_rule_nodes_are_formed_only_in_blocks():
              for owner, _ in _callers(path.read_text(encoding="utf-8"),
                                       "_rule_nodes")]
     assert calls == [("costs.py", "_rule_blocks")]
+
+
+def _named_lines(source, name):
+    """Line numbers of each load, store or import of ``name``, bare or as
+    an attribute; comments and strings do not count."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == name or \
+                isinstance(node, ast.Attribute) and node.attr == name or \
+                isinstance(node, ast.ImportFrom) and \
+                any(alias.name == name for alias in node.names):
+            yield node.lineno
+
+
+def _owner_breaches(sources):
+    """Breaches of two ownership rules over ``sources`` (file name to source
+    text): ``costs.py`` alone names the node-table cache ``_NODE_TABLES``,
+    and a run drops its table from one call site, in
+    ``scenarios.run_scenario``; ``measures._distinct_rows`` serves
+    ``diagnostics.mollify`` alone."""
+    breaches = [f"{name}:{line} names _NODE_TABLES"
+                for name, source in sources.items() if name != "costs.py"
+                for line in _named_lines(source, "_NODE_TABLES")]
+    for callee, owner in (("_drop_node_table", ("scenarios.py",
+                                                "run_scenario")),
+                          ("_distinct_rows", ("diagnostics.py", "mollify"))):
+        calls = [(name, caller) for name, source in sources.items()
+                 for caller, _ in _callers(source, callee)]
+        if calls != [owner]:
+            breaches.append(f"{callee} is called from {calls}")
+    return breaches
+
+
+def test_owner_guard_finds_a_second_reader_or_caller():
+    sources = {
+        "costs.py": ("_NODE_TABLES = {}\n"
+                     "def _drop_node_table(mod):\n"
+                     "    _NODE_TABLES.pop(mod, None)\n"),
+        "scenarios.py": ("def run_scenario(field):\n"
+                         "    _drop_node_table(field.modulus)\n"),
+        "diagnostics.py": "def mollify(idx):\n    return _distinct_rows(idx)\n",
+    }
+    assert _owner_breaches(sources) == []
+    sources["transport.py"] = ("from .costs import _NODE_TABLES\n"
+                               "def _assemble(dists):\n"
+                               "    costs._NODE_TABLES.clear()\n"
+                               "    # _NODE_TABLES in a comment\n"
+                               "    return _distinct_rows(dists)\n")
+    sources["scenarios.py"] += ("def _level_job(field):\n"
+                                "    _drop_node_table(field.modulus)\n")
+    assert _owner_breaches(sources) == [
+        "transport.py:1 names _NODE_TABLES",
+        "transport.py:3 names _NODE_TABLES",
+        "_drop_node_table is called from [('scenarios.py', 'run_scenario'), "
+        "('scenarios.py', '_level_job')]",
+        "_distinct_rows is called from [('diagnostics.py', 'mollify'), "
+        "('transport.py', '_assemble')]"]
+
+
+def test_node_tables_and_distinct_rows_keep_their_owners():
+    # no transport solve reads a node table, and a run ends its table in
+    # one place once every cost is built; the transport assembly finds its
+    # distinct distances blockwise, so no full-matrix dedup of the
+    # mollifier's lattice rows comes back into it
+    breaches = _owner_breaches({path.name: path.read_text(encoding="utf-8")
+                                for path in SOURCES})
+    assert not breaches, breaches
 
 
 def _root_calls(source):

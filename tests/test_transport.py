@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import charflow.costs as costs
 import charflow.scenarios as scenarios
 import charflow.transport as transport
 from charflow import (ComparisonBoundError, ConcaveCost, TransportError,
@@ -756,18 +758,141 @@ def mollified_pairs(tmp_path_factory):
     return captured
 
 
+def _assert_full_matrix_bits(pair, cost):
+    """Every cell of the assembled ground equals ``cost.cost_many`` of the
+    full distance matrix, the absorbing point's line ``c_infinity``, bit
+    for bit, and the greedy start builds the same tree on both matrices.
+    Returns the distance matrix."""
+    m, n = pair.mu.atom_count, pair.nu.atom_count
+    dists = cdist(pair.mu.locations, pair.nu.locations)
+    supplies, demands, ground = _assemble(pair, cost)[:3]
+    full = np.full(ground.shape, cost.c_infinity)
+    full[:m, :n] = cost.cost_many(dists)
+    np.testing.assert_array_equal(ground, full)
+    assert _least_cost_start(supplies, demands, ground) == \
+        _least_cost_start(supplies, demands, full)
+    return dists
+
+
 def test_assembled_costs_equal_a_full_matrix_evaluation(mollified_pairs):
     repeated = 0
     for pair, cost in mollified_pairs:
-        m, n = pair.mu.atom_count, pair.nu.atom_count
-        if not (m and n):
+        if not (pair.mu.atom_count and pair.nu.atom_count):
             continue
-        dists = cdist(pair.mu.locations, pair.nu.locations)
-        ground = _assemble(pair, cost)[2]
-        np.testing.assert_array_equal(ground[:m, :n], cost.cost_many(dists))
+        dists = _assert_full_matrix_bits(pair, cost)
         repeated += len(np.unique(dists)) < dists.size
     # the lattice repeats distances, so the distinct-value path is exercised
     assert repeated > 0
+
+
+def _near_square(cells):
+    """(m, n) with m * n = cells and m the largest divisor up to its root."""
+    m = max(d for d in range(1, math.isqrt(cells) + 1) if cells % d == 0)
+    return m, cells // m
+
+
+def _block_edge_pair(cells, kind):
+    """A pair of m x n = ``cells`` atoms.  ``diamond row`` and ``diamond
+    column`` put both sides on a lattice of spacing 1/8, nu's half a cell
+    off mu's, with the lighter side's reservoir giving ground an absorbing
+    row or column; ``far ties`` spreads the lattice to spacing 1/4 with
+    equal masses, so most cells lie beyond 1, where min(r, 1) ties; and
+    ``distinct`` draws both sides at random, so no distance repeats."""
+    m, n = _near_square(cells)
+    if kind == "distinct":
+        rng = np.random.default_rng(cells)
+        xs, ys = rng.uniform(-1.0, 1.0, (m, 2)), rng.uniform(-1.0, 1.0, (n, 2))
+    else:
+        spacing = 0.25 if kind == "far ties" else 0.125
+        xs, ys = (np.column_stack(np.divmod(np.arange(k), 40)) * spacing
+                  for k in (m, n))
+        ys = ys + 0.5 * spacing
+    # integer masses m * n a side, doubled on the heavier side
+    mu_w = np.full(m, 2.0 * n if kind == "diamond column" else float(n))
+    nu_w = np.full(n, 2.0 * m if kind == "diamond row" else float(m))
+    mu = measure_from_arrays(2, xs, mu_w)
+    nu = measure_from_arrays(2, ys, nu_w)
+    pair = balance_with_reservoir(difference(mu, nu))
+    assert (pair.mu.atom_count, pair.nu.atom_count) == (m, n)
+    return pair
+
+
+# cell counts at the edges of the assembly's blocks
+ASSEMBLY_BLOCK_EDGES = (costs._BLOCK - 1, costs._BLOCK, costs._BLOCK + 1,
+                        3 * costs._BLOCK + 5)
+
+
+@pytest.mark.parametrize("cells", ASSEMBLY_BLOCK_EDGES)
+@pytest.mark.parametrize("kind", ["diamond row", "diamond column",
+                                  "far ties", "distinct"])
+def test_assembled_costs_keep_their_bits_at_block_edges(sharp_cost, cells,
+                                                        kind):
+    pair = _block_edge_pair(cells, kind)
+    cost = REFERENCE_COST if kind == "far ties" else sharp_cost
+    ground = _assemble(pair, cost)[2]
+    rows, cols = ground.shape
+    assert (rows > pair.mu.atom_count, cols > pair.nu.atom_count) == \
+        (kind == "diamond row", kind == "diamond column")
+    dists = _assert_full_matrix_bits(pair, cost)
+    distinct = len(np.unique(dists))
+    if kind == "distinct":
+        assert distinct == cells
+    else:
+        assert distinct < cells / 4
+    if kind == "far ties":
+        assert np.count_nonzero(dists > 1.0) > cells / 2
+
+
+@pytest.fixture(scope="module")
+def largest_osgood_line_pair(tmp_path_factory):
+    """The largest (pair, cost) of the D solves of osgood_line at seed 3
+    with random quantization: 385 x 383 atoms."""
+    captured = []
+
+    def recorded(pair, cost, _original=scenarios.D_functional):
+        captured.append((pair, cost))
+        return _original(pair, cost)
+
+    doc = builtin_config("osgood_line")
+    doc["seed"], doc["quantization"] = 3, "random"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "D_functional", recorded)
+        run_scenario(ScenarioConfig.from_dict(doc),
+                     str(tmp_path_factory.mktemp("osgood_line")))
+    pair, cost = max(captured, key=lambda pc: pc[0].mu.atom_count
+                     * pc[0].nu.atom_count)
+    assert (pair.mu.atom_count, pair.nu.atom_count) == (385, 383)
+    return pair, cost
+
+
+def _traced_peak(call):
+    """Peak traced bytes while ``call()`` runs."""
+    call()  # first-call allocations (numpy's caches) are not the call's
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_peak_memory(largest_osgood_line_pair):
+    # traced peak of _assemble in arrays of 385 x 383 floats: 3.2 here (the
+    # distances and the sort order, then the cost of the 57,983 distinct
+    # distances, then ground), 5.54 when a full-matrix sort with its sorted
+    # copy, flags, ranks and slots found the distinct distances
+    pair, cost = largest_osgood_line_pair
+    cells = 8 * pair.mu.atom_count * pair.nu.atom_count
+    assert _traced_peak(lambda: _assemble(pair, cost)) <= 3.5 * cells
+
+
+def test_solve_peak_memory(largest_osgood_line_pair):
+    # traced peak of solve_ot in the same arrays: 3.49 here, ground and the
+    # greedy start's stable argsort with its blocks; 5.54 when the
+    # assembly set it
+    pair, cost = largest_osgood_line_pair
+    cells = 8 * pair.mu.atom_count * pair.nu.atom_count
+    assert _traced_peak(lambda: solve_ot(pair, cost)) <= 4.0 * cells
 
 
 @pytest.mark.parametrize("modulus", [modulus_linear(), modulus_log(),

@@ -424,6 +424,41 @@ def test_a_finished_run_leaves_no_node_table_behind(monkeypatch, tmp_path):
     assert config.field_kind == "constant"  # the config is still alive
 
 
+@pytest.mark.parametrize("name,levels", [
+    ("drift_line", None),
+    ("shear_line", [2.0, 3.0, 5.0]),
+])
+def test_no_node_table_lives_through_a_transport_solve(monkeypatch, tmp_path,
+                                                       name, levels):
+    """A run builds every level's cost before its first transport solve and
+    then drops the modulus's node table: no solve reads it, so its 2.75 MiB
+    are not resident beside any ground matrix, and it is built once."""
+    doc = builtin_config(name)
+    if levels is not None:
+        doc["cutoff_levels"] = levels
+    config = ScenarioConfig.from_dict(doc)
+    fields, tabled = [], []
+
+    def recorded_field(*args, _original=scenarios.build_field):
+        fields.append(_original(*args))
+        return fields[-1]
+
+    def checked_solve(pair, cost, _original=transport.solve_ot):
+        tabled.append(fields[-1].modulus in costs._NODE_TABLES)
+        return _original(pair, cost)
+
+    monkeypatch.setattr(scenarios, "build_field", recorded_field)
+    for module in (transport, diagnostics, scenarios):
+        monkeypatch.setattr(module, "solve_ot", checked_solve)
+    tables = _CountingTables()
+    monkeypatch.setattr(costs, "_NODE_TABLES", tables)
+    run_scenario(config, str(tmp_path))
+    rows = len(config.cutoff_levels) * config.time_points
+    assert len(fields) == 1
+    assert tabled == [False] * (rows + config.time_points)
+    assert tables.builds == 1
+
+
 def test_frozen_atoms_leave_the_field_evaluation(monkeypatch):
     """Once atoms freeze, evaluate_batch receives only the live rows; frozen
     atoms keep the bits of the step where they froze, and live ones stay
