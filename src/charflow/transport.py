@@ -17,13 +17,13 @@ Two independent solvers are kept deliberately separate:
   one row or column per shipment, so it yields the starting spanning tree
   directly, rooted at a row.  The tree holds each basic arc once, at its
   lower node: the node's parent and the cell and flow of the arc up to it.
-  The tree and the potentials persist across pivots; one walk fills the
-  potentials for the start, and a pivot re-hangs only the subtree that its
-  leaving arc cuts off, by a path reversal, and runs the same walk over
-  that subtree alone, each potential from its parent arc as a fresh walk
-  from the root would, so the potentials are exact at every pivot.
-  Reduced costs are not kept: each pivot prices the whole cost matrix
-  against the current potentials in one in-place pass.
+  The tree and one array of potentials persist across pivots; one walk
+  fills the potentials for the start, and a pivot, its cycle found from
+  parent links alone, re-hangs only the subtree that its leaving arc cuts
+  off, by a path reversal, and runs the same walk over that subtree alone,
+  as a fresh walk from the root would, so the potentials are exact at
+  every pivot.  Reduced costs are not kept: each pivot prices the whole
+  cost matrix against the current potentials in one in-place pass.
 * :func:`brute_force_ot` never touches that code path: it settles instances
   of up to 7 atoms a side by successive shortest augmenting paths.  It is
   the cross-check, so it shares no assembly, pivoting or labeling logic with
@@ -181,8 +181,6 @@ def _assemble(pair, cost):
 
     supplies = list(mu.weights)
     demands = list(nu.weights)
-    if extra_mu > 0.0 and extra_nu > 0.0:
-        raise TransportError("both sides kept a reservoir after cancelling")
     diamond_row = diamond_col = False
     if extra_mu > 0.0:
         supplies.append(extra_mu)
@@ -289,17 +287,15 @@ def _reverse(path, parent, children, up_cell, up_flow):
         up_flow[upper] = up_flow[lower]
 
 
-def _hang(heads, costs, parent, children, depth, pot, up_cell):
-    """Depths and potentials down the subtrees below ``heads``, top-down.
-    Each potential is its parent's subtracted from the cost of the arc
-    between them, the flat cell ``up_cell[q]``, so the values depend on the
-    tree alone, not on the order of the walk."""
+def _hang(heads, costs, parent, children, pot, up_cell):
+    """Potentials down the subtrees below ``heads``, top-down, written into
+    the array ``pot`` in place.  Each potential is its parent's subtracted
+    from the cost of the arc between them, the flat cell ``up_cell[q]``, so
+    the values depend on the tree alone, not on the order of the walk."""
     stack = list(heads)
     while stack:
         q = stack.pop()
-        p = parent[q]
-        depth[q] = depth[p] + 1
-        pot[q] = costs.item(up_cell[q]) - pot[p]
+        pot[q] = costs.item(up_cell[q]) - pot.item(parent[q])
         stack.extend(children[q])
 
 
@@ -326,22 +322,24 @@ def _network_simplex(supplies, demands, costs):
     rule but Dantzig's, the most negative reduced cost.
 
     The basis tree and the potentials persist across pivots.  The tree is
-    held once, per node: parent, depth and children, and the flat cell and
-    flow of the arc up to the parent, which is the only record of a basic
-    arc.  The simplex keeps the start's root, and one :func:`_hang` from it
-    fills depths and potentials for the whole tree.  Each pivot prices
-    every cell in one in-place pass, (c - u) - v, then sets the m + n - 1
-    basic cells to inf, and the root's slot past the cells.  The mask is
-    explicit because a basic cell prices to zero only up to the rounding of
+    held once, per node: parent and children, and the flat cell and flow of
+    the arc up to the parent, which is the only record of a basic arc.  The
+    potentials are one array ``pot``, u then v, and the pricing reads its
+    views.  The simplex keeps the start's root, and one :func:`_hang` from
+    it fills the potentials of the whole tree.  Each pivot prices every
+    cell in one in-place pass, (c - u) - v, then sets the m + n - 1 basic
+    cells to inf, and the root's slot past the cells.  The mask is explicit
+    because a basic cell prices to zero only up to the rounding of
     u_i + v_j, which grows with |u| + |v| and so with the depth of the tree,
-    and must never enter.  The cycle of an entering arc is found by climbing
-    depths from both endpoints; its tree arcs are those of the nodes below
-    the apex.  The leaving arc cuts a subtree off the root; the path from
-    the entering endpoint up to the cut is reversed, the subtree is re-hung
-    from the entering arc, and :func:`_hang` refills only its nodes.  That
-    is the arithmetic of a fresh walk over the whole tree: the potentials
-    stay exact, bit for bit, so no pivot acts on drifted prices and the
-    final u and v equal a fresh walk's.
+    and must never enter.  The cycle of an entering arc follows parent
+    links alone: the entering column's path climbs to the root, the
+    entering row's until it meets that path at the apex, where the column's
+    is cut.  The leaving arc cuts a subtree off the root; the path from the
+    entering endpoint up to the cut is reversed, the subtree is re-hung from
+    the entering arc, and :func:`_hang` refills only its nodes.  That is the
+    arithmetic of a fresh walk over the whole tree: the potentials stay
+    exact, bit for bit, so no pivot acts on drifted prices and the final u
+    and v equal a fresh walk's.
     """
     m, n = len(supplies), len(demands)
     costs = np.ascontiguousarray(costs)  # flat cell indices are row-major
@@ -353,11 +351,10 @@ def _network_simplex(supplies, demands, costs):
     for node, above in enumerate(parent):
         if above != -1:
             children[above].add(node)
-    # u_i for rows, then v_j for columns, as Python floats for the walks
-    pot = [0.0] * (m + n)
-    depth = [0] * (m + n)
-    _hang(children[root], costs, parent, children, depth, pot, up_cell)
-    u, v = np.array(pot[:m]), np.array(pot[m:])
+    # u_i for rows, then v_j for columns: the pricing reads views of pot
+    pot = np.zeros(m + n)
+    u, v = pot[:m], pot[m:]
+    _hang(children[root], costs, parent, children, pot, up_cell)
     slots = np.empty(m * n + 1)
     red = slots[:-1].reshape(m, n)
 
@@ -375,15 +372,14 @@ def _network_simplex(supplies, demands, costs):
                     pivot)
         ei, ej = entering
 
-        # the tree paths from both endpoints up to where they join
+        # the tree paths from both endpoints up to the apex, where they join
         side_col, side_row = [m + ej], [ei]
-        while depth[side_col[-1]] > depth[side_row[-1]]:
+        while side_col[-1] != root:
             side_col.append(parent[side_col[-1]])
-        while depth[side_row[-1]] > depth[side_col[-1]]:
+        on_col = set(side_col)
+        while side_row[-1] not in on_col:
             side_row.append(parent[side_row[-1]])
-        while side_col[-1] != side_row[-1]:
-            side_col.append(parent[side_col[-1]])
-            side_row.append(parent[side_row[-1]])
+        del side_col[side_col.index(side_row[-1]) + 1:]
 
         # the cycle: entering arc, up from the column, down to the row; an
         # arc loses mass up from a column, or down to a row.  The first
@@ -409,9 +405,7 @@ def _network_simplex(supplies, demands, costs):
         parent[head], up_cell[head], up_flow[head] = outer, ei * n + ej, theta
         children[outer].add(head)
 
-        _hang([head], costs, parent, children, depth, pot, up_cell)
-        u[:] = pot[:m]
-        v[:] = pot[m:]
+        _hang([head], costs, parent, children, pot, up_cell)
 
     raise TransportError(f"simplex exceeded its pivot budget ({pivot_cap})")
 
@@ -440,7 +434,7 @@ def solve_ot(pair, cost):
                              nu_locations=nu.locations, pivots=0)
         potential = DualPotential(
             mu_values=np.zeros(0), nu_values=np.zeros(0),
-            nu_locations=np.zeros((0, mu.dimension)),
+            nu_locations=nu.locations,
             include_diamond_base=common > 0.0, cost=cost)
         return plan, potential
 

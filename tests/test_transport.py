@@ -15,8 +15,8 @@ from scipy.spatial.distance import cdist
 import charflow.costs as costs
 import charflow.scenarios as scenarios
 import charflow.transport as transport
-from charflow import (ComparisonBoundError, ConcaveCost, TransportError,
-                      balance_with_reservoir, brute_force_ot,
+from charflow import (BalancedPair, ComparisonBoundError, ConcaveCost,
+                      TransportError, balance_with_reservoir, brute_force_ot,
                       c_transform_extend, comparison_bound, firstterm_estimate,
                       CostRangeError, linear_field, make_measure,
                       measure_from_arrays, modulus_linear, modulus_log,
@@ -85,6 +85,66 @@ def test_identical_clouds_cost_nothing(cost):
     assert plan.primal_value == 0.0
     assert plan.entries == () and plan.pivots == 0  # nothing left to ship
     assert reference_W(pair) == 0.0
+
+
+def _two_reservoir_pair(mu_atoms, nu_atoms, mu_reservoir, nu_reservoir):
+    """A pair built by hand, without the Jordan split: ``*_atoms`` are
+    (location, mass) lists on the line."""
+    return BalancedPair(make_measure(1, mu_atoms), make_measure(1, nu_atoms),
+                        mu_reservoir, nu_reservoir)
+
+
+_TWO_RESERVOIRS = {
+    "equal, atoms on both sides": (
+        [((0.0,), 0.25), ((0.5,), 0.5)], [((0.25,), 0.75)], 0.5, 0.5),
+    "mu's larger, atoms on both sides": (
+        [((0.0,), 0.25)], [((0.5,), 0.5), ((1.0,), 0.25)], 0.75, 0.25),
+    "nu's larger, atoms on both sides": (
+        [((0.0,), 0.5), ((2.0,), 0.25)], [((1.0,), 0.125)], 0.125, 0.75),
+    # atoms on one side only leave the larger reservoir on the other
+    "atoms on mu's side only": (
+        [((0.0,), 0.2), ((1.5,), 0.3)], [], 0.1, math.fsum([0.2, 0.3, 0.1])),
+    "atoms on nu's side only": (
+        [], [((0.0,), 0.375)], 1.0, 0.625),
+}
+
+
+@pytest.mark.parametrize("atoms", _TWO_RESERVOIRS.values(),
+                         ids=_TWO_RESERVOIRS.keys())
+def test_a_pair_with_two_reservoirs_keeps_at_most_one_after_cancelling(
+        cost, atoms):
+    """The common reservoir is the smaller of the two, so cancelling it
+    leaves that side x - x, exactly 0.0: the assembly never adds an
+    absorbing row and an absorbing column together, and the simplex agrees
+    with the brute-force route."""
+    pair = _two_reservoir_pair(*atoms)
+    assert pair.mu_reservoir > 0.0 and pair.nu_reservoir > 0.0
+    supplies, demands, ground, diamond_row, diamond_col, common = \
+        _assemble(pair, cost)
+    assert not (diamond_row and diamond_col)
+    assert common == min(pair.mu_reservoir, pair.nu_reservoir)
+    assert diamond_row == (pair.mu_reservoir > pair.nu_reservoir)
+    assert diamond_col == (pair.nu_reservoir > pair.mu_reservoir)
+    assert ground.shape == (len(supplies), len(demands))
+    for ground_cost in (cost, REFERENCE_COST):
+        plan, potential = solve_ot(pair, ground_cost)
+        value, _ = brute_force_ot(pair, ground_cost)
+        assert plan.primal_value == pytest.approx(value, rel=1e-12,
+                                                  abs=1e-15)
+        assert potential.include_diamond_base
+
+
+@pytest.mark.parametrize("reservoir", [0.0, 0.5])
+def test_a_pair_without_atoms_keeps_its_own_target_locations(cost, reservoir):
+    """With no atoms on either side nothing is solved; the potential still
+    holds the pair's own read-only target locations, not a fresh array."""
+    pair = _two_reservoir_pair([], [], reservoir, reservoir)
+    plan, potential = solve_ot(pair, cost)
+    assert plan.entries == () and plan.primal_value == 0.0
+    assert plan.pivots == 0
+    assert potential.nu_locations is pair.nu.locations
+    assert not potential.nu_locations.flags.writeable
+    assert potential.include_diamond_base == (reservoir > 0.0)
 
 
 _SIZES = [(1, 1, 11), (2, 1, 12), (2, 2, 13), (3, 2, 14), (2, 3, 15),

@@ -7,6 +7,7 @@ here without any timing.
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from charflow import (AtomicSignedMeasure, ConcaveCost, FlowOptions,
 from charflow.fields import VectorFieldSpec, row_norms
 from charflow.scenarios import ScenarioConfig, builtin_config, run_scenario
 from charflow.transport import DIAMOND
+from test_transport import _dyadic_instance, _random_instance
 
 
 def difference(mu, nu):
@@ -76,13 +78,15 @@ def test_solve_ot_evaluates_each_distinct_distance_once(monkeypatch):
     assert batches == [distinct, real]
 
 
-def _rewalking_simplex(supplies, demands, ground):
+def _rewalking_simplex(supplies, demands, ground, apexes):
     """The pivots of ``transport._network_simplex`` with the whole basis tree
     walked afresh, from the start's root, before every pricing pass:
     breadth-first, each potential its tree arc's cost minus its parent's.
-    Dantzig's rule picks the entering cell, and the first blocking arc met
-    on the cycle from its apex leaves.  It keeps its own flows dict keyed
-    by arc.  Returns the final flows and the pivot count."""
+    Dantzig's rule picks the entering cell, the cycle is found by climbing
+    depths from both endpoints, and the first blocking arc met on it from
+    its apex leaves.  It keeps its own flows dict keyed by arc.  Counts in
+    ``apexes`` each cycle whose apex is the root, the entering row or the
+    entering column.  Returns the final flows and the pivot count."""
     m, n = ground.shape
     parent, up_cell, up_flow = transport._least_cost_start(supplies, demands,
                                                            ground)
@@ -120,6 +124,9 @@ def _rewalking_simplex(supplies, demands, ground):
         while side_col[-1] != side_row[-1]:
             side_col.append(parent[side_col[-1]])
             side_row.append(parent[side_row[-1]])
+        apexes.update(label for label, node in (
+            ("root", root), ("entering row", ei), ("entering column", m + ej))
+            if node == side_col[-1])
         # the cycle from the apex: down to the row, across, up the column
         walk = side_row[::-1] + side_col
         hops = list(zip(walk[:-1], walk[1:]))
@@ -134,6 +141,20 @@ def _rewalking_simplex(supplies, demands, ground):
         del flows[leaving]
         flows.setdefault((ei, ej), 0.0)
     raise AssertionError("pivot budget exceeded")
+
+
+def _assert_the_rewalked_pivot_path(supplies, demands, ground, apexes):
+    """``transport._network_simplex`` makes as many pivots as the rewalking
+    solver and ends at its flows, bit for bit; returns the pivot count."""
+    cells, flows, _, _, pivots = transport._network_simplex(supplies, demands,
+                                                            ground)
+    rewalked, rewalked_pivots = _rewalking_simplex(supplies, demands, ground,
+                                                   apexes)
+    assert rewalked_pivots == pivots
+    n = ground.shape[1]
+    assert {divmod(int(cell), n): q for cell, q in zip(cells, flows)} == \
+        rewalked
+    return pivots
 
 
 def test_simplex_walks_the_whole_basis_tree_once(monkeypatch):
@@ -164,8 +185,9 @@ def test_simplex_walks_the_whole_basis_tree_once(monkeypatch):
         return _original(heads, ground, parent, children, *rest)
 
     monkeypatch.setattr(transport, "_hang", counted)
-    cells, flows, _, _, pivots = transport._network_simplex(supplies, demands,
-                                                            ground)
+    apexes = Counter()
+    pivots = _assert_the_rewalked_pivot_path(supplies, demands, ground,
+                                             apexes)
     assert pivots > 50 and len(walks) == pivots + 1
     # the seed hangs every subtree of the root; each pivot hangs one subtree
     root = transport._least_cost_start(supplies, demands, ground)[0].index(-1)
@@ -173,11 +195,26 @@ def test_simplex_walks_the_whole_basis_tree_once(monkeypatch):
     assert all(len(heads) == 1 and root not in heads
                for heads, _ in walks[1:])
     assert sum(walked for _, walked in walks[1:]) < pivots * nodes / 4
-    rewalked, rewalked_pivots = _rewalking_simplex(supplies, demands, ground)
-    assert rewalked_pivots == pivots
-    n = ground.shape[1]
-    assert {divmod(int(cell), n): q for cell, q in zip(cells, flows)} == \
-        rewalked
+    assert apexes["entering row"] and apexes["entering column"], apexes
+
+
+def test_pivot_paths_match_a_rewalking_solver_on_tied_and_dyadic_instances():
+    """The tied, 2^-40-dust and dyadic instance families of the transport
+    tests: the simplex's cycles, found from parent links alone, are those
+    that climbing depths finds, so pivots and flows agree with the
+    reference's.  The cycles' apexes include the root, the entering row and
+    the entering column."""
+    rng = np.random.default_rng(39)
+    apexes, pivots = Counter(), 0
+    for trial in range(12):
+        m, n = (int(k) for k in rng.integers(10, 40, size=2))
+        pivots += _assert_the_rewalked_pivot_path(
+            *_random_instance(rng, m, n, dust=trial % 2), apexes)
+        pivots += _assert_the_rewalked_pivot_path(
+            *_dyadic_instance(rng, m, n, trial % 2), apexes)
+    assert pivots > 300
+    assert min(apexes[label] for label in
+               ("root", "entering row", "entering column")) > 0, apexes
 
 
 @pytest.mark.parametrize("name,parameters", [
