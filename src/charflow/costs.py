@@ -274,8 +274,8 @@ def _saturation_terms(mod, delta):
 def saturation_integral(mod, delta):
     """Total integral J of 1/(omega'(s) + delta) over [0, infinity).
 
-    c_infinity / beta of the cost built on the same modulus equals J bit for
-    bit.  J is one weighted sum over the modulus's node table: the 4
+    The ``j_value`` of a cost built on the same modulus and delta equals J
+    bit for bit.  J is one weighted sum over the modulus's node table: the 4
     Gauss-Legendre nodes on each interval of a geometric grid from
     S0 = 1e-300 to S1 = 1e13, 128 intervals per decade (160,256 nodes), plus
     the tail beyond S1 in closed form on the quadratic floor omega(1)*s^2,
@@ -314,8 +314,8 @@ class ConcaveCost:
         self.beta = beta = float(beta)
         edges, _, _, omega_one = _node_table(modulus)
         self._omega_one = omega_one
-        terms, j_value = _saturation_terms(modulus, delta)
-        self.c_infinity = beta * j_value
+        terms, self._j_value = _saturation_terms(modulus, delta)
+        self.c_infinity = beta * self._j_value
 
         # one increment per interval of the node grid, from the first that
         # is a normal float (subnormal ones lose the digits the audits read);
@@ -342,6 +342,12 @@ class ConcaveCost:
         self._density = density
         self._table = KnotTable(
             knots, np.concatenate([[0.0], np.cumsum(steps)]), density)
+
+    @property
+    def j_value(self):
+        """J(delta) of this cost's modulus, :func:`saturation_integral` bit
+        for bit; ``c_infinity`` is ``beta * j_value``."""
+        return self._j_value
 
     def cost_many(self, radii):
         """Cost of each radius, clipped at c_infinity: the knot table plus

@@ -23,13 +23,13 @@ from .costs import (KnotTable, brentq, gauss_legendre, grid_edges,
 from .errors import CutoffError, MollifierError, ScheduleError
 from .fields import (evaluate_batch, plateau_bump, plateau_bump_derivative,
                      row_norms, smooth_step, smooth_step_derivative)
-from .measures import (_distinct_rows, balance_with_reservoir,
-                       measure_from_arrays)
+from .measures import balance_with_reservoir, measure_from_arrays
 from .transport import solve_ot
 
 _DECADE = math.log(10.0)
 _LOG_DELTA_FLOOR = math.log(1e-280)
 _LOG_DELTA_CEILING = math.log(1e12)
+_CELLS_PER_ALPHA = 4  # the mollifier lattice is alpha / 4 wide
 
 
 def trapezoid_rule(values, times):
@@ -136,20 +136,16 @@ def build_cutoff(growth, k):
 @dataclass(frozen=True)
 class MollifierSpec:
     """Compactly supported bump kernel of radius alpha on a lattice of
-    spacing alpha / cells_per_alpha."""
+    spacing alpha / 4."""
 
     alpha: float
     dimension: int
-    cells_per_alpha: int = 4
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise MollifierError("alpha must lie in (0, 1)")
         if self.dimension < 1:
             raise MollifierError("dimension must be at least 1")
-        if self.cells_per_alpha < 4:
-            raise MollifierError(
-                "lattice cells must be at most alpha/4 wide")
         # continuous unit-mass audit: compare the radial kernel mass, by
         # the 4-node rule on 200 intervals, against an independent Riemann
         # sum
@@ -166,7 +162,7 @@ class MollifierSpec:
 
     @property
     def spacing(self):
-        return self.alpha / self.cells_per_alpha
+        return self.alpha / _CELLS_PER_ALPHA
 
     def kernel(self, offsets):
         """Unnormalized bump exp(-1/(1-|x/alpha|^2)) on |x| < alpha."""
@@ -176,6 +172,26 @@ class MollifierSpec:
         inside = q < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - q[inside]))
         return out
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-D array in lexicographic order and each
+    row's slot among them, as ``np.unique(rows, axis=0, return_inverse=True)``
+    gives them, without the ``numpy.ma`` import of a first ``np.unique``.
+    Rows that tie are equal, so the sort need not be stable, and one column
+    takes numpy's default sort, which is faster than lexsort's stable one."""
+    order = (np.argsort(rows[:, 0]) if rows.shape[1] == 1
+             else np.lexsort(rows.T[::-1]))
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    distinct = ordered[first]
+    del ordered
+    ranks = np.cumsum(first, dtype=np.intp)
+    ranks -= 1
+    slot = np.empty(len(rows), dtype=np.intp)
+    slot[order] = ranks
+    return distinct, slot
 
 
 def mollify(measure, spec):
@@ -289,8 +305,7 @@ class CostEstimate:
         return self.term1 + self.term2 + self.term3
 
 
-def costestimate_bound(field, int_total, int_out, cutoff, cost, alpha,
-                       j_value, const):
+def costestimate_bound(field, int_total, int_out, cutoff, cost, alpha):
     """Evaluate the three-term estimate from the variation integrals.
 
     * term1: modulus term, beta * C * integral of total variation;
@@ -303,12 +318,12 @@ def costestimate_bound(field, int_total, int_out, cutoff, cost, alpha,
     :func:`variation_integrals` at radius k - 1, either one number each or
     one array entry per report time; the terms follow their shape.  J is
     the saturating integral of the reciprocal modified modulus at
-    ``cost.delta``; the caller passes it as ``j_value`` (the schedule has
-    already computed it).  C is the field's modulus constant; the caller
-    passes it as ``const``, the same value its first-term certificate uses.
+    ``cost.delta``, read as ``cost.j_value``, which the cost computed when
+    it was built.  C is ``field.modulus_constant``, the constant the
+    first-term certificate reads too.
     """
-    beta, delta = cost.beta, cost.delta
-    j_val = float(j_value)
+    beta, delta, j_val = cost.beta, cost.delta, cost.j_value
+    const = field.modulus_constant
     g_at_k = float(field.growth(cutoff.k))
     omega_alpha = float(field.modulus(alpha))
 
@@ -323,7 +338,7 @@ def costestimate_bound(field, int_total, int_out, cutoff, cost, alpha,
 class Schedule:
     """Per-level parameters: cost shape (beta, delta), mollifier radius
     alpha, and the intermediate quantities that justify them.  ``j_value``
-    is J(delta) at the chosen delta, which the three-term bound reuses."""
+    is J(delta) at the chosen delta, as the level's cost computes it."""
 
     k: float
     variation_integral: float

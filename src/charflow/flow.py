@@ -4,10 +4,10 @@ Dormand-Prince 5(4) with FSAL and a PI step controller drives every atom of
 a batch through the same time grid; the step is accepted only when every
 atom meets the componentwise scaled tolerance, so a batched push is exactly
 as accurate per atom as N separate integrations (while sharing step-size
-work).  Atoms that drift within ``freeze_radius`` of a declared singular
-point are frozen in place for the rest of the segment: past that distance
-the field is below every useful modulus scale and chasing it only burns
-steps.
+work).  Atoms that drift within 1e-8, ``FlowOptions.freeze_radius``, of a
+declared singular point are frozen in place for the rest of the segment:
+past that distance the field is below every useful modulus scale and
+chasing it only burns steps.
 
 Frozen atoms leave the stepper: the stages, their sums, the error norm and
 the freeze test run on a compacted array of the live rows, which drops the
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,19 +77,18 @@ _MAX_STEPS = 100_000  # attempted steps per segment, accepted or rejected
 
 @dataclass(frozen=True)
 class FlowOptions:
-    """Tolerances and freeze radius of the characteristic integrator; the
-    step cap of a segment is the module constant ``_MAX_STEPS``."""
+    """Tolerances of the characteristic integrator; the freeze radius is the
+    class constant ``freeze_radius`` and the step cap of a segment the
+    module constant ``_MAX_STEPS``."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    freeze_radius: float = 1e-8
+    freeze_radius: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol < math.inf
                 and 0.0 <= self.rel_tol < math.inf):
             raise FlowError("tolerances must be positive and finite")
-        if not self.freeze_radius >= 0.0:
-            raise FlowError("freeze_radius must be nonnegative")
 
 
 def _scaled_error(err_vec, y_old, y_new, opts):

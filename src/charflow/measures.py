@@ -32,26 +32,6 @@ from .errors import MeasureError
 DEDUP_TOL = 1e-12
 
 
-def _distinct_rows(rows):
-    """The distinct rows of a 2-D array in lexicographic order and each
-    row's slot among them, as ``np.unique(rows, axis=0, return_inverse=True)``
-    gives them, without the ``numpy.ma`` import of a first ``np.unique``.
-    Rows that tie are equal, so the sort need not be stable, and one column
-    takes numpy's default sort, which is faster than lexsort's stable one."""
-    order = (np.argsort(rows[:, 0]) if rows.shape[1] == 1
-             else np.lexsort(rows.T[::-1]))
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    distinct = ordered[first]
-    del ordered
-    ranks = np.cumsum(first, dtype=np.intp)
-    ranks -= 1
-    slot = np.empty(len(rows), dtype=np.intp)
-    slot[order] = ranks
-    return distinct, slot
-
-
 def _merge_colocated(locations, weights):
     """Merge every group of co-located atoms into one atom.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import ConcaveCost, _drop_node_table, saturation_integral
+from .costs import ConcaveCost, _drop_node_table
 from .diagnostics import (MollifierSpec, Schedule, build_cutoff, build_mu_nu,
                           costestimate_bound, D_functional, mollify,
                           parameter_schedule, variation_integrals,
@@ -37,6 +37,7 @@ _ATOM_BUDGET = 20000
 _SNAP_GRAIN = 2.0 ** -40
 _BOUND_SLACK = 1e-5   # relative slack for D <= bound checks
 _TERM_SLACK = 1e-9    # absolute slack for the unit bound on schedule terms
+_RESIDUAL_CEILING = 1.0  # the weak-form residual invariant's ceiling
 
 # one report row per time: the functional, its bound terms, the benchmark
 # refinement distance, and the signed mass balance
@@ -121,8 +122,7 @@ _PARAM_TYPES = {"velocity": _array, "matrix": _array,
                 "atoms": _atom_rows, "beta": float, "delta": float,
                 "alpha": float, "horizon": float, "seed": int,
                 "time_points": int, "resolution": int, "abs_tol": float,
-                "rel_tol": float, "coarse_factor": float,
-                "cells_per_alpha": int, "weak_tol": float}
+                "rel_tol": float, "coarse_factor": float}
 
 
 def _build(make, block, label):
@@ -261,8 +261,9 @@ def _snap_unit_weights(weights):
         raise ConfigError("quantization rounded every atom away")
     kept = counts[keep]
     shortfall = round(1.0 / _SNAP_GRAIN) - round(math.fsum(kept))
-    kept[int(np.argmax(kept))] += shortfall
-    if kept[int(np.argmax(kept))] <= 0.0:
+    largest = int(np.argmax(kept))
+    kept[largest] += shortfall
+    if kept[largest] <= 0.0:
         raise ConfigError("quantization shortfall swallowed the largest atom")
     snapped = kept * _SNAP_GRAIN
     if math.fsum(snapped) != 1.0:
@@ -371,8 +372,6 @@ class ScenarioConfig:
     abs_tol: float = 1e-11
     rel_tol: float = 1e-9
     coarse_factor: float = 100.0
-    cells_per_alpha: int = 4
-    weak_tol: float = 1.0
 
     def __post_init__(self):
         name = str(self.name)
@@ -411,10 +410,6 @@ class ScenarioConfig:
         if mode == "tolerance" and not self.coarse_factor > 1.0:
             raise ConfigError(
                 "coarse_factor must exceed 1 for tolerance differencing")
-        if self.cells_per_alpha < 4:
-            raise ConfigError("cells_per_alpha must be at least 4")
-        if not self.weak_tol > 0.0:
-            raise ConfigError("weak_tol must be positive")
         if self.seed < 0:
             raise ConfigError(
                 f"config key 'seed' must not be negative: {self.seed}")
@@ -526,32 +521,30 @@ def _level_setup(field, config, level, times, diffs):
     the three-term bound's terms at every report time).  Of a run, only
     this step reads the modulus's node table."""
     cutoff = build_cutoff(field.growth, level)
-    const = field.modulus_constant
     int_total, int_tail = variation_integrals(zip(times, diffs), level - 1.0)
     var_integral = float(int_total[-1])
     var_floor = max(float(int_tail[-1]), 1.0 / level)
 
     if config.parameters == "schedule":
         schedule = parameter_schedule(
-            level, var_integral, var_floor, const, field.growth_const,
-            field.modulus, growth_at_k=float(field.growth(level)))
+            level, var_integral, var_floor, field.modulus_constant,
+            field.growth_const, field.modulus,
+            growth_at_k=float(field.growth(level)))
+        cost = ConcaveCost(field.modulus, schedule.delta, schedule.beta)
     else:
         given = config.parameters
-        j_value = saturation_integral(field.modulus, given["delta"])
+        cost = ConcaveCost(field.modulus, given["delta"], given["beta"])
         schedule = Schedule(
             k=level, variation_integral=var_integral,
             variation_floor=var_floor, beta=given["beta"],
-            delta=given["delta"], alpha=given["alpha"], j_target=j_value,
-            j_value=j_value)
+            delta=given["delta"], alpha=given["alpha"],
+            j_target=cost.j_value, j_value=cost.j_value)
 
     # the bound only improves for smaller alpha; keep the lattice workable
     alpha_used = min(schedule.alpha, 0.5)
-    spec = MollifierSpec(alpha_used, field.dimension,
-                         cells_per_alpha=config.cells_per_alpha)
-    cost = ConcaveCost(field.modulus, schedule.delta, schedule.beta)
+    spec = MollifierSpec(alpha_used, field.dimension)
     estimate = costestimate_bound(field, int_total, int_tail, cutoff, cost,
-                                  alpha_used, j_value=schedule.j_value,
-                                  const=const)
+                                  alpha_used)
     terms = np.column_stack([estimate.term1, estimate.term2, estimate.term3,
                              estimate.bound])
     return level, cutoff, schedule, spec, cost, terms
@@ -564,7 +557,6 @@ def _level_job(field, config, setup, times, diffs, w_refine, masses):
     table, then runs the refinement distances and these solves, none of
     which reads that table."""
     level, cutoff, schedule, spec, cost, terms = setup
-    const = field.modulus_constant
     rows = []
     final_pair = final_plan = None
     worst_gap = -math.inf
@@ -577,7 +569,7 @@ def _level_job(field, config, setup, times, diffs, w_refine, masses):
                                 masses[i])))
         rows.append(row)
         worst_gap = max(worst_gap, value - row[5] * (1.0 + _BOUND_SLACK))
-        lhs, rhs = firstterm_estimate(field, t, plan, cost, const)
+        lhs, rhs = firstterm_estimate(field, t, plan, cost)
         first_term_ok = first_term_ok and lhs <= rhs * (1.0 + 1e-9) + 1e-15
         final_pair, final_plan = pair, plan
 
@@ -616,8 +608,8 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
     first-term estimate with the declared modulus constant, scheduled
     parameters keep each term at most 1 and the functional at most 3, the
     comparison chain closes, differences carry exactly zero signed mass, and
-    the weak-form residual stays under the configured tolerance.  The chain
-    holds W, the last row's distance under min(r, 1), to
+    the weak-form residual stays at most ``_RESIDUAL_CEILING``, 1.0.  The
+    chain holds W, the last row's distance under min(r, 1), to
     :func:`comparison_bound` of its D at epsilon 0.1 and 0.01; the cost of
     D's plan under min(r, 1) bounds W, and W is solved exactly only where
     that bound does not decide.
@@ -674,7 +666,7 @@ def run_scenario(config, out_dir, threads=1, fmt="csv"):
         report_paths[f"{result.level:g}"] = os.path.basename(path)
 
     invariants = {"mass_zero": bool(mass_ok),
-                  "weak_residual": bool(residual <= config.weak_tol)}
+                  "weak_residual": bool(residual <= _RESIDUAL_CEILING)}
     per_level = {}
     schedules = {}
     for result in levels:

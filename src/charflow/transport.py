@@ -750,18 +750,19 @@ def comparison_bound(cost, transport_value, epsilon, total_mass):
     return radius * total_mass + epsilon + value / c_one
 
 
-def firstterm_estimate(field, t, plan, cost, const):
+def firstterm_estimate(field, t, plan, cost):
     """Leading growth-rate term of the transport functional and its bound.
 
     ``plan`` is the optimal plan already solved for the pair.  lhs pairs
     each matched velocity difference against the unit direction of its gap,
     weighted by the cost's slope at the gap length; rhs replaces each
-    velocity gap by its declared modulus bound ``const * omega(d)``.  When
-    ``const`` bounds the field's velocity differences, lhs <= rhs holds entry
-    by entry for any plan, so a violation shows the declared constant is too
-    small on this configuration.  rhs never exceeds beta * const * (matched
-    mass) because the slope saturates the modulus.  Entries at the absorbing
-    point or of zero length contribute to neither side.  Returns (|lhs|, rhs).
+    velocity gap by its declared modulus bound C * omega(d), with C the
+    field's ``modulus_constant``.  When C bounds the field's velocity
+    differences, lhs <= rhs holds entry by entry for any plan, so a
+    violation shows the declared constant is too small on this
+    configuration.  rhs never exceeds beta * C * (matched mass) because the
+    slope saturates the modulus.  Entries at the absorbing point or of zero
+    length contribute to neither side.  Returns (|lhs|, rhs).
     """
     rows, cols, masses, real, gaps, dists = _entry_arrays(plan)
     live = dists > 0.0
@@ -774,5 +775,6 @@ def firstterm_estimate(field, t, plan, cost, const):
                 - evaluate_batch(field, t, plan.nu_locations)[cols])
     weights = masses * cost.cost_derivative(dists)
     lhs = weights * np.einsum("ij,ij->i", vel_gaps, gaps) / dists
-    rhs = weights * const * np.asarray(field.modulus(dists), dtype=float)
+    rhs = weights * field.modulus_constant * np.asarray(
+        field.modulus(dists), dtype=float)
     return abs(math.fsum(lhs)), math.fsum(rhs)

@@ -137,9 +137,15 @@ def test_saturation_integral_strictly_decreases(make):
 @pytest.mark.parametrize("make", CANNED_MODULI)
 @pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-7, 1e-13])
 def test_saturation_integral_is_the_cost_ceiling_over_beta(make, delta):
+    # the bound reads J as the cost's own j_value, so both routes to J agree
+    # bit for bit, and the ceiling is beta times that same J
     mod = make()
     cost = ConcaveCost(mod, delta, 0.7)
-    assert cost.c_infinity == 0.7 * saturation_integral(mod, delta)
+    j = saturation_integral(mod, delta)
+    assert cost.j_value == j
+    assert cost.c_infinity == 0.7 * j
+    with pytest.raises(AttributeError):
+        cost.j_value = 1.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -15,11 +15,15 @@ private name or an import that nothing uses, every exported function or
 class is reached from the package or the acceptance battery, the
 absorbing point's mass is read only from a balanced pair, by ``measures``
 and ``transport``, ``costs`` alone names the node-table cache and a run
-drops its table from one call site, ``measures._distinct_rows`` serves the
-mollifier alone, and no source names a retired setting: the
-modulus-constant table and its lookup, or a step-cap option."""
+drops its table from one call site, ``diagnostics._distinct_rows`` serves
+the mollifier alone, and no source names a retired setting: the
+modulus-constant table and its lookup, a step-cap option, the Bland pivot
+fallback, or the config keys for the mollifier lattice and the residual
+ceiling; the freeze radius is no field of ``FlowOptions``, and the bound
+and the first-term certificate take no constant and no J of their own."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import pathlib
@@ -377,7 +381,7 @@ def _owner_breaches(sources):
     """Breaches of two ownership rules over ``sources`` (file name to source
     text): ``costs.py`` alone names the node-table cache ``_NODE_TABLES``,
     and a run drops its table from one call site, in
-    ``scenarios.run_scenario``; ``measures._distinct_rows`` serves
+    ``scenarios.run_scenario``; ``diagnostics._distinct_rows`` serves
     ``diagnostics.mollify`` alone."""
     breaches = [f"{name}:{line} names _NODE_TABLES"
                 for name, source in sources.items() if name != "costs.py"
@@ -661,7 +665,7 @@ def test_the_absorbing_point_belongs_to_the_balanced_pair(path):
 
 _RETIRED_SETTINGS = re.compile(
     r"\b(modulus_constants|modulus_constant_for|_declared|max_steps|bland"
-    r"|degenerate_run|zero_theta)\b")
+    r"|degenerate_run|zero_theta|cells_per_alpha|weak_tol)\b")
 
 
 def _retired_settings(source):
@@ -679,16 +683,39 @@ def test_settings_guard_finds_the_retired_names():
               "c = spec.modulus_constant  # declared once\n"
               "steps = _MAX_STEPS\n"
               "bland, degenerate_run = False, 0  # under zero_theta\n"
-              "blandness = \"Bland's rule\"\n")
+              "blandness = \"Bland's rule\"\n"
+              "spec = MollifierSpec(0.25, 2, cells_per_alpha=4)\n"
+              "ok = residual <= config.weak_tol  # _RESIDUAL_CEILING\n")
     assert list(_retired_settings(sample)) == [
         (1, "modulus_constants"), (2, "modulus_constant_for"),
         (3, "_declared"), (3, "max_steps"), (6, "bland"),
-        (6, "degenerate_run"), (6, "zero_theta")]
+        (6, "degenerate_run"), (6, "zero_theta"), (8, "cells_per_alpha"),
+        (9, "weak_tol")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_settings_no_caller_varies_are_constants(path):
     # a field declares one modulus constant, the stepper's step cap is the
-    # module constant _MAX_STEPS, and the simplex has one pivot rule
+    # module constant _MAX_STEPS, the simplex has one pivot rule, and the
+    # mollifier lattice (alpha / 4) and the weak-residual ceiling (1.0) are
+    # constants
     found = list(_retired_settings(path.read_text(encoding="utf-8")))
     assert not found, f"{path.name}: {found}"
+
+
+def test_the_freeze_radius_is_a_constant():
+    from charflow.flow import FlowOptions
+    assert "freeze_radius" not in {
+        f.name for f in dataclasses.fields(FlowOptions)}
+    assert FlowOptions().freeze_radius == 1e-8
+    with pytest.raises(TypeError):
+        FlowOptions(freeze_radius=0.0)
+
+
+@pytest.mark.parametrize("name", ["firstterm_estimate", "costestimate_bound"])
+def test_the_bound_and_the_certificate_read_c_and_j_themselves(name):
+    # C is field.modulus_constant and J is cost.j_value, so the bound and
+    # the certificate cannot be handed different values
+    import charflow
+    params = inspect.signature(getattr(charflow, name)).parameters
+    assert not {"const", "j_value"} & set(params), list(params)

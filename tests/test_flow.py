@@ -164,19 +164,10 @@ def test_flow_error_paths(monkeypatch):
     ({"rel_tol": math.nan}, "tolerances"),
     ({"rel_tol": math.inf}, "tolerances"),
     ({"rel_tol": -1e-8}, "tolerances"),
-    ({"freeze_radius": math.nan}, "freeze_radius"),
-    ({"freeze_radius": -1.0}, "freeze_radius"),
 ])
 def test_flow_options_reject_bad_fields(fields, needle):
     with pytest.raises(FlowError, match=needle):
         FlowOptions(**fields)
-
-
-def test_flow_options_take_a_zero_freeze_radius():
-    opts = FlowOptions(freeze_radius=0.0)
-    end = flow_endpoints(rotation_field(), [[1.0, 0.0]], 0.0, 0.5, opts)
-    np.testing.assert_allclose(end, [[math.cos(0.5), math.sin(0.5)]],
-                               atol=1e-8)
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (0.0, math.inf),

@@ -1,7 +1,6 @@
 """Atomic signed measures: exactness of mass bookkeeping."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +15,7 @@ from charflow import (AtomicSignedMeasure, BalancedPair, MeasureError,
                       measure_from_arrays)
 from charflow.diagnostics import MollifierSpec, mollify
 from charflow.measures import (DEDUP_TOL, _colocated_pairs,
-                               _component_labels, _distinct_rows,
-                               _merge_colocated)
+                               _component_labels, _merge_colocated)
 
 
 def difference(mu, nu):
@@ -331,44 +329,3 @@ def test_scaled_weights_drop_zero_products_and_stay_read_only():
     assert kept.locations.tolist() == [[0.0, 1.0]]
     assert kept.weights.tolist() == [1.0]
     assert not kept.locations.flags.writeable
-
-
-@pytest.mark.parametrize("rows", [
-    np.array([[3], [-2], [3], [0], [-2], [-7]]),
-    np.array([[1, -1], [0, 5], [1, -2], [0, 5], [-4, 9], [1, -1]]),
-    np.array([[-3, 4]]),
-    np.array([[6, -6]] * 5),
-    np.array([[-2]] * 4),
-    np.random.default_rng(4).integers(-3, 3, size=(400, 2)),
-    np.random.default_rng(5).integers(-2**40, 2**40, size=(50, 1)),
-], ids=["1d", "2d", "single", "all-equal-2d", "all-equal-1d",
-        "random-2d", "far-1d"])
-def test_distinct_rows_match_the_row_wise_unique(rows):
-    # mollify sums its shares into these slots with bincount, and the
-    # ground-cost assembly scatters each distinct distance's cost back
-    # through them, so equal rows and slots keep every bit of the old
-    # row-wise unique's results
-    cells, slot = _distinct_rows(rows.astype(np.int64))
-    want_cells, want_slot = np.unique(rows.astype(np.int64), axis=0,
-                                      return_inverse=True)
-    assert cells.dtype == np.int64 and slot.dtype == np.intp
-    np.testing.assert_array_equal(cells, want_cells)
-    np.testing.assert_array_equal(slot, want_slot.ravel())
-
-
-def test_distinct_rows_peak_memory():
-    # traced peak on the 147,840-cell distance column of two lattice clouds,
-    # in columns: 3.1 here (4.1 with every distance distinct), 5.1 when the
-    # sorted copy lived on beside the ranks and cumsum(first) - 1 was a
-    # second array
-    rng = np.random.default_rng(3)
-    xs, ys = (rng.integers(0, 40, (k, 2)) * 0.05 for k in (385, 384))
-    col = scipy.spatial.distance.cdist(xs, ys).reshape(-1, 1)
-    _distinct_rows(col)
-    tracemalloc.start()
-    try:
-        _distinct_rows(col)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * col.nbytes

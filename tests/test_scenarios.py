@@ -21,7 +21,7 @@ from charflow.scenarios import (ScenarioConfig, builtin_config, builtin_names,
                                 build_field, convergence_study,
                                 density_from_config, load_config,
                                 quantize_density, run_scenario, selftest)
-from charflow import scenarios
+from charflow import costs, scenarios
 from charflow.measures import DEDUP_TOL
 from charflow.scenarios import _SNAP_GRAIN, _snap_unit_weights
 from charflow.scenarios import _difference_measure as difference_measure
@@ -79,8 +79,9 @@ def micro_config(**overrides):
     ({"parameters": {"beta": 1.0, "delta": 0.1, "alpha": 1.5}}, "(0, 1)"),
     ({"abs_tol": 0.0}, "tolerances"),
     ({"coarse_factor": 1.0}, "coarse_factor"),
-    ({"cells_per_alpha": 2}, "at least 4"),
-    ({"weak_tol": 0.0}, "weak_tol"),
+    # the lattice (alpha / 4) and the residual ceiling (1.0) are constants
+    ({"cells_per_alpha": 4, "weak_tol": 1.0},
+     r"^unknown config key\(s\): cells_per_alpha, weak_tol$"),
     ({"seed": None}, r"^config key 'seed' is required \(or --seed\)$"),
     ({"banana": 1}, r"^unknown config key\(s\): banana$"),
     # a kind belongs to a field or density block, not to the document
@@ -97,14 +98,12 @@ def micro_config(**overrides):
     ({"abs_tol": math.nan}, "'abs_tol' must be finite"),
     ({"rel_tol": math.inf}, "'rel_tol' must be finite"),
     ({"coarse_factor": math.inf}, "'coarse_factor' must be finite"),
-    ({"weak_tol": -math.inf}, "'weak_tol' must be finite"),
     ({"time_points": math.inf}, "'time_points' has a value of the wrong"),
     ({"seed": math.nan}, "'seed' has a value of the wrong type"),
     # booleans and strings are not numbers, and an int key takes no fraction
     ({"resolution": 24.9}, "'resolution' needs an integer"),
     ({"time_points": 2.5}, "'time_points' needs an integer"),
     ({"seed": 1.5}, "'seed' needs an integer"),
-    ({"cells_per_alpha": 4.7}, "'cells_per_alpha' needs an integer"),
     ({"horizon": True}, "'horizon' has a value of the wrong type"),
     ({"resolution": "24"}, "'resolution' has a value of the wrong type"),
     ({"abs_tol": "1e-11"}, "'abs_tol' has a value of the wrong type"),
@@ -220,12 +219,10 @@ def test_configs_compare_by_identity():
 
 
 def test_config_takes_integral_floats_for_int_keys():
-    cfg = micro_config(resolution=9.0, time_points=3.0, seed=4.0,
-                       cells_per_alpha=5.0)
-    assert (cfg.resolution, cfg.time_points, cfg.seed,
-            cfg.cells_per_alpha) == (9, 3, 4, 5)
+    cfg = micro_config(resolution=9.0, time_points=3.0, seed=4.0)
+    assert (cfg.resolution, cfg.time_points, cfg.seed) == (9, 3, 4)
     assert all(type(v) is int for v in (cfg.resolution, cfg.time_points,
-                                         cfg.seed, cfg.cells_per_alpha))
+                                         cfg.seed))
 
 
 def test_config_defaults():
@@ -312,7 +309,7 @@ def test_every_catalog_parameter_has_a_type_and_every_kind_a_default():
             assert name in scenarios._PARAM_TYPES, (make.__name__, name)
     numeric = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)
                if f.type in (int, float)}
-    assert len(numeric) == 9, sorted(numeric)
+    assert len(numeric) == 7, sorted(numeric)
     for name, kind in numeric.items():
         assert scenarios._PARAM_TYPES.get(name) is kind, name
     for kind in FIELD_CATALOG:
@@ -375,6 +372,14 @@ def test_snapped_weights_always_fsum_to_one(raw):
     assert keep.sum() == len(snapped)
     for w in snapped:
         assert (w / _SNAP_GRAIN).is_integer()
+
+
+def test_snapping_refuses_a_shortfall_that_swallows_its_atom():
+    # 2.5 million equal weights each round up by 0.35 grain, so the
+    # shortfall of about -872,000 grains is larger than any one atom; the
+    # guard reads the atom that took it, not the next largest
+    with pytest.raises(ConfigError, match="swallowed"):
+        _snap_unit_weights(np.full(2_500_000, 1 / 2_500_000))
 
 
 # -- end-to-end runs ---------------------------------------------------------------
@@ -542,8 +547,9 @@ def test_canned_osgood_disc_differences_hold_no_colocated_atoms(
         assert gaps.min(initial=np.inf) > DEDUP_TOL
 
 
-def test_failed_invariant_exits_one(tmp_path):
-    result = run_scenario(micro_config(weak_tol=1e-15), tmp_path)
+def test_failed_invariant_exits_one(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "_RESIDUAL_CEILING", 1e-15)
+    result = run_scenario(micro_config(), tmp_path)
     assert result.exit_code == 1
     assert result.summary["invariants"]["weak_residual"] is False
     assert result.summary["weak_residual_value"] > 1e-15
@@ -823,6 +829,46 @@ def test_shear_line_at_level_600_stops_at_the_lattice_guard(tmp_path,
     (sched,) = schedules
     assert sched.delta == pytest.approx(3.7e-163, rel=0.05)
     assert sched.j_value == pytest.approx(sched.j_target, rel=1e-12)
+
+
+def test_the_bound_reads_j_off_the_cost_and_c_off_the_field(monkeypatch,
+                                                          tmp_path):
+    # on a scheduled run the J of each level's bound is its schedule's J
+    # bit for bit, and C is the field's declared constant
+    seen = []
+
+    def recorded(field, int_total, int_out, cutoff, cost, alpha,
+                 _original=scenarios.costestimate_bound):
+        seen.append((field.modulus_constant, cost.j_value))
+        return _original(field, int_total, int_out, cutoff, cost, alpha)
+
+    monkeypatch.setattr(scenarios, "costestimate_bound", recorded)
+    config = ScenarioConfig.from_dict(
+        {**builtin_config("shear_line"), "cutoff_levels": [2.0, 3.0]})
+    result = run_scenario(config, str(tmp_path))
+    assert result.exit_code == 0
+    field = build_field(config.field_kind, config.field_params)
+    assert seen == [(field.modulus_constant, level.schedule.j_value)
+                    for level in result.levels]
+
+
+def test_a_pinned_run_computes_each_level_s_j_once(monkeypatch, tmp_path):
+    # the level's cost computes J at the pinned delta; the schedule and the
+    # bound read it there, so no second quadrature runs
+    deltas = []
+
+    def counted(mod, delta, _original=costs._saturation_terms):
+        deltas.append(delta)
+        return _original(mod, delta)
+
+    monkeypatch.setattr(costs, "_saturation_terms", counted)
+    config = ScenarioConfig.from_dict(
+        {**builtin_config("osgood_disc"), "cutoff_levels": [2.0, 3.0]})
+    result = run_scenario(config, str(tmp_path))
+    assert result.exit_code == 0
+    assert deltas == [0.05, 0.05]
+    for level in result.levels:
+        assert level.schedule.j_target == level.schedule.j_value
 
 
 @pytest.mark.parametrize("patch, key", [

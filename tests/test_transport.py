@@ -672,7 +672,7 @@ def test_firstterm_estimate_orders(cost):
     pair = random_pair(60, 4, 4)
     plan, _ = solve_ot(pair, cost)
     const = field.modulus_constant
-    lhs, rhs = firstterm_estimate(field, 0.0, plan, cost, const)
+    lhs, rhs = firstterm_estimate(field, 0.0, plan, cost)
     assert 0.0 <= lhs <= rhs * (1.0 + 1e-9) + 1e-15
     shipped = pair.total_mass()
     assert rhs <= cost.beta * const * shipped * (1.0 + 1e-9)
@@ -684,8 +684,7 @@ def test_firstterm_estimate_is_sharp_on_the_unit_shear(cost):
     field = linear_field([[1.0]])
     plan, _ = solve_ot(random_pair(61, 5, 4, dim=1), cost)
     assert any(DIAMOND not in entry[:2] for entry in plan.entries)
-    lhs, rhs = firstterm_estimate(field, 0.0, plan, cost,
-                                  field.modulus_constant)
+    lhs, rhs = firstterm_estimate(field, 0.0, plan, cost)
     assert rhs > 0.0
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -694,7 +693,7 @@ def test_firstterm_estimate_vanishes_on_a_rotation(cost):
     # a rigid rotation moves every gap perpendicular to itself
     field = rotation_field()
     plan, _ = solve_ot(random_pair(62, 5, 5), cost)
-    lhs, rhs = firstterm_estimate(field, 0.0, plan, cost, 1.0)
+    lhs, rhs = firstterm_estimate(field, 0.0, plan, cost)
     assert rhs > 0.0
     assert lhs <= 1e-12 * rhs
 
