@@ -63,19 +63,21 @@ def _blocks(count):
 
 
 def _rule_nodes(lo, hi):
-    """Nodes of the 4-node rule on each [lo, hi], and half-widths."""
+    """Nodes of the 4-node rule on each [lo, hi], one row per node, and
+    half-widths."""
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return mid[..., None] + half[..., None] * _NODES, half
+    nodes = np.multiply.outer(_NODES, half)
+    nodes += 0.5 * (hi + lo)
+    return nodes, half
 
 
 def _rule_blocks(density, lo, hi):
     """``density`` on the rule nodes of the intervals [lo, hi] of two flat
     arrays of one length, a block of at most ``_BLOCK`` intervals at a time.
 
-    Yields each block's slice, the density on its nodes (one row of 4 per
-    interval) and its half-widths; ``density`` is called once per block, on
-    the flat array of the block's nodes.
+    Yields each block's slice, the density on its nodes (one row per node,
+    one column per interval) and its half-widths; ``density`` is called
+    once per block, on the flat array of the block's nodes.
     """
     for part in _blocks(len(lo)):
         nodes, half = _rule_nodes(lo[part], hi[part])
@@ -89,11 +91,15 @@ def gauss_legendre(density, lo, hi):
     ``lo`` and ``hi`` are flat arrays of one length; ``density`` must
     accept a flat array and is called once per block of at most ``_BLOCK``
     intervals, on every node of the block.  Each integral takes the same
-    bits in any block.
+    bits in any block: the weighted nodes are added in node order, the
+    order of numpy's 4-wide row sum.
     """
     out = np.empty(len(lo))
     for part, vals, half in _rule_blocks(density, lo, hi):
-        out[part] = (vals * _WEIGHTS).sum(axis=-1) * half
+        acc = np.multiply(vals[0], _WEIGHTS[0], out=out[part])
+        for val, weight in zip(vals[1:], _WEIGHTS[1:]):
+            acc += val * weight
+        acc *= half
     return out
 
 
@@ -247,7 +253,7 @@ def _node_table(mod):
         omega = np.empty_like(weights)
         modified = tail_modify(mod)
         for part, vals, half in _rule_blocks(modified, edges[:-1], edges[1:]):
-            omega[part] = vals
+            omega[part] = vals.T
             np.multiply(half[:, None], _WEIGHTS, out=weights[part])
         table = _NODE_TABLES[mod] = (edges, weights.ravel(), omega.ravel(),
                                      float(modified(1.0)))

@@ -306,24 +306,25 @@ def quantize_density(density, resolution, mode, seed):
         keep, weights = _snap_unit_weights(values)
         return points[keep], weights
     if mode == "random":
+        # the outputs come first and each round's hits are copied into them,
+        # so no round's candidates outlive it
+        points = np.empty((count, density.dimension))
+        _, weights = _snap_unit_weights(np.full(count, 1.0 / count))
         rng = np.random.default_rng([0x5EED, int(seed), resolution])
         span = density.box_high - density.box_low
-        accepted = []
         have = 0
         for _ in range(400):
-            draws = density.box_low + rng.uniform(
-                size=(4 * count, density.dimension)) * span
+            draws = rng.uniform(size=(4 * count, density.dimension))
+            draws *= span
+            draws += density.box_low
             bar = rng.uniform(0.0, density.pdf_sup, size=len(draws))
             hits = draws[np.asarray(density.pdf(draws), dtype=float) > bar]
-            accepted.append(hits)
-            have += len(hits)
-            if have >= count:
-                break
-        else:
-            raise ConfigError("rejection sampling stalled; density too peaked")
-        points = np.concatenate(accepted, axis=0)[:count]
-        _, weights = _snap_unit_weights(np.full(count, 1.0 / count))
-        return points, weights
+            take = min(len(hits), count - have)
+            points[have:have + take] = hits[:take]
+            have += take
+            if have == count:
+                return points, weights
+        raise ConfigError("rejection sampling stalled; density too peaked")
     raise ConfigError(f"unknown quantization mode {mode!r}")
 
 

@@ -310,6 +310,50 @@ def test_gauss_legendre_keeps_its_bits_across_block_edges(size):
     np.testing.assert_array_equal(whole, alone)
 
 
+def _row_sum_rule(density, lo, hi):
+    """The 4-node rule as it was written interval-major: one row of nodes
+    per interval, weighted and summed by numpy's row sum."""
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * costs._NODES
+    vals = np.asarray(density(nodes.ravel()), dtype=float).reshape(
+        nodes.shape)
+    return (vals * costs._WEIGHTS).sum(axis=-1) * half
+
+
+@pytest.mark.parametrize("size", (costs._BLOCK - 1, costs._BLOCK,
+                                  costs._BLOCK + 1, 6000))
+def test_node_major_rule_keeps_the_row_sum_bits(size):
+    rng = np.random.default_rng(size)
+    lo = 10.0 ** rng.uniform(-30.0, 12.0, size)
+    hi = lo * (1.0 + rng.uniform(0.0, 2.0, size))
+    for make in CANNED_MODULI:
+        omega = tail_modify(make())
+        for delta in (1.0, 1e-3, 1e-13):
+            def density(s):
+                return 1.0 / (omega(s) + delta)
+
+            assert np.array_equal(gauss_legendre(density, lo, hi),
+                                  _row_sum_rule(density, lo, hi))
+
+
+# J and c_infinity (beta 0.5) at delta 1e-3, recorded while the rule was
+# still summed interval-major; saturation_integral gives that J too
+NODE_MAJOR_BITS = {
+    "modulus_linear": (7.908421645839141, 3.9542108229195705),
+    "modulus_log": (3.3877850619881196, 1.6938925309940598),
+    "modulus_loglog": (2.1294704224229015, 1.0647352112114508),
+    "modulus_loglog_squared": (1.3525065305198023, 0.6762532652599011),
+}
+
+
+@pytest.mark.parametrize("make", CANNED_MODULI)
+def test_cost_ceilings_keep_their_recorded_bits(make):
+    j, ceiling = NODE_MAJOR_BITS[make.__name__]
+    cost = ConcaveCost(make(), 1e-3, 0.5)
+    assert (cost.j_value, cost.c_infinity) == (j, ceiling)
+    assert saturation_integral(make(), 1e-3) == j
+
+
 # J recorded before the node table and J's terms were formed in blocks and
 # in place, as repr'd floats: neither may move a bit
 SATURATION_DELTAS = (1.0, 1e-4, 1e-9, 1e-280)

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,77 +56,127 @@ def micro_config(**overrides):
 # -- config validation ---------------------------------------------------------
 
 @pytest.mark.parametrize("patch, needle", [
-    ({"name": None}, "^config key 'name' is required$"),
-    ({"horizon": None}, "^config key 'horizon' is required$"),
-    ({"horizon": 0.0}, "horizon"),
-    ({"name": "two words"}, "filename stem"),
-    ({"field": {"dimension": 2}}, "kind"),
-    ({"density": []}, "kind"),
-    ({"time_points": 1}, "two points"),
-    ({"quantization": "jittered"}, "quantization"),
-    ({"difference_mode": "both"}, "difference_mode"),
-    ({"cutoff_levels": []}, "at least 1"),
-    ({"cutoff_levels": [0.5]}, "at least 1"),
-    ({"cutoff_levels": [2.0, 2.0]}, "distinct"),
-    ({"cutoff_levels": 3.0},
-     r"^config key 'cutoff_levels' has a value of the wrong type: 3.0$"),
+    pytest.param({"name": None}, "^config key 'name' is required$",
+                 id="name-missing"),
+    pytest.param({"horizon": None}, "^config key 'horizon' is required$",
+                 id="horizon-missing"),
+    pytest.param({"horizon": 0.0}, "horizon", id="horizon-zero"),
+    pytest.param({"name": "two words"}, "filename stem", id="name-two-words"),
+    pytest.param({"field": {"dimension": 2}}, "kind", id="field-no-kind"),
+    pytest.param({"density": []}, "kind", id="density-list"),
+    pytest.param({"time_points": 1}, "two points", id="time_points-one"),
+    pytest.param({"quantization": "jittered"}, "quantization",
+                 id="quantization-unknown"),
+    pytest.param({"difference_mode": "both"}, "difference_mode",
+                 id="difference_mode-unknown"),
+    pytest.param({"cutoff_levels": []}, "at least 1",
+                 id="cutoff_levels-empty"),
+    pytest.param({"cutoff_levels": [0.5]}, "at least 1",
+                 id="cutoff_levels-below-one"),
+    pytest.param({"cutoff_levels": [2.0, 2.0]}, "distinct",
+                 id="cutoff_levels-repeated"),
+    pytest.param({"cutoff_levels": 3.0},
+                 r"^config key 'cutoff_levels' has a value of the wrong type: "
+                 r"3.0$", id="cutoff_levels-scalar"),
     # the pinned parameters are a block that _build reads
-    ({"parameters": {"beta": 1.0}}, "^parameters key 'delta' is required$"),
-    ({"parameters": {"beta": 1.0, "delta": 0.1, "alpha": 0.5, "gamma": 1.0}},
-     r"^unknown parameters key\(s\): gamma$"),
-    ({"parameters": "pinned"},
-     '^parameters must be "schedule" or an object$'),
-    ({"parameters": {"beta": -1.0, "delta": 0.1, "alpha": 0.5}}, "positive"),
-    ({"parameters": {"beta": 1.0, "delta": 0.1, "alpha": 1.5}}, "(0, 1)"),
-    ({"abs_tol": 0.0}, "tolerances"),
-    ({"coarse_factor": 1.0}, "coarse_factor"),
+    pytest.param({"parameters": {"beta": 1.0}},
+                 "^parameters key 'delta' is required$",
+                 id="parameters-no-delta"),
+    pytest.param({"parameters":
+                  {"beta": 1.0, "delta": 0.1, "alpha": 0.5, "gamma": 1.0}},
+                 r"^unknown parameters key\(s\): gamma$",
+                 id="parameters-unknown-key"),
+    pytest.param({"parameters": "pinned"},
+                 '^parameters must be "schedule" or an object$',
+                 id="parameters-string"),
+    pytest.param({"parameters": {"beta": -1.0, "delta": 0.1, "alpha": 0.5}},
+                 "positive", id="parameters-negative-beta"),
+    pytest.param({"parameters": {"beta": 1.0, "delta": 0.1, "alpha": 1.5}},
+                 "(0, 1)", id="parameters-alpha-above-one"),
+    pytest.param({"abs_tol": 0.0}, "tolerances", id="abs_tol-zero"),
+    pytest.param({"coarse_factor": 1.0}, "coarse_factor",
+                 id="coarse_factor-one"),
     # the lattice (alpha / 4) and the residual ceiling (1.0) are constants
-    ({"cells_per_alpha": 4, "weak_tol": 1.0},
-     r"^unknown config key\(s\): cells_per_alpha, weak_tol$"),
-    ({"seed": None}, r"^config key 'seed' is required \(or --seed\)$"),
-    ({"banana": 1}, r"^unknown config key\(s\): banana$"),
+    pytest.param({"cells_per_alpha": 4, "weak_tol": 1.0},
+                 r"^unknown config key\(s\): cells_per_alpha, weak_tol$",
+                 id="retired-keys"),
+    pytest.param({"seed": None},
+                 r"^config key 'seed' is required \(or --seed\)$",
+                 id="seed-missing"),
+    pytest.param({"banana": 1}, r"^unknown config key\(s\): banana$",
+                 id="banana-unknown"),
     # a kind belongs to a field or density block, not to the document
-    ({"kind": "rotation"}, r"^unknown config key\(s\): kind$"),
-    ({"parameters": {"beta": math.nan, "delta": 0.1, "alpha": 0.5}},
-     "finite"),
-    ({"parameters": {"beta": 1.0, "delta": math.inf, "alpha": 0.5}},
-     "finite"),
-    ({"parameters": {"beta": 1.0, "delta": 0.1, "alpha": math.nan}},
-     "'alpha' must be finite"),
-    ({"cutoff_levels": [math.inf]}, "'cutoff_levels' must be finite"),
-    ({"cutoff_levels": [2.0, math.nan]}, "'cutoff_levels' must be finite"),
-    ({"horizon": math.inf}, "'horizon' must be finite"),
-    ({"abs_tol": math.nan}, "'abs_tol' must be finite"),
-    ({"rel_tol": math.inf}, "'rel_tol' must be finite"),
-    ({"coarse_factor": math.inf}, "'coarse_factor' must be finite"),
-    ({"time_points": math.inf}, "'time_points' has a value of the wrong"),
-    ({"seed": math.nan}, "'seed' has a value of the wrong type"),
+    pytest.param({"kind": "rotation"}, r"^unknown config key\(s\): kind$",
+                 id="kind-in-document"),
+    pytest.param({"parameters":
+                  {"beta": math.nan, "delta": 0.1, "alpha": 0.5}},
+                 "finite", id="parameters-nan-beta"),
+    pytest.param({"parameters":
+                  {"beta": 1.0, "delta": math.inf, "alpha": 0.5}},
+                 "finite", id="parameters-inf-delta"),
+    pytest.param({"parameters":
+                  {"beta": 1.0, "delta": 0.1, "alpha": math.nan}},
+                 "'alpha' must be finite", id="parameters-nan-alpha"),
+    pytest.param({"cutoff_levels": [math.inf]},
+                 "'cutoff_levels' must be finite", id="cutoff_levels-inf"),
+    pytest.param({"cutoff_levels": [2.0, math.nan]},
+                 "'cutoff_levels' must be finite", id="cutoff_levels-nan"),
+    pytest.param({"horizon": math.inf}, "'horizon' must be finite",
+                 id="horizon-inf"),
+    pytest.param({"abs_tol": math.nan}, "'abs_tol' must be finite",
+                 id="abs_tol-nan"),
+    pytest.param({"rel_tol": math.inf}, "'rel_tol' must be finite",
+                 id="rel_tol-inf"),
+    pytest.param({"coarse_factor": math.inf}, "'coarse_factor' must be finite",
+                 id="coarse_factor-inf"),
+    pytest.param({"time_points": math.inf},
+                 "'time_points' has a value of the wrong",
+                 id="time_points-inf"),
+    pytest.param({"seed": math.nan}, "'seed' has a value of the wrong type",
+                 id="seed-nan"),
     # booleans and strings are not numbers, and an int key takes no fraction
-    ({"resolution": 24.9}, "'resolution' needs an integer"),
-    ({"time_points": 2.5}, "'time_points' needs an integer"),
-    ({"seed": 1.5}, "'seed' needs an integer"),
-    ({"horizon": True}, "'horizon' has a value of the wrong type"),
-    ({"resolution": "24"}, "'resolution' has a value of the wrong type"),
-    ({"abs_tol": "1e-11"}, "'abs_tol' has a value of the wrong type"),
-    ({"cutoff_levels": [2.0, True]},
-     r"^config key 'cutoff_levels' has a value of the wrong type: "
-     r"\[2.0, True\]$"),
-    ({"cutoff_levels": ["2"]}, "'cutoff_levels' has a value of the wrong"),
-    ({"parameters": {"beta": True, "delta": 0.1, "alpha": 0.5}},
-     "'beta' has a value of the wrong type"),
+    pytest.param({"resolution": 24.9}, "'resolution' needs an integer",
+                 id="resolution-fraction"),
+    pytest.param({"time_points": 2.5}, "'time_points' needs an integer",
+                 id="time_points-fraction"),
+    pytest.param({"seed": 1.5}, "'seed' needs an integer", id="seed-fraction"),
+    pytest.param({"horizon": True}, "'horizon' has a value of the wrong type",
+                 id="horizon-bool"),
+    pytest.param({"resolution": "24"},
+                 "'resolution' has a value of the wrong type",
+                 id="resolution-string"),
+    pytest.param({"abs_tol": "1e-11"},
+                 "'abs_tol' has a value of the wrong type",
+                 id="abs_tol-string"),
+    pytest.param({"cutoff_levels": [2.0, True]},
+                 r"^config key 'cutoff_levels' has a value of the wrong type: "
+                 r"\[2.0, True\]$", id="cutoff_levels-bool"),
+    pytest.param({"cutoff_levels": ["2"]},
+                 "'cutoff_levels' has a value of the wrong",
+                 id="cutoff_levels-string"),
+    pytest.param({"parameters": {"beta": True, "delta": 0.1, "alpha": 0.5}},
+                 "'beta' has a value of the wrong type",
+                 id="parameters-bool-beta"),
     # nor are they inside array-valued keys, at any depth
-    ({"field": {"kind": "linear", "matrix": [[True]]}},
-     "'matrix' has a value of the wrong type"),
-    ({"field": {"kind": "constant", "velocity": [0.3, True]}},
-     "'velocity' has a value of the wrong type"),
-    ({"field": {"kind": "constant", "velocity": [0.3, "0.1"]}},
-     "'velocity' has a value of the wrong type"),
-    ({"density": {"kind": "atoms", "atoms": [[[0.0, True], 1.0]]}},
-     "'atoms' has a value of the wrong type"),
-    ({"density": {"kind": "atoms", "atoms": [[[0.0, 0.0], True]]}},
-     "'atoms' has a value of the wrong type"),
-    ({"density": {"kind": "atoms"}}, "^atoms density key 'atoms' is required$"),
-    ({"seed": -2}, "'seed' must not be negative"),
+    pytest.param({"field": {"kind": "linear", "matrix": [[True]]}},
+                 "'matrix' has a value of the wrong type", id="matrix-bool"),
+    pytest.param({"field": {"kind": "constant", "velocity": [0.3, True]}},
+                 "'velocity' has a value of the wrong type",
+                 id="velocity-bool"),
+    pytest.param({"field": {"kind": "constant", "velocity": [0.3, "0.1"]}},
+                 "'velocity' has a value of the wrong type",
+                 id="velocity-string"),
+    pytest.param({"density": {"kind": "atoms", "atoms": [[[0.0, True], 1.0]]}},
+                 "'atoms' has a value of the wrong type",
+                 id="atoms-bool-coordinate"),
+    pytest.param({"density": {"kind": "atoms", "atoms": [[[0.0, 0.0], True]]}},
+                 "'atoms' has a value of the wrong type",
+                 id="atoms-bool-weight"),
+    pytest.param({"density": {"kind": "atoms"}},
+                 "^atoms density key 'atoms' is required$",
+                 id="atoms-missing"),
+    pytest.param({"seed": -2}, "'seed' must not be negative",
+                 id="seed-negative"),
 ])
 def test_config_rejections(patch, needle):
     doc = {**MICRO, **patch}
@@ -349,6 +400,88 @@ def test_random_quantization_is_seed_deterministic():
     assert not np.array_equal(pts_a, pts_c)
     assert math.fsum(w_a) == 1.0
     assert len(set(w_a)) <= 2  # equal shares, one carries the shortfall
+
+
+def _concatenating_sampler(density, resolution, seed):
+    """The random quantization as it was written before it filled its
+    outputs in place: every round's hits kept, concatenated, then sliced."""
+    count = resolution ** density.dimension
+    rng = np.random.default_rng([0x5EED, int(seed), resolution])
+    span = density.box_high - density.box_low
+    accepted = []
+    have = 0
+    for _ in range(400):
+        draws = density.box_low + rng.uniform(
+            size=(4 * count, density.dimension)) * span
+        bar = rng.uniform(0.0, density.pdf_sup, size=len(draws))
+        hits = draws[np.asarray(density.pdf(draws), dtype=float) > bar]
+        accepted.append(hits)
+        have += len(hits)
+        if have >= count:
+            break
+    points = np.concatenate(accepted, axis=0)[:count]
+    _, weights = _snap_unit_weights(np.full(count, 1.0 / count))
+    return points, weights
+
+
+# the push workload's clouds, a gaussian that accepts about 10 % of its
+# candidates (so it takes several rounds) and the two 1-D densities
+_SAMPLED_DENSITIES = [
+    ({"kind": "ring", "radius": 0.5, "width": 0.06}, 100),
+    ({"kind": "ring", "radius": 0.28, "width": 0.04}, 100),
+    ({"kind": "gaussian", "spread": 0.15}, 30),
+    ({"kind": "interval", "low": 0.15, "high": 0.85}, 96),
+    ({"kind": "two_bumps", "centers": [[-0.3], [0.35]], "spread": 0.09}, 24),
+]
+
+
+@pytest.mark.parametrize("doc, resolution", _SAMPLED_DENSITIES)
+def test_random_quantization_keeps_the_concatenating_sampler_s_bits(
+        doc, resolution):
+    density = density_from_config(doc)
+    for seed in range(1, 17):
+        points, weights = quantize_density(density, resolution, "random",
+                                           seed)
+        want_points, want_weights = _concatenating_sampler(
+            density, resolution, seed)
+        np.testing.assert_array_equal(points, want_points)
+        np.testing.assert_array_equal(weights, want_weights)
+
+
+def test_random_quantization_returns_arrays_that_own_their_data():
+    for doc, resolution in _SAMPLED_DENSITIES:
+        density = density_from_config(doc)
+        points, weights = quantize_density(density, resolution, "random", 3)
+        count = resolution ** density.dimension
+        assert points.shape == (count, density.dimension)
+        assert weights.shape == (count,)
+        assert points.base is None and weights.base is None
+
+
+def test_random_clouds_retain_only_their_own_arrays():
+    # the push workload holds its clouds for the whole run; a view into the
+    # accepted candidates pinned about 1.55 times the bytes it returned
+    density = density_from_config(
+        {"kind": "ring", "radius": 0.28, "width": 0.04})
+    quantize_density(density, 4, "random", 0)  # lazy imports come first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clouds = [quantize_density(density, 100, "random", seed)
+                  for seed in range(1, 9)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    owned = sum(p.nbytes + w.nbytes for p, w in clouds)
+    assert retained <= 1.02 * owned
+
+
+def test_random_quantization_that_accepts_nothing_stalls():
+    density = scenarios.DensityField(
+        1, np.array([0.0]), np.array([1.0]),
+        lambda points: np.zeros(len(points)), 1.0)
+    with pytest.raises(ConfigError, match="rejection sampling stalled"):
+        quantize_density(density, 4, "random", 1)
 
 
 def test_quantization_guards():
